@@ -7,8 +7,10 @@ optionally regulated), ``simulate`` (seeded random run) and ``check``
 
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
 3 model parse error, 4 grounding cap exceeded.  ``check`` exits 2 when a
-bound truncated the comparison.  All outputs are canonically sorted, so
-repeated invocations are byte-identical.
+bound truncated the comparison.  A model file that is not UTF-8 is a
+parse error, a regulation file that is not UTF-8 a configuration error,
+and a negative bound or step count a usage error.  All outputs are
+canonically sorted, so repeated invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -47,6 +49,17 @@ EXIT_PARSE = 3
 EXIT_GROUNDING_CAP = 4
 
 
+def _natural(text: str) -> int:
+    """Argparse type of the count and bound flags: an integer ≥ 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bcsl", description="BCSL model toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -65,8 +78,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_lts = sub.add_parser("lts", help="build the reachable transition system")
     add_common(p_lts, ("dot", "json", "text"))
     p_lts.add_argument("--regulation", default=None, help="regulation config (JSON file)")
-    p_lts.add_argument("--max-states", type=int, default=100_000)
-    p_lts.add_argument("--max-depth", type=int, default=1_000)
+    p_lts.add_argument("--max-states", type=_natural, default=100_000)
+    p_lts.add_argument("--max-depth", type=_natural, default=1_000)
     p_lts.add_argument(
         "--unroll", action="store_true", help="export the depth-bounded run tree instead"
     )
@@ -74,13 +87,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="sample a seeded random run")
     add_common(p_sim, ("json", "text"))
     p_sim.add_argument("--regulation", default=None, help="regulation config (JSON file)")
-    p_sim.add_argument("--steps", type=int, default=10)
+    p_sim.add_argument("--steps", type=_natural, default=10)
     p_sim.add_argument("--seed", type=int, default=0)
 
     p_check = sub.add_parser("check", help="compare direct and grounded semantics")
     p_check.add_argument("model", help="model file")
-    p_check.add_argument("--max-states", type=int, default=100_000)
-    p_check.add_argument("--max-depth", type=int, default=1_000)
+    p_check.add_argument("--max-states", type=_natural, default=100_000)
+    p_check.add_argument("--max-depth", type=_natural, default=1_000)
     p_check.add_argument("--json", action="store_true", help="machine-readable report")
     p_check.add_argument("-o", "--output", default=None)
 
@@ -101,7 +114,14 @@ def _dump(obj) -> str:
 
 
 def _load_model(path: str) -> BcslModel:
-    return parse_model(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        data = exc.object
+        line = data.count(b"\n", 0, exc.start) + 1
+        col = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise ParseError(f"model file is not valid UTF-8: {exc.reason}", line, col) from exc
+    return parse_model(text)
 
 
 def _load_regulation(path: str | None, model: BcslModel):
@@ -109,6 +129,8 @@ def _load_regulation(path: str | None, model: BcslModel):
         return None
     try:
         config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise RegulationError(f"regulation file is not valid UTF-8: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise RegulationError(f"regulation file is not valid JSON: {exc}") from exc
     return compile_regulation(config, model.labels)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable
 
 from .mrs import EPSILON_LABEL
 from .patterns import (
@@ -97,12 +97,22 @@ class _PreparedRule:
     the state with backtracking; right-hand ε slots are classified as
     either forced (same source atomic at the same position on the left,
     so the resolved feature must match) or free over the signature.
+
+    What a match produces depends only on its left-hand assignment, so it
+    is computed on first use and memoised in ``_produced``.  The memo key
+    is the tuple of option indices picked at each left-hand position,
+    which fixes the assignment.  The picked agents would not do as a key:
+    options with different assignments can canonicalise to the same agent
+    (``P().P()::c`` picks ``P(S{a}).P(S{b})::c`` under two assignments,
+    which resolve the right-hand side differently).
     """
 
-    def __init__(self, rule, structure_signature, atomic_signature):
+    def __init__(self, rule, structure_signature, atomic_signature, agents):
         self.label = rule.label
         self.lhs = expand_pattern(rule.lhs, structure_signature)
         self.rhs = expand_pattern(rule.rhs, structure_signature)
+        self._agents = agents
+        self._produced: dict[tuple[int, ...], list[dict[Agent, int]]] = {}
         lhs_atoms = deatomise(self.lhs)
         rhs_atoms = deatomise(self.rhs)
 
@@ -116,7 +126,8 @@ class _PreparedRule:
             options = []
             for inst in enumerate_instantiations(single, atomic_signature, cap=None):
                 assignment = dict(zip(slots, inst.assignment))
-                options.append((canonicalize(inst.result.agents[0]), assignment))
+                canonical = canonicalize(inst.result.agents[0])
+                options.append((agents.setdefault(canonical, canonical), assignment))
             self.agent_options.append(options)
             offset += n_atoms
 
@@ -135,42 +146,57 @@ class _PreparedRule:
 
     def apply_to(self, state: Multiset) -> set[tuple[str, Multiset]]:
         results: set[tuple[str, Multiset]] = set()
-        for assignment, consumed in self._match_lhs(state):
-            left = state.difference(consumed)
-            for produced in self._rhs_multisets(assignment):
-                results.add((self.label, left.union(produced)))
+        for choice, consumed in self._match_lhs(state):
+            produced_options = self._produced.get(choice)
+            if produced_options is None:
+                produced_options = self._produced[choice] = self._rhs_counts(choice)
+            for produced in produced_options:
+                results.add((self.label, state.rewrite(consumed, produced)))
         return results
 
-    def _match_lhs(self, state: Multiset) -> list[tuple[dict[int, str], Multiset]]:
+    def _match_lhs(self, state: Multiset) -> list[tuple[tuple[int, ...], dict[Agent, int]]]:
         """Instantiations of the left pattern contained in the state.
 
         Backtracks agent by agent, decrementing the remaining multiset, so
-        instantiations absent from the state are pruned early.
+        instantiations absent from the state are pruned early.  Each match
+        is the option index picked per left-hand agent and the consumed
+        counts.
         """
-        remaining = {agent: n for agent, n in state.items()}
-        matches: list[tuple[dict[int, str], Multiset]] = []
-        assignment: dict[int, str] = {}
-        picked: list[Agent] = []
-
-        def descend(i: int) -> None:
-            if i == len(self.agent_options):
-                matches.append((dict(assignment), Multiset.from_agents(picked)))
-                return
-            for agent, slot_features in self.agent_options[i]:
-                if remaining.get(agent, 0) > 0:
-                    remaining[agent] -= 1
-                    assignment.update(slot_features)
-                    picked.append(agent)
-                    descend(i + 1)
-                    picked.pop()
-                    for slot in slot_features:
-                        del assignment[slot]
-                    remaining[agent] += 1
-
-        descend(0)
+        matches: list[tuple[tuple[int, ...], dict[Agent, int]]] = []
+        self._descend(0, dict(state.items()), [], [], matches)
         return matches
 
-    def _rhs_multisets(self, lhs_assignment: Mapping[int, str]) -> list[Multiset]:
+    def _descend(
+        self,
+        i: int,
+        remaining: dict[Agent, int],
+        choice: list[int],
+        picked: list[Agent],
+        matches: list[tuple[tuple[int, ...], dict[Agent, int]]],
+    ) -> None:
+        # A method, not a closure: a self-referencing closure per call is
+        # a reference cycle that only the garbage collector can free.
+        if i == len(self.agent_options):
+            consumed: dict[Agent, int] = {}
+            for agent in picked:
+                consumed[agent] = consumed.get(agent, 0) + 1
+            matches.append((tuple(choice), consumed))
+            return
+        for k, (agent, _) in enumerate(self.agent_options[i]):
+            if remaining.get(agent, 0) > 0:
+                remaining[agent] -= 1
+                choice.append(k)
+                picked.append(agent)
+                self._descend(i + 1, remaining, choice, picked, matches)
+                picked.pop()
+                choice.pop()
+                remaining[agent] += 1
+
+    def _rhs_counts(self, choice: tuple[int, ...]) -> list[dict[Agent, int]]:
+        """Produced agent counts, one per resolution of the free right-hand slots."""
+        lhs_assignment: dict[int, str] = {}
+        for options, k in zip(self.agent_options, choice):
+            lhs_assignment.update(options[k][1])
         option_sets = []
         for _, mode, payload in self.rhs_slots:
             if mode == "forced":
@@ -181,16 +207,28 @@ class _PreparedRule:
         positions = [pos for pos, _, _ in self.rhs_slots]
         for combo in itertools.product(*option_sets):
             resolved = assign_features(self.rhs, dict(zip(positions, combo)))
-            out.append(Multiset.from_agents(resolved.agents))
+            counts: dict[Agent, int] = {}
+            for agent in resolved.agents:
+                agent = canonicalize(agent)
+                agent = self._agents.setdefault(agent, agent)
+                counts[agent] = counts.get(agent, 0) + 1
+            out.append(counts)
         return out
 
 
 class RuleMatcher:
-    """Applies every rule of a model to states via the rewriting relation."""
+    """Applies every rule of a model to states via the rewriting relation.
+
+    The matcher interns agents: the init agents, the left-hand options
+    and every produced agent map to one canonical object each, so the
+    dict probes of matching find their keys by identity.
+    """
 
     def __init__(self, model: BcslModel):
+        # The intern table: canonical agent -> its one shared object.
+        agents: dict[Agent, Agent] = {agent: agent for agent in model.init.agents()}
         self._rules = [
-            _PreparedRule(rule, model.structure_signature, model.atomic_signature)
+            _PreparedRule(rule, model.structure_signature, model.atomic_signature, agents)
             for rule in model.rules
         ]
 
@@ -308,24 +346,21 @@ def maximal_label_sequences(lts: Lts, depth: int) -> LabelSequences:
     for src, label, tgt in lts.transitions:
         if label != EPSILON_LABEL:
             adjacency.setdefault(src, []).append((label, tgt))
-    for out in adjacency.values():
-        out.sort(key=lambda lt: (lt[0], _state_key(lt[1])))
 
     complete: set[tuple[str, ...]] = set()
     incomplete: set[tuple[str, ...]] = set()
-
-    def walk(state: Hashable, prefix: tuple[str, ...], budget: int) -> None:
+    # Depth-first over (state, labels so far, steps left); an explicit
+    # stack, so the depth bound is not limited by the recursion limit.
+    stack: list[tuple[Hashable, tuple[str, ...], int]] = [(lts.initial, (), depth)]
+    while stack:
+        state, prefix, budget = stack.pop()
         out = adjacency.get(state)
         if not out:
             complete.add(prefix)
-            return
-        if budget == 0:
+        elif budget == 0:
             incomplete.add(prefix)
-            return
-        for label, target in out:
-            walk(target, prefix + (label,), budget - 1)
-
-    walk(lts.initial, (), depth)
+        else:
+            stack.extend((target, prefix + (label,), budget - 1) for label, target in out)
     return LabelSequences(frozenset(complete), frozenset(incomplete))
 
 

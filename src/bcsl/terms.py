@@ -12,7 +12,15 @@ alphanumerically sorted.  ``canonicalize`` picks a deterministic
 representative of each congruence class so grounded agents can be hashed
 and compared directly.  ``Multiset`` is the shared state type: an
 immutable multiset of canonical grounded agents with pointwise union,
-difference (clamped at zero), intersection and inclusion.
+difference (clamped at zero), intersection and inclusion, and a fused
+``rewrite`` (remove, then add) for successor states.
+
+Each agent carries one identity that is computed once, on first use:
+its hash and its text (``Agent.text``, also the order of multiset
+entries).  Agents that are built but never hashed or printed, such as
+the intermediate terms of parsing and grounding, cost neither.
+``canonicalize`` returns an already canonical agent itself, and so keeps
+what it has cached.
 """
 
 from __future__ import annotations
@@ -84,15 +92,55 @@ Component = Union[Atomic, Structure]
 
 @dataclass(frozen=True)
 class Agent:
-    """A chain of components in a compartment; the element type of states."""
+    """A chain of components in a compartment; the element type of states.
+
+    The hash and the text (``text`` / ``str``) are computed the first
+    time they are asked for and kept on the instance.  Equality tries
+    identity, then the cached hashes, then the fields.
+    """
 
     chain: tuple[Component, ...]
     compartment: str
+
+    # Identity cache; the class-level None means "not computed yet".
+    _hash = None
+    _text = None
 
     def __post_init__(self) -> None:
         if not self.chain:
             raise ValueError("agent chain must not be empty")
         _check_name(self.compartment, "compartment")
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.chain, self.compartment))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Agent):
+            return NotImplemented
+        return (
+            hash(self) == hash(other)
+            and self.compartment == other.compartment
+            and self.chain == other.chain
+        )
+
+    def __reduce__(self):
+        # Rebuild from the fields: the cached hash depends on the process's hash seed.
+        return (Agent, (self.chain, self.compartment))
+
+    @property
+    def text(self) -> str:
+        """Serialized form, e.g. ``A{x}.P(S{i})::cell``."""
+        value = self._text
+        if value is None:
+            value = ".".join(str(c) for c in self.chain) + "::" + self.compartment
+            object.__setattr__(self, "_text", value)
+        return value
 
     @property
     def is_grounded(self) -> bool:
@@ -105,7 +153,7 @@ class Agent:
         )
 
     def __str__(self) -> str:
-        return ".".join(str(c) for c in self.chain) + "::" + self.compartment
+        return self.text
 
 
 @dataclass(frozen=True)
@@ -137,8 +185,10 @@ def canonicalize(agent: Agent) -> Agent:
     sorted by their serialized text (a total, byte-wise order).  Two
     agents are congruent iff their canonical forms are equal.
     """
-    chain = tuple(_canonical_component(c) for c in agent.chain)
-    return Agent(tuple(sorted(chain, key=str)), agent.compartment)
+    chain = tuple(sorted((_canonical_component(c) for c in agent.chain), key=str))
+    if chain == agent.chain:
+        return agent
+    return Agent(chain, agent.compartment)
 
 
 def _canonical_component(component: Component) -> Component:
@@ -181,7 +231,7 @@ class Multiset:
                     merged[key] = merged.get(key, 0) + n
         self._counts = merged
         self._items: tuple[tuple[Agent, int], ...] = tuple(
-            sorted(merged.items(), key=lambda kv: str(kv[0]))
+            sorted(merged.items(), key=lambda kv: kv[0].text)
         )
         self._text = " + ".join(f"{n} {agent}" for agent, n in self._items) or "∅"
         self._hash = hash(self._items)
@@ -219,6 +269,25 @@ class Multiset:
             left = n - other._counts.get(agent, 0)
             if left > 0:
                 counts[agent] = left
+        return Multiset(counts, _trusted=True)
+
+    def rewrite(self, consumed: Mapping[Agent, int], produced: Mapping[Agent, int]) -> Multiset:
+        """``self − consumed + produced`` in one step, without intermediate multisets.
+
+        Both mappings hold canonical agents and positive counts, and
+        ``consumed`` must be contained in ``self``.
+        """
+        counts = dict(self._counts)
+        for agent, n in consumed.items():
+            left = counts.get(agent, 0) - n
+            if left > 0:
+                counts[agent] = left
+            elif left == 0:
+                del counts[agent]
+            else:
+                raise ValueError(f"cannot consume {n} {agent} from {self}")
+        for agent, n in produced.items():
+            counts[agent] = counts.get(agent, 0) + n
         return Multiset(counts, _trusted=True)
 
     def intersection(self, other: Multiset) -> Multiset:

@@ -202,6 +202,50 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "alphanumerically sorted" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--steps", "-1"),
+        ("lts", "--max-states", "-5"),
+        ("lts", "--max-depth", "-1"),
+        ("check", "--max-states", "-1"),
+        ("check", "--max-depth", "-2"),
+    ],
+)
+def test_negative_bounds_are_usage_errors(capsys, model_path, argv):
+    command, *flags = argv
+    code, out, err = run_cli(capsys, command, model_path, *flags)
+    assert code == 2
+    assert out == ""
+    assert f"error: argument {flags[0]}: must be non-negative" in err
+    assert "Traceback" not in err
+
+
+def test_zero_bounds_are_accepted(capsys, model_path):
+    code, out, _ = run_cli(capsys, "simulate", model_path, "--steps", "0", "--format", "text")
+    assert code == 0
+    assert out == "step 0: 1 P(S{i},T{i})::cell\n"
+
+
+def test_non_utf8_model_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "latin1.bcsl"
+    bad.write_bytes(b"#! rules\nr ~ A{x}::c => A{\xe9}::c\n#! inits\n1 A{x}::c\n")
+    code, out, err = run_cli(capsys, "parse", str(bad))
+    assert code == 3
+    assert out == ""
+    assert err == "error: line 2, column 18: model file is not valid UTF-8: invalid continuation byte\n"
+
+
+def test_non_utf8_regulation_is_a_usage_error(capsys, model_path, tmp_path):
+    reg = tmp_path / "reg.json"
+    reg.write_bytes(b'{"type": "regular", "expression": "r\xff"}')
+    code, out, err = run_cli(capsys, "lts", model_path, "--regulation", str(reg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: regulation file is not valid UTF-8")
+    assert "Traceback" not in err
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run_cli(capsys, "parse", "/nonexistent/model.bcsl")
     assert code == 2

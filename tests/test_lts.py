@@ -2,10 +2,12 @@ import json
 
 from bcsl import (
     EPSILON_LABEL,
+    Lts,
     RuleMatcher,
     bcsl_successors,
     build_lts,
     build_mrs,
+    check_equivalence,
     extend_epsilon,
     lts_to_dot,
     lts_to_json_obj,
@@ -106,6 +108,36 @@ def test_direct_and_grounded_routes_agree_everywhere(two_site_model):
         assert direct == frozenset(grounded)
 
 
+# Two left-hand assignments (S of the first P = a or b) pick the same
+# canonical agent but resolve the right-hand side differently.
+SAME_AGENT_TWO_ASSIGNMENTS = (
+    "#! rules\n"
+    "r ~ P().P()::c => P()::c + P()::out\n"
+    "#! inits\n"
+    "1 P(S{a}).P(S{b})::c\n"
+)
+
+
+def test_assignments_picking_one_agent_give_distinct_successors():
+    model = parse_model(SAME_AGENT_TWO_ASSIGNMENTS)
+    matcher = RuleMatcher(model)
+    grounded = {
+        (label, target)
+        for label, target in successors(build_mrs(model), model.init)
+        if label != EPSILON_LABEL
+    }
+    assert matcher.successors(model.init) == frozenset(grounded)
+    assert {(label, str(target)) for label, target in grounded} == {
+        ("r", "1 P(S{a})::c + 1 P(S{b})::out"),
+        ("r", "1 P(S{a})::out + 1 P(S{b})::c"),
+    }
+    # A second call is answered from the memo and must agree.
+    assert matcher.successors(model.init) == frozenset(grounded)
+    graph = build_lts(model)
+    assert (graph.n_states, graph.n_transitions) == (3, 2)
+    assert check_equivalence(model).passed
+
+
 # ---------------------------------------------------------------------------
 # Reachable graph
 # ---------------------------------------------------------------------------
@@ -197,6 +229,13 @@ def test_maximal_sequences_cycle_marked_incomplete():
     seqs = maximal_label_sequences(extend_epsilon(build_lts(model)), 3)
     assert seqs.complete == frozenset()
     assert seqs.incomplete == frozenset({("spin",) * 3})
+
+
+def test_maximal_sequences_deeper_than_recursion_limit():
+    cycle = Lts("a", frozenset({"a", "b"}), frozenset({("a", "x", "b"), ("b", "y", "a")}))
+    seqs = maximal_label_sequences(cycle, 5000)
+    assert seqs.complete == frozenset()
+    assert seqs.incomplete == frozenset({("x", "y") * 2500})
 
 
 # ---------------------------------------------------------------------------

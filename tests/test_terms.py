@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -265,3 +266,96 @@ def test_text_forms():
     assert str(Multiset.empty()) == "∅"
     m = Multiset({AGENT_POOL[0]: 2})
     assert str(m) == "2 A{x}::c"
+
+
+# ---------------------------------------------------------------------------
+# Cached agent identity
+# ---------------------------------------------------------------------------
+
+atomics = st.builds(Atomic, st.sampled_from("ABC"), st.sampled_from("xy"))
+structures = st.builds(
+    Structure,
+    st.sampled_from("PQ"),
+    st.lists(atomics, max_size=3, unique_by=lambda a: a.name).map(tuple),
+)
+agents = st.builds(
+    Agent,
+    st.lists(st.one_of(atomics, structures), min_size=1, max_size=3).map(tuple),
+    st.sampled_from(["c", "d"]),
+)
+
+
+def _rebuilt(agent: Agent) -> Agent:
+    """An agent equal to ``agent`` that shares none of its term objects."""
+    chain = tuple(
+        Structure(c.name, tuple(Atomic(a.name, a.feature) for a in c.composition))
+        if isinstance(c, Structure)
+        else Atomic(c.name, c.feature)
+        for c in agent.chain
+    )
+    return Agent(chain, agent.compartment)
+
+
+@given(agent=agents)
+def test_independent_agents_share_identity(agent):
+    twin = _rebuilt(agent)
+    assert twin is not agent
+    assert twin == agent and agent == twin
+    assert hash(twin) == hash(agent)
+    assert str(twin) == str(agent)
+    copy = pickle.loads(pickle.dumps(agent))
+    assert copy == agent and hash(copy) == hash(agent) and str(copy) == str(agent)
+
+
+@given(one=agents, other=agents)
+def test_agent_equality_matches_fields(one, other):
+    same_fields = (one.chain, one.compartment) == (other.chain, other.compartment)
+    assert (one == other) == same_fields
+    if same_fields:
+        assert hash(one) == hash(other)
+
+
+@given(agent=agents, seed=st.integers(min_value=0, max_value=2**16))
+def test_canonical_forms_of_congruent_agents_share_identity(agent, seed):
+    rng = random.Random(seed)
+    chain = list(_rebuilt(agent).chain)
+    rng.shuffle(chain)
+    shuffled = Agent(
+        tuple(
+            Structure(c.name, tuple(rng.sample(c.composition, len(c.composition))))
+            if isinstance(c, Structure)
+            else c
+            for c in chain
+        ),
+        agent.compartment,
+    )
+    left, right = canonicalize(agent), canonicalize(shuffled)
+    assert left == right
+    assert hash(left) == hash(right)
+    assert str(left) == str(right)
+    assert canonicalize(left) is left
+
+
+@given(m=multisets)
+def test_multiset_of_fresh_agents_matches_interned(m):
+    fresh = Multiset({_rebuilt(agent): n for agent, n in reversed(m.items())})
+    assert fresh == m
+    assert hash(fresh) == hash(m)
+    assert str(fresh) == str(m)
+
+
+@given(state=multisets, consumed=multisets, produced=multisets)
+def test_rewrite_is_difference_then_union(state, consumed, produced):
+    consumed = consumed.intersection(state)
+    rewritten = state.rewrite(dict(consumed.items()), dict(produced.items()))
+    expected = state.difference(consumed).union(produced)
+    assert rewritten == expected
+    assert str(rewritten) == str(expected)
+
+
+def test_rewrite_rejects_uncontained_consumption():
+    state = Multiset({AGENT_POOL[0]: 1})
+    with pytest.raises(ValueError, match="cannot consume"):
+        state.rewrite({canonicalize(AGENT_POOL[0]): 2}, {})
+    with pytest.raises(ValueError, match="cannot consume"):
+        state.rewrite({canonicalize(AGENT_POOL[1]): 1}, {})
