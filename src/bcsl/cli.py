@@ -8,8 +8,9 @@ optionally regulated), ``simulate`` (seeded random run) and ``check``
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
 3 model parse error, 4 grounding cap exceeded.  ``check`` exits 2 when a
 bound truncated the comparison.  A model file that is not UTF-8 is a
-parse error, a regulation file that is not UTF-8 a configuration error,
-and a negative bound or step count a usage error.  All outputs are
+parse error, a regulation file that is not UTF-8 or nests JSON too
+deeply to read a configuration error, and a negative bound or step count
+a usage error.  All outputs are
 canonically sorted, so repeated invocations are byte-identical.
 """
 
@@ -133,6 +134,9 @@ def _load_regulation(path: str | None, model: BcslModel):
         raise RegulationError(f"regulation file is not valid UTF-8: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise RegulationError(f"regulation file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        # The json decoder recurses once per nested array or object.
+        raise RegulationError("regulation file nests JSON too deeply") from exc
     return compile_regulation(config, model.labels)
 
 

@@ -98,13 +98,22 @@ class _PreparedRule:
     either forced (same source atomic at the same position on the left,
     so the resolved feature must match) or free over the signature.
 
-    What a match produces depends only on its left-hand assignment, so it
-    is computed on first use and memoised in ``_produced``.  The memo key
-    is the tuple of option indices picked at each left-hand position,
-    which fixes the assignment.  The picked agents would not do as a key:
-    options with different assignments can canonicalise to the same agent
-    (``P().P()::c`` picks ``P(S{a}).P(S{b})::c`` under two assignments,
-    which resolve the right-hand side differently).
+    What a match consumes and produces depends only on its left-hand
+    assignment, so both are computed on first use and memoised in
+    ``_effects``.  The memo key is the tuple of option indices picked at
+    each left-hand position, which fixes the assignment.  The picked
+    agents would not do as a key: options with different assignments can
+    canonicalise to the same agent (``P().P()::c`` picks
+    ``P(S{a}).P(S{b})::c`` under two assignments, which resolve the
+    right-hand side differently).
+
+    Matching walks the state's distinct agents rather than the options:
+    ``_option_index`` maps, per left-hand position, each canonical agent
+    to the list of option indices that instantiate to it (a list, since
+    several assignments can give one agent, as above).  At each position
+    the matcher iterates the smaller of that index and the remaining
+    state, so a state of two or three distinct agents costs two or three
+    probes however many instantiations the position has.
     """
 
     def __init__(self, rule, structure_signature, atomic_signature, agents):
@@ -112,23 +121,29 @@ class _PreparedRule:
         self.lhs = expand_pattern(rule.lhs, structure_signature)
         self.rhs = expand_pattern(rule.rhs, structure_signature)
         self._agents = agents
-        self._produced: dict[tuple[int, ...], list[dict[Agent, int]]] = {}
+        self._effects: dict[tuple[int, ...], tuple[dict[Agent, int], list[dict[Agent, int]]]] = {}
         lhs_atoms = deatomise(self.lhs)
         rhs_atoms = deatomise(self.rhs)
 
-        # Per-agent options: (canonical instantiated agent, {global slot: feature}).
+        # Per left-hand agent, its options (instantiations) in enumeration
+        # order, each (canonical instantiated agent, {global slot: feature}),
+        # and the index from canonical agent to option numbers.
         self.agent_options: list[list[tuple[Agent, dict[int, str]]]] = []
+        self._option_index: list[dict[Agent, list[int]]] = []
         offset = 0
         for agent in self.lhs.agents:
             single = Pattern((agent,))
             n_atoms = len(deatomise(single))
             slots = [offset + k for k in range(n_atoms) if lhs_atoms[offset + k].feature == EPSILON]
             options = []
+            index: dict[Agent, list[int]] = {}
             for inst in enumerate_instantiations(single, atomic_signature, cap=None):
-                assignment = dict(zip(slots, inst.assignment))
                 canonical = canonicalize(inst.result.agents[0])
-                options.append((agents.setdefault(canonical, canonical), assignment))
+                canonical = agents.setdefault(canonical, canonical)
+                index.setdefault(canonical, []).append(len(options))
+                options.append((canonical, dict(zip(slots, inst.assignment))))
             self.agent_options.append(options)
+            self._option_index.append(index)
             offset += n_atoms
 
         # Right-hand ε slots: ("forced", lhs position) or ("free", features).
@@ -144,59 +159,65 @@ class _PreparedRule:
                     raise GroundingError(f"no features known for atomic {atom.name!r}")
                 self.rhs_slots.append((j, "free", sorted(options)))
 
-    def apply_to(self, state: Multiset) -> set[tuple[str, Multiset]]:
-        results: set[tuple[str, Multiset]] = set()
-        for choice, consumed in self._match_lhs(state):
-            produced_options = self._produced.get(choice)
-            if produced_options is None:
-                produced_options = self._produced[choice] = self._rhs_counts(choice)
-            for produced in produced_options:
-                results.add((self.label, state.rewrite(consumed, produced)))
-        return results
+    def apply_to(
+        self, state: Multiset, counts: dict[Agent, int], out: set[tuple[str, Multiset]]
+    ) -> None:
+        """Add the labelled successors of ``state`` under this rule to ``out``.
 
-    def _match_lhs(self, state: Multiset) -> list[tuple[tuple[int, ...], dict[Agent, int]]]:
-        """Instantiations of the left pattern contained in the state.
-
-        Backtracks agent by agent, decrementing the remaining multiset, so
-        instantiations absent from the state are pruned early.  Each match
-        is the option index picked per left-hand agent and the consumed
-        counts.
+        ``counts`` is a scratch copy of the state's multiplicities, which
+        matching changes and restores.  Matching backtracks agent by
+        agent, decrementing the counts, so instantiations absent from the
+        state are pruned early; each match is the option index picked per
+        left-hand agent.
         """
-        matches: list[tuple[tuple[int, ...], dict[Agent, int]]] = []
-        self._descend(0, dict(state.items()), [], [], matches)
-        return matches
+        matches: list[tuple[int, ...]] = []
+        self._descend(0, counts, [], matches)
+        for choice in matches:
+            effect = self._effects.get(choice)
+            if effect is None:
+                effect = self._effects[choice] = self._effect(choice)
+            consumed, produced_options = effect
+            for produced in produced_options:
+                out.add((self.label, state.rewrite(consumed, produced)))
 
     def _descend(
         self,
         i: int,
         remaining: dict[Agent, int],
         choice: list[int],
-        picked: list[Agent],
-        matches: list[tuple[tuple[int, ...], dict[Agent, int]]],
+        matches: list[tuple[int, ...]],
     ) -> None:
         # A method, not a closure: a self-referencing closure per call is
         # a reference cycle that only the garbage collector can free.
-        if i == len(self.agent_options):
-            consumed: dict[Agent, int] = {}
-            for agent in picked:
-                consumed[agent] = consumed.get(agent, 0) + 1
-            matches.append((tuple(choice), consumed))
+        if i == len(self._option_index):
+            matches.append(tuple(choice))
             return
-        for k, (agent, _) in enumerate(self.agent_options[i]):
-            if remaining.get(agent, 0) > 0:
-                remaining[agent] -= 1
+        index = self._option_index[i]
+        # (agent, count, option indices) of the agents both present and
+        # instantiable here, found from the smaller side.  Only counts
+        # change below, never the keys.
+        if len(index) < len(remaining):
+            hits = [(a, n, ks) for a, ks in index.items() if (n := remaining.get(a, 0)) > 0]
+        else:
+            hits = [(a, n, ks) for a, n in remaining.items() if n > 0 and (ks := index.get(a))]
+        for agent, n, ks in hits:
+            remaining[agent] = n - 1
+            for k in ks:
                 choice.append(k)
-                picked.append(agent)
-                self._descend(i + 1, remaining, choice, picked, matches)
-                picked.pop()
+                self._descend(i + 1, remaining, choice, matches)
                 choice.pop()
-                remaining[agent] += 1
+            remaining[agent] = n
 
-    def _rhs_counts(self, choice: tuple[int, ...]) -> list[dict[Agent, int]]:
-        """Produced agent counts, one per resolution of the free right-hand slots."""
+    def _effect(
+        self, choice: tuple[int, ...]
+    ) -> tuple[dict[Agent, int], list[dict[Agent, int]]]:
+        """Consumed agent counts, and produced ones per resolution of the free rhs slots."""
+        consumed: dict[Agent, int] = {}
         lhs_assignment: dict[int, str] = {}
         for options, k in zip(self.agent_options, choice):
-            lhs_assignment.update(options[k][1])
+            agent, assignment = options[k]
+            consumed[agent] = consumed.get(agent, 0) + 1
+            lhs_assignment.update(assignment)
         option_sets = []
         for _, mode, payload in self.rhs_slots:
             if mode == "forced":
@@ -213,7 +234,7 @@ class _PreparedRule:
                 agent = self._agents.setdefault(agent, agent)
                 counts[agent] = counts.get(agent, 0) + 1
             out.append(counts)
-        return out
+        return consumed, out
 
 
 class RuleMatcher:
@@ -234,8 +255,9 @@ class RuleMatcher:
 
     def successors(self, state: Multiset) -> frozenset[tuple[str, Multiset]]:
         out: set[tuple[str, Multiset]] = set()
+        counts = state.to_dict()
         for prepared in self._rules:
-            out |= prepared.apply_to(state)
+            prepared.apply_to(state, counts, out)
         return frozenset(out)
 
 
@@ -252,6 +274,10 @@ def bcsl_successors(model: BcslModel, state: Multiset) -> frozenset[tuple[str, M
 # Bounded exploration
 # ---------------------------------------------------------------------------
 
+# A miss in ``explore``'s state store (any hashable, even None, may be a state).
+_UNSEEN = object()
+
+
 def _state_key(state: Hashable) -> str:
     return str(state) if isinstance(state, Multiset) else repr(state)
 
@@ -267,8 +293,14 @@ def explore(
     Deterministic for any hash seed: frontiers and successor sets are
     processed in sorted order.  Edges leading to states beyond the state
     cap are dropped (endpoints of kept edges are always explored states).
+
+    Each reached state is stored once, as the first object that reached
+    it, and every transition refers to the stored objects.  Only
+    successors leading to states not yet stored are sorted; those to
+    stored states just add their edge.
     """
-    states = {initial}
+    # state -> the one object stored for it.
+    states: dict[Hashable, Hashable] = {initial: initial}
     transitions: set[Transition] = set()
     truncated = False
     cut: set[Hashable] = set()
@@ -278,17 +310,29 @@ def explore(
         frontier.sort(key=_state_key)
         next_frontier = []
         for state in frontier:
-            for label, target in sorted(
-                successor_fn(state), key=lambda lt: (lt[0], _state_key(lt[1]))
-            ):
-                if target not in states:
+            # The same result as sorting every successor by (label, key)
+            # and processing them in that order, also under the state cap:
+            # a successor whose target is already stored changes neither
+            # ``states`` nor the cap test and adds its edge wherever it
+            # sorts, and the other successors keep their relative order.
+            fresh = []
+            for label, target in successor_fn(state):
+                stored = states.get(target, _UNSEEN)
+                if stored is _UNSEEN:
+                    fresh.append((label, target))
+                else:
+                    transitions.add((state, label, stored))
+            fresh.sort(key=lambda lt: (lt[0], _state_key(lt[1])))
+            for label, target in fresh:
+                stored = states.get(target, _UNSEEN)
+                if stored is _UNSEEN:
                     if len(states) >= max_states:
                         truncated = True
                         cut.add(state)
                         continue
-                    states.add(target)
+                    stored = states[target] = target
                     next_frontier.append(target)
-                transitions.add((state, label, target))
+                transitions.add((state, label, stored))
         frontier = next_frontier
         depth += 1
     if frontier:

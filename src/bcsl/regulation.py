@@ -93,60 +93,61 @@ def _regex_tokens(expression: str) -> list[str]:
     return tokens
 
 
+def _join(kind: str, parts: list):
+    return parts[0] if len(parts) == 1 else (kind, tuple(parts))
+
+
 def _parse_regex(expression: str):
-    """Parse into a tuple AST: ("sym", l) | ("cat", parts) | ("alt", parts) | ("star", p)."""
+    """Parse into a tuple AST: ("sym", l) | ("cat", parts) | ("alt", parts) | ("star", p).
+
+    Precedence, loosest first: ``|``, ``.``, postfix ``*``.  Open groups
+    live on an explicit stack, so nesting depth is not limited by the
+    recursion limit.
+    """
     tokens = _regex_tokens(expression)
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_alt():
-        parts = [parse_cat()]
-        while peek() == "|":
-            take()
-            parts.append(parse_cat())
-        return parts[0] if len(parts) == 1 else ("alt", tuple(parts))
-
-    def parse_cat():
-        parts = [parse_rep()]
-        while peek() == ".":
-            take()
-            parts.append(parse_rep())
-        return parts[0] if len(parts) == 1 else ("cat", tuple(parts))
-
-    def parse_rep():
-        node = parse_atom()
-        while peek() == "*":
-            take()
-            node = ("star", node)
-        return node
-
-    def parse_atom():
-        tok = peek()
-        if tok == "(":
-            take()
-            node = parse_alt()
-            if peek() != ")":
-                raise RegulationError("missing ')' in expression")
-            take()
-            return node
-        if tok is None or tok in ".|*)":
-            raise RegulationError(f"expected a rule label in expression, found {tok!r}")
-        return ("sym", take())
-
     if not tokens:
         raise RegulationError("empty expression")
-    ast = parse_alt()
-    if pos != len(tokens):
-        raise RegulationError(f"unexpected {tokens[pos]!r} in expression")
-    return ast
+    # One frame per open group (the bottom one is the whole expression):
+    # the finished alternatives, and the operands of the current sequence.
+    groups: list[tuple[list, list]] = [([], [])]
+    pos = 0
+    node = None  # the operand just read; None while one is expected
+    while True:
+        tok = tokens[pos] if pos < len(tokens) else None
+        if node is None:
+            if tok == "(":
+                groups.append(([], []))
+            elif tok is None or tok in ".|*)":
+                raise RegulationError(f"expected a rule label in expression, found {tok!r}")
+            else:
+                node = ("sym", tok)
+            pos += 1
+            continue
+        if tok == "*":
+            node = ("star", node)
+            pos += 1
+            continue
+        alternatives, sequence = groups[-1]
+        sequence.append(node)
+        node = None
+        if tok == ".":
+            pos += 1
+            continue
+        alternatives.append(_join("cat", sequence))
+        if tok == "|":
+            sequence.clear()
+            pos += 1
+            continue
+        node = _join("alt", alternatives)
+        if tok == ")" and len(groups) > 1:
+            groups.pop()
+            pos += 1
+        elif len(groups) > 1:
+            raise RegulationError("missing ')' in expression")
+        elif tok is not None:
+            raise RegulationError(f"unexpected {tok!r} in expression")
+        else:
+            return node
 
 
 class _Nfa:
@@ -167,34 +168,48 @@ class _Nfa:
 
 
 def _build_nfa(ast, nfa: _Nfa) -> tuple[int, int]:
-    kind = ast[0]
-    if kind == "sym":
-        a, b = nfa.new_state(), nfa.new_state()
-        nfa.add_sym(a, ast[1], b)
-        return a, b
-    if kind == "cat":
-        first, last = _build_nfa(ast[1][0], nfa)
-        for part in ast[1][1:]:
-            a, b = _build_nfa(part, nfa)
-            nfa.add_eps(last, a)
-            last = b
-        return first, last
-    if kind == "alt":
-        start, end = nfa.new_state(), nfa.new_state()
-        for part in ast[1]:
-            a, b = _build_nfa(part, nfa)
+    """Thompson construction: the (start, accept) states of ``ast`` in ``nfa``.
+
+    Walks the AST with an explicit stack, so nesting depth is not limited
+    by the recursion limit.  A node's own states are numbered before its
+    parts', in the order a recursive construction numbers them.
+    """
+    built: list[tuple[int, int]] = []  # (start, end) of finished nodes, in order
+    # (node, its own (start, end) once its parts are queued; None before).
+    stack: list[tuple[tuple, tuple[int, int] | None]] = [(ast, None)]
+    while stack:
+        node, own = stack.pop()
+        kind = node[0]
+        if kind == "sym":
+            a, b = nfa.new_state(), nfa.new_state()
+            nfa.add_sym(a, node[1], b)
+            built.append((a, b))
+            continue
+        if kind not in ("cat", "alt", "star"):
+            raise AssertionError(f"unknown AST node {kind!r}")
+        parts = (node[1],) if kind == "star" else node[1]
+        if own is None:
+            own = () if kind == "cat" else (nfa.new_state(), nfa.new_state())
+            stack.append((node, own))
+            stack.extend((part, None) for part in reversed(parts))
+            continue
+        done = built[-len(parts):]
+        del built[-len(parts):]
+        if kind == "cat":
+            for (_, b), (a, _) in zip(done, done[1:]):
+                nfa.add_eps(b, a)
+            built.append((done[0][0], done[-1][1]))
+            continue
+        start, end = own
+        for a, b in done:
             nfa.add_eps(start, a)
             nfa.add_eps(b, end)
-        return start, end
-    if kind == "star":
-        start, end = nfa.new_state(), nfa.new_state()
-        a, b = _build_nfa(ast[1], nfa)
-        nfa.add_eps(start, a)
-        nfa.add_eps(b, end)
-        nfa.add_eps(start, end)
-        nfa.add_eps(b, a)
-        return start, end
-    raise AssertionError(f"unknown AST node {kind!r}")
+        if kind == "star":
+            ((a, b),) = done
+            nfa.add_eps(start, end)
+            nfa.add_eps(b, a)
+        built.append(own)
+    return built[0]
 
 
 def _closure(nfa: _Nfa, states: frozenset[int]) -> frozenset[int]:
@@ -210,15 +225,17 @@ def _closure(nfa: _Nfa, states: frozenset[int]) -> frozenset[int]:
 
 
 def _ast_symbols(ast) -> set[str]:
-    kind = ast[0]
-    if kind == "sym":
-        return {ast[1]}
-    if kind in ("cat", "alt"):
-        out: set[str] = set()
-        for part in ast[1]:
-            out |= _ast_symbols(part)
-        return out
-    return _ast_symbols(ast[1])
+    symbols: set[str] = set()
+    stack = [ast]
+    while stack:
+        node = stack.pop()
+        if node[0] == "sym":
+            symbols.add(node[1])
+        elif node[0] == "star":
+            stack.append(node[1])
+        else:
+            stack.extend(node[1])
+    return symbols
 
 
 def compile_label_regex(expression: str, labels: Collection[str]) -> Dfa:

@@ -21,6 +21,13 @@ entries).  Agents that are built but never hashed or printed, such as
 the intermediate terms of parsing and grounding, cost neither.
 ``canonicalize`` returns an already canonical agent itself, and so keeps
 what it has cached.
+
+A multiset is lazy in the same way: it is built from its counts alone,
+and its entries sorted by agent text, its text and its hash are each
+computed on first use and kept.  The hash does not depend on the order
+of the entries, so a multiset that is only compared with others (a
+successor leading to a state already seen, an intermediate difference)
+is never sorted or printed.
 """
 
 from __future__ import annotations
@@ -210,31 +217,36 @@ class Multiset:
     Absent agents have multiplicity 0; stored multiplicities are strictly
     positive.  All operations are pointwise on multiplicities; difference
     clamps at zero.
+
+    Only the counts are stored at construction.  The entries sorted by
+    agent text (``items``), the text (``str``) and the hash are computed
+    the first time they are asked for and kept on the instance; the hash
+    is taken over the unordered entries.
     """
 
     __slots__ = ("_counts", "_items", "_text", "_hash")
 
     def __init__(self, counts: Mapping[Agent, int] | None = None, *, _trusted: bool = False):
-        merged: dict[Agent, int] = {}
-        if counts:
-            if _trusted:
-                merged = dict(counts)
-            else:
-                for agent, n in counts.items():
-                    if not isinstance(n, int) or n < 0:
-                        raise ValueError(f"multiplicity must be a natural number, got {n!r}")
-                    if n == 0:
-                        continue
-                    if not agent.is_grounded:
-                        raise ValueError(f"agent is not grounded: {agent}")
-                    key = canonicalize(agent)
-                    merged[key] = merged.get(key, 0) + n
-        self._counts = merged
-        self._items: tuple[tuple[Agent, int], ...] = tuple(
-            sorted(merged.items(), key=lambda kv: kv[0].text)
-        )
-        self._text = " + ".join(f"{n} {agent}" for agent, n in self._items) or "∅"
-        self._hash = hash(self._items)
+        # ``_trusted``: ``counts`` is a fresh dict of canonical agents to
+        # positive counts, which the multiset takes over unchecked.
+        if _trusted:
+            merged = counts
+        else:
+            merged = {}
+            for agent, n in (counts or {}).items():
+                if not isinstance(n, int) or n < 0:
+                    raise ValueError(f"multiplicity must be a natural number, got {n!r}")
+                if n == 0:
+                    continue
+                if not agent.is_grounded:
+                    raise ValueError(f"agent is not grounded: {agent}")
+                key = canonicalize(agent)
+                merged[key] = merged.get(key, 0) + n
+        self._counts: dict[Agent, int] = merged
+        # Identity cache; None means "not computed yet".
+        self._items: tuple[tuple[Agent, int], ...] | None = None
+        self._text: str | None = None
+        self._hash: int | None = None
 
     @classmethod
     def empty(cls) -> Multiset:
@@ -305,11 +317,18 @@ class Multiset:
 
     def items(self) -> tuple[tuple[Agent, int], ...]:
         """Entries as (agent, multiplicity) pairs, sorted by agent text."""
-        return self._items
+        value = self._items
+        if value is None:
+            value = self._items = tuple(sorted(self._counts.items(), key=lambda kv: kv[0].text))
+        return value
 
     def agents(self) -> tuple[Agent, ...]:
         """Distinct agents, sorted by text."""
-        return tuple(agent for agent, _ in self._items)
+        return tuple(agent for agent, _ in self.items())
+
+    def to_dict(self) -> dict[Agent, int]:
+        """A fresh dict of the multiplicities, in no particular order."""
+        return dict(self._counts)
 
     @property
     def total(self) -> int:
@@ -343,10 +362,16 @@ class Multiset:
         return self._counts == other._counts
 
     def __hash__(self) -> int:
-        return self._hash
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(frozenset(self._counts.items()))
+        return value
 
     def __str__(self) -> str:
-        return self._text
+        value = self._text
+        if value is None:
+            value = self._text = " + ".join(f"{n} {agent}" for agent, n in self.items()) or "∅"
+        return value
 
     def __repr__(self) -> str:
-        return f"Multiset({self._text!r})"
+        return f"Multiset({str(self)!r})"

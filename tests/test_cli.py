@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bcsl.cli import main
 from conftest import REGULATION_CONFIGS, TWO_SITE_MODEL
@@ -289,3 +290,106 @@ def test_output_file(capsys, model_path, tmp_path):
     assert json.loads(out_path.read_text(encoding="utf-8"))["init"] == {
         "P(S{i},T{i})::cell": 1
     }
+
+
+@pytest.mark.parametrize(
+    "expression",
+    ["(" * 3000 + "r1_S" + ")" * 3000, "r1_S" + "*" * 3000],
+    ids=["parenthesised", "starred"],
+)
+def test_deep_regular_expression_runs(capsys, model_path, tmp_path, expression):
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps({"type": "regular", "expression": expression}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "lts", model_path, "--regulation", str(reg))
+    assert code == 0, err
+    assert json.loads(out)["states"]
+
+
+def test_deeply_nested_regulation_json_is_a_usage_error(capsys, model_path, tmp_path):
+    reg = tmp_path / "reg.json"
+    reg.write_text('{"type": "regular", "x": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run_cli(capsys, "lts", model_path, "--regulation", str(reg))
+    assert code == 2
+    assert out == ""
+    assert err == "error: regulation file nests JSON too deeply\n"
+
+
+# ---------------------------------------------------------------------------
+# Guard: mutated inputs end in a documented exit code
+# ---------------------------------------------------------------------------
+
+# Mostly bytes of the model and JSON syntax, so that mutants get past the
+# first character; any byte otherwise.
+_BYTES = st.one_of(
+    st.sampled_from(sorted(set('(){}[].,:+~=>#!*|"0123456789 \nPSTaiε_'.encode()))),
+    st.integers(min_value=0, max_value=255),
+)
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(["replace", "insert", "delete"]), st.integers(min_value=0), _BYTES),
+    min_size=1,
+    max_size=4,
+)
+_BOUNDS = ["--max-states", "50", "--max-depth", "10"]
+_MODEL_COMMANDS = [
+    ["parse"],
+    ["ground"],
+    ["lts", *_BOUNDS],
+    ["lts", "--unroll", "--max-depth", "3"],
+    ["simulate", "--steps", "5"],
+    ["check", *_BOUNDS],
+]
+_REGULATED_COMMANDS = [
+    ["lts", *_BOUNDS],
+    ["lts", "--unroll", "--max-depth", "3"],
+    ["simulate", "--steps", "5"],
+]
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for op, at, byte in edits:
+        at %= len(out) + 1
+        if op == "insert":
+            out.insert(at, byte)
+        elif at < len(out):
+            if op == "delete":
+                del out[at]
+            else:
+                out[at] = byte
+    return bytes(out)
+
+
+def _assert_documented_exit(capsys, argv: list[str]) -> None:
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3, 4), argv
+    assert code != 1 or argv[0] == "check", argv
+    assert "Traceback" not in err, argv
+
+
+_GUARD_SETTINGS = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@_GUARD_SETTINGS
+@given(edits=_EDITS)
+def test_mutated_model_ends_in_documented_exit_code(capsys, tmp_path, edits):
+    model = tmp_path / "mutant.bcsl"
+    model.write_bytes(_mutate(TWO_SITE_MODEL.encode("utf-8"), edits))
+    output = str(tmp_path / "out")
+    for command in _MODEL_COMMANDS:
+        _assert_documented_exit(capsys, [command[0], str(model), *command[1:], "-o", output])
+
+
+@_GUARD_SETTINGS
+@given(name=st.sampled_from(sorted(REGULATION_CONFIGS)), edits=_EDITS)
+def test_mutated_regulation_ends_in_documented_exit_code(capsys, tmp_path, name, edits):
+    model = tmp_path / "model.bcsl"
+    model.write_text(TWO_SITE_MODEL, encoding="utf-8")
+    reg = tmp_path / "mutant.json"
+    reg.write_bytes(_mutate(json.dumps(REGULATION_CONFIGS[name]).encode("utf-8"), edits))
+    output = str(tmp_path / "out")
+    for command in _REGULATED_COMMANDS:
+        argv = [command[0], str(model), *command[1:], "--regulation", str(reg), "-o", output]
+        _assert_documented_exit(capsys, argv)

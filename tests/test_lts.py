@@ -1,13 +1,20 @@
 import json
 
+import pytest
+from hypothesis import given, strategies as st
+
 from bcsl import (
     EPSILON_LABEL,
+    Agent,
+    Atomic,
     Lts,
+    Multiset,
     RuleMatcher,
     bcsl_successors,
     build_lts,
     build_mrs,
     check_equivalence,
+    explore,
     extend_epsilon,
     lts_to_dot,
     lts_to_json_obj,
@@ -171,6 +178,112 @@ def test_depth_cap_truncates():
     assert graph.truncated
     assert graph.n_states == 6
     assert graph.unsettled
+
+
+# ---------------------------------------------------------------------------
+# explore against a reference that sorts every successor
+# ---------------------------------------------------------------------------
+
+def _key(state) -> str:
+    return str(state) if isinstance(state, Multiset) else repr(state)
+
+
+def _reference_explore(initial, successor_fn, max_states, max_depth) -> Lts:
+    """Bounded BFS that sorts and processes every successor in turn."""
+    states = {initial}
+    transitions = set()
+    truncated = False
+    cut = set()
+    frontier = [initial]
+    depth = 0
+    while frontier and depth < max_depth:
+        frontier.sort(key=_key)
+        next_frontier = []
+        for state in frontier:
+            for label, target in sorted(successor_fn(state), key=lambda lt: (lt[0], _key(lt[1]))):
+                if target not in states:
+                    if len(states) >= max_states:
+                        truncated = True
+                        cut.add(state)
+                        continue
+                    states.add(target)
+                    next_frontier.append(target)
+                transitions.add((state, label, target))
+        frontier = next_frontier
+        depth += 1
+    truncated = truncated or bool(frontier)
+    unsettled = frozenset(frontier) | frozenset(cut)
+    return Lts(initial, frozenset(states), frozenset(transitions), truncated, unsettled)
+
+
+def _assert_explore_matches_reference(initial, successor_fn, max_states, max_depth):
+    graph = explore(initial, successor_fn, max_states, max_depth)
+    expected = _reference_explore(initial, successor_fn, max_states, max_depth)
+    assert graph == expected
+    stored = {state: state for state in graph.states}
+    assert graph.initial is initial
+    for src, _, tgt in graph.transitions:
+        assert stored[src] is src and stored[tgt] is tgt
+    return graph
+
+
+_NODE = Agent((Atomic("A", "x"),), "c")
+
+
+def _node(k: int) -> Multiset:
+    """A fresh multiset per call, so equal states are distinct objects."""
+    return Multiset({_NODE: k + 1})
+
+
+_graphs = st.integers(min_value=1, max_value=9).flatmap(
+    lambda n: st.dictionaries(
+        st.integers(min_value=0, max_value=n - 1),
+        st.lists(
+            st.tuples(st.sampled_from("ab"), st.integers(min_value=0, max_value=n - 1)),
+            max_size=5,
+        ),
+    )
+)
+_caps = st.one_of(st.just(100_000), st.integers(min_value=1, max_value=9))
+
+
+@given(graph=_graphs, max_states=_caps, max_depth=st.one_of(st.just(1_000), st.integers(0, 5)))
+def test_explore_matches_reference_on_random_graphs(graph, max_states, max_depth):
+    def successor_fn(state):
+        return [(label, _node(k)) for label, k in graph.get(state.total - 1, ())]
+
+    _assert_explore_matches_reference(_node(0), successor_fn, max_states, max_depth)
+
+
+def _site_model(n_sites: int, copies: int) -> str:
+    rules = []
+    for j in range(n_sites):
+        rules.append(f"act{j} ~ P(S{j}{{f0}})::cell => P(S{j}{{f1}})::cell")
+        rules.append(f"deact{j} ~ P(S{j}{{f1}})::cell => P(S{j}{{f0}})::cell")
+    sites = ",".join(f"S{j}{{f0}}" for j in range(n_sites))
+    return (
+        "#! rules\n" + "\n".join(rules) + "\nexport ~ P()::cell => P()::out\n"
+        f"#! inits\n{copies} P({sites})::cell\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, max_states, max_depth",
+    [
+        (SAME_AGENT_TWO_ASSIGNMENTS, 100_000, 1_000),
+        (SAME_AGENT_TWO_ASSIGNMENTS, 2, 1_000),
+        (_site_model(3, 2), 100_000, 1_000),
+        (_site_model(3, 2), 40, 1_000),
+        (_site_model(3, 2), 100_000, 3),
+    ],
+    ids=["same-agent", "same-agent-capped", "sites", "sites-capped", "sites-shallow"],
+)
+def test_explore_matches_reference_on_models(text, max_states, max_depth):
+    model = parse_model(text)
+    graph = _assert_explore_matches_reference(
+        model.init, RuleMatcher(model).successors, max_states, max_depth
+    )
+    assert graph.truncated == (max_states < 100_000 or max_depth < 1_000)
 
 
 # ---------------------------------------------------------------------------

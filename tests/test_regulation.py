@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from bcsl import (
@@ -62,6 +64,34 @@ def test_regex_errors():
         compile_label_regex("   ", LABELS)
     with pytest.raises(RegulationError, match="unexpected character"):
         compile_label_regex("r1_S+r2", LABELS)
+
+
+@pytest.mark.parametrize(
+    "deep, shallow",
+    [("(" * 3000 + "r1_S" + ")" * 3000, "r1_S"), ("r1_S" + "*" * 3000, "r1_S*")],
+    ids=["parenthesised", "starred"],
+)
+def test_deep_expressions_compile_without_recursion(deep, shallow):
+    dfa = compile_label_regex(deep, LABELS)
+    expected = compile_label_regex(shallow, LABELS)
+    assert len(dfa.live) == len(expected.live)
+    for n in range(5):
+        for word in itertools.product(LABELS, repeat=n):
+            assert dfa.accepts(word) == expected.accepts(word), word
+
+
+def test_nested_expression_keeps_its_structure():
+    # (r1_S.(r1_T|r2)*)* . r2: groups, precedence and postfix stars at depth.
+    dfa = compile_label_regex("(r1_S.(r1_T|r2)*)*.r2", LABELS)
+    assert dfa.accepts(("r2",))
+    assert dfa.accepts(("r1_S", "r2"))
+    assert dfa.accepts(("r1_S", "r1_T", "r2", "r1_S", "r2"))
+    assert not dfa.accepts(("r1_T", "r2"))
+    assert not dfa.accepts(("r1_S",))
+    with pytest.raises(RegulationError, match="unexpected '\\)'"):
+        compile_label_regex("r1_S)", LABELS)
+    with pytest.raises(RegulationError, match="missing"):
+        compile_label_regex("(r1_S r2)", LABELS)
 
 
 # ---------------------------------------------------------------------------

@@ -359,3 +359,39 @@ def test_rewrite_rejects_uncontained_consumption():
         state.rewrite({canonicalize(AGENT_POOL[0]): 2}, {})
     with pytest.raises(ValueError, match="cannot consume"):
         state.rewrite({canonicalize(AGENT_POOL[1]): 1}, {})
+
+
+# ---------------------------------------------------------------------------
+# Lazy multiset identity
+# ---------------------------------------------------------------------------
+
+@given(m=multisets, other=multisets)
+def test_equal_counts_built_five_ways_share_identity(m, other):
+    counts = m.to_dict()
+    built = [
+        Multiset(counts),
+        Multiset(dict(reversed(list(counts.items())))),
+        Multiset.from_agents(agent for agent, n in reversed(m.items()) for _ in range(n)),
+        other.intersection(m).union(m.difference(other)),
+        m.union(other).difference(other),
+        other.rewrite(other.to_dict(), counts),
+    ]
+    # Ask for the cached parts in a different order on each.
+    for k, multiset in enumerate(built):
+        if k % 2:
+            hash(multiset)
+        else:
+            str(multiset)
+    for multiset in built:
+        assert multiset == m
+        assert hash(multiset) == hash(m)
+        assert str(multiset) == str(m)
+        assert multiset.items() == m.items()
+        assert repr(multiset) == repr(m) == f"Multiset({str(m)!r})"
+
+
+def test_to_dict_is_a_copy():
+    m = Multiset({AGENT_POOL[0]: 2})
+    counts = m.to_dict()
+    counts[AGENT_POOL[0]] = 5
+    assert m.count(AGENT_POOL[0]) == 2
