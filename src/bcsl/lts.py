@@ -3,6 +3,9 @@
 ``RuleMatcher`` applies model rules to a state straight from the rule
 patterns (expand, match instantiated agents against the state, resolve
 the right-hand side consistently) without pre-grounding the whole system.
+Every agent it matches or produces is the model's object for it
+(``BcslModel.agent_table``), the same one that grounding puts into the
+grounded rules, so states of both semantics compare agents by identity.
 ``explore`` computes the bounded breadth-first closure of any successor
 function; ``unroll`` produces the depth-bounded tree used for run-set
 pictures.  Exports (DOT / JSON) are canonically sorted so repeated runs
@@ -240,16 +243,16 @@ class _PreparedRule:
 class RuleMatcher:
     """Applies every rule of a model to states via the rewriting relation.
 
-    The matcher interns agents: the init agents, the left-hand options
-    and every produced agent map to one canonical object each, so the
-    dict probes of matching find their keys by identity.
+    The left-hand options and every produced agent pass through the
+    model's intern table (``model.agent_table``, seeded from the init
+    agents), so the dict probes of matching find their keys by identity.
     """
 
     def __init__(self, model: BcslModel):
-        # The intern table: canonical agent -> its one shared object.
-        agents: dict[Agent, Agent] = {agent: agent for agent in model.init.agents()}
         self._rules = [
-            _PreparedRule(rule, model.structure_signature, model.atomic_signature, agents)
+            _PreparedRule(
+                rule, model.structure_signature, model.atomic_signature, model.agent_table
+            )
             for rule in model.rules
         ]
 
@@ -295,9 +298,11 @@ def explore(
     cap are dropped (endpoints of kept edges are always explored states).
 
     Each reached state is stored once, as the first object that reached
-    it, and every transition refers to the stored objects.  Only
-    successors leading to states not yet stored are sorted; those to
-    stored states just add their edge.
+    it, and every transition refers to the stored objects.  The frontier
+    of each depth is sorted.  A state's successors leading to stored
+    states just add their edge; the others are sorted only when the state
+    cap falls inside them, which is the only case where their order
+    decides which of them are stored.
     """
     # state -> the one object stored for it.
     states: dict[Hashable, Hashable] = {initial: initial}
@@ -314,7 +319,11 @@ def explore(
             # and processing them in that order, also under the state cap:
             # a successor whose target is already stored changes neither
             # ``states`` nor the cap test and adds its edge wherever it
-            # sorts, and the other successors keep their relative order.
+            # sorts.  The others (``fresh``) need sorting only when the
+            # cap falls inside them.  When they all fit, every target is
+            # stored and every edge kept in any order, and the next
+            # frontier is sorted anyway; when the cap is already full,
+            # every one is dropped and the state is cut in any order.
             fresh = []
             for label, target in successor_fn(state):
                 stored = states.get(target, _UNSEEN)
@@ -322,7 +331,8 @@ def explore(
                     fresh.append((label, target))
                 else:
                     transitions.add((state, label, stored))
-            fresh.sort(key=lambda lt: (lt[0], _state_key(lt[1])))
+            if 0 < max_states - len(states) < len(fresh):
+                fresh.sort(key=lambda lt: (lt[0], _state_key(lt[1])))
             for label, target in fresh:
                 stored = states.get(target, _UNSEEN)
                 if stored is _UNSEEN:

@@ -5,6 +5,11 @@ multisets tagged with the label of the originating model rule) and an
 initial multiset.  The reserved rule ``ε = (∅, ∅)`` is implicit and fires
 exactly when nothing else is enabled, so every run can be extended
 forever; finite run prefixes therefore end in ε-stuttering.
+
+Rule application here is definitional (``enabled``, ``apply_rule``,
+``successors``): it is the oracle the direct matcher is checked against.
+Only the agent objects are shared with the direct side: ``build_mrs``
+takes them from the model's intern table (``BcslModel.agent_table``).
 """
 
 from __future__ import annotations
@@ -59,7 +64,10 @@ def build_mrs(model: BcslModel, cap: int | None = DEFAULT_GROUNDING_CAP) -> Mrs:
 
     The element universe is the set of init agents plus every grounding of
     every agent occurring in any rule; the rules are the reactions of
-    every model rule read as multiset pairs (duplicates collapse).
+    every model rule read as multiset pairs (duplicates collapse).  The
+    agents of each rule's ``pre`` and ``post`` are the model's objects
+    for them (``model.agent_table``), which the direct matcher uses too,
+    so grounded and direct states compare agents by identity.
     """
     elements: set[Agent] = {agent for agent, _ in model.init.items()}
     for rule in model.rules:
@@ -70,6 +78,7 @@ def build_mrs(model: BcslModel, cap: int | None = DEFAULT_GROUNDING_CAP) -> Mrs:
                 ):
                     elements.update(ms.agents())
 
+    table = model.agent_table
     seen: dict[MrsRule, None] = {}
     for rule in model.rules:
         if rule.label == EPSILON_LABEL:
@@ -79,8 +88,8 @@ def build_mrs(model: BcslModel, cap: int | None = DEFAULT_GROUNDING_CAP) -> Mrs:
         ):
             mu = MrsRule(
                 rule.label,
-                pattern_multiset(reaction.lhs_inst.result),
-                pattern_multiset(reaction.rhs_inst.result),
+                pattern_multiset(reaction.lhs_inst.result).interned(table),
+                pattern_multiset(reaction.rhs_inst.result).interned(table),
             )
             seen[mu] = None
 

@@ -202,11 +202,21 @@ def ground_rule(
                 f"rule {rule.label!r} has {candidates} candidate instantiation pairs, "
                 f"exceeding the cap of {cap}"
             )
+    # ``consistent`` on every pair, with each deatomisation done once: a
+    # pair is consistent when its results agree at the positions where the
+    # two sources agree, so the right-hand instantiations are grouped by
+    # their resolved atomics there, in enumeration order.
+    s1, s2 = deatomise(lhs), deatomise(rhs)
+    shared = [k for k in range(min(len(s1), len(s2))) if s1[k] == s2[k]]
+
+    def at_shared(inst: Instantiation) -> tuple[Atomic, ...]:
+        atoms = deatomise(inst.result)
+        return tuple(atoms[k] for k in shared)
+
     lhs_insts = enumerate_instantiations(lhs, atomic_signature, cap)
-    rhs_insts = enumerate_instantiations(rhs, atomic_signature, cap)
+    by_key: dict[tuple[Atomic, ...], list[Instantiation]] = {}
+    for ir in enumerate_instantiations(rhs, atomic_signature, cap):
+        by_key.setdefault(at_shared(ir), []).append(ir)
     return tuple(
-        Reaction(rule.label, il, ir)
-        for il in lhs_insts
-        for ir in rhs_insts
-        if consistent(il, ir)
+        Reaction(rule.label, il, ir) for il in lhs_insts for ir in by_key.get(at_shared(il), ())
     )

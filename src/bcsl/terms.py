@@ -20,7 +20,11 @@ its hash and its text (``Agent.text``, also the order of multiset
 entries).  Agents that are built but never hashed or printed, such as
 the intermediate terms of parsing and grounding, cost neither.
 ``canonicalize`` returns an already canonical agent itself, and so keeps
-what it has cached.
+what it has cached.  A model keeps one intern table from each canonical
+agent to its one object (``BcslModel.agent_table``); the direct matcher
+and grounding (through ``Multiset.interned``) build their states from
+it, so equal agents of both semantics are one object, and dict probes
+and comparisons of states find them by identity.
 
 A multiset is lazy in the same way: it is built from its counts alone,
 and its entries sorted by agent text, its text and its hash are each
@@ -301,6 +305,10 @@ class Multiset:
         for agent, n in produced.items():
             counts[agent] = counts.get(agent, 0) + n
         return Multiset(counts, _trusted=True)
+
+    def interned(self, table: dict[Agent, Agent]) -> Multiset:
+        """The same multiset over ``table``'s objects (missing agents are added)."""
+        return Multiset({table.setdefault(a, a): n for a, n in self._counts.items()}, _trusted=True)
 
     def intersection(self, other: Multiset) -> Multiset:
         """Pointwise minimum of multiplicities."""

@@ -6,6 +6,7 @@ against the stated budgets.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -424,3 +425,41 @@ def test_criterion_7_cli_determinism(tmp_path):
         assert first == second == third, args
         assert first[1]  # something was printed
     _report(7, "CLI determinism", started, 120.0)
+
+
+# (args, exit code, SHA-256 of stdout) of runs whose state cap falls inside
+# one state's successor list: the initial state has three successors, so a
+# cap of 3 keeps two of them, and a cap of 5 cuts the first list of the
+# next depth.  Recorded from an ``explore`` that sorted every successor.
+TRUNCATED_RUNS = [
+    (
+        ["lts", "model.bcsl", "--max-states", "3", "--format", "dot"],
+        0,
+        "bcb938cf73ccb907aab9b0ec0cbf778068d8d34d7c36f6aabbff6b944ebed818",
+    ),
+    (
+        ["check", "model.bcsl", "--max-states", "3", "--json"],
+        2,
+        "dfb949a1f4629ff0837ff84c96ddc3400b1f08b442ea98039eb0ac63abd47993",
+    ),
+    (
+        ["lts", "model.bcsl", "--max-states", "5", "--format", "dot"],
+        0,
+        "4f86a915b597d9757cf40bd0df64ede2cf53e09dfd67066b2a04c96e95127da7",
+    ),
+    (
+        ["check", "model.bcsl", "--max-states", "5", "--json"],
+        2,
+        "d147572be5dc17aaa14c32f5f12a3aab419ef909574df037731d1e48984eea83",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, code, digest", TRUNCATED_RUNS, ids=["lts-3", "check-3", "lts-5", "check-5"]
+)
+def test_truncated_runs_keep_their_bytes(tmp_path, args, code, digest):
+    (tmp_path / "model.bcsl").write_text(TWO_SITE_MODEL, encoding="utf-8")
+    for hash_seed in ("1", "2"):
+        got_code, out = _run_cli(args, hash_seed, str(tmp_path))
+        assert (got_code, hashlib.sha256(out).hexdigest()) == (code, digest), (args, hash_seed)

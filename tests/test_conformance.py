@@ -4,6 +4,7 @@ import pytest
 
 from bcsl import (
     MrsRule,
+    build_lts,
     build_mrs,
     check_equivalence,
     check_lemmas,
@@ -12,6 +13,7 @@ from bcsl import (
     parse_multiset,
     successors,
 )
+from conftest import TWO_SITE_MODEL
 from corpus import random_model_text
 
 BOUNDS = {"max_states": 300, "max_depth": 25}
@@ -50,6 +52,22 @@ def test_corpus_models_conform():
         model = parse_model(random_model_text(seed))
         report = check_equivalence(model, **BOUNDS)
         assert report.passed, (seed, report.counterexample)
+
+
+@pytest.mark.parametrize("text", [TWO_SITE_MODEL, random_model_text(3), random_model_text(7)])
+def test_both_semantics_hold_the_model_agent_objects(text):
+    model = parse_model(text)
+    direct = build_lts(model, **BOUNDS)
+    system = build_mrs(model)
+    grounded = explore(system.init, lambda m: successors(system, m), **BOUNDS)
+    table = model.agent_table
+    held = [a for graph in (direct, grounded) for state in graph.states for a in state.agents()]
+    held += [a for rule in system.rules for side in (rule.pre, rule.post) for a in side.agents()]
+    assert len(held) > len(model.init.agents())
+    assert all(table.get(agent) is agent for agent in held)
+    # the table is a cache: it takes no part in equality or repr
+    assert model == parse_model(text)
+    assert repr(model) == repr(parse_model(text))
 
 
 # ---------------------------------------------------------------------------

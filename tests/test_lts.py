@@ -255,6 +255,24 @@ def test_explore_matches_reference_on_random_graphs(graph, max_states, max_depth
     _assert_explore_matches_reference(_node(0), successor_fn, max_states, max_depth)
 
 
+def test_explore_sorts_where_the_state_cap_cuts():
+    # Successor lists come in reverse-sorted order and hold the odd targets
+    # twice, under labels a and b: wherever the cap falls inside a list,
+    # only a sort keeps the targets the reference keeps.
+    graph = {0: [1, 2, 3, 4], 1: [5, 6], 2: [6, 7], 4: [8, 0]}
+
+    def successor_fn(state):
+        targets = graph.get(state.total - 1, ())
+        out = [(label, _node(t)) for t in targets for label in "ab"[: 1 + t % 2]]
+        return sorted(out, key=lambda lt: (lt[0], _key(lt[1])), reverse=True)
+
+    full = explore(_node(0), successor_fn)
+    assert full.n_states == 9 and not full.truncated
+    for max_states in range(1, full.n_states + 1):
+        graph_at_cap = _assert_explore_matches_reference(_node(0), successor_fn, max_states, 1_000)
+        assert graph_at_cap.truncated == (max_states < full.n_states)
+
+
 def _site_model(n_sites: int, copies: int) -> str:
     rules = []
     for j in range(n_sites):

@@ -10,6 +10,7 @@ from bcsl import (
     GroundingError,
     Multiset,
     Pattern,
+    Reaction,
     Structure,
     consistent,
     deatomise,
@@ -19,10 +20,13 @@ from bcsl import (
     ground_rule,
     instantiation_count,
     parse_agent,
+    parse_model,
     parse_pattern,
     parse_rule,
 )
 from bcsl.patterns import assign_features, pattern_multiset
+from conftest import TWO_SITE_MODEL
+from corpus import random_model_text
 
 TWO_SITE_ATOMIC = {"S": frozenset("ia"), "T": frozenset("ia")}
 TWO_SITE_STRUCTURE = {"P": frozenset({"S", "T"})}
@@ -282,6 +286,30 @@ def test_ground_rule_reactions_are_positionally_consistent(two_site_model):
             for k in range(min(len(lhs_src), len(rhs_src))):
                 if lhs_src[k] == rhs_src[k]:
                     assert lhs_res[k] == rhs_res[k]
+
+
+def _reactions_by_definition(rule, structure_signature, atomic_signature):
+    """Every lhs × rhs instantiation pair that ``consistent`` accepts, lhs-major."""
+    lhs = expand_pattern(rule.lhs, structure_signature)
+    rhs = expand_pattern(rule.rhs, structure_signature)
+    return tuple(
+        Reaction(rule.label, il, ir)
+        for il in enumerate_instantiations(lhs, atomic_signature)
+        for ir in enumerate_instantiations(rhs, atomic_signature)
+        if consistent(il, ir)
+    )
+
+
+def test_ground_rule_matches_definition_on_corpus():
+    texts = [TWO_SITE_MODEL] + [random_model_text(seed) for seed in range(200)]
+    for text in texts:
+        model = parse_model(text)
+        signatures = (model.structure_signature, model.atomic_signature)
+        for rule in model.rules:
+            assert ground_rule(rule, *signatures) == _reactions_by_definition(rule, *signatures), (
+                text,
+                rule,
+            )
 
 
 def test_ground_rule_cap(two_site_model):
