@@ -17,7 +17,6 @@ from .lts import (
     Lts,
     RuleMatcher,
     RunTree,
-    bcsl_successors,
     build_lts,
     explore,
     extend_epsilon,
@@ -60,7 +59,6 @@ from .regulation import (
     ConcurrentFreeRegulation,
     ConditionalRegulation,
     Dfa,
-    OrderedRegulation,
     ProgrammedRegulation,
     Regulation,
     RegulationError,
@@ -70,6 +68,7 @@ from .regulation import (
     compile_label_regex,
     compile_regulation,
     concurrency_relation,
+    guarded,
     make_guard,
     regulated_explore,
     regulated_tree,

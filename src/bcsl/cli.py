@@ -188,49 +188,31 @@ def _cmd_lts(args) -> int:
     model = _load_model(args.model)
     regulation = _load_regulation(args.regulation, model)
 
-    if args.regulation is not None:
+    if regulation is None:
+        label_fn = str
+        if args.unroll:
+            matcher = RuleMatcher(model)
+            walk = unroll(model.init, matcher.successors, args.max_depth, args.max_states)
+        else:
+            walk = build_lts(model, args.max_states, args.max_depth)
+    else:
         guard = make_guard(regulation, model)
         label_fn = lambda node: product_state_text(node, guard)  # noqa: E731
         if args.unroll:
-            tree = regulated_tree(model, guard, args.max_depth, args.max_states)
-            text = (
-                tree_to_dot(tree, label_fn)
-                if args.format == "dot"
-                else _dump(tree_to_json_obj(tree, label_fn))
-                if args.format == "json"
-                else _tree_text(tree, label_fn)
-            )
+            walk = regulated_tree(model, guard, args.max_depth, args.max_states)
         else:
-            graph = regulated_explore(model, guard, args.max_states, args.max_depth)
-            text = (
-                lts_to_dot(graph, label_fn)
-                if args.format == "dot"
-                else _dump(lts_to_json_obj(graph, label_fn))
-                if args.format == "json"
-                else _lts_text(graph, label_fn)
-            )
-        _emit(text, args.output)
-        return EXIT_OK
+            walk = regulated_explore(model, guard, args.max_states, args.max_depth)
 
     if args.unroll:
-        matcher = RuleMatcher(model)
-        tree = unroll(model.init, matcher.successors, args.max_depth, args.max_states)
-        text = (
-            tree_to_dot(tree)
-            if args.format == "dot"
-            else _dump(tree_to_json_obj(tree))
-            if args.format == "json"
-            else _tree_text(tree, str)
-        )
+        to_dot, to_json, to_text = tree_to_dot, tree_to_json_obj, _tree_text
     else:
-        graph = build_lts(model, args.max_states, args.max_depth)
-        text = (
-            lts_to_dot(graph)
-            if args.format == "dot"
-            else _dump(lts_to_json_obj(graph))
-            if args.format == "json"
-            else _lts_text(graph, str)
-        )
+        to_dot, to_json, to_text = lts_to_dot, lts_to_json_obj, _lts_text
+    if args.format == "dot":
+        text = to_dot(walk, label_fn)
+    elif args.format == "json":
+        text = _dump(to_json(walk, label_fn))
+    else:
+        text = to_text(walk, label_fn)
     _emit(text, args.output)
     return EXIT_OK
 

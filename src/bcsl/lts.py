@@ -257,20 +257,16 @@ class RuleMatcher:
         ]
 
     def successors(self, state: Multiset) -> frozenset[tuple[str, Multiset]]:
+        """Labelled successor states of ``state`` under the model's rules.
+
+        Empty when no rule applies (no implicit ε here; see
+        ``extend_epsilon``).
+        """
         out: set[tuple[str, Multiset]] = set()
         counts = state.to_dict()
         for prepared in self._rules:
             prepared.apply_to(state, counts, out)
         return frozenset(out)
-
-
-def bcsl_successors(model: BcslModel, state: Multiset) -> frozenset[tuple[str, Multiset]]:
-    """Labelled successor states of ``state`` under the model's rules.
-
-    Empty when no rule applies (no implicit ε here; see
-    ``extend_epsilon``).
-    """
-    return RuleMatcher(model).successors(state)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Hashable, Protocol
 
 from .patterns import DEFAULT_GROUNDING_CAP, ground_pattern, ground_rule, pattern_multiset
 from .syntax import BcslModel
@@ -119,30 +118,19 @@ def successors(mrs: Mrs, state: Multiset) -> frozenset[tuple[str, Multiset]]:
     return frozenset(out)
 
 
-class RunFilter(Protocol):
-    """Run-filtering strategy with explicit memory (see the regulation module)."""
-
-    def initial_memory(self) -> Hashable: ...
-
-    def permits(
-        self, memory: Hashable, state: Multiset, candidate: str, enabled_labels: frozenset[str]
-    ) -> bool: ...
-
-    def advance(self, memory: Hashable, applied: str) -> Hashable: ...
-
-
 def sample_run(
     mrs: Mrs,
     steps: int,
     seed: int = 0,
-    regulation: RunFilter | None = None,
+    regulation=None,
 ) -> Run:
     """Sample a run prefix of ``steps`` steps, uniformly among successors.
 
-    Reproducible for a fixed seed.  When a regulation is given, only
-    permitted successors are sampled and the regulation memory advances
-    with each applied rule; with no (permitted) successor the run
-    stutters on ε.
+    Reproducible for a fixed seed.  ``regulation`` is a guard of the
+    regulation module (anything with ``initial_memory`` and ``step``):
+    only the moves its ``step`` permits are sampled, and the memory
+    advances with each applied rule.  With no (permitted) successor the
+    run stutters on ε.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -156,17 +144,12 @@ def sample_run(
             ((label, target) for label, target in successors(mrs, state) if label != EPSILON_LABEL),
             key=lambda lt: (lt[0], str(lt[1])),
         )
-        if regulation is not None:
-            enabled_labels = frozenset(label for label, _ in base)
-            base = [
-                (label, target)
-                for label, target in base
-                if regulation.permits(memory, state, label, enabled_labels)
-            ]
-        if base:
-            label, target = rng.choice(base)
-            if regulation is not None:
-                memory = regulation.advance(memory, label)
+        if regulation is None:
+            moves = [(label, target, None) for label, target in base]
+        else:
+            moves = regulation.step(memory, state, base)
+        if moves:
+            label, target, memory = rng.choice(moves)
         else:
             label, target = EPSILON_LABEL, state
         labels.append(label)

@@ -10,7 +10,8 @@ simulation, carrying at most a small explicit memory between steps:
   of the language; once a complete word has been consumed only ε may
   follow.  Memory: the DFA state.
 * ordered — strict pairs ``a < b``; ``b`` may not fire immediately after
-  ``a`` (transitively closed).  Memory: the last applied label.
+  ``a`` (transitively closed).  Compiled into the programmed regulation
+  whose successor set of ``a`` is every label not above it.
 * programmed — a successor set per label; after ``a`` only members of its
   successor set may fire.  Memory: the last applied label.
 * conditional — prohibited contexts per label: a candidate is blocked
@@ -22,6 +23,9 @@ simulation, carrying at most a small explicit memory between steps:
 
 ε never counts as a regulated rule: it fires exactly when the permitted
 set is empty and leaves the memory unchanged.
+
+A regulation filters the runs of either semantics: ``guarded`` wraps the
+successor function of the direct matcher or of the grounded system alike.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Any, Collection, Hashable, Mapping
 
-from .lts import Lts, RuleMatcher, RunTree, explore, unroll
+from .lts import Lts, RuleMatcher, RunTree, SuccessorFn, explore, unroll
 from .mrs import EPSILON_LABEL, Mrs, build_mrs
 from .syntax import BcslModel, parse_multiset
 from .terms import Multiset
@@ -322,7 +326,7 @@ def compile_label_regex(expression: str, labels: Collection[str]) -> Dfa:
 
 
 # ---------------------------------------------------------------------------
-# The five regulation variants
+# The regulation strategies (ordered compiles into programmed)
 # ---------------------------------------------------------------------------
 
 LabelRelation = frozenset[tuple[str, str]]
@@ -334,8 +338,6 @@ class RegularRegulation:
 
     expression: str
     dfa: Dfa
-
-    variant = "regular"
 
     def initial_memory(self) -> int:
         return self.dfa.start
@@ -359,34 +361,10 @@ class RegularRegulation:
 
 
 @dataclass(frozen=True)
-class OrderedRegulation:
-    """Block a rule right after any rule below it in a strict partial order."""
-
-    pairs: LabelRelation  # (lower, higher) meaning lower < higher
-    order: LabelRelation  # transitive closure of pairs
-
-    variant = "ordered"
-
-    def initial_memory(self) -> None:
-        return None
-
-    def permits(self, memory, state, candidate, enabled_labels, concurrency) -> bool:
-        return memory is None or (memory, candidate) not in self.order
-
-    def advance(self, memory, applied):
-        return memory if applied == EPSILON_LABEL else applied
-
-    def describe_memory(self, memory) -> str:
-        return "start" if memory is None else f"after {memory}"
-
-
-@dataclass(frozen=True)
 class ProgrammedRegulation:
     """After each rule, allow only its declared successor rules."""
 
     successors: Mapping[str, frozenset[str]]
-
-    variant = "programmed"
 
     def initial_memory(self) -> None:
         return None
@@ -407,8 +385,6 @@ class ConditionalRegulation:
 
     prohibited: Mapping[str, tuple[Multiset, ...]]
 
-    variant = "conditional"
-
     def initial_memory(self) -> None:
         return None
 
@@ -428,8 +404,6 @@ class ConcurrentFreeRegulation:
 
     priority: LabelRelation  # (high, low)
 
-    variant = "concurrent-free"
-
     def initial_memory(self) -> None:
         return None
 
@@ -448,7 +422,6 @@ class ConcurrentFreeRegulation:
 
 Regulation = (
     RegularRegulation
-    | OrderedRegulation
     | ProgrammedRegulation
     | ConditionalRegulation
     | ConcurrentFreeRegulation
@@ -515,7 +488,9 @@ def compile_regulation(config: Mapping[str, Any], labels: Collection[str]) -> Re
                 + ", ".join(reflexive)
                 + ")"
             )
-        return OrderedRegulation(pairs, order)
+        return ProgrammedRegulation(
+            {a: known - {b for lower, b in order if lower == a} for a in known}
+        )
 
     if kind == "programmed":
         raw = config.get("successors")
@@ -593,66 +568,74 @@ def concurrency_relation(mrs: Mrs) -> LabelRelation:
 
 
 class RegulationGuard:
-    """A regulation bound to a concrete rule universe.
+    """A regulation bound to a concrete rule universe."""
 
-    With ``regulation=None`` the guard is neutral: everything is
-    permitted and the memory stays ``None``.
-    """
-
-    def __init__(self, regulation: Regulation | None, concurrency: LabelRelation = frozenset()):
+    def __init__(self, regulation: Regulation, concurrency: LabelRelation = frozenset()):
         self.regulation = regulation
         self.concurrency = concurrency
 
     def initial_memory(self) -> Hashable:
-        return None if self.regulation is None else self.regulation.initial_memory()
+        return self.regulation.initial_memory()
 
     def permits(
         self, memory: Hashable, state: Multiset, candidate: str, enabled_labels: frozenset[str]
     ) -> bool:
-        if self.regulation is None:
-            return True
         return self.regulation.permits(memory, state, candidate, enabled_labels, self.concurrency)
 
     def advance(self, memory: Hashable, applied: str) -> Hashable:
-        return memory if self.regulation is None else self.regulation.advance(memory, applied)
+        return self.regulation.advance(memory, applied)
 
     def describe_memory(self, memory: Hashable) -> str:
-        return "" if self.regulation is None else self.regulation.describe_memory(memory)
+        return self.regulation.describe_memory(memory)
+
+    def step(
+        self, memory: Hashable, state: Multiset, base: Collection[tuple[str, Multiset]]
+    ) -> list[tuple[str, Multiset, Hashable]]:
+        """The permitted moves among ``base``, each with the memory after it.
+
+        ``base`` holds the non-ε ``(label, target)`` successors of
+        ``state``; every one of them is enabled.  ``permits`` runs once
+        per candidate, in ``base``'s order.
+        """
+        enabled_labels = frozenset(label for label, _ in base)
+        return [
+            (label, target, self.advance(memory, label))
+            for label, target in base
+            if self.permits(memory, state, label, enabled_labels)
+        ]
 
 
-def make_guard(regulation: Regulation | None, model: BcslModel) -> RegulationGuard:
+def make_guard(regulation: Regulation, model: BcslModel) -> RegulationGuard:
     """Bind a regulation to a model (grounding it when concurrency is needed)."""
     if isinstance(regulation, ConcurrentFreeRegulation):
         return RegulationGuard(regulation, concurrency_relation(build_mrs(model)))
     return RegulationGuard(regulation)
 
 
-def _as_guard(regulation: Regulation | RegulationGuard | None, model: BcslModel) -> RegulationGuard:
-    if isinstance(regulation, RegulationGuard):
-        return regulation
-    return make_guard(regulation, model)
+def guarded(successor_fn: SuccessorFn, guard: RegulationGuard, stutter: bool) -> SuccessorFn:
+    """Successors over (state, memory) nodes of either semantics under ``guard``.
 
+    ``successor_fn`` gives a state's non-ε successors: the direct
+    matcher's, or the grounded system's with ε removed.  With
+    ``stutter``, a node with no permitted successor gets an ε self-loop.
+    """
 
-def _product_successors(matcher: RuleMatcher, guard: RegulationGuard, stutter: bool):
-    def successor_fn(node):
+    def product_successors(node):
         state, memory = node
-        base = matcher.successors(state)
-        enabled_labels = frozenset(label for label, _ in base)
         out = [
-            (label, (target, guard.advance(memory, label)))
-            for label, target in base
-            if guard.permits(memory, state, label, enabled_labels)
+            (label, (target, next_memory))
+            for label, target, next_memory in guard.step(memory, state, successor_fn(state))
         ]
         if not out and stutter:
             return [(EPSILON_LABEL, node)]
         return out
 
-    return successor_fn
+    return product_successors
 
 
 def regulated_explore(
     model: BcslModel,
-    regulation: Regulation | RegulationGuard | None,
+    guard: RegulationGuard,
     max_states: int = 100_000,
     max_depth: int = 1_000,
 ) -> Lts:
@@ -662,25 +645,18 @@ def regulated_explore(
     every applied rule; nodes with no permitted successor get an ε
     self-loop.
     """
-    matcher = RuleMatcher(model)
-    guard = _as_guard(regulation, model)
     root = (model.init, guard.initial_memory())
-    return explore(
-        root, _product_successors(matcher, guard, stutter=True), max_states, max_depth
-    )
+    successor_fn = guarded(RuleMatcher(model).successors, guard, stutter=True)
+    return explore(root, successor_fn, max_states, max_depth)
 
 
 def regulated_tree(
-    model: BcslModel,
-    regulation: Regulation | RegulationGuard | None,
-    depth: int,
-    max_nodes: int = 100_000,
+    model: BcslModel, guard: RegulationGuard, depth: int, max_nodes: int = 100_000
 ) -> RunTree:
     """Depth-bounded unrolled tree of the regulated runs (ε edges omitted)."""
-    matcher = RuleMatcher(model)
-    guard = _as_guard(regulation, model)
     root = (model.init, guard.initial_memory())
-    return unroll(root, _product_successors(matcher, guard, stutter=False), depth, max_nodes)
+    successor_fn = guarded(RuleMatcher(model).successors, guard, stutter=False)
+    return unroll(root, successor_fn, depth, max_nodes)
 
 
 def product_state_text(node, guard: RegulationGuard) -> str:

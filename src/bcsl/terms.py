@@ -352,18 +352,6 @@ class Multiset:
     def __bool__(self) -> bool:
         return bool(self._counts)
 
-    def __add__(self, other: Multiset) -> Multiset:
-        return self.union(other)
-
-    def __sub__(self, other: Multiset) -> Multiset:
-        return self.difference(other)
-
-    def __and__(self, other: Multiset) -> Multiset:
-        return self.intersection(other)
-
-    def __le__(self, other: Multiset) -> bool:
-        return self.issubset(other)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multiset):
             return NotImplemented

@@ -1,6 +1,11 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from bcsl import parse_model
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # A single two-site agent that can activate each site independently and be
 # exported out of the cell.  The worked example used across the suite.
@@ -68,3 +73,11 @@ def two_site_text() -> str:
 @pytest.fixture(scope="session")
 def two_site_model():
     return parse_model(TWO_SITE_MODEL)
+
+
+def bench_module(name: str):
+    """The benchmark's module ``bench/<name>.py``, imported from its file."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -37,6 +37,7 @@ from bcsl import (
     explore,
     extend_epsilon,
     instantiation_count,
+    make_guard,
     maximal_label_sequences,
     parse_model,
     parse_multiset,
@@ -205,12 +206,12 @@ def test_criterion_5_regulations():
     model = parse_model(TWO_SITE_MODEL)
     started = time.perf_counter()
     for name, config in REGULATION_CONFIGS.items():
-        regulation = compile_regulation(config, model.labels)
-        product = regulated_explore(model, regulation)
+        guard = make_guard(compile_regulation(config, model.labels), model)
+        product = regulated_explore(model, guard)
         sequences = maximal_label_sequences(product, 6)
         assert sequences.complete == frozenset(EXPECTED_REGULATED_SEQUENCES[name]), name
         assert sequences.incomplete == frozenset(), name
-        tree = regulated_tree(model, regulation, 4)
+        tree = regulated_tree(model, guard, 4)
         assert tree.n_edges == EXPECTED_TREE_EDGES[name], name
     _report(5, "regulations", started, 1.0)
 

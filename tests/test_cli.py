@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -312,6 +313,85 @@ def test_deeply_nested_regulation_json_is_a_usage_error(capsys, model_path, tmp_
     assert code == 2
     assert out == ""
     assert err == "error: regulation file nests JSON too deeply\n"
+
+
+# ---------------------------------------------------------------------------
+# Pinned bytes: every walk, format and regulation of ``lts``, and ``simulate``
+# ---------------------------------------------------------------------------
+
+# SHA-256 of stdout on the two-site model, keyed by (regulation, walk,
+# format) and (regulation, seed); "none" runs without ``--regulation``, the
+# other keys name a REGULATION_CONFIGS entry.  The unrolled walk is
+# ``--unroll --max-depth 4``; ``simulate`` runs ``--steps 12``.
+LTS_DIGESTS = {
+    ("none", "graph", "dot"): "eb14b43f78456f0d4d9b4e678fe8a1bed3b4cb2270db67216de4d4a2be21782b",
+    ("none", "graph", "json"): "062c096be40a59b0c4aa76a08de99a2bd62ecc138735802e3c21726349dd604f",
+    ("none", "graph", "text"): "40b3b7c531c22333a0f8c0a55e92853d4fc25aa85bceff9c1d42a498ab3c213d",
+    ("none", "unroll", "dot"): "bb4a939aae4c87480e296d294e866c13853a6195ba7d87dda0f3baa457d95291",
+    ("none", "unroll", "json"): "f29890095599a97bb46b2064a08442abf7a0117952482f07e6995d1816592b46",
+    ("none", "unroll", "text"): "4afec99b97902a9f22819a3f4d25fa2d32dd6614e7a8d757073fc3140cd4eb6e",
+    ("concurrent-free", "graph", "dot"): "17bc39f6b7fef0f119c0f3651892cb25b297c31bd12f340ed2e90e074c13ea57",
+    ("concurrent-free", "graph", "json"): "faf9705f59ce86b92a88017548408601b3ea9e62077a1f4c9d540c199aaf3166",
+    ("concurrent-free", "graph", "text"): "713808b147f65a4fb40ee0fd0b02f7f17c4d18c4614852fcd79e43284e8b1cc7",
+    ("concurrent-free", "unroll", "dot"): "35c596dc69618caaa7a5fb40056f17947838a1d50ebf6926d343985228ab3175",
+    ("concurrent-free", "unroll", "json"): "a6b0afa80bd98887da7998b81346a948faa03adf3574cbdf3e3c581fa61d244b",
+    ("concurrent-free", "unroll", "text"): "92d3cb93ee26301e21e2bfcbef228f5d0b5297968fa8caf2e73bd775a827f713",
+    ("conditional", "graph", "dot"): "4b5de231148b9f23467b453a462c1bda5331f06d5ae2f8745d4a106c05b8c6f2",
+    ("conditional", "graph", "json"): "a839507ae1e9e1060201357bcb586ef283635ffa07aa457fe09b195fd16f1c1a",
+    ("conditional", "graph", "text"): "bd055cbbcf7ca931d5e22870f45eea91e67d65e30ced20a66f8614f053fefaff",
+    ("conditional", "unroll", "dot"): "e81dd4f2c1b6692175fee7ca146dd786407be0abac627c34898d4945db1a6003",
+    ("conditional", "unroll", "json"): "1c4aec24673dda39e13c858ca41c44aff6ac7b088d8e0b99504f390d3778e233",
+    ("conditional", "unroll", "text"): "80b3e6ad32b48542613f0510a3b46ea1ba2c750d2d5599d20a3f8e639f566bd2",
+    ("ordered", "graph", "dot"): "b3fadd8d8c6efd0305e4fcae65944a39a7b4281b5bd30e9b690fc55a555585b1",
+    ("ordered", "graph", "json"): "e630f5149ad234e35675e5502fa0ac4a8878cb99d4de2cfc886853fb76f8a642",
+    ("ordered", "graph", "text"): "ef666c0a40301e73808d2ae5b3b3d5c545fa9eec44274786cca0a7c6cd942c80",
+    ("ordered", "unroll", "dot"): "db531e4dbdd216c39521259d9caf44c4d512c51b5cdd01fc8f8f958613193d16",
+    ("ordered", "unroll", "json"): "0cceda0cf729f319a1bac959a69769b9bf6ace482e57e5e888e15b600f02dcce",
+    ("ordered", "unroll", "text"): "f279e691c11996d00e64ae5939bb3a18cd0ca0ebf7498e44779a76eee7d19c50",
+    ("programmed", "graph", "dot"): "32ef89cc4d853a6a11eb003a9771f97cfe5e857e86ff039923ed930badc6c9d2",
+    ("programmed", "graph", "json"): "a13e41c1368b3947bde66307822a0b2e973460f0d8f75eaaff27c14c4350039b",
+    ("programmed", "graph", "text"): "9cf1d111dc97730f665a58d800ff7c4cecbacf8ccdf9eba18ecfcea6c20ccb24",
+    ("programmed", "unroll", "dot"): "b7ff042ad5b54b6ae3bd09acc846e5a67bcca0aca1d004afc0ef74b8880dacf8",
+    ("programmed", "unroll", "json"): "a0d70661a2eaad0eac2bc69a37d0e6f449710aef84f14a983e58313577d9f427",
+    ("programmed", "unroll", "text"): "306706d5a0d2bdf3e129fe40192a475d91f49eb6fe76c98bd1a7f96240abe7e4",
+    ("regular", "graph", "dot"): "f434d38ef9b1ed389e1e9fbdfddf41fe218ac16899233fdd51bade1ee9f5780e",
+    ("regular", "graph", "json"): "860877ad204e2b5ba06e48a5f0c48772257d2744725de86345f46f393ba0b367",
+    ("regular", "graph", "text"): "397e0466d5902272cd7e5a40a10c8e99051d3c6030d27c46faf023f543249de3",
+    ("regular", "unroll", "dot"): "4277b3d1e94562956be92d19685e1ace98af157cb74fd807a840dcc503e5a78a",
+    ("regular", "unroll", "json"): "25b2f8ca3a9b58580c6c62c1ce7fb4dc8752731e6322f1aafb61e08f95158c14",
+    ("regular", "unroll", "text"): "a54e9a2f44fedfddac696398772b4d8dd3d61cbcb8eca00c6f5167aadabe6d95",
+}
+SIMULATE_DIGESTS = {
+    ("none", "0"): "70019d2b3653274fc1f7902d51acd5fa90bce1e7bcf35b94a2df48833e16ca1b",
+    ("none", "1"): "29ea94beae6da47e05ac6dbe84a94ba8d88e65df76b8051df5b0c42431000958",
+    ("concurrent-free", "0"): "934bbc90ad938c123749d18e7e78247ac921fd9a1b5a6411be4ba991257b8fa3",
+    ("concurrent-free", "1"): "29ea94beae6da47e05ac6dbe84a94ba8d88e65df76b8051df5b0c42431000958",
+    ("conditional", "0"): "70019d2b3653274fc1f7902d51acd5fa90bce1e7bcf35b94a2df48833e16ca1b",
+    ("conditional", "1"): "29ea94beae6da47e05ac6dbe84a94ba8d88e65df76b8051df5b0c42431000958",
+    ("ordered", "0"): "5f49b3cf57a4bea5c7f69c30510e10e1309f5ba61694bd64dd8156fa1dd08a58",
+    ("ordered", "1"): "f6afebab4cb9e273dde79addc764f824b172dcdc66ae7b98fdcc49ae29064c83",
+    ("programmed", "0"): "934bbc90ad938c123749d18e7e78247ac921fd9a1b5a6411be4ba991257b8fa3",
+    ("programmed", "1"): "f6afebab4cb9e273dde79addc764f824b172dcdc66ae7b98fdcc49ae29064c83",
+    ("regular", "0"): "5f49b3cf57a4bea5c7f69c30510e10e1309f5ba61694bd64dd8156fa1dd08a58",
+    ("regular", "1"): "29ea94beae6da47e05ac6dbe84a94ba8d88e65df76b8051df5b0c42431000958",
+}
+
+
+@pytest.mark.parametrize("name", ["none", *sorted(REGULATION_CONFIGS)])
+def test_outputs_keep_their_bytes(capsys, model_path, tmp_path, name):
+    regulation = [] if name == "none" else ["--regulation", write_regulation(tmp_path, name)]
+    walks = {"graph": [], "unroll": ["--unroll", "--max-depth", "4"]}
+    for walk, walk_args in walks.items():
+        for fmt in ("dot", "json", "text"):
+            argv = ["lts", model_path, *regulation, *walk_args, "--format", fmt]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
+            assert hashlib.sha256(out.encode()).hexdigest() == LTS_DIGESTS[name, walk, fmt], argv
+    for seed in ("0", "1"):
+        argv = ["simulate", model_path, *regulation, "--seed", seed, "--steps", "12"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_DIGESTS[name, seed], argv
 
 
 # ---------------------------------------------------------------------------

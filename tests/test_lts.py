@@ -10,7 +10,6 @@ from bcsl import (
     Lts,
     Multiset,
     RuleMatcher,
-    bcsl_successors,
     build_lts,
     build_mrs,
     check_equivalence,
@@ -61,7 +60,7 @@ EXPECTED_EDGES = {
 # ---------------------------------------------------------------------------
 
 def test_successors_at_initial_state(two_site_model):
-    succ = bcsl_successors(two_site_model, M0)
+    succ = RuleMatcher(two_site_model).successors(M0)
     assert {(label, str(target)) for label, target in succ} == {
         ("r1_S", "1 P(S{a},T{i})::cell"),
         ("r1_T", "1 P(S{i},T{a})::cell"),
@@ -71,12 +70,12 @@ def test_successors_at_initial_state(two_site_model):
 
 def test_successors_no_rules():
     model = parse_model("#! rules\n#! inits\n1 A{x}::c\n")
-    assert bcsl_successors(model, model.init) == frozenset()
+    assert RuleMatcher(model).successors(model.init) == frozenset()
 
 
 def test_successors_single_rule_applies(two_site_model):
     state = parse_multiset("1 P(S{a},T{a})::cell")
-    succ = bcsl_successors(two_site_model, state)
+    succ = RuleMatcher(two_site_model).successors(state)
     assert {(label, str(target)) for label, target in succ} == {
         ("r2", "1 P(S{a},T{a})::out")
     }
@@ -84,7 +83,7 @@ def test_successors_single_rule_applies(two_site_model):
 
 def test_successors_respect_multiplicities(two_site_model):
     state = parse_multiset("2 P(S{i},T{i})::cell")
-    succ = bcsl_successors(two_site_model, state)
+    succ = RuleMatcher(two_site_model).successors(state)
     assert (
         "r2",
         parse_multiset("1 P(S{i},T{i})::cell + 1 P(S{i},T{i})::out"),
@@ -95,8 +94,8 @@ def test_multi_agent_pattern_needs_enough_copies():
     model = parse_model(
         "#! rules\npair ~ A{x}::c + A{x}::c => A{y}::c\n#! inits\n1 A{x}::c\n"
     )
-    assert bcsl_successors(model, parse_multiset("1 A{x}::c")) == frozenset()
-    succ = bcsl_successors(model, parse_multiset("2 A{x}::c"))
+    assert RuleMatcher(model).successors(parse_multiset("1 A{x}::c")) == frozenset()
+    succ = RuleMatcher(model).successors(parse_multiset("2 A{x}::c"))
     assert {(l, str(t)) for l, t in succ} == {("pair", "1 A{y}::c")}
 
 

@@ -1,17 +1,21 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bcsl import (
     EPSILON_LABEL,
     RegulationError,
     RegulationWarning,
+    RuleMatcher,
     build_lts,
     build_mrs,
     compile_label_regex,
     compile_regulation,
     concurrency_relation,
+    explore,
     extend_epsilon,
+    guarded,
     make_guard,
     map_states,
     maximal_label_sequences,
@@ -20,13 +24,19 @@ from bcsl import (
     regulated_explore,
     regulated_tree,
     sample_run,
+    successors,
+    unroll,
 )
+from bcsl.conformance import _first_difference
 from conftest import (
     EXPECTED_REGULATED_SEQUENCES,
     EXPECTED_TREE_EDGES,
     REGULATION_CONFIGS,
+    TWO_SITE_MODEL,
     UNREGULATED_SEQUENCES,
+    bench_module,
 )
+from corpus import random_model_text
 
 LABELS = ("r1_S", "r1_T", "r2")
 
@@ -150,7 +160,44 @@ def test_ordered_closure_is_transitive():
     reg = compile_regulation(
         {"type": "ordered", "pairs": [["r1_S", "r1_T"], ["r1_T", "r2"]]}, LABELS
     )
-    assert ("r1_S", "r2") in reg.order
+    assert "r2" not in reg.successors["r1_S"]
+
+
+def _closure(pairs):
+    closure = set(pairs)
+    while True:
+        step = {(a, d) for a, b in closure for c, d in closure if b == c} - closure
+        if not step:
+            return closure
+        closure |= step
+
+
+# Labels of corpus models, and pairs drawn along a ranking of them, so that
+# every drawn set of pairs generates a strict partial order.
+CORPUS_LABELS = sorted(
+    {label for seed in range(20) for label in parse_model(random_model_text(seed)).labels}
+)
+
+
+@st.composite
+def strict_orders(draw):
+    ranking = draw(st.permutations(CORPUS_LABELS))
+    ranked = list(itertools.combinations(ranking, 2))
+    return draw(st.lists(st.sampled_from(ranked), max_size=8, unique=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=strict_orders())
+def test_compiled_ordered_equals_its_definition(pairs):
+    regulation = compile_regulation({"type": "ordered", "pairs": pairs}, CORPUS_LABELS)
+    closure = _closure(pairs)
+    for memory in [None, *CORPUS_LABELS]:
+        for candidate in CORPUS_LABELS:
+            expected = memory is None or (memory, candidate) not in closure
+            got = regulation.permits(memory, None, candidate, frozenset(), frozenset())
+            assert got == expected, (memory, candidate)
+    assert regulation.describe_memory(None) == "start"
+    assert regulation.describe_memory(CORPUS_LABELS[0]) == f"after {CORPUS_LABELS[0]}"
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +289,18 @@ def test_empty_pre_rule_not_concurrent():
 
 @pytest.mark.parametrize("name", sorted(REGULATION_CONFIGS))
 def test_regulated_sequences_and_tree(two_site_model, name):
-    regulation = compile_regulation(REGULATION_CONFIGS[name], two_site_model.labels)
-    product = regulated_explore(two_site_model, regulation)
+    guard = _guard(name, two_site_model)
+    product = regulated_explore(two_site_model, guard)
     seqs = maximal_label_sequences(product, 6)
     assert seqs.complete == frozenset(EXPECTED_REGULATED_SEQUENCES[name])
     assert seqs.incomplete == frozenset()
-    tree = regulated_tree(two_site_model, regulation, 4)
+    tree = regulated_tree(two_site_model, guard, 4)
     assert tree.n_edges == EXPECTED_TREE_EDGES[name]
 
 
 @pytest.mark.parametrize("name", sorted(REGULATION_CONFIGS))
 def test_regulated_sequences_subset_of_unregulated(two_site_model, name):
-    regulation = compile_regulation(REGULATION_CONFIGS[name], two_site_model.labels)
-    product = regulated_explore(two_site_model, regulation)
+    product = regulated_explore(two_site_model, _guard(name, two_site_model))
     complete = maximal_label_sequences(product, 6).complete
     # every regulated run is an unregulated run (possibly stopped early)
     for seq in complete:
@@ -265,7 +311,11 @@ def test_regulated_sequences_subset_of_unregulated(two_site_model, name):
 
 def test_neutral_regulation_matches_plain_lts(two_site_model):
     plain = extend_epsilon(build_lts(two_site_model))
-    neutral = map_states(regulated_explore(two_site_model, None), lambda node: node[0])
+    permit_all = compile_regulation(
+        {"type": "conditional", "prohibited": {}}, two_site_model.labels
+    )
+    guard = make_guard(permit_all, two_site_model)
+    neutral = map_states(regulated_explore(two_site_model, guard), lambda node: node[0])
     assert neutral.states == plain.states
     assert neutral.transitions == plain.transitions
     assert neutral.initial == plain.initial
@@ -273,8 +323,7 @@ def test_neutral_regulation_matches_plain_lts(two_site_model):
 
 @pytest.mark.parametrize("name", ["conditional", "concurrent-free"])
 def test_memoryless_regulations_quotient_cleanly(two_site_model, name):
-    regulation = compile_regulation(REGULATION_CONFIGS[name], two_site_model.labels)
-    product = regulated_explore(two_site_model, regulation)
+    product = regulated_explore(two_site_model, _guard(name, two_site_model))
     quotient = map_states(product, lambda node: node[0])
     assert len(quotient.states) == len(product.states)
     assert maximal_label_sequences(product, 6) == maximal_label_sequences(quotient, 6)
@@ -283,7 +332,7 @@ def test_memoryless_regulations_quotient_cleanly(two_site_model, name):
 def test_degenerate_programmed_blocks_after_first_step(two_site_model):
     config = {"type": "programmed", "successors": {l: [] for l in LABELS}}
     regulation = compile_regulation(config, two_site_model.labels)
-    product = regulated_explore(two_site_model, regulation)
+    product = regulated_explore(two_site_model, make_guard(regulation, two_site_model))
     seqs = maximal_label_sequences(product, 6)
     assert seqs.complete == frozenset({("r1_S",), ("r1_T",), ("r2",)})
 
@@ -292,7 +341,7 @@ def test_star_expression_regulation(two_site_model):
     regulation = compile_regulation(
         {"type": "regular", "expression": "(r1_S.r1_T)*.r2"}, two_site_model.labels
     )
-    product = regulated_explore(two_site_model, regulation)
+    product = regulated_explore(two_site_model, make_guard(regulation, two_site_model))
     seqs = maximal_label_sequences(product, 8)
     assert seqs.complete == frozenset({("r2",), ("r1_S", "r1_T", "r2")})
 
@@ -301,7 +350,7 @@ def test_empty_word_language_blocks_everything(two_site_model):
     regulation = compile_regulation(
         {"type": "regular", "expression": "r1_S*"}, two_site_model.labels
     )
-    product = regulated_explore(two_site_model, regulation)
+    product = regulated_explore(two_site_model, make_guard(regulation, two_site_model))
     seqs = maximal_label_sequences(product, 6)
     assert seqs.complete == frozenset({()})
 
@@ -353,7 +402,7 @@ def test_star_free_regular_matches_word_enumeration(two_site_model, expression):
     regulation = compile_regulation(
         {"type": "regular", "expression": expression}, two_site_model.labels
     )
-    product = regulated_explore(two_site_model, regulation)
+    product = regulated_explore(two_site_model, make_guard(regulation, two_site_model))
     assert maximal_label_sequences(product, 8).complete == frozenset(executable)
 
 
@@ -373,3 +422,71 @@ def test_regulated_sampling_follows_regular_language(two_site_model):
         ("r1_T", "r1_S", EPSILON_LABEL, EPSILON_LABEL),
     }
     assert len(seen) == 2
+
+
+def _grounded_successor_fn(model):
+    """The grounded system's successors with ε removed."""
+    system = build_mrs(model)
+
+    def successor_fn(state):
+        return [(label, t) for label, t in successors(system, state) if label != EPSILON_LABEL]
+
+    return successor_fn
+
+
+@pytest.mark.parametrize("name", sorted(REGULATION_CONFIGS))
+def test_regulated_sampling_follows_the_grounded_product(two_site_model, name):
+    guard = _guard(name, two_site_model)
+    root = (two_site_model.init, guard.initial_memory())
+    grounded = _grounded_successor_fn(two_site_model)
+    product = explore(root, guarded(grounded, guard, stutter=True))
+    # (node, label, target state) -> target node; the memory after a move
+    # is a function of the memory before it and the label.
+    edges = {(src, label, tgt[0]): tgt for src, label, tgt in product.transitions}
+    mrs = build_mrs(two_site_model)
+    for seed in range(12):
+        run = sample_run(mrs, 6, seed, guard)
+        node = root
+        for label, state in zip(run.labels, run.states[1:]):
+            assert (node, label, state) in edges, (seed, run.labels)
+            node = edges[node, label, state]
+
+
+# The two-site model with its configs, and the 2 x 2 x 2 site model of the
+# benchmark family with its configs; then the product's state count per
+# config.
+_models = bench_module("models")
+GUARDED_CASES = {
+    "two-site": (
+        TWO_SITE_MODEL,
+        REGULATION_CONFIGS,
+        {"regular": 6, "ordered": 6, "programmed": 8, "conditional": 7, "concurrent-free": 5},
+    ),
+    "sites-2x2x2": (
+        _models.site_model(2, 2, 2),
+        _models.regulation_configs(2, 2),
+        {"regular": 36, "ordered": 15, "programmed": 33, "conditional": 36, "concurrent-free": 36},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGULATION_CONFIGS))
+@pytest.mark.parametrize("case", sorted(GUARDED_CASES))
+def test_guarded_gives_one_product_over_both_semantics(case, name):
+    text, configs, n_states = GUARDED_CASES[case]
+    model = parse_model(text)
+    guard = make_guard(compile_regulation(configs[name], model.labels), model)
+    root = (model.init, guard.initial_memory())
+    direct = RuleMatcher(model).successors
+    grounded = _grounded_successor_fn(model)
+
+    direct_graph = explore(root, guarded(direct, guard, stutter=True))
+    grounded_graph = explore(root, guarded(grounded, guard, stutter=True))
+    assert direct_graph.n_states == n_states[name]
+    assert direct_graph == grounded_graph
+    assert _first_difference(direct_graph, grounded_graph) is None
+    assert regulated_explore(model, guard) == direct_graph
+
+    direct_tree = unroll(root, guarded(direct, guard, stutter=False), 4)
+    assert unroll(root, guarded(grounded, guard, stutter=False), 4) == direct_tree
+    assert regulated_tree(model, guard, 4) == direct_tree

@@ -254,14 +254,6 @@ def test_hash_consistent_with_equality(a):
     assert hash(rebuilt) == hash(a)
 
 
-def test_operator_aliases():
-    a, b = Multiset({AGENT_POOL[0]: 2}), Multiset({AGENT_POOL[0]: 1, AGENT_POOL[2]: 1})
-    assert a + b == a.union(b)
-    assert a - b == a.difference(b)
-    assert (a & b) == a.intersection(b)
-    assert (b <= a) is False
-
-
 def test_text_forms():
     assert str(Multiset.empty()) == "∅"
     m = Multiset({AGENT_POOL[0]: 2})
