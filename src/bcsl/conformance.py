@@ -129,10 +129,12 @@ def check_equivalence(
 
     Passing an explicit ``mrs`` overrides the grounded system (useful as a
     negative control).  When a bound truncates either exploration, the
-    explored prefixes are compared and ``truncated`` is set.
+    explored prefixes are compared and ``truncated`` is set.  The model
+    is grounded before the direct side runs, so a model over the grounding
+    cap fails at once instead of after a direct exploration that has no cap.
     """
-    direct = extend_epsilon(build_lts(model, max_states, max_depth))
     grounded_system = build_mrs(model) if mrs is None else mrs
+    direct = extend_epsilon(build_lts(model, max_states, max_depth))
     grounded = explore(
         grounded_system.init,
         lambda m: successors(grounded_system, m),

@@ -10,15 +10,27 @@ Rule application here is definitional (``enabled``, ``apply_rule``,
 ``successors``): it is the oracle the direct matcher is checked against.
 Only the agent objects are shared with the direct side: ``build_mrs``
 takes them from the model's intern table (``BcslModel.agent_table``).
+
+Two parts of a system are computed on first read, so that ``check``,
+``simulate`` and concurrent-free regulation pay only for what they use.
+The element universe (``Mrs.elements``) grounds every rule agent on its
+own, which only ``bcsl ground`` reads.  The rule index narrows the rules
+``successors`` tests at a state to those that can be enabled there: each
+rule sits under one agent of its ``pre``, so a rule whose key agent is
+absent cannot fire (the species -> reaction dependency graph of Gibson
+and Bruck's next reaction method).  The index only narrows the
+candidates; ``enabled`` and ``apply_rule`` decide as before.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 from .patterns import DEFAULT_GROUNDING_CAP, ground_pattern, ground_rule, pattern_multiset
-from .syntax import BcslModel
+from .syntax import BcslModel, BcslRule
 from .terms import Agent, Multiset, Pattern
 
 #: Reserved label of the implicit empty rule; model rules may not use it.
@@ -42,12 +54,34 @@ class Mrs:
     """A multiset rewriting system over a finite element universe.
 
     ``rules`` excludes the implicit ε rule and is stored sorted for
-    reproducible output.
+    reproducible output.  ``elements``, the universe, is ``universe()``
+    computed on first read and kept; ``universe`` takes no part in ``==``
+    or ``repr``.  The rule index of ``successors`` is built on first use
+    from this instance's own ``rules``, so a copy made with
+    ``dataclasses.replace(mrs, rules=...)`` indexes its new rules.
     """
 
-    elements: frozenset[Agent]
     rules: tuple[MrsRule, ...]
     init: Multiset
+    universe: Callable[[], frozenset[Agent]] = field(repr=False, compare=False)
+
+    @cached_property
+    def elements(self) -> frozenset[Agent]:
+        return self.universe()
+
+    @cached_property
+    def rule_index(self) -> tuple[dict[Agent, tuple[MrsRule, ...]], tuple[MrsRule, ...]]:
+        """Rules by their key agent (the first agent of ``pre`` by text), and
+        the rules with an empty ``pre``, which every state must test."""
+        keyed: dict[Agent, list[MrsRule]] = {}
+        unconditional: list[MrsRule] = []
+        for rule in self.rules:
+            agents = rule.pre.agents()
+            if agents:
+                keyed.setdefault(agents[0], []).append(rule)
+            else:
+                unconditional.append(rule)
+        return {agent: tuple(rules) for agent, rules in keyed.items()}, tuple(unconditional)
 
 
 @dataclass(frozen=True)
@@ -61,22 +95,13 @@ class Run:
 def build_mrs(model: BcslModel, cap: int | None = DEFAULT_GROUNDING_CAP) -> Mrs:
     """Ground a model into a multiset rewriting system.
 
-    The element universe is the set of init agents plus every grounding of
-    every agent occurring in any rule; the rules are the reactions of
-    every model rule read as multiset pairs (duplicates collapse).  The
-    agents of each rule's ``pre`` and ``post`` are the model's objects
-    for them (``model.agent_table``), which the direct matcher uses too,
-    so grounded and direct states compare agents by identity.
+    The rules are the reactions of every model rule read as multiset
+    pairs (duplicates collapse).  The agents of each rule's ``pre`` and
+    ``post`` are the model's objects for them (``model.agent_table``),
+    which the direct matcher uses too, so grounded and direct states
+    compare agents by identity.  The element universe is grounded, with
+    the same ``cap``, on the first read of ``Mrs.elements``.
     """
-    elements: set[Agent] = {agent for agent, _ in model.init.items()}
-    for rule in model.rules:
-        for pattern in (rule.lhs, rule.rhs):
-            for agent in pattern.agents:
-                for ms in ground_pattern(
-                    Pattern((agent,)), model.structure_signature, model.atomic_signature, cap
-                ):
-                    elements.update(ms.agents())
-
     table = model.agent_table
     seen: dict[MrsRule, None] = {}
     for rule in model.rules:
@@ -93,7 +118,34 @@ def build_mrs(model: BcslModel, cap: int | None = DEFAULT_GROUNDING_CAP) -> Mrs:
             seen[mu] = None
 
     ordered = tuple(sorted(seen, key=lambda r: (r.label, str(r.pre), str(r.post))))
-    return Mrs(frozenset(elements), ordered, model.init)
+    universe = partial(
+        _element_universe,
+        model.init,
+        model.rules,
+        model.structure_signature,
+        model.atomic_signature,
+        cap,
+    )
+    return Mrs(ordered, model.init, universe)
+
+
+def _element_universe(
+    init: Multiset,
+    rules: tuple[BcslRule, ...],
+    structure_signature: Mapping[str, frozenset[str]],
+    atomic_signature: Mapping[str, frozenset[str]],
+    cap: int | None = DEFAULT_GROUNDING_CAP,
+) -> frozenset[Agent]:
+    """The init agents plus every grounding of every agent occurring in any rule."""
+    elements: set[Agent] = set(init.agents())
+    for rule in rules:
+        for pattern in (rule.lhs, rule.rhs):
+            for agent in pattern.agents:
+                for ms in ground_pattern(
+                    Pattern((agent,)), structure_signature, atomic_signature, cap
+                ):
+                    elements.update(ms.agents())
+    return frozenset(elements)
 
 
 def enabled(rule: MrsRule, state: Multiset) -> bool:
@@ -109,10 +161,20 @@ def apply_rule(rule: MrsRule, state: Multiset) -> Multiset:
 
 
 def successors(mrs: Mrs, state: Multiset) -> frozenset[tuple[str, Multiset]]:
-    """All labelled next states; exactly ``{(ε, state)}`` when nothing is enabled."""
+    """All labelled next states; exactly ``{(ε, state)}`` when nothing is enabled.
+
+    Only the rules with an empty ``pre`` and those indexed under an agent
+    present in ``state`` are tested (``Mrs.rule_index``); every other rule
+    lacks an agent of its ``pre`` here, so it is not enabled.
+    """
+    keyed, unconditional = mrs.rule_index
     out = {
-        (rule.label, apply_rule(rule, state)) for rule in mrs.rules if enabled(rule, state)
+        (rule.label, apply_rule(rule, state)) for rule in unconditional if enabled(rule, state)
     }
+    for agent in state.to_dict():
+        for rule in keyed.get(agent, ()):
+            if enabled(rule, state):
+                out.add((rule.label, apply_rule(rule, state)))
     if not out:
         return frozenset({(EPSILON_LABEL, state)})
     return frozenset(out)

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bcsl.cli import main
 from conftest import REGULATION_CONFIGS, TWO_SITE_MODEL
+from corpus import random_model_text
 
 
 @pytest.fixture()
@@ -254,22 +255,62 @@ def test_missing_file_exit_code(capsys):
     assert "error" in err
 
 
-def test_grounding_cap_exit_code(capsys, tmp_path):
-    names = [f"a{i:02d}" for i in range(20)]
-    u_comp = ",".join(f"{n}{{u}}" for n in names)
-    v_comp = ",".join(f"{n}{{v}}" for n in names)
-    text = (
+# X() stands for 2^20 agents, over the default grounding cap of 10^6.
+_X_U = ",".join(f"a{i:02d}{{u}}" for i in range(20))
+_X_V = ",".join(f"a{i:02d}{{v}}" for i in range(20))
+_Y_U = ",".join(f"b{i}{{u}}" for i in range(10))
+_Y_V = ",".join(f"b{i}{{v}}" for i in range(10))
+CAP_MODELS = {
+    # rule r1 has an agent over the cap
+    "agent-over-cap": (
         "#! rules\n"
-        f"r1 ~ X({u_comp})::c => X()::c\n"
-        f"r2 ~ X({v_comp})::c => X()::c\n"
+        f"r1 ~ X({_X_U})::c => X()::c\n"
+        f"r2 ~ X({_X_V})::c => X()::c\n"
         "#! inits\n"
-        f"1 X({u_comp})::c\n"
-    )
+        f"1 X({_X_U})::c\n"
+    ),
+    # r1's agents stand for 2^10 agents each, but its 2^20 candidate pairs
+    # are over the cap; r2 has an agent over the cap
+    "pairs-over-cap": (
+        "#! rules\n"
+        "r1 ~ Y()::c => Y()::d\n"
+        f"r2 ~ X({_X_U})::c => X()::c\n"
+        "#! inits\n"
+        f"1 Y({_Y_U})::c\n"
+        f"1 Y({_Y_V})::d\n"
+        f"1 X({_X_U})::c\n"
+        f"1 X({_X_V})::d\n"
+    ),
+}
+
+
+def test_grounding_cap_exit_code(capsys, tmp_path):
     big = tmp_path / "big.bcsl"
-    big.write_text(text, encoding="utf-8")
+    big.write_text(CAP_MODELS["agent-over-cap"], encoding="utf-8")
     code, _, err = run_cli(capsys, "ground", str(big))
     assert code == 4
     assert "cap" in err
+
+
+@pytest.mark.parametrize("command", ["ground", "check", "simulate", "lts-concurrent-free"])
+@pytest.mark.parametrize("name", sorted(CAP_MODELS))
+def test_grounding_cap_ends_every_grounding_command(capsys, tmp_path, name, command):
+    # Which rule trips the cap first may change the message; the exit code
+    # and the one-line form may not.
+    big = tmp_path / "big.bcsl"
+    big.write_text(CAP_MODELS[name], encoding="utf-8")
+    argv = [command, str(big)]
+    if command == "lts-concurrent-free":
+        regulation = tmp_path / "reg.json"
+        regulation.write_text(
+            json.dumps({"type": "concurrent-free", "priority": [["r1", "r2"]]}), encoding="utf-8"
+        )
+        argv = ["lts", str(big), "--regulation", str(regulation)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4, err
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "cap" in err, err
+    assert "Traceback" not in err
 
 
 def test_bad_regulation_exit_code(capsys, model_path, tmp_path):
@@ -375,6 +416,34 @@ SIMULATE_DIGESTS = {
     ("regular", "0"): "5f49b3cf57a4bea5c7f69c30510e10e1309f5ba61694bd64dd8156fa1dd08a58",
     ("regular", "1"): "29ea94beae6da47e05ac6dbe84a94ba8d88e65df76b8051df5b0c42431000958",
 }
+
+
+# SHA-256 of `ground` stdout on the two-site model and three corpus models,
+# recorded before the element universe was made lazy.
+GROUND_DIGESTS = {
+    ("two-site", "json"): "090da721b5d685217867d131fbb6472365d94163274c25b0afb8bbf4d7d447f5",
+    ("two-site", "text"): "5e69660978435da45bddf415fc091cbcb23642f7a0199c166de9a615e3b7cc7c",
+    ("corpus-3", "json"): "bd8c68d3adf3eedb3ebb70141d7071e7f50bb9cdf6834f127fd70302a346528a",
+    ("corpus-3", "text"): "a1fa79ff52564f83594ea7b27f941e5671e87b379cbb26093fc24af0aed535ed",
+    ("corpus-7", "json"): "571641ba75716615355ffbf53b827cdd48de9a0dc3bcc639e33e0082d7b47a01",
+    ("corpus-7", "text"): "15ff904db785c176dde6ece167a3cdbf034cf7da4d3abe3df0ee11e5826113ee",
+    ("corpus-11", "json"): "f0bd3b5f73004e222c175ad766ef01dd42829a83fa2db12ede2405e29f63094e",
+    ("corpus-11", "text"): "38095bebc814a14e9a583fd4f71c9fc026107bab720483dca18d3e516ab30c4c",
+}
+GROUND_MODELS = {
+    "two-site": TWO_SITE_MODEL,
+    **{f"corpus-{seed}": random_model_text(seed) for seed in (3, 7, 11)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUND_MODELS))
+def test_ground_keeps_its_bytes(capsys, tmp_path, name):
+    path = tmp_path / "model.bcsl"
+    path.write_text(GROUND_MODELS[name], encoding="utf-8")
+    for fmt in ("json", "text"):
+        code, out, _ = run_cli(capsys, "ground", str(path), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GROUND_DIGESTS[name, fmt], fmt
 
 
 @pytest.mark.parametrize("name", ["none", *sorted(REGULATION_CONFIGS)])

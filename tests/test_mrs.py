@@ -1,20 +1,29 @@
-import pytest
+import dataclasses
+import json
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import bcsl.mrs
 from bcsl import (
     EPSILON_LABEL,
-    Mrs,
     MrsRule,
     Multiset,
+    Pattern,
     apply_rule,
     build_mrs,
+    check_equivalence,
     enabled,
+    explore,
+    ground_pattern,
     parse_agent,
     parse_model,
     parse_multiset,
     sample_run,
     successors,
 )
-from conftest import UNREGULATED_SEQUENCES
+from bcsl.cli import main
+from conftest import REGULATION_CONFIGS, TWO_SITE_MODEL, UNREGULATED_SEQUENCES, bench_module
 
 # The grounding of the two-site model, frozen as (label, pre, post) texts.
 EXPECTED_ELEMENTS = {
@@ -230,3 +239,188 @@ def test_negative_steps_rejected(two_site_model):
     mrs = build_mrs(two_site_model)
     with pytest.raises(ValueError):
         sample_run(mrs, -1)
+
+
+# ---------------------------------------------------------------------------
+# Rule index: indexed successors against the plain scan
+# ---------------------------------------------------------------------------
+
+_models = bench_module("models")
+BOUNDS = {"max_states": 300, "max_depth": 25}
+
+# Hand models for the corners of the index: a rule with an empty pre, a pre
+# needing two copies of its key agent, and rules sharing one key agent.
+HAND_MODELS = {
+    "empty-pre": "#! rules\nmk ~ => A{u}::c\nrm ~ A{u}::c => B{v}::c\n#! inits\n1 A{u}::c\n",
+    "two-copies": "#! rules\npair ~ A{u}::c + A{u}::c => B{v}::c\n#! inits\n3 A{u}::c\n",
+    "shared-key": (
+        "#! rules\n"
+        "r1 ~ A{u}::c + B{v}::c => C{w}::c\n"
+        "r2 ~ A{u}::c => B{v}::c\n"
+        "#! inits\n"
+        "2 A{u}::c\n"
+    ),
+}
+
+# Grounded agents that no rule of any model here mentions.
+STRAY_AGENTS = [parse_agent("A{w}::e"), parse_agent("P(S{i},T{i})::nowhere")]
+
+
+def plain_successors(mrs, state):
+    """``successors`` by its definition: every rule tested at every state."""
+    out = {(r.label, apply_rule(r, state)) for r in mrs.rules if enabled(r, state)}
+    return frozenset(out) if out else frozenset({(EPSILON_LABEL, state)})
+
+
+def reached_states(mrs, max_states=100_000, max_depth=1_000):
+    """States reachable under the plain scan, within the bounds."""
+    graph = explore(mrs.init, lambda s: plain_successors(mrs, s), max_states, max_depth)
+    return graph.states
+
+
+def assert_index_agrees(mrs, states, context):
+    for state in states:
+        assert successors(mrs, state) == plain_successors(mrs, state), (context, str(state))
+
+
+def test_indexed_successors_on_corpus_states():
+    for k, text in enumerate(_models.corpus_models(200)):
+        mrs = build_mrs(parse_model(text))
+        assert_index_agrees(mrs, reached_states(mrs, **BOUNDS), k)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 2)])
+def test_indexed_successors_on_site_model_states(shape):
+    mrs = build_mrs(parse_model(_models.site_model(*shape)))
+    states = reached_states(mrs)
+    assert len(states) >= 36
+    assert_index_agrees(mrs, states, shape)
+
+
+@pytest.mark.parametrize("name", sorted(HAND_MODELS))
+def test_indexed_successors_on_hand_models(name):
+    mrs = build_mrs(parse_model(HAND_MODELS[name]))
+    states = {*reached_states(mrs, **BOUNDS), Multiset.empty()}
+    a, b = parse_agent("A{u}::c"), parse_agent("B{v}::c")
+    states |= {Multiset({a: n, b: m}) for n in range(4) for m in range(3)}
+    assert_index_agrees(mrs, states, name)
+
+
+def test_empty_pre_rule_fires_everywhere():
+    mrs = build_mrs(parse_model(HAND_MODELS["empty-pre"]))
+    made = parse_multiset("1 A{u}::c")
+    assert successors(mrs, Multiset.empty()) == {("mk", made)}
+    assert {label for label, _ in successors(mrs, parse_multiset("1 B{v}::c"))} == {"mk"}
+    assert {label for label, _ in successors(mrs, made)} == {"mk", "rm"}
+
+
+def test_pre_needing_two_copies_of_its_key_agent():
+    mrs = build_mrs(parse_model(HAND_MODELS["two-copies"]))
+    one = parse_multiset("1 A{u}::c")
+    assert successors(mrs, one) == {(EPSILON_LABEL, one)}
+    assert successors(mrs, parse_multiset("2 A{u}::c")) == {("pair", parse_multiset("1 B{v}::c"))}
+    assert successors(mrs, parse_multiset("3 A{u}::c")) == {
+        ("pair", parse_multiset("1 A{u}::c + 1 B{v}::c"))
+    }
+
+
+def test_rules_sharing_a_key_agent_both_fire():
+    mrs = build_mrs(parse_model(HAND_MODELS["shared-key"]))
+    keyed, unconditional = mrs.rule_index
+    assert unconditional == () and len(keyed) == 1  # both rules sit under A{u}::c
+    state = parse_multiset("1 A{u}::c + 1 B{v}::c")
+    assert successors(mrs, state) == {
+        ("r1", parse_multiset("1 C{w}::c")),
+        ("r2", parse_multiset("2 B{v}::c")),
+    }
+    only_b = parse_multiset("2 B{v}::c")
+    assert successors(mrs, only_b) == {(EPSILON_LABEL, only_b)}
+
+
+def test_replaced_rules_are_indexed_afresh(two_site_model):
+    mrs = build_mrs(two_site_model)
+    states = reached_states(mrs)
+    assert_index_agrees(mrs, states, "full")  # the full system has its index now
+    for i in range(len(mrs.rules)):
+        dropped = dataclasses.replace(mrs, rules=mrs.rules[:i] + mrs.rules[i + 1 :])
+        assert_index_agrees(dropped, states, ("dropped", i))
+    bogus = rule("bogus", "1 P(S{a},T{a})::out", "1 P(S{i},T{i})::cell")
+    spurious = dataclasses.replace(mrs, rules=mrs.rules + (bogus,))
+    assert_index_agrees(spurious, states, "spurious")
+    assert ("bogus", M0) in successors(spurious, parse_multiset("1 P(S{a},T{a})::out"))
+
+
+PROPERTY_SYSTEMS = [
+    build_mrs(parse_model(text))
+    for text in (
+        TWO_SITE_MODEL,
+        *HAND_MODELS.values(),
+        _models.site_model(2, 2, 2),
+        *_models.corpus_models(12),
+    )
+]
+
+
+@st.composite
+def systems_and_states(draw):
+    mrs = draw(st.sampled_from(PROPERTY_SYSTEMS))
+    pool = sorted(mrs.elements, key=str) + STRAY_AGENTS
+    counts = draw(st.lists(st.integers(0, 3), min_size=len(pool), max_size=len(pool)))
+    return mrs, Multiset(dict(zip(pool, counts)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems_and_states())
+def test_indexed_successors_on_random_states(case):
+    mrs, state = case
+    assert successors(mrs, state) == plain_successors(mrs, state)
+
+
+# ---------------------------------------------------------------------------
+# The element universe
+# ---------------------------------------------------------------------------
+
+def universe_by_definition(model):
+    """The init agents plus every grounding of every agent of every rule."""
+    elements = set(model.init.agents())
+    for r in model.rules:
+        for pattern in (r.lhs, r.rhs):
+            for agent in pattern.agents:
+                for ms in ground_pattern(
+                    Pattern((agent,)), model.structure_signature, model.atomic_signature
+                ):
+                    elements.update(ms.agents())
+    return frozenset(elements)
+
+
+def test_elements_equal_their_definition():
+    for text in (TWO_SITE_MODEL, *_models.corpus_models(200)):
+        model = parse_model(text)
+        assert build_mrs(model).elements == universe_by_definition(model), text
+
+
+def test_elements_are_computed_once():
+    mrs = build_mrs(parse_model(TWO_SITE_MODEL))
+    assert mrs.elements is mrs.elements
+    assert dataclasses.replace(mrs, rules=()).elements == mrs.elements
+
+
+def test_check_simulate_and_concurrent_free_never_ground_the_universe(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the element universe was grounded")
+
+    monkeypatch.setattr(bcsl.mrs, "ground_pattern", refuse)
+    for text in (TWO_SITE_MODEL, *_models.corpus_models(20)):
+        report = check_equivalence(parse_model(text), **BOUNDS)
+        assert report.passed, text
+    path = tmp_path / "model.bcsl"
+    path.write_text(TWO_SITE_MODEL, encoding="utf-8")
+    regulation = tmp_path / "concurrent-free.json"
+    regulation.write_text(json.dumps(REGULATION_CONFIGS["concurrent-free"]), encoding="utf-8")
+    out = str(tmp_path / "out")
+    assert main(["check", str(path), "-o", out]) == 0
+    assert main(["simulate", str(path), "--steps", "6", "-o", out]) == 0
+    assert main(["simulate", str(path), "--regulation", str(regulation), "-o", out]) == 0
+    assert main(["lts", str(path), "--regulation", str(regulation), "-o", out]) == 0
+    with pytest.raises(AssertionError, match="grounded"):
+        build_mrs(parse_model(TWO_SITE_MODEL)).elements
