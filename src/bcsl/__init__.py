@@ -56,15 +56,14 @@ from .patterns import (
     pattern_multiset,
 )
 from .regulation import (
+    AutomatonRegulation,
     ConcurrentFreeRegulation,
     ConditionalRegulation,
     Dfa,
-    ProgrammedRegulation,
     Regulation,
     RegulationError,
     RegulationGuard,
     RegulationWarning,
-    RegularRegulation,
     compile_label_regex,
     compile_regulation,
     concurrency_relation,

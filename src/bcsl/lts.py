@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable
+from math import prod
+from typing import Callable, Collection, Hashable
 
 from .mrs import EPSILON_LABEL
 from .patterns import (
+    DEFAULT_GROUNDING_CAP,
+    GroundingCapError,
     GroundingError,
     assign_features,
     deatomise,
@@ -30,7 +33,7 @@ from .syntax import BcslModel
 from .terms import EPSILON, Agent, Multiset, Pattern, canonicalize
 
 Transition = tuple[Hashable, str, Hashable]
-SuccessorFn = Callable[[Hashable], Iterable[tuple[str, Hashable]]]
+SuccessorFn = Callable[[Hashable], Collection[tuple[str, Hashable]]]
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,9 @@ class _PreparedRule:
     the state with backtracking; right-hand ε slots are classified as
     either forced (same source atomic at the same position on the left,
     so the resolved feature must match) or free over the signature.
+    Both stop at the grounding cap: a left-hand agent with more
+    instantiations, or free slots with more resolutions, raise
+    ``GroundingCapError``.
 
     What a match consumes and produces depends only on its left-hand
     assignment, so both are computed on first use and memoised in
@@ -140,7 +146,7 @@ class _PreparedRule:
             slots = [offset + k for k in range(n_atoms) if lhs_atoms[offset + k].feature == EPSILON]
             options = []
             index: dict[Agent, list[int]] = {}
-            for inst in enumerate_instantiations(single, atomic_signature, cap=None):
+            for inst in enumerate_instantiations(single, atomic_signature):
                 canonical = canonicalize(inst.result.agents[0])
                 canonical = agents.setdefault(canonical, canonical)
                 index.setdefault(canonical, []).append(len(options))
@@ -161,6 +167,12 @@ class _PreparedRule:
                 if not options:
                     raise GroundingError(f"no features known for atomic {atom.name!r}")
                 self.rhs_slots.append((j, "free", sorted(options)))
+        resolutions = prod(len(payload) for _, mode, payload in self.rhs_slots if mode == "free")
+        if resolutions > DEFAULT_GROUNDING_CAP:
+            raise GroundingCapError(
+                f"rule {self.label!r} has {resolutions} right-hand resolutions, "
+                f"exceeding the cap of {DEFAULT_GROUNDING_CAP}"
+            )
 
     def apply_to(
         self, state: Multiset, counts: dict[Agent, int], out: set[tuple[str, Multiset]]
@@ -295,10 +307,9 @@ def explore(
 
     Each reached state is stored once, as the first object that reached
     it, and every transition refers to the stored objects.  The frontier
-    of each depth is sorted.  A state's successors leading to stored
-    states just add their edge; the others are sorted only when the state
-    cap falls inside them, which is the only case where their order
-    decides which of them are stored.
+    of each depth is sorted; a state's successors are sorted only when
+    the state cap falls inside them, the only case where their order
+    decides which targets are stored.
     """
     # state -> the one object stored for it.
     states: dict[Hashable, Hashable] = {initial: initial}
@@ -311,25 +322,10 @@ def explore(
         frontier.sort(key=_state_key)
         next_frontier = []
         for state in frontier:
-            # The same result as sorting every successor by (label, key)
-            # and processing them in that order, also under the state cap:
-            # a successor whose target is already stored changes neither
-            # ``states`` nor the cap test and adds its edge wherever it
-            # sorts.  The others (``fresh``) need sorting only when the
-            # cap falls inside them.  When they all fit, every target is
-            # stored and every edge kept in any order, and the next
-            # frontier is sorted anyway; when the cap is already full,
-            # every one is dropped and the state is cut in any order.
-            fresh = []
-            for label, target in successor_fn(state):
-                stored = states.get(target, _UNSEEN)
-                if stored is _UNSEEN:
-                    fresh.append((label, target))
-                else:
-                    transitions.add((state, label, stored))
-            if 0 < max_states - len(states) < len(fresh):
-                fresh.sort(key=lambda lt: (lt[0], _state_key(lt[1])))
-            for label, target in fresh:
+            successors = successor_fn(state)
+            if 0 < max_states - len(states) < len(successors):
+                successors = sorted(successors, key=lambda lt: (lt[0], _state_key(lt[1])))
+            for label, target in successors:
                 stored = states.get(target, _UNSEEN)
                 if stored is _UNSEEN:
                     if len(states) >= max_states:
@@ -420,9 +416,11 @@ def unroll(
     depth: int,
     max_nodes: int = 100_000,
 ) -> RunTree:
-    """Depth-bounded tree of runs; every successor becomes a fresh node.
+    """Depth-bounded tree of runs; every non-ε successor becomes a fresh node.
 
-    The node cap guards against exponential blow-up on cyclic systems.
+    ε edges are omitted, also when testing whether the depth bound cut
+    the tree.  The node cap guards against exponential blow-up on cyclic
+    systems.
     """
     states: list = [initial]
     edges: list[tuple[int, str, int]] = []
@@ -433,7 +431,7 @@ def unroll(
         next_frontier = []
         for node, state in frontier:
             for label, target in sorted(
-                successor_fn(state), key=lambda lt: (lt[0], _state_key(lt[1]))
+                _steps(successor_fn, state), key=lambda lt: (lt[0], _state_key(lt[1]))
             ):
                 if len(states) >= max_nodes:
                     return RunTree(tuple(states), tuple(edges), True)
@@ -442,10 +440,13 @@ def unroll(
                 edges.append((node, label, child))
                 next_frontier.append((child, target))
         frontier = next_frontier
-    truncated = any(
-        next(iter(successor_fn(state)), None) is not None for _, state in frontier
-    )
+    truncated = any(_steps(successor_fn, state) for _, state in frontier)
     return RunTree(tuple(states), tuple(edges), truncated)
+
+
+def _steps(successor_fn: SuccessorFn, state: Hashable) -> list[tuple[str, Hashable]]:
+    """The non-ε successors of ``state``."""
+    return [(label, target) for label, target in successor_fn(state) if label != EPSILON_LABEL]
 
 
 # ---------------------------------------------------------------------------

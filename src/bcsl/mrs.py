@@ -29,7 +29,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
-from .patterns import DEFAULT_GROUNDING_CAP, ground_pattern, ground_rule, pattern_multiset
+from .patterns import ground_pattern, ground_rule, pattern_multiset
 from .syntax import BcslModel, BcslRule
 from .terms import Agent, Multiset, Pattern
 
@@ -92,24 +92,23 @@ class Run:
     labels: tuple[str, ...]
 
 
-def build_mrs(model: BcslModel, cap: int | None = DEFAULT_GROUNDING_CAP) -> Mrs:
+def build_mrs(model: BcslModel) -> Mrs:
     """Ground a model into a multiset rewriting system.
 
     The rules are the reactions of every model rule read as multiset
     pairs (duplicates collapse).  The agents of each rule's ``pre`` and
     ``post`` are the model's objects for them (``model.agent_table``),
     which the direct matcher uses too, so grounded and direct states
-    compare agents by identity.  The element universe is grounded, with
-    the same ``cap``, on the first read of ``Mrs.elements``.
+    compare agents by identity.  The element universe is grounded on the
+    first read of ``Mrs.elements``.  Both stop at the grounding cap with
+    ``GroundingCapError``.
     """
     table = model.agent_table
     seen: dict[MrsRule, None] = {}
     for rule in model.rules:
         if rule.label == EPSILON_LABEL:
             raise ValueError(f"rule label {EPSILON_LABEL!r} is reserved")
-        for reaction in ground_rule(
-            rule, model.structure_signature, model.atomic_signature, cap
-        ):
+        for reaction in ground_rule(rule, model.structure_signature, model.atomic_signature):
             mu = MrsRule(
                 rule.label,
                 pattern_multiset(reaction.lhs_inst.result).interned(table),
@@ -124,7 +123,6 @@ def build_mrs(model: BcslModel, cap: int | None = DEFAULT_GROUNDING_CAP) -> Mrs:
         model.rules,
         model.structure_signature,
         model.atomic_signature,
-        cap,
     )
     return Mrs(ordered, model.init, universe)
 
@@ -134,16 +132,13 @@ def _element_universe(
     rules: tuple[BcslRule, ...],
     structure_signature: Mapping[str, frozenset[str]],
     atomic_signature: Mapping[str, frozenset[str]],
-    cap: int | None = DEFAULT_GROUNDING_CAP,
 ) -> frozenset[Agent]:
     """The init agents plus every grounding of every agent occurring in any rule."""
     elements: set[Agent] = set(init.agents())
     for rule in rules:
         for pattern in (rule.lhs, rule.rhs):
             for agent in pattern.agents:
-                for ms in ground_pattern(
-                    Pattern((agent,)), structure_signature, atomic_signature, cap
-                ):
+                for ms in ground_pattern(Pattern((agent,)), structure_signature, atomic_signature):
                     elements.update(ms.agents())
     return frozenset(elements)
 
@@ -207,11 +202,11 @@ def sample_run(
             key=lambda lt: (lt[0], str(lt[1])),
         )
         if regulation is None:
-            moves = [(label, target, None) for label, target in base]
+            moves = [(label, (target, None)) for label, target in base]
         else:
             moves = regulation.step(memory, state, base)
         if moves:
-            label, target, memory = rng.choice(moves)
+            label, (target, memory) = rng.choice(moves)
         else:
             label, target = EPSILON_LABEL, state
         labels.append(label)

@@ -1,7 +1,10 @@
 """Run regulation: five strategies restricting which rules may fire.
 
-All strategies filter candidate rule applications during exploration or
-simulation, carrying at most a small explicit memory between steps:
+Regular, ordered and programmed regulation are one object (Dassow and
+Păun, *Regulated Rewriting in Formal Language Theory*, 1989): a finite
+memory over rule labels that fixes which label may fire next.  Each
+compiles into one ``AutomatonRegulation`` whose ``moves[m]`` maps every
+label permitted at memory ``m`` to the memory after it:
 
 * regular — a language of label sequences, given as a regular expression
   over rule labels with ``.`` (sequence), ``|`` (choice), ``*``
@@ -9,23 +12,25 @@ simulation, carrying at most a small explicit memory between steps:
   is permitted while the consumed label prefix can still grow into a word
   of the language; once a complete word has been consumed only ε may
   follow.  Memory: the DFA state.
-* ordered — strict pairs ``a < b``; ``b`` may not fire immediately after
-  ``a`` (transitively closed).  Compiled into the programmed regulation
-  whose successor set of ``a`` is every label not above it.
 * programmed — a successor set per label; after ``a`` only members of its
   successor set may fire.  Memory: the last applied label.
+* ordered — strict pairs ``a < b``; ``b`` may not fire immediately after
+  ``a`` (transitively closed).  The programmed automaton whose successor
+  set of ``a`` is every label not above it.
+
+The other two keep no memory:
+
 * conditional — prohibited contexts per label: a candidate is blocked
   when any of its prohibited multisets is contained in the current state.
-  Memoryless.
 * concurrent-free — priority pairs ``(high, low)``: ``low`` is blocked
   whenever ``high`` is enabled too and the two labels are concurrent,
-  i.e. some groundings of theirs consume a common agent.  Memoryless.
+  i.e. some groundings of theirs consume a common agent.
 
 ε never counts as a regulated rule: it fires exactly when the permitted
-set is empty and leaves the memory unchanged.
-
-A regulation filters the runs of either semantics: ``guarded`` wraps the
-successor function of the direct matcher or of the grounded system alike.
+set is empty and leaves the memory unchanged.  ``guarded`` decides it
+once, for every walk: it wraps the successor function of the direct
+matcher or of the grounded system alike, and gives a node with no
+permitted successor its ε self-loop.
 """
 
 from __future__ import annotations
@@ -326,70 +331,47 @@ def compile_label_regex(expression: str, labels: Collection[str]) -> Dfa:
 
 
 # ---------------------------------------------------------------------------
-# The regulation strategies (ordered compiles into programmed)
+# The regulation strategies: one label automaton, two memoryless filters
 # ---------------------------------------------------------------------------
 
 LabelRelation = frozenset[tuple[str, str]]
 
 
 @dataclass(frozen=True)
-class RegularRegulation:
-    """Admit only runs whose label sequence spells a word of a language."""
+class AutomatonRegulation:
+    """A finite memory over rule labels: regular, ordered and programmed.
 
-    expression: str
-    dfa: Dfa
+    ``moves[m]`` maps each label permitted at memory ``m`` to the memory
+    after it; ``names[m]`` is the text of memory ``m``.
+    """
 
-    def initial_memory(self) -> int:
-        return self.dfa.start
+    start: Hashable
+    moves: Mapping[Hashable, Mapping[str, Hashable]]
+    names: Mapping[Hashable, str]
+
+    def initial_memory(self) -> Hashable:
+        return self.start
 
     def permits(self, memory, state, candidate, enabled_labels, concurrency) -> bool:
-        if memory in self.dfa.accepting:
-            return False
-        target = self.dfa.step(memory, candidate)
-        return target is not None and target in self.dfa.live
+        return candidate in self.moves[memory]
 
     def advance(self, memory, applied):
         if applied == EPSILON_LABEL:
             return memory
-        target = self.dfa.step(memory, applied)
-        if target is None:
-            raise ValueError(f"label {applied!r} was not permitted from this memory")
-        return target
+        try:
+            return self.moves[memory][applied]
+        except KeyError:
+            raise ValueError(f"label {applied!r} was not permitted from this memory") from None
 
     def describe_memory(self, memory) -> str:
-        return f"q{memory}"
+        return self.names[memory]
 
 
-@dataclass(frozen=True)
-class ProgrammedRegulation:
-    """After each rule, allow only its declared successor rules."""
-
-    successors: Mapping[str, frozenset[str]]
+class _Memoryless:
+    """A regulation that decides on the state and the enabled labels alone."""
 
     def initial_memory(self) -> None:
         return None
-
-    def permits(self, memory, state, candidate, enabled_labels, concurrency) -> bool:
-        return memory is None or candidate in self.successors[memory]
-
-    def advance(self, memory, applied):
-        return memory if applied == EPSILON_LABEL else applied
-
-    def describe_memory(self, memory) -> str:
-        return "start" if memory is None else f"after {memory}"
-
-
-@dataclass(frozen=True)
-class ConditionalRegulation:
-    """Block a rule while one of its prohibited contexts sits in the state."""
-
-    prohibited: Mapping[str, tuple[Multiset, ...]]
-
-    def initial_memory(self) -> None:
-        return None
-
-    def permits(self, memory, state, candidate, enabled_labels, concurrency) -> bool:
-        return all(not context.issubset(state) for context in self.prohibited.get(candidate, ()))
 
     def advance(self, memory, applied):
         return memory
@@ -399,13 +381,20 @@ class ConditionalRegulation:
 
 
 @dataclass(frozen=True)
-class ConcurrentFreeRegulation:
+class ConditionalRegulation(_Memoryless):
+    """Block a rule while one of its prohibited contexts sits in the state."""
+
+    prohibited: Mapping[str, tuple[Multiset, ...]]
+
+    def permits(self, memory, state, candidate, enabled_labels, concurrency) -> bool:
+        return all(not context.issubset(state) for context in self.prohibited.get(candidate, ()))
+
+
+@dataclass(frozen=True)
+class ConcurrentFreeRegulation(_Memoryless):
     """Among enabled concurrent rules, admit only the prioritised one."""
 
     priority: LabelRelation  # (high, low)
-
-    def initial_memory(self) -> None:
-        return None
 
     def permits(self, memory, state, candidate, enabled_labels, concurrency) -> bool:
         return not any(
@@ -413,19 +402,8 @@ class ConcurrentFreeRegulation:
             for high, low in self.priority
         )
 
-    def advance(self, memory, applied):
-        return memory
 
-    def describe_memory(self, memory) -> str:
-        return ""
-
-
-Regulation = (
-    RegularRegulation
-    | ProgrammedRegulation
-    | ConditionalRegulation
-    | ConcurrentFreeRegulation
-)
+Regulation = AutomatonRegulation | ConditionalRegulation | ConcurrentFreeRegulation
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +439,18 @@ def _transitive_closure(pairs: frozenset[tuple[str, str]]) -> frozenset[tuple[st
     return frozenset(closure)
 
 
+def _last_label_automaton(
+    successors: Mapping[str, Collection[str]], known: frozenset[str]
+) -> AutomatonRegulation:
+    """The automaton whose memory is the last applied label (None at the start)."""
+    moves: dict[Hashable, dict[str, Hashable]] = {None: {label: label for label in known}}
+    names: dict[Hashable, str] = {None: "start"}
+    for label, next_labels in successors.items():
+        moves[label] = {b: b for b in next_labels}
+        names[label] = f"after {label}"
+    return AutomatonRegulation(None, moves, names)
+
+
 def compile_regulation(config: Mapping[str, Any], labels: Collection[str]) -> Regulation:
     """Validate and compile a JSON-shaped regulation description.
 
@@ -476,7 +466,12 @@ def compile_regulation(config: Mapping[str, Any], labels: Collection[str]) -> Re
         expression = config.get("expression")
         if not isinstance(expression, str):
             raise RegulationError("regular regulation needs an 'expression' string")
-        return RegularRegulation(expression, compile_label_regex(expression, known))
+        dfa = compile_label_regex(expression, known)
+        moves: dict[Hashable, dict[str, Hashable]] = {memory: {} for memory in dfa.live}
+        for (memory, label), target in dfa.transitions.items():
+            if memory not in dfa.accepting:
+                moves[memory][label] = target
+        return AutomatonRegulation(dfa.start, moves, {memory: f"q{memory}" for memory in moves})
 
     if kind == "ordered":
         pairs = _label_pairs(config.get("pairs"), known, "'pairs'")
@@ -488,8 +483,8 @@ def compile_regulation(config: Mapping[str, Any], labels: Collection[str]) -> Re
                 + ", ".join(reflexive)
                 + ")"
             )
-        return ProgrammedRegulation(
-            {a: known - {b for lower, b in order if lower == a} for a in known}
+        return _last_label_automaton(
+            {a: known - {b for lower, b in order if lower == a} for a in known}, known
         )
 
     if kind == "programmed":
@@ -515,7 +510,7 @@ def compile_regulation(config: Mapping[str, Any], labels: Collection[str]) -> Re
             )
             for label in missing:
                 successors[label] = known
-        return ProgrammedRegulation(successors)
+        return _last_label_automaton(successors, known)
 
     if kind == "conditional":
         raw = config.get("prohibited")
@@ -590,8 +585,8 @@ class RegulationGuard:
 
     def step(
         self, memory: Hashable, state: Multiset, base: Collection[tuple[str, Multiset]]
-    ) -> list[tuple[str, Multiset, Hashable]]:
-        """The permitted moves among ``base``, each with the memory after it.
+    ) -> list[tuple[str, tuple[Multiset, Hashable]]]:
+        """The permitted product moves ``(label, (target, next memory))`` among ``base``.
 
         ``base`` holds the non-ε ``(label, target)`` successors of
         ``state``; every one of them is enabled.  ``permits`` runs once
@@ -599,7 +594,7 @@ class RegulationGuard:
         """
         enabled_labels = frozenset(label for label, _ in base)
         return [
-            (label, target, self.advance(memory, label))
+            (label, (target, self.advance(memory, label)))
             for label, target in base
             if self.permits(memory, state, label, enabled_labels)
         ]
@@ -612,25 +607,25 @@ def make_guard(regulation: Regulation, model: BcslModel) -> RegulationGuard:
     return RegulationGuard(regulation)
 
 
-def guarded(successor_fn: SuccessorFn, guard: RegulationGuard, stutter: bool) -> SuccessorFn:
+def guarded(successor_fn: SuccessorFn, guard: RegulationGuard) -> SuccessorFn:
     """Successors over (state, memory) nodes of either semantics under ``guard``.
 
     ``successor_fn`` gives a state's non-ε successors: the direct
-    matcher's, or the grounded system's with ε removed.  With
-    ``stutter``, a node with no permitted successor gets an ε self-loop.
+    matcher's, or the grounded system's with ε removed.  A node with no
+    permitted successor gets an ε self-loop, which ``unroll`` omits.
     """
 
     def product_successors(node):
         state, memory = node
-        out = [
-            (label, (target, next_memory))
-            for label, target, next_memory in guard.step(memory, state, successor_fn(state))
-        ]
-        if not out and stutter:
-            return [(EPSILON_LABEL, node)]
-        return out
+        return guard.step(memory, state, successor_fn(state)) or [(EPSILON_LABEL, node)]
 
     return product_successors
+
+
+def _product(model: BcslModel, guard: RegulationGuard):
+    """The root node and the successor function of the regulated direct runs."""
+    root = (model.init, guard.initial_memory())
+    return root, guarded(RuleMatcher(model).successors, guard)
 
 
 def regulated_explore(
@@ -645,18 +640,14 @@ def regulated_explore(
     every applied rule; nodes with no permitted successor get an ε
     self-loop.
     """
-    root = (model.init, guard.initial_memory())
-    successor_fn = guarded(RuleMatcher(model).successors, guard, stutter=True)
-    return explore(root, successor_fn, max_states, max_depth)
+    return explore(*_product(model, guard), max_states, max_depth)
 
 
 def regulated_tree(
     model: BcslModel, guard: RegulationGuard, depth: int, max_nodes: int = 100_000
 ) -> RunTree:
     """Depth-bounded unrolled tree of the regulated runs (ε edges omitted)."""
-    root = (model.init, guard.initial_memory())
-    successor_fn = guarded(RuleMatcher(model).successors, guard, stutter=False)
-    return unroll(root, successor_fn, depth, max_nodes)
+    return unroll(*_product(model, guard), depth, max_nodes)
 
 
 def product_state_text(node, guard: RegulationGuard) -> str:

@@ -88,12 +88,6 @@ class Structure:
     def is_grounded(self) -> bool:
         return all(a.is_grounded for a in self.composition)
 
-    @property
-    def is_well_formed(self) -> bool:
-        """True when the composition is alphanumerically sorted by name."""
-        names = [a.name for a in self.composition]
-        return names == sorted(names)
-
     def __str__(self) -> str:
         return f"{self.name}({','.join(str(a) for a in self.composition)})"
 
@@ -157,12 +151,6 @@ class Agent:
     def is_grounded(self) -> bool:
         return all(c.is_grounded for c in self.chain)
 
-    @property
-    def is_well_formed(self) -> bool:
-        return all(
-            c.is_well_formed for c in self.chain if isinstance(c, Structure)
-        )
-
     def __str__(self) -> str:
         return self.text
 
@@ -180,10 +168,6 @@ class Pattern:
     @property
     def is_grounded(self) -> bool:
         return all(a.is_grounded for a in self.agents)
-
-    @property
-    def is_well_formed(self) -> bool:
-        return all(a.is_well_formed for a in self.agents)
 
     def __str__(self) -> str:
         return " + ".join(str(a) for a in self.agents)

@@ -292,7 +292,9 @@ def test_grounding_cap_exit_code(capsys, tmp_path):
     assert "cap" in err
 
 
-@pytest.mark.parametrize("command", ["ground", "check", "simulate", "lts-concurrent-free"])
+@pytest.mark.parametrize(
+    "command", ["ground", "check", "simulate", "lts", "lts-unroll", "lts-concurrent-free"]
+)
 @pytest.mark.parametrize("name", sorted(CAP_MODELS))
 def test_grounding_cap_ends_every_grounding_command(capsys, tmp_path, name, command):
     # Which rule trips the cap first may change the message; the exit code
@@ -300,6 +302,8 @@ def test_grounding_cap_ends_every_grounding_command(capsys, tmp_path, name, comm
     big = tmp_path / "big.bcsl"
     big.write_text(CAP_MODELS[name], encoding="utf-8")
     argv = [command, str(big)]
+    if command == "lts-unroll":
+        argv = ["lts", str(big), "--unroll"]
     if command == "lts-concurrent-free":
         regulation = tmp_path / "reg.json"
         regulation.write_text(

@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -385,6 +386,16 @@ def test_unroll_depth_limits_levels():
     assert tree.n_nodes == 4
     assert tree.n_edges == 3
     assert tree.truncated
+
+
+def test_unroll_omits_epsilon_edges(two_site_model):
+    # The grounded successors stutter on ε where nothing fires; the tree
+    # of either semantics has the same edges and is not truncated.
+    mrs = build_mrs(two_site_model)
+    grounded = unroll(mrs.init, partial(successors, mrs), 4)
+    assert grounded == unroll(two_site_model.init, RuleMatcher(two_site_model).successors, 4)
+    assert all(label != EPSILON_LABEL for _, label, _ in grounded.edges)
+    assert not grounded.truncated
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bcsl import (
     EPSILON_LABEL,
+    LabelSequences,
     RegulationError,
     RegulationWarning,
     RuleMatcher,
@@ -152,15 +154,15 @@ def test_programmed_fills_missing_entries_with_warning():
         reg = compile_regulation(
             {"type": "programmed", "successors": {"r1_S": ["r2"]}}, LABELS
         )
-    assert reg.successors["r1_T"] == frozenset(LABELS)
-    assert reg.successors["r2"] == frozenset(LABELS)
+    assert reg.moves["r1_T"].keys() == frozenset(LABELS)
+    assert reg.moves["r2"].keys() == frozenset(LABELS)
 
 
 def test_ordered_closure_is_transitive():
     reg = compile_regulation(
         {"type": "ordered", "pairs": [["r1_S", "r1_T"], ["r1_T", "r2"]]}, LABELS
     )
-    assert "r2" not in reg.successors["r1_S"]
+    assert "r2" not in reg.moves["r1_S"]
 
 
 def _closure(pairs):
@@ -180,14 +182,14 @@ CORPUS_LABELS = sorted(
 
 
 @st.composite
-def strict_orders(draw):
-    ranking = draw(st.permutations(CORPUS_LABELS))
+def strict_orders(draw, labels, max_size=8):
+    ranking = draw(st.permutations(sorted(labels)))
     ranked = list(itertools.combinations(ranking, 2))
-    return draw(st.lists(st.sampled_from(ranked), max_size=8, unique=True))
+    return draw(st.lists(st.sampled_from(ranked), max_size=max_size, unique=True))
 
 
 @settings(max_examples=60, deadline=None)
-@given(pairs=strict_orders())
+@given(pairs=strict_orders(CORPUS_LABELS))
 def test_compiled_ordered_equals_its_definition(pairs):
     regulation = compile_regulation({"type": "ordered", "pairs": pairs}, CORPUS_LABELS)
     closure = _closure(pairs)
@@ -439,7 +441,7 @@ def test_regulated_sampling_follows_the_grounded_product(two_site_model, name):
     guard = _guard(name, two_site_model)
     root = (two_site_model.init, guard.initial_memory())
     grounded = _grounded_successor_fn(two_site_model)
-    product = explore(root, guarded(grounded, guard, stutter=True))
+    product = explore(root, guarded(grounded, guard))
     # (node, label, target state) -> target node; the memory after a move
     # is a function of the memory before it and the label.
     edges = {(src, label, tgt[0]): tgt for src, label, tgt in product.transitions}
@@ -480,13 +482,142 @@ def test_guarded_gives_one_product_over_both_semantics(case, name):
     direct = RuleMatcher(model).successors
     grounded = _grounded_successor_fn(model)
 
-    direct_graph = explore(root, guarded(direct, guard, stutter=True))
-    grounded_graph = explore(root, guarded(grounded, guard, stutter=True))
+    direct_graph = explore(root, guarded(direct, guard))
+    grounded_graph = explore(root, guarded(grounded, guard))
     assert direct_graph.n_states == n_states[name]
     assert direct_graph == grounded_graph
     assert _first_difference(direct_graph, grounded_graph) is None
     assert regulated_explore(model, guard) == direct_graph
 
-    direct_tree = unroll(root, guarded(direct, guard, stutter=False), 4)
-    assert unroll(root, guarded(grounded, guard, stutter=False), 4) == direct_tree
+    direct_tree = unroll(root, guarded(direct, guard), 4)
+    assert unroll(root, guarded(grounded, guard), 4) == direct_tree
     assert regulated_tree(model, guard, 4) == direct_tree
+
+
+# ---------------------------------------------------------------------------
+# The history regulations against their definitions
+# ---------------------------------------------------------------------------
+
+def _sequences_by_definition(model, permitted, depth):
+    """Maximal label sequences of the unregulated direct graph under a predicate.
+
+    Walks the direct graph from the initial state, carrying the label
+    history; ``permitted(history, label)`` decides each step.  A history
+    with no permitted step is complete (only ε may follow), and one the
+    depth bound cuts while a step is permitted is incomplete, as in
+    ``maximal_label_sequences``.
+    """
+    matcher = RuleMatcher(model)
+    moves = {}
+    complete, incomplete = set(), set()
+    stack = [(model.init, ())]
+    while stack:
+        state, history = stack.pop()
+        if state not in moves:
+            moves[state] = matcher.successors(state)
+        steps = [(label, target) for label, target in moves[state] if permitted(history, label)]
+        if not steps:
+            complete.add(history)
+        elif len(history) == depth:
+            incomplete.add(history)
+        else:
+            stack.extend((target, history + (label,)) for label, target in steps)
+    return LabelSequences(frozenset(complete), frozenset(incomplete))
+
+
+def _ordered_by_definition(pairs):
+    """Ordered (Dassow & Păun): with ``<`` the transitive closure of the
+    pairs, no ``b`` fires right after ``a`` when ``a < b``."""
+    order = _closure(pairs)
+    return lambda history, label: not history or (history[-1], label) not in order
+
+
+def _programmed_by_definition(successor_sets):
+    """Programmed: each next label lies in the successor set of the
+    label before it; the first label is free."""
+    return lambda history, label: not history or label in successor_sets[history[-1]]
+
+
+def _regular_by_definition(expression, labels):
+    """Regular: a label may fire when the history is not yet a word of
+    the language and history + label is a prefix of some word.
+
+    Words are decided by ``Dfa.accepts`` alone.  A prefix is found by
+    trying every completion up to the automaton's live-state count: a
+    shortest completion visits each live state at most once.
+    """
+    dfa = compile_label_regex(expression, labels)
+    alphabet = sorted(labels)
+
+    @functools.cache
+    def is_prefix(word):
+        return any(
+            dfa.accepts(word + rest)
+            for n in range(len(dfa.live))
+            for rest in itertools.product(alphabet, repeat=n)
+        )
+
+    return lambda history, label: not dfa.accepts(history) and is_prefix(history + (label,))
+
+
+# Per model: its text and the expressions checked.  Each list holds a
+# language where a word is a proper prefix of another, so an accepting
+# memory that still permits a label shows.
+ORACLE_CASES = {
+    "two-site": (
+        TWO_SITE_MODEL,
+        [
+            REGULATION_CONFIGS["regular"]["expression"],
+            "(r1_S.r1_T)*.r2",
+            "r1_S.r1_T*|r2",
+            "r1_T.(r1_S|r2)*",
+        ],
+    ),
+    "sites-2x2x2": (
+        _models.site_model(2, 2, 2),
+        [
+            _models.regulation_configs(2, 2)["regular"]["expression"],
+            "act0_0.(deact0|export)*",
+            "export|export.act0_0.export",
+        ],
+    ),
+}
+ORACLE_DEPTH = 6
+
+
+def _assert_matches_definition(text, config, permitted):
+    model = parse_model(text)
+    guard = make_guard(compile_regulation(config, model.labels), model)
+    product = regulated_explore(model, guard)
+    expected = _sequences_by_definition(model, permitted, ORACLE_DEPTH)
+    assert maximal_label_sequences(product, ORACLE_DEPTH) == expected
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_regular_equals_its_definition(case):
+    text, expressions = ORACLE_CASES[case]
+    labels = parse_model(text).labels
+    for expression in expressions:
+        config = {"type": "regular", "expression": expression}
+        _assert_matches_definition(text, config, _regular_by_definition(expression, labels))
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=st.sampled_from(sorted(ORACLE_CASES)), data=st.data())
+def test_ordered_equals_its_definition(case, data):
+    text, _ = ORACLE_CASES[case]
+    pairs = data.draw(strict_orders(parse_model(text).labels, max_size=6))
+    config = {"type": "ordered", "pairs": pairs}
+    _assert_matches_definition(text, config, _ordered_by_definition(pairs))
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=st.sampled_from(sorted(ORACLE_CASES)), data=st.data())
+def test_programmed_equals_its_definition(case, data):
+    text, _ = ORACLE_CASES[case]
+    labels = sorted(parse_model(text).labels)
+    successor_sets = {
+        label: data.draw(st.frozensets(st.sampled_from(labels)), label=label) for label in labels
+    }
+    config = {"type": "programmed", "successors": {a: sorted(b) for a, b in successor_sets.items()}}
+    _assert_matches_definition(text, config, _programmed_by_definition(successor_sets))
