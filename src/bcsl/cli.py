@@ -8,10 +8,11 @@ optionally regulated), ``simulate`` (seeded random run) and ``check``
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
 3 model parse error, 4 grounding cap exceeded.  ``check`` exits 2 when a
 bound truncated the comparison.  A model file that is not UTF-8 is a
-parse error, a regulation file that is not UTF-8 or nests JSON too
-deeply to read a configuration error, and a negative bound or step count
-a usage error.  All outputs are
-canonically sorted, so repeated invocations are byte-identical.
+parse error; a regulation file that is not UTF-8 or nests JSON too
+deeply to read, or a regular expression whose automaton needs more than
+``MAX_DFA_STATES`` states, is a configuration error; and a negative
+bound or step count is a usage error.  All outputs are canonically
+sorted, so repeated invocations are byte-identical.
 """
 
 from __future__ import annotations

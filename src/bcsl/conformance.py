@@ -15,13 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lts import Lts, RuleMatcher, build_lts, explore, extend_epsilon
-from .mrs import Mrs, build_mrs, successors
-from .patterns import (
-    enumerate_instantiations,
-    expand_pattern,
-    ground_rule,
-    pattern_multiset,
-)
+from .mrs import Mrs, apply_rule, build_mrs, enabled, successors
+from .patterns import enumerate_instantiations, expand_pattern, pattern_multiset
 from .syntax import BcslModel
 from .terms import Multiset
 
@@ -40,7 +35,6 @@ class Counterexample:
 @dataclass(frozen=True)
 class ConformanceReport:
     states_checked: int
-    verdict: str  # "pass" or "fail"
     truncated: bool
     direct_states: int
     grounded_states: int
@@ -50,7 +44,11 @@ class ConformanceReport:
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "pass"
+        return self.counterexample is None
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.passed else "fail"
 
 
 @dataclass(frozen=True)
@@ -144,7 +142,6 @@ def check_equivalence(
     counterexample = _first_difference(direct, grounded)
     return ConformanceReport(
         states_checked=len(direct.states | grounded.states),
-        verdict="pass" if counterexample is None else "fail",
         truncated=direct.truncated or grounded.truncated,
         direct_states=len(direct.states),
         grounded_states=len(grounded.states),
@@ -158,11 +155,13 @@ def check_lemmas(model: BcslModel, state: Multiset) -> dict[str, LemmaReport]:
     """Per-rule agreement of enabledness and successor sets at ``state``.
 
     The direct side asks whether some instantiation of the (expanded)
-    left-hand side is contained in the state and collects the rewrite
-    targets; the grounded side asks the same of the rule's groundings.
+    left-hand side is contained in the state and collects the matcher's
+    rewrite targets; the grounded side asks ``enabled`` and
+    ``apply_rule`` of the rules of ``build_mrs(model)`` with the label.
     """
     matcher = RuleMatcher(model)
     direct_successors = matcher.successors(state)
+    grounded_rules = build_mrs(model).rules
     reports: dict[str, LemmaReport] = {}
     for rule in model.rules:
         lhs = expand_pattern(rule.lhs, model.structure_signature)
@@ -173,22 +172,9 @@ def check_lemmas(model: BcslModel, state: Multiset) -> dict[str, LemmaReport]:
         direct_targets = frozenset(
             target for label, target in direct_successors if label == rule.label
         )
-        groundings = [
-            (
-                pattern_multiset(reaction.lhs_inst.result),
-                pattern_multiset(reaction.rhs_inst.result),
-            )
-            for reaction in ground_rule(
-                rule, model.structure_signature, model.atomic_signature
-            )
-        ]
-        grounded_enabled = any(pre.issubset(state) for pre, _ in groundings)
-        grounded_targets = frozenset(
-            state.difference(pre).union(post)
-            for pre, post in groundings
-            if pre.issubset(state)
-        )
+        fired = [mu for mu in grounded_rules if mu.label == rule.label and enabled(mu, state)]
+        grounded_targets = frozenset(apply_rule(mu, state) for mu in fired)
         reports[rule.label] = LemmaReport(
-            rule.label, direct_enabled, grounded_enabled, direct_targets, grounded_targets
+            rule.label, direct_enabled, bool(fired), direct_targets, grounded_targets
         )
     return reports

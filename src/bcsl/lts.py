@@ -42,14 +42,17 @@ class Lts:
 
     ``unsettled`` holds states whose outgoing transitions are not fully
     represented because a bound was hit (never expanded, or successors
-    dropped by the state cap); ``truncated`` is set in that case.
+    dropped by the state cap); ``truncated`` says whether there are any.
     """
 
     initial: Hashable
     states: frozenset
     transitions: frozenset[Transition]
-    truncated: bool = False
     unsettled: frozenset = frozenset()
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self.unsettled)
 
     @property
     def n_states(self) -> int:
@@ -314,7 +317,6 @@ def explore(
     # state -> the one object stored for it.
     states: dict[Hashable, Hashable] = {initial: initial}
     transitions: set[Transition] = set()
-    truncated = False
     cut: set[Hashable] = set()
     frontier = [initial]
     depth = 0
@@ -329,7 +331,6 @@ def explore(
                 stored = states.get(target, _UNSEEN)
                 if stored is _UNSEEN:
                     if len(states) >= max_states:
-                        truncated = True
                         cut.add(state)
                         continue
                     stored = states[target] = target
@@ -337,13 +338,10 @@ def explore(
                 transitions.add((state, label, stored))
         frontier = next_frontier
         depth += 1
-    if frontier:
-        truncated = True
     return Lts(
         initial,
         frozenset(states),
         frozenset(transitions),
-        truncated,
         frozenset(frontier) | frozenset(cut),
     )
 
@@ -362,13 +360,7 @@ def extend_epsilon(lts: Lts) -> Lts:
         for state in lts.states
         if state not in outgoing and state not in lts.unsettled
     }
-    return Lts(
-        lts.initial,
-        lts.states,
-        lts.transitions | loops,
-        lts.truncated,
-        lts.unsettled,
-    )
+    return Lts(lts.initial, lts.states, lts.transitions | loops, lts.unsettled)
 
 
 def map_states(lts: Lts, project: Callable[[Hashable], Hashable]) -> Lts:
@@ -377,7 +369,6 @@ def map_states(lts: Lts, project: Callable[[Hashable], Hashable]) -> Lts:
         project(lts.initial),
         frozenset(project(s) for s in lts.states),
         frozenset((project(a), label, project(b)) for a, label, b in lts.transitions),
-        lts.truncated,
         frozenset(project(s) for s in lts.unsettled),
     )
 

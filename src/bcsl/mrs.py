@@ -13,25 +13,26 @@ takes them from the model's intern table (``BcslModel.agent_table``).
 
 Two parts of a system are computed on first read, so that ``check``,
 ``simulate`` and concurrent-free regulation pay only for what they use.
-The element universe (``Mrs.elements``) grounds every rule agent on its
-own, which only ``bcsl ground`` reads.  The rule index narrows the rules
-``successors`` tests at a state to those that can be enabled there: each
-rule sits under one agent of its ``pre``, so a rule whose key agent is
-absent cannot fire (the species -> reaction dependency graph of Gibson
-and Bruck's next reaction method).  The index only narrows the
+The element universe (``Mrs.elements``), which only ``bcsl ground``
+reads, is read off the grounded rules; nothing is grounded twice.  Every
+grounding of a single rule agent occurs in some reaction, because each
+ε slot ranges over its signature independently.  The rule index narrows
+the rules ``successors`` tests at a state to those that can be enabled
+there: each rule sits under one agent of its ``pre``, so a rule whose key
+agent is absent cannot fire (the species -> reaction dependency graph of
+Gibson and Bruck's next reaction method).  The index only narrows the
 candidates; ``enabled`` and ``apply_rule`` decide as before.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass
+from functools import cached_property
 
-from .patterns import ground_pattern, ground_rule, pattern_multiset
-from .syntax import BcslModel, BcslRule
-from .terms import Agent, Multiset, Pattern
+from .patterns import ground_rule, pattern_multiset
+from .syntax import BcslModel
+from .terms import Agent, Multiset
 
 #: Reserved label of the implicit empty rule; model rules may not use it.
 EPSILON_LABEL = "ε"
@@ -54,20 +55,23 @@ class Mrs:
     """A multiset rewriting system over a finite element universe.
 
     ``rules`` excludes the implicit ε rule and is stored sorted for
-    reproducible output.  ``elements``, the universe, is ``universe()``
-    computed on first read and kept; ``universe`` takes no part in ``==``
-    or ``repr``.  The rule index of ``successors`` is built on first use
-    from this instance's own ``rules``, so a copy made with
-    ``dataclasses.replace(mrs, rules=...)`` indexes its new rules.
+    reproducible output.  ``elements``, the universe, and the rule index
+    of ``successors`` are computed on first read from this instance's own
+    ``init`` and ``rules``, so a copy made with
+    ``dataclasses.replace(mrs, rules=...)`` has its own.
     """
 
     rules: tuple[MrsRule, ...]
     init: Multiset
-    universe: Callable[[], frozenset[Agent]] = field(repr=False, compare=False)
 
     @cached_property
     def elements(self) -> frozenset[Agent]:
-        return self.universe()
+        """The init agents plus the agents of every rule's ``pre`` and ``post``."""
+        elements = set(self.init.agents())
+        for rule in self.rules:
+            elements.update(rule.pre.agents())
+            elements.update(rule.post.agents())
+        return frozenset(elements)
 
     @cached_property
     def rule_index(self) -> tuple[dict[Agent, tuple[MrsRule, ...]], tuple[MrsRule, ...]]:
@@ -99,9 +103,9 @@ def build_mrs(model: BcslModel) -> Mrs:
     pairs (duplicates collapse).  The agents of each rule's ``pre`` and
     ``post`` are the model's objects for them (``model.agent_table``),
     which the direct matcher uses too, so grounded and direct states
-    compare agents by identity.  The element universe is grounded on the
-    first read of ``Mrs.elements``.  Both stop at the grounding cap with
-    ``GroundingCapError``.
+    compare agents by identity.  Grounding stops at the grounding cap with
+    ``GroundingCapError``; ``Mrs.elements`` is read off these rules and
+    grounds nothing.
     """
     table = model.agent_table
     seen: dict[MrsRule, None] = {}
@@ -117,30 +121,7 @@ def build_mrs(model: BcslModel) -> Mrs:
             seen[mu] = None
 
     ordered = tuple(sorted(seen, key=lambda r: (r.label, str(r.pre), str(r.post))))
-    universe = partial(
-        _element_universe,
-        model.init,
-        model.rules,
-        model.structure_signature,
-        model.atomic_signature,
-    )
-    return Mrs(ordered, model.init, universe)
-
-
-def _element_universe(
-    init: Multiset,
-    rules: tuple[BcslRule, ...],
-    structure_signature: Mapping[str, frozenset[str]],
-    atomic_signature: Mapping[str, frozenset[str]],
-) -> frozenset[Agent]:
-    """The init agents plus every grounding of every agent occurring in any rule."""
-    elements: set[Agent] = set(init.agents())
-    for rule in rules:
-        for pattern in (rule.lhs, rule.rhs):
-            for agent in pattern.agents:
-                for ms in ground_pattern(Pattern((agent,)), structure_signature, atomic_signature):
-                    elements.update(ms.agents())
-    return frozenset(elements)
+    return Mrs(ordered, model.init)
 
 
 def enabled(rule: MrsRule, state: Multiset) -> bool:

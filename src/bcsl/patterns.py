@@ -132,7 +132,7 @@ def assign_features(pattern: Pattern, by_position: Mapping[int, str]) -> Pattern
 def enumerate_instantiations(
     pattern: Pattern,
     atomic_signature: Mapping[str, frozenset[str]],
-    cap: int | None = DEFAULT_GROUNDING_CAP,
+    cap: int = DEFAULT_GROUNDING_CAP,
 ) -> tuple[Instantiation, ...]:
     """All resolutions of the pattern's ε atomics, in deterministic order.
 
@@ -143,7 +143,7 @@ def enumerate_instantiations(
     slots = [i for i, a in enumerate(atoms) if a.feature == EPSILON]
     option_sets = [_feature_options(atoms[i].name, atomic_signature) for i in slots]
     total = prod(len(o) for o in option_sets)
-    if cap is not None and total > cap:
+    if total > cap:
         raise GroundingCapError(
             f"pattern '{pattern}' has {total} instantiations, exceeding the cap of {cap}"
         )
@@ -174,7 +174,7 @@ def ground_pattern(
     pattern: Pattern,
     structure_signature: Mapping[str, frozenset[str]],
     atomic_signature: Mapping[str, frozenset[str]],
-    cap: int | None = DEFAULT_GROUNDING_CAP,
+    cap: int = DEFAULT_GROUNDING_CAP,
 ) -> frozenset[Multiset]:
     """All concrete multisets the pattern can stand for."""
     expanded = expand_pattern(pattern, structure_signature)
@@ -188,20 +188,19 @@ def ground_rule(
     rule: BcslRule,
     structure_signature: Mapping[str, frozenset[str]],
     atomic_signature: Mapping[str, frozenset[str]],
-    cap: int | None = DEFAULT_GROUNDING_CAP,
+    cap: int = DEFAULT_GROUNDING_CAP,
 ) -> tuple[Reaction, ...]:
     """All reactions of a rule: consistent pairs from both sides' instantiations."""
     lhs = expand_pattern(rule.lhs, structure_signature)
     rhs = expand_pattern(rule.rhs, structure_signature)
-    if cap is not None:
-        candidates = instantiation_count(lhs, atomic_signature) * instantiation_count(
-            rhs, atomic_signature
+    candidates = instantiation_count(lhs, atomic_signature) * instantiation_count(
+        rhs, atomic_signature
+    )
+    if candidates > cap:
+        raise GroundingCapError(
+            f"rule {rule.label!r} has {candidates} candidate instantiation pairs, "
+            f"exceeding the cap of {cap}"
         )
-        if candidates > cap:
-            raise GroundingCapError(
-                f"rule {rule.label!r} has {candidates} candidate instantiation pairs, "
-                f"exceeding the cap of {cap}"
-            )
     # ``consistent`` on every pair, with each deatomisation done once: a
     # pair is consistent when its results agree at the positions where the
     # two sources agree, so the right-hand instantiations are grouped by

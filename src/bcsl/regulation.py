@@ -55,6 +55,11 @@ class RegulationWarning(UserWarning):
     """Non-fatal regulation configuration repair (e.g. filled-in defaults)."""
 
 
+#: Abort the subset construction of a regular regulation past this many
+#: automaton states; a short expression can need exponentially many.
+MAX_DFA_STATES = 4_096
+
+
 # ---------------------------------------------------------------------------
 # Regular expressions over rule labels
 # ---------------------------------------------------------------------------
@@ -248,7 +253,11 @@ def _ast_symbols(ast) -> set[str]:
 
 
 def compile_label_regex(expression: str, labels: Collection[str]) -> Dfa:
-    """Compile an expression over rule labels to a minimal DFA with liveness."""
+    """Compile an expression over rule labels to a minimal DFA with liveness.
+
+    Raises ``RegulationError`` once the subset construction holds more
+    than ``MAX_DFA_STATES`` states.
+    """
     ast = _parse_regex(expression)
     symbols = _ast_symbols(ast)
     unknown = sorted(symbols - set(labels))
@@ -275,6 +284,10 @@ def compile_label_regex(expression: str, labels: Collection[str]) -> Dfa:
                 continue
             closed = _closure(nfa, frozenset(targets))
             if closed not in subset_ids:
+                if len(subset_ids) == MAX_DFA_STATES:
+                    raise RegulationError(
+                        f"expression needs more than {MAX_DFA_STATES} automaton states"
+                    )
                 subset_ids[closed] = len(subset_ids)
                 worklist.append(closed)
             table[(cid, label)] = subset_ids[closed]

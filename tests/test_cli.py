@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -349,6 +350,27 @@ def test_deep_regular_expression_runs(capsys, model_path, tmp_path, expression):
     code, out, err = run_cli(capsys, "lts", model_path, "--regulation", str(reg))
     assert code == 0, err
     assert json.loads(out)["states"]
+
+
+# (a|b)*.a followed by n copies of .(a|b): the subset construction needs
+# 2^(n+1) automaton states, so n = 16 is far past the bound.
+BLOW_UP_MODEL = "#! rules\na ~ A{u}::c => A{v}::c\nb ~ A{v}::c => A{u}::c\n#! inits\n1 A{u}::c\n"
+BLOW_UP_EXPRESSION = "(a|b)*.a" + ".(a|b)" * 16
+
+
+@pytest.mark.parametrize("command", ["lts", "simulate"])
+def test_regular_expression_over_the_state_bound_is_a_usage_error(capsys, tmp_path, command):
+    model = tmp_path / "model.bcsl"
+    model.write_text(BLOW_UP_MODEL, encoding="utf-8")
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps({"type": "regular", "expression": BLOW_UP_EXPRESSION}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, str(model), "--regulation", str(reg))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "automaton states" in err, err
+    assert "Traceback" not in err
 
 
 def test_deeply_nested_regulation_json_is_a_usage_error(capsys, model_path, tmp_path):

@@ -213,7 +213,8 @@ def _reference_explore(initial, successor_fn, max_states, max_depth) -> Lts:
         depth += 1
     truncated = truncated or bool(frontier)
     unsettled = frozenset(frontier) | frozenset(cut)
-    return Lts(initial, frozenset(states), frozenset(transitions), truncated, unsettled)
+    assert truncated == bool(unsettled)
+    return Lts(initial, frozenset(states), frozenset(transitions), unsettled)
 
 
 def _assert_explore_matches_reference(initial, successor_fn, max_states, max_depth):

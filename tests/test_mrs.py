@@ -24,6 +24,7 @@ from bcsl import (
 )
 from bcsl.cli import main
 from conftest import REGULATION_CONFIGS, TWO_SITE_MODEL, UNREGULATED_SEQUENCES, bench_module
+from corpus import random_model_text
 
 # The grounding of the two-site model, frozen as (label, pre, post) texts.
 EXPECTED_ELEMENTS = {
@@ -393,8 +394,36 @@ def universe_by_definition(model):
     return frozenset(elements)
 
 
+# Hand models for the element universe: an empty left-hand side whose
+# right-hand side has ε atomics with no left-hand counterpart (``mk``,
+# ``grow``), an empty right-hand side (``drop``), compositions that omit
+# atomics, and an init agent (``Q{z}::d``) that no rule mentions.
+UNIVERSE_EDGE_MODELS = (
+    "#! rules\n"
+    "mk ~ => P(S{a})::c\n"
+    "drop ~ P(T{a})::c =>\n"
+    "grow ~ A{u}::c => A{u}::c + P()::c\n"
+    "flip ~ P(S{i})::c => P(S{a})::c\n"
+    "#! inits\n"
+    "1 P(S{i},T{i})::c\n"
+    "1 A{u}::c\n"
+    "1 Q{z}::d\n",
+    "#! rules\n"
+    "bind ~ A{u}::c + X(B{v})::c => A{v}.X()::c\n"
+    "free ~ A{v}.X(B{u})::c =>\n"
+    "#! inits\n"
+    "2 X(B{u},C{w})::c\n",
+)
+
+
 def test_elements_equal_their_definition():
-    for text in (TWO_SITE_MODEL, *_models.corpus_models(200)):
+    texts = (
+        TWO_SITE_MODEL,
+        *UNIVERSE_EDGE_MODELS,
+        *_models.corpus_models(200),
+        *(random_model_text(seed) for seed in range(100)),
+    )
+    for text in texts:
         model = parse_model(text)
         assert build_mrs(model).elements == universe_by_definition(model), text
 
@@ -402,14 +431,14 @@ def test_elements_equal_their_definition():
 def test_elements_are_computed_once():
     mrs = build_mrs(parse_model(TWO_SITE_MODEL))
     assert mrs.elements is mrs.elements
-    assert dataclasses.replace(mrs, rules=()).elements == mrs.elements
+    assert dataclasses.replace(mrs, rules=()).elements == frozenset(mrs.init.agents())
 
 
 def test_check_simulate_and_concurrent_free_never_ground_the_universe(monkeypatch, tmp_path):
-    def refuse(*args, **kwargs):
+    def refuse(self):
         raise AssertionError("the element universe was grounded")
 
-    monkeypatch.setattr(bcsl.mrs, "ground_pattern", refuse)
+    monkeypatch.setattr(bcsl.mrs.Mrs, "elements", property(refuse))
     for text in (TWO_SITE_MODEL, *_models.corpus_models(20)):
         report = check_equivalence(parse_model(text), **BOUNDS)
         assert report.passed, text

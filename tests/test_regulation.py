@@ -4,9 +4,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bcsl.regulation
 from bcsl import (
     EPSILON_LABEL,
     LabelSequences,
+    Multiset,
     RegulationError,
     RegulationWarning,
     RuleMatcher,
@@ -76,6 +78,9 @@ def test_regex_errors():
         compile_label_regex("   ", LABELS)
     with pytest.raises(RegulationError, match="unexpected character"):
         compile_label_regex("r1_S+r2", LABELS)
+    # (a|b)*.a.(a|b)^n needs 2^(n+1) subset states.
+    with pytest.raises(RegulationError, match="automaton states"):
+        compile_label_regex("(a|b)*.a" + ".(a|b)" * 16, ("a", "b"))
 
 
 @pytest.mark.parametrize(
@@ -104,6 +109,24 @@ def test_nested_expression_keeps_its_structure():
         compile_label_regex("r1_S)", LABELS)
     with pytest.raises(RegulationError, match="missing"):
         compile_label_regex("(r1_S r2)", LABELS)
+
+
+def test_every_regular_config_stays_far_below_the_state_bound(monkeypatch):
+    # Every regular config of the tests and the benchmark needs fewer than
+    # 32 subset states.
+    monkeypatch.setattr(bcsl.regulation, "MAX_DFA_STATES", 32)
+    for expression in [
+        REGULATION_CONFIGS["regular"]["expression"],
+        "(r1_S.r1_T)*.r2",
+        "(r1_S.(r1_T|r2)*)*.r2",
+        *ORACLE_CASES["two-site"][1],
+    ]:
+        compile_label_regex(expression, LABELS)
+    for n, k in [(2, 2), (3, 2), (4, 2), (4, 3), (6, 2)]:
+        labels = _models.site_labels(n, k)
+        compile_label_regex(_models.regulation_configs(n, k)["regular"]["expression"], labels)
+    for expression in ORACLE_CASES["sites-2x2x2"][1]:
+        compile_label_regex(expression, _models.site_labels(2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +525,11 @@ def _sequences_by_definition(model, permitted, depth):
     """Maximal label sequences of the unregulated direct graph under a predicate.
 
     Walks the direct graph from the initial state, carrying the label
-    history; ``permitted(history, label)`` decides each step.  A history
-    with no permitted step is complete (only ε may follow), and one the
-    depth bound cuts while a step is permitted is incomplete, as in
-    ``maximal_label_sequences``.
+    history; ``permitted(history, label, state, enabled_labels)`` decides
+    each step, where ``enabled_labels`` are the labels of the state's
+    unregulated successors.  A history with no permitted step is complete
+    (only ε may follow), and one the depth bound cuts while a step is
+    permitted is incomplete, as in ``maximal_label_sequences``.
     """
     matcher = RuleMatcher(model)
     moves = {}
@@ -515,7 +539,12 @@ def _sequences_by_definition(model, permitted, depth):
         state, history = stack.pop()
         if state not in moves:
             moves[state] = matcher.successors(state)
-        steps = [(label, target) for label, target in moves[state] if permitted(history, label)]
+        enabled_labels = frozenset(label for label, _ in moves[state])
+        steps = [
+            (label, target)
+            for label, target in moves[state]
+            if permitted(history, label, state, enabled_labels)
+        ]
         if not steps:
             complete.add(history)
         elif len(history) == depth:
@@ -529,13 +558,15 @@ def _ordered_by_definition(pairs):
     """Ordered (Dassow & Păun): with ``<`` the transitive closure of the
     pairs, no ``b`` fires right after ``a`` when ``a < b``."""
     order = _closure(pairs)
-    return lambda history, label: not history or (history[-1], label) not in order
+    return lambda history, label, state, enabled: not history or (history[-1], label) not in order
 
 
 def _programmed_by_definition(successor_sets):
     """Programmed: each next label lies in the successor set of the
     label before it; the first label is free."""
-    return lambda history, label: not history or label in successor_sets[history[-1]]
+    return lambda history, label, state, enabled: (
+        not history or label in successor_sets[history[-1]]
+    )
 
 
 def _regular_by_definition(expression, labels):
@@ -557,7 +588,9 @@ def _regular_by_definition(expression, labels):
             for rest in itertools.product(alphabet, repeat=n)
         )
 
-    return lambda history, label: not dfa.accepts(history) and is_prefix(history + (label,))
+    return lambda history, label, state, enabled: (
+        not dfa.accepts(history) and is_prefix(history + (label,))
+    )
 
 
 # Per model: its text and the expressions checked.  Each list holds a
@@ -621,3 +654,76 @@ def test_programmed_equals_its_definition(case, data):
     }
     config = {"type": "programmed", "successors": {a: sorted(b) for a, b in successor_sets.items()}}
     _assert_matches_definition(text, config, _programmed_by_definition(successor_sets))
+
+
+def _conditional_by_definition(prohibited):
+    """Conditional (forbidding contexts): a label may fire only when none
+    of its prohibited multisets is contained in the state, i.e. the state
+    holds at least as many copies of each of the context's agents.  The
+    memory plays no part."""
+
+    def contained(context, state):
+        return all(state.count(agent) >= n for agent, n in context.items())
+
+    return lambda history, label, state, enabled: not any(
+        contained(context, state) for context in prohibited.get(label, ())
+    )
+
+
+def _concurrent_free_by_definition(model, priority):
+    """Concurrent-free: ``low`` is blocked when some pair ``(high, low)``
+    has ``high`` enabled in the state, and some grounded rule of ``high``
+    and some grounded rule of ``low`` consume a common agent (share an
+    agent of their ``pre``).  The memory plays no part."""
+    pres = {}
+    for rule in build_mrs(model).rules:
+        pres.setdefault(rule.label, []).append(set(rule.pre.agents()))
+
+    def concurrent(a, b):
+        return any(pa & pb for pa in pres.get(a, ()) for pb in pres.get(b, ()))
+
+    return lambda history, label, state, enabled: not any(
+        low == label and high in enabled and concurrent(high, low) for high, low in priority
+    )
+
+
+@functools.cache
+def _reached_states(text):
+    """The states of the unregulated direct graph, in text order."""
+    return tuple(sorted(build_lts(parse_model(text)).states, key=str))
+
+
+@st.composite
+def reached_contexts(draw, states):
+    """A sub-multiset of a reached state, so that it blocks somewhere."""
+    state = draw(st.sampled_from(states))
+    chosen = draw(st.lists(st.sampled_from(state.items()), min_size=1, max_size=2, unique=True))
+    return Multiset({agent: draw(st.integers(1, n)) for agent, n in chosen})
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=st.sampled_from(sorted(ORACLE_CASES)), data=st.data())
+def test_conditional_equals_its_definition(case, data):
+    text, _ = ORACLE_CASES[case]
+    labels = sorted(parse_model(text).labels)
+    states = _reached_states(text)
+    prohibited = {
+        label: data.draw(st.lists(reached_contexts(states), max_size=3), label=label)
+        for label in data.draw(st.lists(st.sampled_from(labels), unique=True))
+    }
+    config = {
+        "type": "conditional",
+        "prohibited": {label: [str(c) for c in cs] for label, cs in prohibited.items()},
+    }
+    _assert_matches_definition(text, config, _conditional_by_definition(prohibited))
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=st.sampled_from(sorted(ORACLE_CASES)), data=st.data())
+def test_concurrent_free_equals_its_definition(case, data):
+    text, _ = ORACLE_CASES[case]
+    model = parse_model(text)
+    distinct = list(itertools.permutations(sorted(model.labels), 2))
+    priority = data.draw(st.lists(st.sampled_from(distinct), max_size=6, unique=True))
+    config = {"type": "concurrent-free", "priority": priority}
+    _assert_matches_definition(text, config, _concurrent_free_by_definition(model, priority))
