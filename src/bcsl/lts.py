@@ -3,6 +3,10 @@
 ``RuleMatcher`` applies model rules to a state straight from the rule
 patterns (expand, match instantiated agents against the state, resolve
 the right-hand side consistently) without pre-grounding the whole system.
+It finds its rules by agent: a table, filled the first time a state
+holds an agent, gives the effects of the one-agent rules that agent
+instantiates and the starts of the longer rules, whose other left-hand
+agents are matched by backtracking from position 1.
 Every agent it matches or produces is the model's object for it
 (``BcslModel.agent_table``), the same one that grounding puts into the
 grounded rules, so states of both semantics compare agents by identity.
@@ -33,6 +37,9 @@ from .syntax import BcslModel
 from .terms import EPSILON, Agent, Multiset, Pattern, canonicalize
 
 Transition = tuple[Hashable, str, Hashable]
+# What one match of a rule does: its label, the agents it consumes and
+# those it produces, for ``Multiset.rewrite``.
+Effect = tuple[str, dict[Agent, int], dict[Agent, int]]
 SuccessorFn = Callable[[Hashable], Collection[tuple[str, Hashable]]]
 
 
@@ -111,19 +118,20 @@ class _PreparedRule:
     ``GroundingCapError``.
 
     What a match consumes and produces depends only on its left-hand
-    assignment, so both are computed on first use and memoised in
-    ``_effects``.  The memo key is the tuple of option indices picked at
-    each left-hand position, which fixes the assignment.  The picked
-    agents would not do as a key: options with different assignments can
-    canonicalise to the same agent (``P().P()::c`` picks
+    assignment, so ``effects`` computes both on first use and memoises
+    them in ``_effects``.  The memo key is the tuple of option indices
+    picked at each left-hand position, which fixes the assignment.  The
+    picked agents would not do as a key: options with different
+    assignments can canonicalise to the same agent (``P().P()::c`` picks
     ``P(S{a}).P(S{b})::c`` under two assignments, which resolve the
     right-hand side differently).
 
-    Matching walks the state's distinct agents rather than the options:
     ``_option_index`` maps, per left-hand position, each canonical agent
     to the list of option indices that instantiate to it (a list, since
-    several assignments can give one agent, as above).  At each position
-    the matcher iterates the smaller of that index and the remaining
+    several assignments can give one agent, as above).  ``RuleMatcher``
+    reads position 0 of it once per agent into its table; ``_descend``
+    walks the state's distinct agents from position 1 on.  At each
+    position it iterates the smaller of that index and the remaining
     state, so a state of two or three distinct agents costs two or three
     probes however many instantiations the position has.
     """
@@ -133,7 +141,7 @@ class _PreparedRule:
         self.lhs = expand_pattern(rule.lhs, structure_signature)
         self.rhs = expand_pattern(rule.rhs, structure_signature)
         self._agents = agents
-        self._effects: dict[tuple[int, ...], tuple[dict[Agent, int], list[dict[Agent, int]]]] = {}
+        self._effects: dict[tuple[int, ...], tuple[Effect, ...]] = {}
         lhs_atoms = deatomise(self.lhs)
         rhs_atoms = deatomise(self.rhs)
 
@@ -177,26 +185,12 @@ class _PreparedRule:
                 f"exceeding the cap of {DEFAULT_GROUNDING_CAP}"
             )
 
-    def apply_to(
-        self, state: Multiset, counts: dict[Agent, int], out: set[tuple[str, Multiset]]
-    ) -> None:
-        """Add the labelled successors of ``state`` under this rule to ``out``.
-
-        ``counts`` is a scratch copy of the state's multiplicities, which
-        matching changes and restores.  Matching backtracks agent by
-        agent, decrementing the counts, so instantiations absent from the
-        state are pruned early; each match is the option index picked per
-        left-hand agent.
-        """
-        matches: list[tuple[int, ...]] = []
-        self._descend(0, counts, [], matches)
-        for choice in matches:
-            effect = self._effects.get(choice)
-            if effect is None:
-                effect = self._effects[choice] = self._effect(choice)
-            consumed, produced_options = effect
-            for produced in produced_options:
-                out.add((self.label, state.rewrite(consumed, produced)))
+    def effects(self, choice: tuple[int, ...]) -> tuple[Effect, ...]:
+        """What the match ``choice`` (option index per left-hand position) does, memoised."""
+        effects = self._effects.get(choice)
+        if effects is None:
+            effects = self._effects[choice] = self._effect(choice)
+        return effects
 
     def _descend(
         self,
@@ -226,10 +220,8 @@ class _PreparedRule:
                 choice.pop()
             remaining[agent] = n
 
-    def _effect(
-        self, choice: tuple[int, ...]
-    ) -> tuple[dict[Agent, int], list[dict[Agent, int]]]:
-        """Consumed agent counts, and produced ones per resolution of the free rhs slots."""
+    def _effect(self, choice: tuple[int, ...]) -> tuple[Effect, ...]:
+        """One ``(label, consumed, produced)`` per resolution of the free rhs slots."""
         consumed: dict[Agent, int] = {}
         lhs_assignment: dict[int, str] = {}
         for options, k in zip(self.agent_options, choice):
@@ -251,8 +243,12 @@ class _PreparedRule:
                 agent = canonicalize(agent)
                 agent = self._agents.setdefault(agent, agent)
                 counts[agent] = counts.get(agent, 0) + 1
-            out.append(counts)
-        return consumed, out
+            out.append((self.label, consumed, counts))
+        return tuple(out)
+
+
+# A table entry: an agent's one-agent effects and its ``(rule, option index)`` join starts.
+_Entry = tuple[tuple[Effect, ...], tuple[tuple[_PreparedRule, int], ...]]
 
 
 class RuleMatcher:
@@ -261,15 +257,41 @@ class RuleMatcher:
     The left-hand options and every produced agent pass through the
     model's intern table (``model.agent_table``, seeded from the init
     agents), so the dict probes of matching find their keys by identity.
+
+    Rules are looked up by agent, not scanned: every match of a rule
+    with a left-hand side starts at position 0 with one of the state's
+    distinct agents.  ``_table`` maps an agent, the first time a state
+    holds it, to two things: the effects of every one-agent rule it
+    instantiates (one per option index and right-hand resolution), and
+    the ``(rule, option index)`` starts of every rule with two or more
+    left-hand agents, which ``_descend`` completes from position 1 on
+    the rest of the state.  Rules with an empty left-hand side fire once
+    at every state, ∅ included.  The table belongs to the instance and
+    is filled on first use, so construction does no matching.
     """
 
     def __init__(self, model: BcslModel):
-        self._rules = [
+        rules = [
             _PreparedRule(
                 rule, model.structure_signature, model.atomic_signature, model.agent_table
             )
             for rule in model.rules
         ]
+        self._unconditional = [rule for rule in rules if not rule.agent_options]
+        self._keyed = [rule for rule in rules if rule.agent_options]
+        self._table: dict[Agent, _Entry] = {}
+
+    def _entry(self, agent: Agent) -> _Entry:
+        """The one-agent effects and the join starts of ``agent`` at position 0."""
+        effects: list[Effect] = []
+        starts: list[tuple[_PreparedRule, int]] = []
+        for rule in self._keyed:
+            for k in rule._option_index[0].get(agent, ()):
+                if len(rule.agent_options) == 1:
+                    effects.extend(rule.effects((k,)))
+                else:
+                    starts.append((rule, k))
+        return tuple(effects), tuple(starts)
 
     def successors(self, state: Multiset) -> frozenset[tuple[str, Multiset]]:
         """Labelled successor states of ``state`` under the model's rules.
@@ -278,9 +300,30 @@ class RuleMatcher:
         ``extend_epsilon``).
         """
         out: set[tuple[str, Multiset]] = set()
+        for rule in self._unconditional:
+            for label, consumed, produced in rule.effects(()):
+                out.add((label, state.rewrite(consumed, produced)))
+        table = self._table
+        # A scratch copy of the multiplicities, which joins change and
+        # restore; only counts change below, never the keys.
         counts = state.to_dict()
-        for prepared in self._rules:
-            prepared.apply_to(state, counts, out)
+        for agent, n in counts.items():
+            entry = table.get(agent)
+            if entry is None:
+                entry = table[agent] = self._entry(agent)
+            effects, starts = entry
+            for label, consumed, produced in effects:
+                out.add((label, state.rewrite(consumed, produced)))
+            if not starts:
+                continue
+            counts[agent] = n - 1
+            for rule, k in starts:
+                matches: list[tuple[int, ...]] = []
+                rule._descend(1, counts, [k], matches)
+                for choice in matches:
+                    for label, consumed, produced in rule.effects(choice):
+                        out.add((label, state.rewrite(consumed, produced)))
+            counts[agent] = n
         return frozenset(out)
 
 

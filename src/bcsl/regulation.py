@@ -169,6 +169,8 @@ class _Nfa:
         self.eps: dict[int, set[int]] = {}
         self.sym: dict[tuple[int, str], set[int]] = {}
         self.n = 0
+        # ε-closure of each state asked for so far.
+        self._closures: dict[int, frozenset[int]] = {}
 
     def new_state(self) -> int:
         self.n += 1
@@ -179,6 +181,31 @@ class _Nfa:
 
     def add_sym(self, a: int, label: str, b: int) -> None:
         self.sym.setdefault((a, label), set()).add(b)
+
+    def closure(self, states: Collection[int]) -> frozenset[int]:
+        """The ε-closure of ``states``: the union of each state's own closure.
+
+        Each state's closure is walked once, the first time it is asked
+        for, and kept; add no ε edges after the first call.
+        """
+        closed: set[int] = set()
+        for state in states:
+            own = self._closures.get(state)
+            if own is None:
+                own = self._closures[state] = self._closure_of(state)
+            closed |= own
+        return frozenset(closed)
+
+    def _closure_of(self, state: int) -> frozenset[int]:
+        stack = [state]
+        seen = {state}
+        while stack:
+            s = stack.pop()
+            for t in self.eps.get(s, ()):
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return frozenset(seen)
 
 
 def _build_nfa(ast, nfa: _Nfa) -> tuple[int, int]:
@@ -226,18 +253,6 @@ def _build_nfa(ast, nfa: _Nfa) -> tuple[int, int]:
     return built[0]
 
 
-def _closure(nfa: _Nfa, states: frozenset[int]) -> frozenset[int]:
-    stack = list(states)
-    seen = set(states)
-    while stack:
-        s = stack.pop()
-        for t in nfa.eps.get(s, ()):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return frozenset(seen)
-
-
 def _ast_symbols(ast) -> set[str]:
     symbols: set[str] = set()
     stack = [ast]
@@ -269,7 +284,7 @@ def compile_label_regex(expression: str, labels: Collection[str]) -> Dfa:
     start, accept = _build_nfa(ast, nfa)
 
     # Subset construction.
-    initial = _closure(nfa, frozenset({start}))
+    initial = nfa.closure((start,))
     subset_ids: dict[frozenset[int], int] = {initial: 0}
     worklist = [initial]
     table: dict[tuple[int, str], int] = {}
@@ -282,7 +297,7 @@ def compile_label_regex(expression: str, labels: Collection[str]) -> Dfa:
                 targets |= nfa.sym.get((s, label), set())
             if not targets:
                 continue
-            closed = _closure(nfa, frozenset(targets))
+            closed = nfa.closure(targets)
             if closed not in subset_ids:
                 if len(subset_ids) == MAX_DFA_STATES:
                     raise RegulationError(

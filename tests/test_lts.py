@@ -2,7 +2,7 @@ import json
 from functools import partial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bcsl import (
     EPSILON_LABEL,
@@ -27,7 +27,7 @@ from bcsl import (
     tree_to_json_obj,
     unroll,
 )
-from conftest import UNREGULATED_SEQUENCES
+from conftest import TWO_SITE_MODEL, UNREGULATED_SEQUENCES, bench_module
 
 M0 = parse_multiset("1 P(S{i},T{i})::cell")
 
@@ -100,19 +100,22 @@ def test_multi_agent_pattern_needs_enough_copies():
     assert {(l, str(t)) for l, t in succ} == {("pair", "1 A{y}::c")}
 
 
+def grounded_successors(mrs, state):
+    """The grounded ``successors`` of ``state`` without its ε self-loop."""
+    return frozenset(
+        (label, target) for label, target in successors(mrs, state) if label != EPSILON_LABEL
+    )
+
+
+def assert_matcher_agrees(model, states, context):
+    matcher, mrs = RuleMatcher(model), build_mrs(model)
+    for state in states:
+        assert matcher.successors(state) == grounded_successors(mrs, state), (context, str(state))
+
+
 def test_direct_and_grounded_routes_agree_everywhere(two_site_model):
     """The core dual-route check on every reachable state."""
-    mrs = build_mrs(two_site_model)
-    matcher = RuleMatcher(two_site_model)
-    graph = build_lts(two_site_model)
-    for state in graph.states:
-        direct = matcher.successors(state)
-        grounded = {
-            (label, target)
-            for label, target in successors(mrs, state)
-            if label != EPSILON_LABEL
-        }
-        assert direct == frozenset(grounded)
+    assert_matcher_agrees(two_site_model, build_lts(two_site_model).states, "two-site")
 
 
 # Two left-hand assignments (S of the first P = a or b) pick the same
@@ -128,21 +131,95 @@ SAME_AGENT_TWO_ASSIGNMENTS = (
 def test_assignments_picking_one_agent_give_distinct_successors():
     model = parse_model(SAME_AGENT_TWO_ASSIGNMENTS)
     matcher = RuleMatcher(model)
-    grounded = {
-        (label, target)
-        for label, target in successors(build_mrs(model), model.init)
-        if label != EPSILON_LABEL
-    }
-    assert matcher.successors(model.init) == frozenset(grounded)
+    grounded = grounded_successors(build_mrs(model), model.init)
+    assert matcher.successors(model.init) == grounded
     assert {(label, str(target)) for label, target in grounded} == {
         ("r", "1 P(S{a})::c + 1 P(S{b})::out"),
         ("r", "1 P(S{a})::out + 1 P(S{b})::c"),
     }
     # A second call is answered from the memo and must agree.
-    assert matcher.successors(model.init) == frozenset(grounded)
+    assert matcher.successors(model.init) == grounded
     graph = build_lts(model)
     assert (graph.n_states, graph.n_transitions) == (3, 2)
     assert check_equivalence(model).passed
+
+
+# ---------------------------------------------------------------------------
+# The direct matcher against the grounded successors
+# ---------------------------------------------------------------------------
+
+_models = bench_module("models")
+CORPUS_BOUNDS = {"max_states": 50, "max_depth": 25}
+
+# No inits: exploration starts at ∅, where only the empty-left-hand-side
+# rule fires, and ``rm`` leads back to it.
+EMPTY_START_MODEL = (
+    "#! rules\n"
+    "r ~ => A{x}::c\n"
+    "rm ~ A{x}::c =>\n"
+    "pair ~ A{x}::c + A{x}::c => B{y}::c\n"
+    "#! inits\n"
+)
+
+
+def test_matcher_on_corpus_states():
+    for k, text in enumerate(_models.corpus_models(200)):
+        model = parse_model(text)
+        grounded = partial(grounded_successors, build_mrs(model))
+        reached = explore(model.init, grounded, **CORPUS_BOUNDS)
+        assert_matcher_agrees(model, reached.states, k)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 2)])
+def test_matcher_on_site_model_states(shape):
+    model = parse_model(_models.site_model(*shape))
+    states = build_lts(model).states
+    assert len(states) >= 36
+    assert_matcher_agrees(model, states, shape)
+
+
+def test_matcher_from_the_empty_state():
+    model = parse_model(EMPTY_START_MODEL)
+    assert model.init == Multiset.empty()
+    states = build_lts(model, max_states=30).states
+    assert Multiset.empty() in states
+    assert_matcher_agrees(model, states, "empty start")
+    assert RuleMatcher(model).successors(Multiset.empty()) == {
+        ("r", parse_multiset("1 A{x}::c"))
+    }
+
+
+def _matcher_case(text):
+    model = parse_model(text)
+    mrs = build_mrs(model)  # puts every grounded agent into model.agent_table
+    return RuleMatcher(model), mrs, sorted(model.agent_table, key=str)
+
+
+# One matcher per model, so its table fills up across the drawn states.
+MATCHER_CASES = [
+    _matcher_case(text)
+    for text in (
+        TWO_SITE_MODEL,
+        SAME_AGENT_TWO_ASSIGNMENTS,
+        EMPTY_START_MODEL,
+        _models.site_model(2, 2, 2),
+        *_models.corpus_models(12),
+    )
+]
+
+
+@st.composite
+def matchers_and_states(draw):
+    matcher, mrs, pool = draw(st.sampled_from(MATCHER_CASES))
+    counts = draw(st.lists(st.integers(0, 3), min_size=len(pool), max_size=len(pool)))
+    return matcher, mrs, Multiset(dict(zip(pool, counts)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matchers_and_states())
+def test_matcher_on_random_states(case):
+    matcher, mrs, state = case
+    assert matcher.successors(state) == grounded_successors(mrs, state)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 
 import pytest
@@ -111,22 +112,66 @@ def test_nested_expression_keeps_its_structure():
         compile_label_regex("(r1_S r2)", LABELS)
 
 
+def _regular_cases():
+    """Every regular expression of the tests and the benchmark, once, with its labels."""
+    cases = {
+        expression: LABELS
+        for expression in (
+            REGULATION_CONFIGS["regular"]["expression"],
+            "(r1_S.r1_T)*.r2",
+            "(r1_S.(r1_T|r2)*)*.r2",
+            "r1_S*",
+            "r2|r1_T.r2",
+            "r1_S.r1_T|r1_T",
+            *ORACLE_CASES["two-site"][1],
+        )
+    }
+    for n, k in [(2, 2), (3, 2), (4, 2), (4, 3), (6, 2)]:
+        cases[_models.regulation_configs(n, k)["regular"]["expression"]] = _models.site_labels(n, k)
+    for expression in ORACLE_CASES["sites-2x2x2"][1]:
+        cases.setdefault(expression, _models.site_labels(2, 2))
+    return list(cases.items())
+
+
+# (a|b)*.a followed by n × .(a|b): its subset construction needs 2^(n+1) states.
+BLOW_UP_FAMILY = [("(a|b)*.a" + ".(a|b)" * n, ("a", "b")) for n in range(9)]
+
+# sha256 prefixes of ``_dfa_digest`` for ``_regular_cases()`` and then
+# ``BLOW_UP_FAMILY``, in order, recorded when each subset's ε-closure was
+# still walked from scratch.
+PINNED_DFAS = (
+    "5186f939e51e6258", "71b1a53a5674d4ed", "951b948d176ea206", "0a2e4d59be97e3bc",
+    "035ae8e1312596f2", "efd2980ec58a5757", "65ce977ac01e4fe1", "add50f0e740b7b20",
+    "717dab0eece9de59", "94a6eb18fe288a1f", "6106dad126322571", "32e0b8f33d2c656b",
+    "c3f0139069c23ca7", "52a8f196dae9807e", "0e61b9ca3f71ef93",
+    "246813c134ddff3a", "1d5a5bb518147f6a", "d1e663d63ae71c5f", "4c1c87a64dd88eb2",
+    "a552e33678580708", "cda1115b5fa6e938", "85a071071104c452", "ad0ca8dce2a35a32",
+    "c0506978b7f0ab61",
+)
+
+
+def _dfa_digest(dfa):
+    fields = (dfa.start, sorted(dfa.accepting), sorted(dfa.transitions.items()), sorted(dfa.live))
+    return hashlib.sha256(repr(fields).encode()).hexdigest()[:16]
+
+
+def test_regular_expressions_keep_their_automata():
+    digests = [
+        _dfa_digest(compile_label_regex(expression, labels))
+        for expression, labels in _regular_cases() + BLOW_UP_FAMILY
+    ]
+    assert tuple(digests) == PINNED_DFAS
+    assert [len(compile_label_regex(*case).live) for case in BLOW_UP_FAMILY] == [
+        2 ** (n + 1) for n in range(9)
+    ]
+
+
 def test_every_regular_config_stays_far_below_the_state_bound(monkeypatch):
     # Every regular config of the tests and the benchmark needs fewer than
     # 32 subset states.
     monkeypatch.setattr(bcsl.regulation, "MAX_DFA_STATES", 32)
-    for expression in [
-        REGULATION_CONFIGS["regular"]["expression"],
-        "(r1_S.r1_T)*.r2",
-        "(r1_S.(r1_T|r2)*)*.r2",
-        *ORACLE_CASES["two-site"][1],
-    ]:
-        compile_label_regex(expression, LABELS)
-    for n, k in [(2, 2), (3, 2), (4, 2), (4, 3), (6, 2)]:
-        labels = _models.site_labels(n, k)
-        compile_label_regex(_models.regulation_configs(n, k)["regular"]["expression"], labels)
-    for expression in ORACLE_CASES["sites-2x2x2"][1]:
-        compile_label_regex(expression, _models.site_labels(2, 2))
+    for expression, labels in _regular_cases():
+        compile_label_regex(expression, labels)
 
 
 # ---------------------------------------------------------------------------
