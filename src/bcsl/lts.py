@@ -7,9 +7,10 @@ It finds its rules by agent: a table, filled the first time a state
 holds an agent, gives the effects of the one-agent rules that agent
 instantiates and the starts of the longer rules, whose other left-hand
 agents are matched by backtracking from position 1.
-Every agent it matches or produces is the model's object for it
-(``BcslModel.agent_table``), the same one that grounding puts into the
-grounded rules, so states of both semantics compare agents by identity.
+The table, the matches and the effects key on agent ids of the one
+intern table (``terms.agent_id``), the ids that grounding puts into the
+grounded rules too, so matching never hashes an agent and states of both
+semantics are equal exactly when their pairs are.
 ``explore`` computes the bounded breadth-first closure of any successor
 function; ``unroll`` produces the depth-bounded tree used for run-set
 pictures.  Exports (DOT / JSON) are canonically sorted so repeated runs
@@ -34,12 +35,12 @@ from .patterns import (
     expand_pattern,
 )
 from .syntax import BcslModel
-from .terms import EPSILON, Agent, Multiset, Pattern, canonicalize
+from .terms import EPSILON, Multiset, Pattern, agent_id, canonicalize
 
 Transition = tuple[Hashable, str, Hashable]
-# What one match of a rule does: its label, the agents it consumes and
+# What one match of a rule does: its label, the agent ids it consumes and
 # those it produces, for ``Multiset.rewrite``.
-Effect = tuple[str, dict[Agent, int], dict[Agent, int]]
+Effect = tuple[str, dict[int, int], dict[int, int]]
 SuccessorFn = Callable[[Hashable], Collection[tuple[str, Hashable]]]
 
 
@@ -126,42 +127,40 @@ class _PreparedRule:
     ``P(S{a}).P(S{b})::c`` under two assignments, which resolve the
     right-hand side differently).
 
-    ``_option_index`` maps, per left-hand position, each canonical agent
-    to the list of option indices that instantiate to it (a list, since
-    several assignments can give one agent, as above).  ``RuleMatcher``
-    reads position 0 of it once per agent into its table; ``_descend``
-    walks the state's distinct agents from position 1 on.  At each
-    position it iterates the smaller of that index and the remaining
+    ``_option_index`` maps, per left-hand position, the id of each
+    canonical agent to the list of option indices that instantiate to it
+    (a list, since several assignments can give one agent, as above).
+    ``RuleMatcher`` reads position 0 of it once per agent into its table;
+    ``_descend`` walks the state's distinct agents from position 1 on.  At
+    each position it iterates the smaller of that index and the remaining
     state, so a state of two or three distinct agents costs two or three
     probes however many instantiations the position has.
     """
 
-    def __init__(self, rule, structure_signature, atomic_signature, agents):
+    def __init__(self, rule, structure_signature, atomic_signature):
         self.label = rule.label
         self.lhs = expand_pattern(rule.lhs, structure_signature)
         self.rhs = expand_pattern(rule.rhs, structure_signature)
-        self._agents = agents
         self._effects: dict[tuple[int, ...], tuple[Effect, ...]] = {}
         lhs_atoms = deatomise(self.lhs)
         rhs_atoms = deatomise(self.rhs)
 
         # Per left-hand agent, its options (instantiations) in enumeration
-        # order, each (canonical instantiated agent, {global slot: feature}),
-        # and the index from canonical agent to option numbers.
-        self.agent_options: list[list[tuple[Agent, dict[int, str]]]] = []
-        self._option_index: list[dict[Agent, list[int]]] = []
+        # order, each (id of the canonical instantiated agent, {global slot:
+        # feature}), and the index from agent id to option numbers.
+        self.agent_options: list[list[tuple[int, dict[int, str]]]] = []
+        self._option_index: list[dict[int, list[int]]] = []
         offset = 0
         for agent in self.lhs.agents:
             single = Pattern((agent,))
             n_atoms = len(deatomise(single))
             slots = [offset + k for k in range(n_atoms) if lhs_atoms[offset + k].feature == EPSILON]
             options = []
-            index: dict[Agent, list[int]] = {}
+            index: dict[int, list[int]] = {}
             for inst in enumerate_instantiations(single, atomic_signature):
-                canonical = canonicalize(inst.result.agents[0])
-                canonical = agents.setdefault(canonical, canonical)
-                index.setdefault(canonical, []).append(len(options))
-                options.append((canonical, dict(zip(slots, inst.assignment))))
+                key = agent_id(canonicalize(inst.result.agents[0]))
+                index.setdefault(key, []).append(len(options))
+                options.append((key, dict(zip(slots, inst.assignment))))
             self.agent_options.append(options)
             self._option_index.append(index)
             offset += n_atoms
@@ -195,7 +194,7 @@ class _PreparedRule:
     def _descend(
         self,
         i: int,
-        remaining: dict[Agent, int],
+        remaining: dict[int, int],
         choice: list[int],
         matches: list[tuple[int, ...]],
     ) -> None:
@@ -222,7 +221,7 @@ class _PreparedRule:
 
     def _effect(self, choice: tuple[int, ...]) -> tuple[Effect, ...]:
         """One ``(label, consumed, produced)`` per resolution of the free rhs slots."""
-        consumed: dict[Agent, int] = {}
+        consumed: dict[int, int] = {}
         lhs_assignment: dict[int, str] = {}
         for options, k in zip(self.agent_options, choice):
             agent, assignment = options[k]
@@ -238,11 +237,10 @@ class _PreparedRule:
         positions = [pos for pos, _, _ in self.rhs_slots]
         for combo in itertools.product(*option_sets):
             resolved = assign_features(self.rhs, dict(zip(positions, combo)))
-            counts: dict[Agent, int] = {}
+            counts: dict[int, int] = {}
             for agent in resolved.agents:
-                agent = canonicalize(agent)
-                agent = self._agents.setdefault(agent, agent)
-                counts[agent] = counts.get(agent, 0) + 1
+                key = agent_id(canonicalize(agent))
+                counts[key] = counts.get(key, 0) + 1
             out.append((self.label, consumed, counts))
         return tuple(out)
 
@@ -254,13 +252,9 @@ _Entry = tuple[tuple[Effect, ...], tuple[tuple[_PreparedRule, int], ...]]
 class RuleMatcher:
     """Applies every rule of a model to states via the rewriting relation.
 
-    The left-hand options and every produced agent pass through the
-    model's intern table (``model.agent_table``, seeded from the init
-    agents), so the dict probes of matching find their keys by identity.
-
-    Rules are looked up by agent, not scanned: every match of a rule
+    Rules are looked up by agent id, not scanned: every match of a rule
     with a left-hand side starts at position 0 with one of the state's
-    distinct agents.  ``_table`` maps an agent, the first time a state
+    distinct agents.  ``_table`` maps an agent id, the first time a state
     holds it, to two things: the effects of every one-agent rule it
     instantiates (one per option index and right-hand resolution), and
     the ``(rule, option index)`` starts of every rule with two or more
@@ -272,16 +266,14 @@ class RuleMatcher:
 
     def __init__(self, model: BcslModel):
         rules = [
-            _PreparedRule(
-                rule, model.structure_signature, model.atomic_signature, model.agent_table
-            )
+            _PreparedRule(rule, model.structure_signature, model.atomic_signature)
             for rule in model.rules
         ]
         self._unconditional = [rule for rule in rules if not rule.agent_options]
         self._keyed = [rule for rule in rules if rule.agent_options]
-        self._table: dict[Agent, _Entry] = {}
+        self._table: dict[int, _Entry] = {}
 
-    def _entry(self, agent: Agent) -> _Entry:
+    def _entry(self, agent: int) -> _Entry:
         """The one-agent effects and the join starts of ``agent`` at position 0."""
         effects: list[Effect] = []
         starts: list[tuple[_PreparedRule, int]] = []
@@ -299,21 +291,18 @@ class RuleMatcher:
         Empty when no rule applies (no implicit ε here; see
         ``extend_epsilon``).
         """
-        out: set[tuple[str, Multiset]] = set()
-        for rule in self._unconditional:
-            for label, consumed, produced in rule.effects(()):
-                out.add((label, state.rewrite(consumed, produced)))
+        effects = [effect for rule in self._unconditional for effect in rule.effects(())]
         table = self._table
-        # A scratch copy of the multiplicities, which joins change and
-        # restore; only counts change below, never the keys.
-        counts = state.to_dict()
+        # The multiplicities by agent id, read off the pairs once.  Joins
+        # change a count and restore it (the keys never change), and every
+        # effect is applied to it, restored, at the end.
+        counts = dict(state.pairs())
         for agent, n in counts.items():
             entry = table.get(agent)
             if entry is None:
                 entry = table[agent] = self._entry(agent)
-            effects, starts = entry
-            for label, consumed, produced in effects:
-                out.add((label, state.rewrite(consumed, produced)))
+            effects.extend(entry[0])
+            starts = entry[1]
             if not starts:
                 continue
             counts[agent] = n - 1
@@ -321,10 +310,12 @@ class RuleMatcher:
                 matches: list[tuple[int, ...]] = []
                 rule._descend(1, counts, [k], matches)
                 for choice in matches:
-                    for label, consumed, produced in rule.effects(choice):
-                        out.add((label, state.rewrite(consumed, produced)))
+                    effects.extend(rule.effects(choice))
             counts[agent] = n
-        return frozenset(out)
+        return frozenset(
+            (label, state.rewrite(consumed, produced, counts))
+            for label, consumed, produced in effects
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -498,17 +489,17 @@ def lts_to_dot(lts: Lts, label_fn: Callable[[Hashable], str] = _state_key) -> st
     sorted, hence byte-stable.
     """
     ordered = sorted(lts.states, key=lambda s: (label_fn(s), _state_key(s)))
-    ids = {state: f"s{i}" for i, state in enumerate(ordered)}
+    # Node indices follow that order, so edges sort by index, not by text.
+    order = {state: i for i, state in enumerate(ordered)}
     lines = ["digraph lts {"]
-    for state in ordered:
+    for i, state in enumerate(ordered):
         attrs = f"label={_dot_quote(label_fn(state))}"
         if state == lts.initial:
             attrs += ", peripheries=2"
-        lines.append(f"  {ids[state]} [{attrs}];")
-    for src, label, tgt in sorted(
-        lts.transitions, key=lambda t: (label_fn(t[0]), _state_key(t[0]), t[1], label_fn(t[2]))
-    ):
-        lines.append(f"  {ids[src]} -> {ids[tgt]} [label={_dot_quote(label)}];")
+        lines.append(f"  s{i} [{attrs}];")
+    quoted = {label: _dot_quote(label) for label in {label for _, label, _ in lts.transitions}}
+    for src, label, tgt in sorted((order[s], label, order[t]) for s, label, t in lts.transitions):
+        lines.append(f"  s{src} -> s{tgt} [label={quoted[label]}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

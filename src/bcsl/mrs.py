@@ -8,8 +8,8 @@ forever; finite run prefixes therefore end in ε-stuttering.
 
 Rule application here is definitional (``enabled``, ``apply_rule``,
 ``successors``): it is the oracle the direct matcher is checked against.
-Only the agent objects are shared with the direct side: ``build_mrs``
-takes them from the model's intern table (``BcslModel.agent_table``).
+Only the state type and its intern table of agent ids (``terms.agent_id``)
+are shared with the direct side.
 
 Two parts of a system are computed on first read, so that ``check``,
 ``simulate`` and concurrent-free regulation pay only for what they use.
@@ -18,9 +18,9 @@ reads, is read off the grounded rules; nothing is grounded twice.  Every
 grounding of a single rule agent occurs in some reaction, because each
 ε slot ranges over its signature independently.  The rule index narrows
 the rules ``successors`` tests at a state to those that can be enabled
-there: each rule sits under one agent of its ``pre``, so a rule whose key
-agent is absent cannot fire (the species -> reaction dependency graph of
-Gibson and Bruck's next reaction method).  The index only narrows the
+there: each rule sits under the id of one agent of its ``pre``, so a rule
+whose key agent is absent cannot fire (the species -> reaction dependency
+graph of Gibson and Bruck's next reaction method).  The index only narrows the
 candidates; ``enabled`` and ``apply_rule`` decide as before.
 """
 
@@ -32,7 +32,7 @@ from functools import cached_property
 
 from .patterns import ground_rule, pattern_multiset
 from .syntax import BcslModel
-from .terms import Agent, Multiset
+from .terms import Agent, Multiset, agent_id
 
 #: Reserved label of the implicit empty rule; model rules may not use it.
 EPSILON_LABEL = "ε"
@@ -74,15 +74,15 @@ class Mrs:
         return frozenset(elements)
 
     @cached_property
-    def rule_index(self) -> tuple[dict[Agent, tuple[MrsRule, ...]], tuple[MrsRule, ...]]:
-        """Rules by their key agent (the first agent of ``pre`` by text), and
-        the rules with an empty ``pre``, which every state must test."""
-        keyed: dict[Agent, list[MrsRule]] = {}
+    def rule_index(self) -> tuple[dict[int, tuple[MrsRule, ...]], tuple[MrsRule, ...]]:
+        """Rules by the id of their key agent (the first agent of ``pre`` by
+        text), and the rules with an empty ``pre``, which every state must test."""
+        keyed: dict[int, list[MrsRule]] = {}
         unconditional: list[MrsRule] = []
         for rule in self.rules:
             agents = rule.pre.agents()
             if agents:
-                keyed.setdefault(agents[0], []).append(rule)
+                keyed.setdefault(agent_id(agents[0]), []).append(rule)
             else:
                 unconditional.append(rule)
         return {agent: tuple(rules) for agent, rules in keyed.items()}, tuple(unconditional)
@@ -100,14 +100,11 @@ def build_mrs(model: BcslModel) -> Mrs:
     """Ground a model into a multiset rewriting system.
 
     The rules are the reactions of every model rule read as multiset
-    pairs (duplicates collapse).  The agents of each rule's ``pre`` and
-    ``post`` are the model's objects for them (``model.agent_table``),
-    which the direct matcher uses too, so grounded and direct states
-    compare agents by identity.  Grounding stops at the grounding cap with
+    pairs (duplicates collapse), over the agent ids that the direct matcher
+    uses too.  Grounding stops at the grounding cap with
     ``GroundingCapError``; ``Mrs.elements`` is read off these rules and
     grounds nothing.
     """
-    table = model.agent_table
     seen: dict[MrsRule, None] = {}
     for rule in model.rules:
         if rule.label == EPSILON_LABEL:
@@ -115,8 +112,8 @@ def build_mrs(model: BcslModel) -> Mrs:
         for reaction in ground_rule(rule, model.structure_signature, model.atomic_signature):
             mu = MrsRule(
                 rule.label,
-                pattern_multiset(reaction.lhs_inst.result).interned(table),
-                pattern_multiset(reaction.rhs_inst.result).interned(table),
+                pattern_multiset(reaction.lhs_inst.result),
+                pattern_multiset(reaction.rhs_inst.result),
             )
             seen[mu] = None
 
@@ -147,7 +144,7 @@ def successors(mrs: Mrs, state: Multiset) -> frozenset[tuple[str, Multiset]]:
     out = {
         (rule.label, apply_rule(rule, state)) for rule in unconditional if enabled(rule, state)
     }
-    for agent in state.to_dict():
+    for agent, _ in state.pairs():
         for rule in keyed.get(agent, ()):
             if enabled(rule, state):
                 out.add((rule.label, apply_rule(rule, state)))

@@ -37,7 +37,7 @@ appearing in its compositions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .terms import EPSILON, Agent, Atomic, Multiset, Pattern, Structure
@@ -71,34 +71,12 @@ class BcslRule:
 
 @dataclass
 class BcslModel:
-    """Rules, inferred signatures and a grounded initial state.
-
-    ``agent_table`` is the model's intern table, from each canonical agent
-    to its one shared object.  It is a cache, so it takes no part in
-    ``==`` or ``repr``.
-    """
+    """Rules, inferred signatures and a grounded initial state."""
 
     rules: tuple[BcslRule, ...]
     atomic_signature: dict[str, frozenset[str]]
     structure_signature: dict[str, frozenset[str]]
     init: Multiset
-    _agent_table: dict[Agent, Agent] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    @property
-    def agent_table(self) -> dict[Agent, Agent]:
-        """Canonical agent -> its one shared object, built on first use.
-
-        It is seeded from ``init``, and the direct matcher (``RuleMatcher``)
-        and grounding (``build_mrs``) add every agent they produce, so the
-        states of both semantics hold equal agents as one object and
-        compare them by identity.
-        """
-        table = self._agent_table
-        if table is None:
-            table = self._agent_table = {agent: agent for agent in self.init.agents()}
-        return table
 
     @property
     def labels(self) -> tuple[str, ...]:

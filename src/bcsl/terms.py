@@ -15,23 +15,23 @@ immutable multiset of canonical grounded agents with pointwise union,
 difference (clamped at zero), intersection and inclusion, and a fused
 ``rewrite`` (remove, then add) for successor states.
 
-Each agent carries one identity that is computed once, on first use:
-its hash and its text (``Agent.text``, also the order of multiset
-entries).  Agents that are built but never hashed or printed, such as
-the intermediate terms of parsing and grounding, cost neither.
-``canonicalize`` returns an already canonical agent itself, and so keeps
-what it has cached.  A model keeps one intern table from each canonical
-agent to its one object (``BcslModel.agent_table``); the direct matcher
-and grounding (through ``Multiset.interned``) build their states from
-it, so equal agents of both semantics are one object, and dict probes
-and comparisons of states find them by identity.
+Each agent carries its hash and its text (``Agent.text``, also the order
+of multiset entries), each computed on first use and kept.  Agents that
+are built but never hashed or printed, such as the intermediate terms of
+parsing and grounding, cost neither.  ``canonicalize`` returns an already
+canonical agent itself, and so keeps what it has cached.
 
-A multiset is lazy in the same way: it is built from its counts alone,
-and its entries sorted by agent text, its text and its hash are each
-computed on first use and kept.  The hash does not depend on the order
-of the entries, so a multiset that is only compared with others (a
-successor leading to a state already seen, an intermediate difference)
-is never sorted or printed.
+One intern table, kept for the life of the process, gives each canonical
+grounded agent a small integer id the first time it is asked for
+(``agent_id``) and maps the id back to that agent's one object
+(``agent_of``).  A multiset is a ``frozenset`` of ``(agent id, count)``
+pairs, so hashing and comparing states, the probes of every state store,
+run in C, and ``frozenset`` keeps the hash.  Both semantics build their
+states over the same table: the direct matcher and the grounded rule
+index key on ids, and the states of both hold equal agents as one id.
+Ids depend on the order agents are first met, so nothing printed reads
+them: ``items`` (sorted by agent text), the text and ``to_dict`` are
+derived from the agents, and the first two are kept once computed.
 """
 
 from __future__ import annotations
@@ -199,42 +199,68 @@ def congruent(a: Agent, b: Agent) -> bool:
     return canonicalize(a) == canonicalize(b)
 
 
-class Multiset:
+# The process-wide intern table: the id of each canonical grounded agent,
+# and the agent of each id.  Ids are handed out in first-use order and
+# never dropped.  Nothing locks it: the program runs in one thread.
+_IDS: dict[Agent, int] = {}
+_AGENTS: list[Agent] = []
+
+
+def agent_id(agent: Agent) -> int:
+    """The id of a canonical agent, given out the first time it is asked for."""
+    value = _IDS.get(agent)
+    if value is None:
+        value = _IDS[agent] = len(_AGENTS)
+        _AGENTS.append(agent)
+    return value
+
+
+def agent_of(ident: int) -> Agent:
+    """The one agent object of an id."""
+    return _AGENTS[ident]
+
+
+# ``_new(Multiset, counts.items())``: ids to positive counts, unchecked.
+_new = frozenset.__new__
+_pairs = frozenset.__iter__
+_subset = frozenset.issubset
+
+
+class Multiset(frozenset):
     """Immutable multiset of grounded agents keyed by canonical form.
 
     Absent agents have multiplicity 0; stored multiplicities are strictly
     positive.  All operations are pointwise on multiplicities; difference
     clamps at zero.
 
-    Only the counts are stored at construction.  The entries sorted by
-    agent text (``items``), the text (``str``) and the hash are computed
-    the first time they are asked for and kept on the instance; the hash
-    is taken over the unordered entries.
+    The stored value is the ``frozenset`` of ``(agent id, count)`` pairs,
+    so ``==`` and ``hash`` are those of ``frozenset``.  The set algebra of
+    the pairs (``|``, ``-``, ``issuperset``, ...) is not multiset algebra
+    and raises ``TypeError``.  ``<`` and ``<=`` are left to ``frozenset``
+    (they compare pair sets; ``issubset`` is inclusion), because any
+    ordering method of its own would slow down every ``==`` of states.
+    The entries sorted by agent text (``items``) and the text (``str``)
+    are computed the first time they are asked for and kept.
     """
 
-    __slots__ = ("_counts", "_items", "_text", "_hash")
+    __slots__ = ("_items", "_text")
 
-    def __init__(self, counts: Mapping[Agent, int] | None = None, *, _trusted: bool = False):
-        # ``_trusted``: ``counts`` is a fresh dict of canonical agents to
-        # positive counts, which the multiset takes over unchecked.
-        if _trusted:
-            merged = counts
-        else:
-            merged = {}
-            for agent, n in (counts or {}).items():
-                if not isinstance(n, int) or n < 0:
-                    raise ValueError(f"multiplicity must be a natural number, got {n!r}")
-                if n == 0:
-                    continue
-                if not agent.is_grounded:
-                    raise ValueError(f"agent is not grounded: {agent}")
-                key = canonicalize(agent)
-                merged[key] = merged.get(key, 0) + n
-        self._counts: dict[Agent, int] = merged
-        # Identity cache; None means "not computed yet".
-        self._items: tuple[tuple[Agent, int], ...] | None = None
-        self._text: str | None = None
-        self._hash: int | None = None
+    def __new__(cls, counts: Mapping[Agent, int] | None = None) -> Multiset:
+        merged: dict[int, int] = {}
+        for agent, n in (counts or {}).items():
+            if not isinstance(n, int) or n < 0:
+                raise ValueError(f"multiplicity must be a natural number, got {n!r}")
+            if n == 0:
+                continue
+            if not agent.is_grounded:
+                raise ValueError(f"agent is not grounded: {agent}")
+            key = agent_id(canonicalize(agent))
+            merged[key] = merged.get(key, 0) + n
+        return _new(Multiset, merged.items())
+
+    def __reduce__(self):
+        # Rebuild from the agents: ids belong to one process.
+        return (Multiset, (self.to_dict(),))
 
     @classmethod
     def empty(cls) -> Multiset:
@@ -243,41 +269,54 @@ class Multiset:
     @classmethod
     def from_agents(cls, agents: Iterable[Agent]) -> Multiset:
         """Build a multiset counting occurrences of each (canonical) agent."""
-        counts: dict[Agent, int] = {}
+        counts: dict[int, int] = {}
         for agent in agents:
             if not agent.is_grounded:
                 raise ValueError(f"agent is not grounded: {agent}")
-            key = canonicalize(agent)
+            key = agent_id(canonicalize(agent))
             counts[key] = counts.get(key, 0) + 1
-        return cls(counts, _trusted=True)
+        return _new(Multiset, counts.items())
+
+    def pairs(self) -> Iterator[tuple[int, int]]:
+        """The ``(agent id, count)`` pairs, in no particular order."""
+        return _pairs(self)
 
     def count(self, agent: Agent) -> int:
         """Multiplicity of ``agent`` (0 when absent)."""
-        return self._counts.get(canonicalize(agent), 0)
+        key = _IDS.get(canonicalize(agent))
+        return next((n for a, n in _pairs(self) if a == key), 0)
 
     def union(self, other: Multiset) -> Multiset:
         """Pointwise sum of multiplicities."""
-        counts = dict(self._counts)
-        for agent, n in other._counts.items():
+        counts = dict(_pairs(self))
+        for agent, n in _pairs(other):
             counts[agent] = counts.get(agent, 0) + n
-        return Multiset(counts, _trusted=True)
+        return _new(Multiset, counts.items())
 
     def difference(self, other: Multiset) -> Multiset:
         """Pointwise difference, clamped at zero."""
-        counts: dict[Agent, int] = {}
-        for agent, n in self._counts.items():
-            left = n - other._counts.get(agent, 0)
+        counts = dict(_pairs(self))
+        for agent, n in _pairs(other):
+            left = counts.get(agent, 0) - n
             if left > 0:
                 counts[agent] = left
-        return Multiset(counts, _trusted=True)
+            elif agent in counts:
+                del counts[agent]
+        return _new(Multiset, counts.items())
 
-    def rewrite(self, consumed: Mapping[Agent, int], produced: Mapping[Agent, int]) -> Multiset:
+    def rewrite(
+        self,
+        consumed: Mapping[int, int],
+        produced: Mapping[int, int],
+        counts: dict[int, int] | None = None,
+    ) -> Multiset:
         """``self − consumed + produced`` in one step, without intermediate multisets.
 
-        Both mappings hold canonical agents and positive counts, and
-        ``consumed`` must be contained in ``self``.
+        Both mappings hold agent ids and positive counts, and ``consumed``
+        must be contained in ``self``.  ``counts``, when given, is
+        ``dict(self.pairs())`` already built; it is copied, not changed.
         """
-        counts = dict(self._counts)
+        counts = dict(_pairs(self)) if counts is None else counts.copy()
         for agent, n in consumed.items():
             left = counts.get(agent, 0) - n
             if left > 0:
@@ -285,33 +324,32 @@ class Multiset:
             elif left == 0:
                 del counts[agent]
             else:
-                raise ValueError(f"cannot consume {n} {agent} from {self}")
+                raise ValueError(f"cannot consume {n} {_AGENTS[agent]} from {self}")
         for agent, n in produced.items():
             counts[agent] = counts.get(agent, 0) + n
-        return Multiset(counts, _trusted=True)
-
-    def interned(self, table: dict[Agent, Agent]) -> Multiset:
-        """The same multiset over ``table``'s objects (missing agents are added)."""
-        return Multiset({table.setdefault(a, a): n for a, n in self._counts.items()}, _trusted=True)
+        return _new(Multiset, counts.items())
 
     def intersection(self, other: Multiset) -> Multiset:
         """Pointwise minimum of multiplicities."""
-        counts: dict[Agent, int] = {}
-        for agent, n in self._counts.items():
-            m = min(n, other._counts.get(agent, 0))
-            if m > 0:
-                counts[agent] = m
-        return Multiset(counts, _trusted=True)
+        theirs = dict(_pairs(other))
+        kept = {a: m for a, n in _pairs(self) if (m := min(n, theirs.get(a, 0))) > 0}
+        return _new(Multiset, kept.items())
 
     def issubset(self, other: Multiset) -> bool:
         """True when every multiplicity in ``self`` is ≤ the one in ``other``."""
-        return all(other._counts.get(agent, 0) >= n for agent, n in self._counts.items())
+        # Pairs found as they are (equal counts) need no lookup by agent;
+        # a pair that is not is checked against ``other``'s pairs.
+        return _subset(self, other) or all(
+            any(a == b and n <= m for b, m in _pairs(other))
+            for a, n in frozenset.difference(self, other)
+        )
 
     def items(self) -> tuple[tuple[Agent, int], ...]:
         """Entries as (agent, multiplicity) pairs, sorted by agent text."""
-        value = self._items
+        value = getattr(self, "_items", None)
         if value is None:
-            value = self._items = tuple(sorted(self._counts.items(), key=lambda kv: kv[0].text))
+            entries = ((_AGENTS[a], n) for a, n in _pairs(self))
+            value = self._items = tuple(sorted(entries, key=lambda kv: kv[0].text))
         return value
 
     def agents(self) -> tuple[Agent, ...]:
@@ -319,13 +357,13 @@ class Multiset:
         return tuple(agent for agent, _ in self.items())
 
     def to_dict(self) -> dict[Agent, int]:
-        """A fresh dict of the multiplicities, in no particular order."""
-        return dict(self._counts)
+        """A fresh dict of the multiplicities, sorted by agent text."""
+        return dict(self.items())
 
     @property
     def total(self) -> int:
         """Cardinality counting repetitions."""
-        return sum(self._counts.values())
+        return sum(n for _, n in _pairs(self))
 
     def __contains__(self, agent: Agent) -> bool:
         return self.count(agent) >= 1
@@ -333,22 +371,15 @@ class Multiset:
     def __iter__(self) -> Iterator[Agent]:
         return iter(self.agents())
 
-    def __bool__(self) -> bool:
-        return bool(self._counts)
+    def _pair_algebra(self, *args):
+        raise TypeError("a Multiset offers multiset algebra, not the set algebra of its pairs")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Multiset):
-            return NotImplemented
-        return self._counts == other._counts
-
-    def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = self._hash = hash(frozenset(self._counts.items()))
-        return value
+    __or__ = __and__ = __sub__ = __xor__ = _pair_algebra
+    __ror__ = __rand__ = __rsub__ = __rxor__ = _pair_algebra
+    copy = issuperset = isdisjoint = symmetric_difference = _pair_algebra
 
     def __str__(self) -> str:
-        value = self._text
+        value = getattr(self, "_text", None)
         if value is None:
             value = self._text = " + ".join(f"{n} {agent}" for agent, n in self.items()) or "∅"
         return value

@@ -2,8 +2,13 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from bcsl import parse_model
+
+# ``--hypothesis-profile=long``: ten times the default examples, for the
+# generated-model oracle (``test_generated_models.py``) in CI.
+settings.register_profile("long", max_examples=1000)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 

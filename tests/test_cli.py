@@ -1,10 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import bcsl
+from bcsl import build_mrs, parse_model
 from bcsl.cli import main
 from conftest import REGULATION_CONFIGS, TWO_SITE_MODEL
 from corpus import random_model_text
@@ -487,6 +493,57 @@ def test_outputs_keep_their_bytes(capsys, model_path, tmp_path, name):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_DIGESTS[name, seed], argv
+
+
+# Interns the agents given one per line in argv[1], in that order, then
+# runs the command line on argv[2:].
+_INTERN_THEN_RUN = """
+import sys
+from bcsl.cli import main
+from bcsl.syntax import parse_agent
+from bcsl.terms import agent_id, canonicalize
+for text in sys.argv[1].splitlines():
+    agent_id(canonicalize(parse_agent(text)))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def _run_interned(agents: list[str], argv: list[str]) -> tuple[int, bytes]:
+    root = os.path.dirname(os.path.dirname(os.path.abspath(bcsl.__file__)))
+    inherited = os.environ.get("PYTHONPATH")
+    proc = subprocess.run(
+        [sys.executable, "-c", _INTERN_THEN_RUN, "\n".join(agents), *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=root + os.pathsep + inherited if inherited else root),
+        check=False,
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_agent_ids_never_reach_an_output(tmp_path):
+    two_site = tmp_path / "two_site.bcsl"
+    two_site.write_text(TWO_SITE_MODEL, encoding="utf-8")
+    # states of several agents, whose text orders its agents
+    corpus = tmp_path / "corpus.bcsl"
+    corpus.write_text(random_model_text(7), encoding="utf-8")
+    unordered = tmp_path / "unordered.json"
+    unordered.write_text('{"type": "concurrent-free", "priority": []}', encoding="utf-8")
+    bounds = ["--max-states", "30"]
+    regular = write_regulation(tmp_path, "regular")
+    commands = [
+        ["lts", str(two_site), "--regulation", regular, "--format", "json"],
+        ["lts", str(corpus), *bounds, "--format", "dot"],
+        ["lts", str(corpus), *bounds, "--regulation", str(unordered), "--format", "json"],
+        ["check", str(corpus), *bounds, "--json"],
+        ["ground", str(corpus)],
+    ]
+    for argv in commands:
+        model = parse_model(Path(argv[1]).read_text(encoding="utf-8"))
+        agents = sorted((str(agent) for agent in build_mrs(model).elements), reverse=True)
+        normal = _run_interned([], argv)
+        assert normal[0] in (0, 2) and normal[1], argv
+        # ids handed out in reverse text order first
+        assert _run_interned(agents, argv) == normal, argv
 
 
 # ---------------------------------------------------------------------------

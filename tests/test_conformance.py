@@ -13,6 +13,7 @@ from bcsl import (
     parse_multiset,
     successors,
 )
+from bcsl.terms import agent_id, agent_of
 from conftest import TWO_SITE_MODEL
 from corpus import random_model_text
 
@@ -60,12 +61,16 @@ def test_both_semantics_hold_the_model_agent_objects(text):
     direct = build_lts(model, **BOUNDS)
     system = build_mrs(model)
     grounded = explore(system.init, lambda m: successors(system, m), **BOUNDS)
-    table = model.agent_table
     held = [a for graph in (direct, grounded) for state in graph.states for a in state.agents()]
     held += [a for rule in system.rules for side in (rule.pre, rule.post) for a in side.agents()]
     assert len(held) > len(model.init.agents())
-    assert all(table.get(agent) is agent for agent in held)
-    # the table is a cache: it takes no part in equality or repr
+    # every agent is the intern table's one object for its id
+    assert all(agent_of(agent_id(agent)) is agent for agent in held)
+    # and every state and rule side holds exactly those ids
+    sides = [state for graph in (direct, grounded) for state in graph.states]
+    sides += [side for rule in system.rules for side in (rule.pre, rule.post)]
+    for side in sides:
+        assert sorted(side.pairs()) == sorted((agent_id(a), n) for a, n in side.items())
     assert model == parse_model(text)
     assert repr(model) == repr(parse_model(text))
 

@@ -191,8 +191,8 @@ def test_matcher_from_the_empty_state():
 
 def _matcher_case(text):
     model = parse_model(text)
-    mrs = build_mrs(model)  # puts every grounded agent into model.agent_table
-    return RuleMatcher(model), mrs, sorted(model.agent_table, key=str)
+    mrs = build_mrs(model)
+    return RuleMatcher(model), mrs, sorted(mrs.elements, key=str)
 
 
 # One matcher per model, so its table fills up across the drawn states.

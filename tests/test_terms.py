@@ -1,4 +1,5 @@
 import math
+import operator
 import pickle
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bcsl import Agent, Atomic, Multiset, Pattern, Structure, canonicalize, congruent
+from bcsl.terms import agent_id
 
 # ---------------------------------------------------------------------------
 # Canonical forms
@@ -339,7 +341,7 @@ def test_multiset_of_fresh_agents_matches_interned(m):
 @given(state=multisets, consumed=multisets, produced=multisets)
 def test_rewrite_is_difference_then_union(state, consumed, produced):
     consumed = consumed.intersection(state)
-    rewritten = state.rewrite(dict(consumed.items()), dict(produced.items()))
+    rewritten = state.rewrite(dict(consumed.pairs()), dict(produced.pairs()))
     expected = state.difference(consumed).union(produced)
     assert rewritten == expected
     assert str(rewritten) == str(expected)
@@ -348,9 +350,9 @@ def test_rewrite_is_difference_then_union(state, consumed, produced):
 def test_rewrite_rejects_uncontained_consumption():
     state = Multiset({AGENT_POOL[0]: 1})
     with pytest.raises(ValueError, match="cannot consume"):
-        state.rewrite({canonicalize(AGENT_POOL[0]): 2}, {})
+        state.rewrite({agent_id(canonicalize(AGENT_POOL[0])): 2}, {})
     with pytest.raises(ValueError, match="cannot consume"):
-        state.rewrite({canonicalize(AGENT_POOL[1]): 1}, {})
+        state.rewrite({agent_id(canonicalize(AGENT_POOL[1])): 1}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +368,7 @@ def test_equal_counts_built_five_ways_share_identity(m, other):
         Multiset.from_agents(agent for agent, n in reversed(m.items()) for _ in range(n)),
         other.intersection(m).union(m.difference(other)),
         m.union(other).difference(other),
-        other.rewrite(other.to_dict(), counts),
+        other.rewrite(dict(other.pairs()), dict(m.pairs())),
     ]
     # Ask for the cached parts in a different order on each.
     for k, multiset in enumerate(built):
@@ -387,3 +389,20 @@ def test_to_dict_is_a_copy():
     counts = m.to_dict()
     counts[AGENT_POOL[0]] = 5
     assert m.count(AGENT_POOL[0]) == 2
+
+
+@given(m=multisets)
+def test_multiset_pickles_by_its_agents(m):
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy == m and hash(copy) == hash(m) and str(copy) == str(m)
+
+
+def test_set_algebra_of_pairs_is_not_offered():
+    small, big = Multiset({AGENT_POOL[0]: 1}), Multiset({AGENT_POOL[0]: 3})
+    assert small.issubset(big) and not big.issubset(small)
+    for operation in ("or_", "and_", "sub", "xor"):
+        with pytest.raises(TypeError):
+            getattr(operator, operation)(small, big)
+    for method in ("copy", "issuperset", "isdisjoint", "symmetric_difference"):
+        with pytest.raises(TypeError):
+            getattr(small, method)(big)
