@@ -247,8 +247,7 @@ def _cmd_simulate(args) -> int:
     model = _load_model(args.model)
     regulation = _load_regulation(args.regulation, model)
     guard = make_guard(regulation, model) if regulation is not None else None
-    mrs = build_mrs(model)
-    run = sample_run(mrs, args.steps, args.seed, guard)
+    run = sample_run(model.init, RuleMatcher(model).successors, args.steps, args.seed, guard)
     if args.format == "text":
         lines = [f"step 0: {run.states[0]}"]
         for i, label in enumerate(run.labels, start=1):

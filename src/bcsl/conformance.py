@@ -73,47 +73,29 @@ class LemmaReport:
 def _first_difference(direct: Lts, grounded: Lts) -> Counterexample | None:
     # A reachability difference always stems from an edge difference at a
     # shared state, so edge discrepancies make the localized diagnostic.
-    def edge_key(edge):
-        return (str(edge[0]), edge[1], str(edge[2]))
-
-    direct_only = sorted(direct.transitions - grounded.transitions, key=edge_key)
-    if direct_only:
-        src, label, tgt = direct_only[0]
-        return Counterexample(
-            "transition",
-            "direct_only",
-            str(src),
-            label,
-            f"direct rewriting reaches {tgt} via {label!r} but no grounded rule does",
-        )
-    grounded_only = sorted(grounded.transitions - direct.transitions, key=edge_key)
-    if grounded_only:
-        src, label, tgt = grounded_only[0]
-        return Counterexample(
-            "transition",
-            "grounded_only",
-            str(src),
-            label,
-            f"a grounded rule reaches {tgt} via {label!r} but direct rewriting does not",
-        )
-    direct_only_states = sorted(str(s) for s in direct.states - grounded.states)
-    if direct_only_states:
-        return Counterexample(
-            "state",
-            "direct_only",
-            direct_only_states[0],
-            None,
+    sides = (
+        (
+            "direct_only", direct, grounded,
+            "direct rewriting reaches {} via {!r} but no grounded rule does",
             "state reachable by direct rewriting but not in the grounded system",
-        )
-    grounded_only_states = sorted(str(s) for s in grounded.states - direct.states)
-    if grounded_only_states:
-        return Counterexample(
-            "state",
-            "grounded_only",
-            grounded_only_states[0],
-            None,
+        ),
+        (
+            "grounded_only", grounded, direct,
+            "a grounded rule reaches {} via {!r} but direct rewriting does not",
             "state reachable in the grounded system but not by direct rewriting",
-        )
+        ),
+    )
+    for direction, mine, theirs, edge_detail, _ in sides:
+        extra = mine.transitions - theirs.transitions
+        if extra:
+            src, label, tgt = min(extra, key=lambda e: (str(e[0]), e[1], str(e[2])))
+            return Counterexample(
+                "transition", direction, str(src), label, edge_detail.format(tgt, label)
+            )
+    for direction, mine, theirs, _, state_detail in sides:
+        extra = mine.states - theirs.states
+        if extra:
+            return Counterexample("state", direction, min(map(str, extra)), None, state_detail)
     return None
 
 

@@ -35,7 +35,7 @@ from .patterns import (
     expand_pattern,
 )
 from .syntax import BcslModel
-from .terms import EPSILON, Multiset, Pattern, agent_id, canonicalize
+from .terms import EPSILON, Multiset, Pattern, agent_id
 
 Transition = tuple[Hashable, str, Hashable]
 # What one match of a rule does: its label, the agent ids it consumes and
@@ -158,7 +158,7 @@ class _PreparedRule:
             options = []
             index: dict[int, list[int]] = {}
             for inst in enumerate_instantiations(single, atomic_signature):
-                key = agent_id(canonicalize(inst.result.agents[0]))
+                key = agent_id(inst.result.agents[0])
                 index.setdefault(key, []).append(len(options))
                 options.append((key, dict(zip(slots, inst.assignment))))
             self.agent_options.append(options)
@@ -191,33 +191,40 @@ class _PreparedRule:
             effects = self._effects[choice] = self._effect(choice)
         return effects
 
-    def _descend(
-        self,
-        i: int,
-        remaining: dict[int, int],
-        choice: list[int],
-        matches: list[tuple[int, ...]],
-    ) -> None:
-        # A method, not a closure: a self-referencing closure per call is
-        # a reference cycle that only the garbage collector can free.
-        if i == len(self._option_index):
-            matches.append(tuple(choice))
-            return
-        index = self._option_index[i]
-        # (agent, count, option indices) of the agents both present and
-        # instantiable here, found from the smaller side.  Only counts
-        # change below, never the keys.
-        if len(index) < len(remaining):
-            hits = [(a, n, ks) for a, ks in index.items() if (n := remaining.get(a, 0)) > 0]
-        else:
-            hits = [(a, n, ks) for a, n in remaining.items() if n > 0 and (ks := index.get(a))]
-        for agent, n, ks in hits:
-            remaining[agent] = n - 1
-            for k in ks:
-                choice.append(k)
-                self._descend(i + 1, remaining, choice, matches)
+    def _descend(self, remaining: dict[int, int], first: int) -> list[tuple[int, ...]]:
+        """Every choice that completes option ``first`` at position 0 on ``remaining``.
+
+        Backtracks with an explicit stack of hit iterators, one per
+        position, so no left-hand side reaches the recursion limit.  Only
+        the counts of ``remaining`` change, and each is restored.
+        """
+        matches: list[tuple[int, ...]] = []
+        choice, picked = [first], []
+        stack = [self._hits(1, remaining)]
+        while stack:
+            if len(choice) > len(stack):  # undo this position's last pick
                 choice.pop()
-            remaining[agent] = n
+                remaining[picked.pop()] += 1
+            hit = next(stack[-1], None)
+            if hit is None:
+                stack.pop()
+                continue
+            remaining[hit[0]] -= 1
+            picked.append(hit[0])
+            choice.append(hit[1])
+            if len(choice) == len(self._option_index):
+                matches.append(tuple(choice))
+            else:
+                stack.append(self._hits(len(choice), remaining))
+        return matches
+
+    def _hits(self, i: int, remaining: dict[int, int]):
+        """``(agent, option index)`` of the agents present and instantiable at
+        position ``i``, found from the smaller side: its index or the state."""
+        index = self._option_index[i]
+        if len(index) < len(remaining):
+            return iter([(a, k) for a, ks in index.items() if remaining.get(a, 0) > 0 for k in ks])
+        return iter([(a, k) for a, n in remaining.items() if n > 0 for k in index.get(a, ())])
 
     def _effect(self, choice: tuple[int, ...]) -> tuple[Effect, ...]:
         """One ``(label, consumed, produced)`` per resolution of the free rhs slots."""
@@ -239,7 +246,7 @@ class _PreparedRule:
             resolved = assign_features(self.rhs, dict(zip(positions, combo)))
             counts: dict[int, int] = {}
             for agent in resolved.agents:
-                key = agent_id(canonicalize(agent))
+                key = agent_id(agent)
                 counts[key] = counts.get(key, 0) + 1
             out.append((self.label, consumed, counts))
         return tuple(out)
@@ -307,9 +314,7 @@ class RuleMatcher:
                 continue
             counts[agent] = n - 1
             for rule, k in starts:
-                matches: list[tuple[int, ...]] = []
-                rule._descend(1, counts, [k], matches)
-                for choice in matches:
+                for choice in rule._descend(counts, k):
                     effects.extend(rule.effects(choice))
             counts[agent] = n
         return frozenset(

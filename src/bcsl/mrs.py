@@ -11,8 +11,8 @@ Rule application here is definitional (``enabled``, ``apply_rule``,
 Only the state type and its intern table of agent ids (``terms.agent_id``)
 are shared with the direct side.
 
-Two parts of a system are computed on first read, so that ``check``,
-``simulate`` and concurrent-free regulation pay only for what they use.
+Two parts of a system are computed on first read, so that ``check``
+and concurrent-free regulation pay only for what they use.
 The element universe (``Mrs.elements``), which only ``bcsl ground``
 reads, is read off the grounded rules; nothing is grounded twice.  Every
 grounding of a single rule agent occurs in some reaction, because each
@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, Collection
 
 from .patterns import ground_rule, pattern_multiset
 from .syntax import BcslModel
@@ -154,35 +155,38 @@ def successors(mrs: Mrs, state: Multiset) -> frozenset[tuple[str, Multiset]]:
 
 
 def sample_run(
-    mrs: Mrs,
+    initial: Multiset,
+    successor_fn: Callable[[Multiset], Collection[tuple[str, Multiset]]],
     steps: int,
     seed: int = 0,
-    regulation=None,
+    guard=None,
 ) -> Run:
     """Sample a run prefix of ``steps`` steps, uniformly among successors.
 
-    Reproducible for a fixed seed.  ``regulation`` is a guard of the
-    regulation module (anything with ``initial_memory`` and ``step``):
-    only the moves its ``step`` permits are sampled, and the memory
-    advances with each applied rule.  With no (permitted) successor the
-    run stutters on ε.
+    ``successor_fn`` is the direct matcher's or the grounded system's;
+    its ε successors are left out.  Reproducible for a fixed seed: moves
+    are drawn from the successors sorted by label and state text.
+    ``guard`` is a guard of the regulation module (anything with
+    ``initial_memory`` and ``step``): only the moves its ``step`` permits
+    are sampled, and the memory advances with each applied rule.  With no
+    (permitted) successor the run stutters on ε.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     rng = random.Random(seed)
-    state = mrs.init
+    state = initial
     states = [state]
     labels: list[str] = []
-    memory = regulation.initial_memory() if regulation is not None else None
+    memory = guard.initial_memory() if guard is not None else None
     for _ in range(steps):
         base = sorted(
-            ((label, target) for label, target in successors(mrs, state) if label != EPSILON_LABEL),
+            ((label, target) for label, target in successor_fn(state) if label != EPSILON_LABEL),
             key=lambda lt: (lt[0], str(lt[1])),
         )
-        if regulation is None:
+        if guard is None:
             moves = [(label, (target, None)) for label, target in base]
         else:
-            moves = regulation.step(memory, state, base)
+            moves = guard.step(memory, state, base)
         if moves:
             label, (target, memory) = rng.choice(moves)
         else:

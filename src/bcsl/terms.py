@@ -15,23 +15,29 @@ immutable multiset of canonical grounded agents with pointwise union,
 difference (clamped at zero), intersection and inclusion, and a fused
 ``rewrite`` (remove, then add) for successor states.
 
-Each agent carries its hash and its text (``Agent.text``, also the order
-of multiset entries), each computed on first use and kept.  Agents that
-are built but never hashed or printed, such as the intermediate terms of
-parsing and grounding, cost neither.  ``canonicalize`` returns an already
-canonical agent itself, and so keeps what it has cached.
+An agent's identity is its text (``Agent.text``, e.g. ``A{x}.P(S{i})::c``):
+its hash, its equality and its key in the intern table.  Every name is an
+identifier, so the text is injective and text equality is field
+equality.  The text is computed on first use and kept; agents that are
+built but never hashed or printed, such as the intermediate terms of
+parsing and grounding, do not pay for it.  ``canonicalize`` returns an
+already canonical agent itself, and so keeps its text.
 
 One intern table, kept for the life of the process, gives each canonical
 grounded agent a small integer id the first time it is asked for
 (``agent_id``) and maps the id back to that agent's one object
-(``agent_of``).  A multiset is a ``frozenset`` of ``(agent id, count)``
-pairs, so hashing and comparing states, the probes of every state store,
-run in C, and ``frozenset`` keeps the hash.  Both semantics build their
-states over the same table: the direct matcher and the grounded rule
-index key on ids, and the states of both hold equal agents as one id.
-Ids depend on the order agents are first met, so nothing printed reads
-them: ``items`` (sorted by agent text), the text and ``to_dict`` are
-derived from the agents, and the first two are kept once computed.
+(``agent_of``).  ``agent_id`` takes any grounded spelling: it rejects a
+non-grounded agent, canonicalises a spelling it has not met, and files
+that spelling's text under the id of its canonical form, so each
+spelling is canonicalised once.  A multiset is a ``frozenset`` of
+``(agent id, count)`` pairs, so hashing and comparing states, the probes
+of every state store, run in C, and ``frozenset`` keeps the hash.  Both
+semantics build their states over the same table: the direct matcher
+and the grounded rule index key on ids, and the states of both hold
+equal agents as one id.  Ids depend on the order agents are first met,
+so nothing printed reads them: ``items`` (sorted by agent text), the
+text and ``to_dict`` are derived from the agents, and the first two are
+kept once computed.
 """
 
 from __future__ import annotations
@@ -84,10 +90,6 @@ class Structure:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate atomic name in composition of {self.name!r}")
 
-    @property
-    def is_grounded(self) -> bool:
-        return all(a.is_grounded for a in self.composition)
-
     def __str__(self) -> str:
         return f"{self.name}({','.join(str(a) for a in self.composition)})"
 
@@ -99,16 +101,16 @@ Component = Union[Atomic, Structure]
 class Agent:
     """A chain of components in a compartment; the element type of states.
 
-    The hash and the text (``text`` / ``str``) are computed the first
-    time they are asked for and kept on the instance.  Equality tries
-    identity, then the cached hashes, then the fields.
+    The text (``text`` / ``str``) is the agent's identity: ``hash`` and
+    ``==`` read it.  It is computed the first time it is asked for and
+    kept on the instance; it does not depend on the hash seed, so an
+    agent pickles with it.
     """
 
     chain: tuple[Component, ...]
     compartment: str
 
-    # Identity cache; the class-level None means "not computed yet".
-    _hash = None
+    # Text cache; the class-level None means "not computed yet".
     _text = None
 
     def __post_init__(self) -> None:
@@ -117,26 +119,12 @@ class Agent:
         _check_name(self.compartment, "compartment")
 
     def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = hash((self.chain, self.compartment))
-            object.__setattr__(self, "_hash", value)
-        return value
+        return hash(self.text)
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, Agent):
             return NotImplemented
-        return (
-            hash(self) == hash(other)
-            and self.compartment == other.compartment
-            and self.chain == other.chain
-        )
-
-    def __reduce__(self):
-        # Rebuild from the fields: the cached hash depends on the process's hash seed.
-        return (Agent, (self.chain, self.compartment))
+        return self.text == other.text
 
     @property
     def text(self) -> str:
@@ -149,7 +137,7 @@ class Agent:
 
     @property
     def is_grounded(self) -> bool:
-        return all(c.is_grounded for c in self.chain)
+        return EPSILON not in self.text
 
     def __str__(self) -> str:
         return self.text
@@ -199,19 +187,30 @@ def congruent(a: Agent, b: Agent) -> bool:
     return canonicalize(a) == canonicalize(b)
 
 
-# The process-wide intern table: the id of each canonical grounded agent,
-# and the agent of each id.  Ids are handed out in first-use order and
-# never dropped.  Nothing locks it: the program runs in one thread.
-_IDS: dict[Agent, int] = {}
+# The process-wide intern table: the id of each grounded agent text met
+# (the canonical form's and every other spelling's), and the canonical
+# agent of each id.  Ids are handed out in first-use order and never
+# dropped.  Nothing locks it: the program runs in one thread.
+_IDS: dict[str, int] = {}
 _AGENTS: list[Agent] = []
 
 
 def agent_id(agent: Agent) -> int:
-    """The id of a canonical agent, given out the first time it is asked for."""
-    value = _IDS.get(agent)
+    """The id of a grounded agent's congruence class, given out on first use.
+
+    Raises ``ValueError`` for an agent that is not grounded.
+    """
+    text = agent.text
+    value = _IDS.get(text)
     if value is None:
-        value = _IDS[agent] = len(_AGENTS)
-        _AGENTS.append(agent)
+        if EPSILON in text:
+            raise ValueError(f"agent is not grounded: {agent}")
+        canonical = canonicalize(agent)
+        value = _IDS.get(canonical.text)
+        if value is None:
+            value = _IDS[canonical.text] = len(_AGENTS)
+            _AGENTS.append(canonical)
+        _IDS[text] = value
     return value
 
 
@@ -252,9 +251,7 @@ class Multiset(frozenset):
                 raise ValueError(f"multiplicity must be a natural number, got {n!r}")
             if n == 0:
                 continue
-            if not agent.is_grounded:
-                raise ValueError(f"agent is not grounded: {agent}")
-            key = agent_id(canonicalize(agent))
+            key = agent_id(agent)
             merged[key] = merged.get(key, 0) + n
         return _new(Multiset, merged.items())
 
@@ -271,9 +268,7 @@ class Multiset(frozenset):
         """Build a multiset counting occurrences of each (canonical) agent."""
         counts: dict[int, int] = {}
         for agent in agents:
-            if not agent.is_grounded:
-                raise ValueError(f"agent is not grounded: {agent}")
-            key = agent_id(canonicalize(agent))
+            key = agent_id(agent)
             counts[key] = counts.get(key, 0) + 1
         return _new(Multiset, counts.items())
 
@@ -283,7 +278,7 @@ class Multiset(frozenset):
 
     def count(self, agent: Agent) -> int:
         """Multiplicity of ``agent`` (0 when absent)."""
-        key = _IDS.get(canonicalize(agent))
+        key = _IDS.get(canonicalize(agent).text)
         return next((n for a, n in _pairs(self) if a == key), 0)
 
     def union(self, other: Multiset) -> Multiset:

@@ -169,6 +169,31 @@ def test_simulate_text(capsys, model_path):
     assert out.startswith("step 0: 1 P(S{i},T{i})::cell")
 
 
+def test_simulate_runs_on_the_direct_matcher(capsys, model_path, monkeypatch):
+    def refuse(model):
+        raise AssertionError("simulate grounded the model")
+
+    monkeypatch.setattr("bcsl.cli.build_mrs", refuse)
+    code, out, err = run_cli(capsys, "simulate", model_path, "--steps", "4")
+    assert code == 0, err
+    assert len(json.loads(out)["labels"]) == 4
+
+
+def test_concurrent_free_simulate_grounds_once(capsys, model_path, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return build_mrs(model)
+
+    monkeypatch.setattr("bcsl.cli.build_mrs", counted)
+    monkeypatch.setattr("bcsl.regulation.build_mrs", counted)
+    reg = write_regulation(tmp_path, "concurrent-free")
+    code, _, err = run_cli(capsys, "simulate", model_path, "--regulation", reg)
+    assert code == 0, err
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -358,6 +383,17 @@ def test_deep_regular_expression_runs(capsys, model_path, tmp_path, expression):
     assert json.loads(out)["states"]
 
 
+@pytest.mark.parametrize("command", ["lts", "check"])
+def test_long_left_hand_side_runs(capsys, tmp_path, command):
+    # The direct matcher backtracks over the left-hand positions of r1.
+    model = tmp_path / "model.bcsl"
+    lhs = " + ".join(["A{x}::c"] * 1500)
+    model.write_text(f"#! rules\nr1 ~ {lhs} => B{{y}}::c\n#! inits\n1500 A{{x}}::c\n")
+    code, out, err = run_cli(capsys, command, str(model))
+    assert code == 0, err
+    assert out
+
+
 # (a|b)*.a followed by n copies of .(a|b): the subset construction needs
 # 2^(n+1) automaton states, so n = 16 is far past the bound.
 BLOW_UP_MODEL = "#! rules\na ~ A{u}::c => A{v}::c\nb ~ A{v}::c => A{u}::c\n#! inits\n1 A{u}::c\n"
@@ -501,9 +537,9 @@ _INTERN_THEN_RUN = """
 import sys
 from bcsl.cli import main
 from bcsl.syntax import parse_agent
-from bcsl.terms import agent_id, canonicalize
+from bcsl.terms import agent_id
 for text in sys.argv[1].splitlines():
-    agent_id(canonicalize(parse_agent(text)))
+    agent_id(parse_agent(text))
 sys.exit(main(sys.argv[2:]))
 """
 

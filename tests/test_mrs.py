@@ -200,22 +200,29 @@ def test_epsilon_label_reserved():
 # Sampling
 # ---------------------------------------------------------------------------
 
+def _grounded(mrs):
+    """The grounded system's successor function."""
+    return lambda state: successors(mrs, state)
+
+
 def test_zero_steps(two_site_model):
     mrs = build_mrs(two_site_model)
-    run = sample_run(mrs, 0, seed=5)
+    run = sample_run(mrs.init, _grounded(mrs), 0, seed=5)
     assert run.states == (mrs.init,)
     assert run.labels == ()
 
 
 def test_sample_run_reproducible(two_site_model):
     mrs = build_mrs(two_site_model)
-    assert sample_run(mrs, 10, seed=42) == sample_run(mrs, 10, seed=42)
+    assert sample_run(mrs.init, _grounded(mrs), 10, seed=42) == sample_run(
+        mrs.init, _grounded(mrs), 10, seed=42
+    )
 
 
 def test_sampled_labels_are_maximal_sequences(two_site_model):
     mrs = build_mrs(two_site_model)
     for seed in range(20):
-        run = sample_run(mrs, 3, seed=seed)
+        run = sample_run(mrs.init, _grounded(mrs), 3, seed=seed)
         stripped = tuple(l for l in run.labels if l != EPSILON_LABEL)
         assert stripped in UNREGULATED_SEQUENCES
         # ε only ever trails
@@ -227,7 +234,7 @@ def test_sampled_labels_are_maximal_sequences(two_site_model):
 def test_run_states_follow_applications(two_site_model):
     mrs = build_mrs(two_site_model)
     by_key = {(r.label, r.pre): r for r in mrs.rules}
-    run = sample_run(mrs, 4, seed=3)
+    run = sample_run(mrs.init, _grounded(mrs), 4, seed=3)
     for i, label in enumerate(run.labels):
         if label == EPSILON_LABEL:
             assert run.states[i + 1] == run.states[i]
@@ -239,7 +246,7 @@ def test_run_states_follow_applications(two_site_model):
 def test_negative_steps_rejected(two_site_model):
     mrs = build_mrs(two_site_model)
     with pytest.raises(ValueError):
-        sample_run(mrs, -1)
+        sample_run(mrs.init, _grounded(mrs), -1)
 
 
 # ---------------------------------------------------------------------------

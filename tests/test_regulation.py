@@ -482,10 +482,10 @@ def test_star_free_regular_matches_word_enumeration(two_site_model, expression):
 
 def test_regulated_sampling_follows_regular_language(two_site_model):
     guard = _guard("regular", two_site_model)
-    mrs = build_mrs(two_site_model)
+    grounded = _grounded_successor_fn(two_site_model)
     seen = set()
     for seed in range(12):
-        run = sample_run(mrs, 4, seed, guard)
+        run = sample_run(two_site_model.init, grounded, 4, seed, guard)
         seen.add(run.labels)
     assert seen <= {
         ("r1_S", "r1_T", "r2", EPSILON_LABEL),
@@ -513,9 +513,8 @@ def test_regulated_sampling_follows_the_grounded_product(two_site_model, name):
     # (node, label, target state) -> target node; the memory after a move
     # is a function of the memory before it and the label.
     edges = {(src, label, tgt[0]): tgt for src, label, tgt in product.transitions}
-    mrs = build_mrs(two_site_model)
     for seed in range(12):
-        run = sample_run(mrs, 6, seed, guard)
+        run = sample_run(two_site_model.init, grounded, 6, seed, guard)
         node = root
         for label, state in zip(run.labels, run.states[1:]):
             assert (node, label, state) in edges, (seed, run.labels)

@@ -1,13 +1,18 @@
 import math
 import operator
+import os
 import pickle
 import random
+import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bcsl import Agent, Atomic, Multiset, Pattern, Structure, canonicalize, congruent
-from bcsl.terms import agent_id
+import bcsl
+from bcsl import EPSILON, Agent, Atomic, Multiset, Pattern, Structure, canonicalize, congruent
+from bcsl.terms import agent_id, agent_of
 
 # ---------------------------------------------------------------------------
 # Canonical forms
@@ -126,8 +131,6 @@ def test_bad_names_rejected():
 
 
 def test_grounded_predicate():
-    from bcsl import EPSILON
-
     assert Atomic("A", "x").is_grounded
     assert not Atomic("A", EPSILON).is_grounded
     agent = Agent((Structure("P", (Atomic("S", EPSILON),)),), "c")
@@ -177,8 +180,6 @@ def test_intersection_is_pointwise_min():
 
 
 def test_non_grounded_agent_rejected():
-    from bcsl import EPSILON
-
     ghost = Agent((Atomic("A", EPSILON),), "c")
     with pytest.raises(ValueError, match="not grounded"):
         Multiset({ghost: 1})
@@ -309,12 +310,12 @@ def test_agent_equality_matches_fields(one, other):
         assert hash(one) == hash(other)
 
 
-@given(agent=agents, seed=st.integers(min_value=0, max_value=2**16))
-def test_canonical_forms_of_congruent_agents_share_identity(agent, seed):
+def _shuffled(agent: Agent, seed: int) -> Agent:
+    """A congruent spelling of ``agent``: chain and compositions shuffled."""
     rng = random.Random(seed)
     chain = list(_rebuilt(agent).chain)
     rng.shuffle(chain)
-    shuffled = Agent(
+    return Agent(
         tuple(
             Structure(c.name, tuple(rng.sample(c.composition, len(c.composition))))
             if isinstance(c, Structure)
@@ -323,11 +324,62 @@ def test_canonical_forms_of_congruent_agents_share_identity(agent, seed):
         ),
         agent.compartment,
     )
-    left, right = canonicalize(agent), canonicalize(shuffled)
+
+
+@given(agent=agents, seed=st.integers(min_value=0, max_value=2**16))
+def test_canonical_forms_of_congruent_agents_share_identity(agent, seed):
+    left, right = canonicalize(agent), canonicalize(_shuffled(agent, seed))
     assert left == right
     assert hash(left) == hash(right)
     assert str(left) == str(right)
     assert canonicalize(left) is left
+
+
+@given(agent=agents, seed=st.integers(min_value=0, max_value=2**16))
+def test_agent_id_files_every_spelling_under_its_canonical_form(agent, seed):
+    spelling = _shuffled(agent, seed)
+    ident = agent_id(spelling)
+    assert ident == agent_id(canonicalize(agent)) == agent_id(agent)
+    held = agent_of(ident)
+    assert held == canonicalize(spelling)
+    assert canonicalize(held) is held
+
+
+def test_agent_id_rejects_a_non_grounded_agent():
+    ghost = Agent((Structure("P", (Atomic("S", EPSILON), Atomic("R", "i"))),), "c")
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape("agent is not grounded: P(S{ε},R{i})::c")):
+            agent_id(ghost)
+
+
+# Parses the agents given as arguments, hashes each (which fills what it
+# caches), and writes the pickled list to stdout.
+_PICKLE_AGENTS = """
+import pickle, sys
+from bcsl.syntax import parse_agent
+agents = [parse_agent(text) for text in sys.argv[1:]]
+for agent in agents:
+    hash(agent)
+sys.stdout.buffer.write(pickle.dumps(agents))
+"""
+
+
+def test_agent_pickled_under_another_hash_seed_keeps_its_identity():
+    texts = ["A{x}.P(S{i},T{a})::cell", "B{y}::c", "P(S{a})::out"]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(bcsl.__file__)))
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    child = subprocess.run(
+        [sys.executable, "-c", _PICKLE_AGENTS, *texts],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=root, PYTHONHASHSEED=seed),
+        check=True,
+    )
+    loaded = pickle.loads(child.stdout)
+    fresh = [bcsl.parse_agent(text) for text in texts]
+    assert loaded == fresh
+    assert [hash(agent) for agent in loaded] == [hash(agent) for agent in fresh]
+    assert all(agent in set(fresh) for agent in loaded)
+    assert set(loaded) == set(fresh)
 
 
 @given(m=multisets)
@@ -350,9 +402,9 @@ def test_rewrite_is_difference_then_union(state, consumed, produced):
 def test_rewrite_rejects_uncontained_consumption():
     state = Multiset({AGENT_POOL[0]: 1})
     with pytest.raises(ValueError, match="cannot consume"):
-        state.rewrite({agent_id(canonicalize(AGENT_POOL[0])): 2}, {})
+        state.rewrite({agent_id(AGENT_POOL[0]): 2}, {})
     with pytest.raises(ValueError, match="cannot consume"):
-        state.rewrite({agent_id(canonicalize(AGENT_POOL[1])): 1}, {})
+        state.rewrite({agent_id(AGENT_POOL[1]): 1}, {})
 
 
 # ---------------------------------------------------------------------------
