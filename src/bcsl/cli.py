@@ -12,7 +12,9 @@ parse error; a regulation file that is not UTF-8 or nests JSON too
 deeply to read, or a regular expression whose automaton needs more than
 ``MAX_DFA_STATES`` states, is a configuration error; and a negative
 bound or step count is a usage error.  All outputs are canonically
-sorted, so repeated invocations are byte-identical.
+sorted, so repeated invocations are byte-identical.  JSON output is
+exactly ``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)``,
+rendered by the C encoder (``_Indented``).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import c_make_encoder, encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
 from .conformance import ConformanceReport, check_equivalence
@@ -111,8 +114,108 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_STR = frozenset((str,))
+
+
+class _NotPlain(Exception):
+    """The value holds something other than plain JSON data."""
+
+
+def _rows_are_flat(rows: list) -> bool:
+    """Whether the lists, or the dicts with ``str`` keys, in ``rows`` hold only scalars."""
+    if type(rows[0]) is dict:
+        return {type(key) for row in rows for key in row} <= _STR and {
+            type(value) for row in rows for value in row.values()
+        } <= _SCALARS
+    return {type(item) for row in rows for item in row} <= _SCALARS
+
+
+class _Indented(json.JSONEncoder):
+    """Output of an integer ``indent``, rendered by the C encoder, byte for byte.
+
+    ``json`` runs its C encoder only without ``indent``.  Here a container
+    of scalars is one C call whose item separator carries the newline and
+    the padding.  A list of non-empty flat rows (all lists or all dicts)
+    is one C call at the rows' inner padding, and one ``str.replace``
+    turns the row separators into outer ones: an encoded string holds no
+    raw newline and a scalar never ends in ``]`` or ``}``, so only a row
+    boundary reads ``],\\n<pad>[``.  Other containers recurse here.  What
+    is not plain JSON (non-``str`` keys, other types, and cycles, which
+    exhaust the recursion limit) goes to the stock encoder, which renders
+    or rejects it as ``json`` does.
+    """
+
+    def iterencode(self, o, _one_shot=False):
+        if c_make_encoder is None:
+            return super().iterencode(o, _one_shot)
+        self._pad = " " * self.indent
+        self._string = encode_basestring_ascii if self.ensure_ascii else encode_basestring
+        self._encoders: dict[int, object] = {}
+        self._scalar = self._encoder(0)
+        try:
+            return [self._render(o, 0)]
+        except (_NotPlain, RecursionError):
+            return super().iterencode(o, _one_shot)
+
+    def _encoder(self, level: int):
+        """The C encoder whose items sit at indent ``level``."""
+        encoder = self._encoders.get(level)
+        if encoder is None:
+            encoder = self._encoders[level] = c_make_encoder(
+                None,
+                self.default,
+                self._string,
+                None,
+                self.key_separator,
+                self.item_separator + "\n" + self._pad * level,
+                self.sort_keys,
+                self.skipkeys,
+                self.allow_nan,
+            )
+        return encoder
+
+    def _render(self, o, level: int) -> str:
+        kind = type(o)
+        if kind in _SCALARS:
+            return self._scalar(o, 0)[0]
+        if kind is dict:
+            if not set(map(type, o)) <= _STR:
+                raise _NotPlain
+            kinds = set(map(type, o.values()))
+        elif kind is list:
+            kinds = set(map(type, o))
+        else:
+            raise _NotPlain
+        if not o:
+            return "{}" if kind is dict else "[]"
+        inner = "\n" + self._pad * (level + 1)
+        outer = "\n" + self._pad * level
+        if kinds <= _SCALARS:
+            text = "".join(self._encoder(level + 1)(o, 0))
+            return text[0] + inner + text[1:-1] + outer + text[-1]
+        if kind is list and kinds in ({list}, {dict}) and all(o) and _rows_are_flat(o):
+            row_inner = inner + self._pad
+            text = "".join(self._encoder(level + 2)(o, 0))
+            start, end = text[1], text[-2]
+            body = text[2:-2].replace(
+                end + self.item_separator + row_inner + start,
+                inner + end + self.item_separator + inner + start + row_inner,
+            )
+            return "[" + inner + start + row_inner + body + inner + end + outer + "]"
+        separator = self.item_separator + inner
+        if kind is list:
+            items = [self._render(value, level + 1) for value in o]
+            return "[" + inner + separator.join(items) + outer + "]"
+        items = [
+            self._string(key) + self.key_separator + self._render(o[key], level + 1)
+            for key in (sorted(o) if self.sort_keys else o)
+        ]
+        return "{" + inner + separator.join(items) + outer + "}"
+
+
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)
+    return json.dumps(obj, cls=_Indented, indent=2, sort_keys=True, ensure_ascii=False)
 
 
 def _load_model(path: str) -> BcslModel:
@@ -219,16 +322,15 @@ def _cmd_lts(args) -> int:
 
 
 def _lts_text(graph, label_fn) -> str:
+    text = {state: label_fn(state) for state in graph.states}
     lines = [
         f"states: {graph.n_states}",
         f"transitions: {graph.n_transitions}",
         f"truncated: {str(graph.truncated).lower()}",
-        f"initial: {label_fn(graph.initial)}",
+        f"initial: {text[graph.initial]}",
     ]
-    for src, label, tgt in sorted(
-        graph.transitions, key=lambda t: (label_fn(t[0]), t[1], label_fn(t[2]))
-    ):
-        lines.append(f"  {label_fn(src)} --{label}--> {label_fn(tgt)}")
+    for src, label, tgt in sorted((text[s], label, text[t]) for s, label, t in graph.transitions):
+        lines.append(f"  {src} --{label}--> {tgt}")
     return "\n".join(lines)
 
 

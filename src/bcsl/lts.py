@@ -455,6 +455,8 @@ def unroll(
     states: list = [initial]
     edges: list[tuple[int, str, int]] = []
     frontier = [(0, initial)]
+    # state -> the first object that reached it; repeated nodes share it.
+    seen: dict[Hashable, Hashable] = {initial: initial}
     for _ in range(depth):
         if not frontier:
             break
@@ -466,6 +468,7 @@ def unroll(
                 if len(states) >= max_nodes:
                     return RunTree(tuple(states), tuple(edges), True)
                 child = len(states)
+                target = seen.setdefault(target, target)
                 states.append(target)
                 edges.append((node, label, child))
                 next_frontier.append((child, target))
@@ -525,12 +528,11 @@ def tree_to_dot(tree: RunTree, label_fn: Callable[[Hashable], str] = _state_key)
 
 def lts_to_json_obj(lts: Lts, label_fn: Callable[[Hashable], str] = _state_key) -> dict:
     """JSON-ready mirror of the LTS fields with sorted arrays."""
+    text = {state: label_fn(state) for state in lts.states}
     return {
-        "initial": label_fn(lts.initial),
-        "states": sorted(label_fn(s) for s in lts.states),
-        "transitions": sorted(
-            [label_fn(src), label, label_fn(tgt)] for src, label, tgt in lts.transitions
-        ),
+        "initial": text[lts.initial],
+        "states": sorted(text.values()),
+        "transitions": sorted([text[src], label, text[tgt]] for src, label, tgt in lts.transitions),
         "truncated": lts.truncated,
     }
 

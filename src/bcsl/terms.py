@@ -50,11 +50,17 @@ from typing import Iterable, Iterator, Mapping, Union
 EPSILON = "ε"
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# Names that have passed ``_check_name``: terms are rebuilt from the same
+# few names over and over, so each is matched against the regex once.
+_ACCEPTED_NAMES: set[str] = set()
 
 
 def _check_name(name: str, kind: str) -> None:
+    if type(name) is str and name in _ACCEPTED_NAMES:
+        return
     if not isinstance(name, str) or not _NAME_RE.match(name):
         raise ValueError(f"invalid {kind} name {name!r}")
+    _ACCEPTED_NAMES.add(name)
 
 
 @dataclass(frozen=True)

@@ -90,3 +90,26 @@ def test_tracer_sees_every_layer(capsys, monkeypatch, tmp_path, command, spans, 
     capsys.readouterr()
     assert {name for name, *_ in trace.spans} == spans
     assert {leaf for *_, span_leaves in trace.spans for leaf in span_leaves} == leaves
+
+
+def test_tracer_counts_the_bytes_of_a_json_export(capsys, monkeypatch, tmp_path):
+    # The recorder times ``json.dumps`` inside ``bcsl.cli``: the JSON writer
+    # must go through it, or the export span would miss the dump.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "model.bcsl").write_text(TWO_SITE_MODEL, encoding="utf-8")
+    config = json.dumps(REGULATION_CONFIGS["programmed"])
+    (tmp_path / "reg.json").write_text(config, encoding="utf-8")
+    tracer = bench_module("tracer")
+    trace = tracer.Tracer()
+    undo = tracer.install(trace)
+    try:
+        assert main(["lts", "model.bcsl", "--regulation", "reg.json"]) == 0
+        trace.settle()
+    finally:
+        undo()
+    out = capsys.readouterr().out
+    dumped = [
+        counts["bytes"] for name, *_, counts, _ in trace.spans if name == "lts.export" and counts
+    ]
+    # The CLI ends its output with the one newline that the dump lacks.
+    assert dumped == [len(out.encode("utf-8")) - 1]

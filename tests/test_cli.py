@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bcsl
-from bcsl import build_mrs, parse_model
+from bcsl import build_mrs, cli, parse_model
 from bcsl.cli import main
 from conftest import REGULATION_CONFIGS, TWO_SITE_MODEL
 from corpus import random_model_text
@@ -661,3 +661,49 @@ def test_mutated_regulation_ends_in_documented_exit_code(capsys, tmp_path, name,
     for command in _REGULATED_COMMANDS:
         argv = [command[0], str(model), *command[1:], "--regulation", str(reg), "-o", output]
         _assert_documented_exit(capsys, argv)
+
+
+# ---------------------------------------------------------------------------
+# JSON writer
+# ---------------------------------------------------------------------------
+
+# Text that an encoder could mistake for its own structure: quotes,
+# backslashes, newlines, control characters, non-ASCII, and the row and
+# dict separators that ``_dump`` rewrites.
+_TEXT = st.sampled_from(
+    ['"', "\\", "\n", "\x00\x1f", "é ∅ 𝔸", "],\n      [", "},\n{", "]", "}", ""]
+) | st.text(max_size=6)
+_SCALAR = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | _TEXT
+)
+_LIST_ROW = st.lists(_SCALAR, min_size=1, max_size=3)
+_DICT_ROW = st.dictionaries(_TEXT, _SCALAR, min_size=1, max_size=3)
+_FLAT_ROWS = st.lists(_LIST_ROW, min_size=1, max_size=4) | st.lists(_DICT_ROW, min_size=1, max_size=4)
+
+
+def _json_values(depth: int):
+    """JSON values nested up to ``depth`` containers deep: lists of flat
+    rows of unequal lengths, rows that nest, and rows mixed with scalars."""
+    if depth == 0:
+        return _SCALAR
+    inner = _json_values(depth - 1)
+    return (
+        _SCALAR
+        | _FLAT_ROWS
+        | st.lists(inner, max_size=4)
+        | st.dictionaries(_TEXT, inner, max_size=4)
+        | st.lists(st.lists(inner, min_size=1, max_size=3), min_size=1, max_size=4)
+        | st.lists(st.dictionaries(_TEXT, inner, min_size=1, max_size=3), min_size=1, max_size=4)
+        | st.lists(_LIST_ROW | _DICT_ROW | _SCALAR, max_size=4)
+    )
+
+
+@settings(deadline=None)
+@given(value=_json_values(4))
+def test_dump_writes_what_json_dumps_writes(value):
+    expected = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
+    assert cli._dump(value) == expected
