@@ -109,7 +109,14 @@ def _emit(text: str, output: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if output is None:
-        sys.stdout.write(text)
+        # The same UTF-8 bytes as ``-o``, whatever the stream's own encoding.
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.write(text)
+        else:
+            sys.stdout.flush()
+            buffer.write(text.encode("utf-8"))
+            buffer.flush()
     else:
         Path(output).write_text(text, encoding="utf-8")
 

@@ -8,7 +8,9 @@ label permitted at memory ``m`` to the memory after it:
 
 * regular — a language of label sequences, given as a regular expression
   over rule labels with ``.`` (sequence), ``|`` (choice), ``*``
-  (repetition) and parentheses, compiled to a minimal DFA.  A candidate
+  (repetition) and parentheses.  One pass over the text builds its
+  Thompson automaton while reading it (Thompson, CACM 1968); the subset
+  construction and partition refinement make it a minimal DFA.  A candidate
   is permitted while the consumed label prefix can still grow into a word
   of the language; once a complete word has been consumed only ε may
   follow.  Memory: the DFA state.
@@ -77,94 +79,30 @@ class Dfa:
     transitions: Mapping[tuple[int, str], int]
     live: frozenset[int]
 
-    def step(self, state: int, label: str) -> int | None:
-        return self.transitions.get((state, label))
-
     def accepts(self, word: Collection[str]) -> bool:
         state: int | None = self.start
         for label in word:
-            state = self.step(state, label)
+            state = self.transitions.get((state, label))
             if state is None:
                 return False
         return state in self.accepting
 
 
-_REGEX_TOKEN = re.compile(r"\s*(?:(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<OP>[.|*()]))")
+# A label, an operator, or (the second group) a stray character.
+_REGEX_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|[.|*()])|(\S))")
 
 
 def _regex_tokens(expression: str) -> list[str]:
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(expression):
-        match = _REGEX_TOKEN.match(expression, pos)
-        if match is None or match.end() == pos:
-            rest = expression[pos:].lstrip()
-            if not rest:
-                break
-            raise RegulationError(f"unexpected character {rest[0]!r} in expression")
-        tokens.append(match.group("IDENT") or match.group("OP"))
-        pos = match.end()
-    return tokens
-
-
-def _join(kind: str, parts: list):
-    return parts[0] if len(parts) == 1 else (kind, tuple(parts))
-
-
-def _parse_regex(expression: str):
-    """Parse into a tuple AST: ("sym", l) | ("cat", parts) | ("alt", parts) | ("star", p).
-
-    Precedence, loosest first: ``|``, ``.``, postfix ``*``.  Open groups
-    live on an explicit stack, so nesting depth is not limited by the
-    recursion limit.
-    """
-    tokens = _regex_tokens(expression)
-    if not tokens:
-        raise RegulationError("empty expression")
-    # One frame per open group (the bottom one is the whole expression):
-    # the finished alternatives, and the operands of the current sequence.
-    groups: list[tuple[list, list]] = [([], [])]
-    pos = 0
-    node = None  # the operand just read; None while one is expected
-    while True:
-        tok = tokens[pos] if pos < len(tokens) else None
-        if node is None:
-            if tok == "(":
-                groups.append(([], []))
-            elif tok is None or tok in ".|*)":
-                raise RegulationError(f"expected a rule label in expression, found {tok!r}")
-            else:
-                node = ("sym", tok)
-            pos += 1
-            continue
-        if tok == "*":
-            node = ("star", node)
-            pos += 1
-            continue
-        alternatives, sequence = groups[-1]
-        sequence.append(node)
-        node = None
-        if tok == ".":
-            pos += 1
-            continue
-        alternatives.append(_join("cat", sequence))
-        if tok == "|":
-            sequence.clear()
-            pos += 1
-            continue
-        node = _join("alt", alternatives)
-        if tok == ")" and len(groups) > 1:
-            groups.pop()
-            pos += 1
-        elif len(groups) > 1:
-            raise RegulationError("missing ')' in expression")
-        elif tok is not None:
-            raise RegulationError(f"unexpected {tok!r} in expression")
-        else:
-            return node
+    found = _REGEX_TOKEN.findall(expression)
+    for _, stray in found:
+        if stray:
+            raise RegulationError(f"unexpected character {stray!r} in expression")
+    return [token for token, _ in found]
 
 
 class _Nfa:
+    """A Thompson automaton, built one (start, accept) fragment at a time."""
+
     def __init__(self):
         self.eps: dict[int, set[int]] = {}
         self.sym: dict[tuple[int, str], set[int]] = {}
@@ -179,8 +117,31 @@ class _Nfa:
     def add_eps(self, a: int, b: int) -> None:
         self.eps.setdefault(a, set()).add(b)
 
-    def add_sym(self, a: int, label: str, b: int) -> None:
-        self.sym.setdefault((a, label), set()).add(b)
+    def symbol(self, label: str) -> tuple[int, int]:
+        a, b = self.new_state(), self.new_state()
+        self.sym[(a, label)] = {b}
+        return a, b
+
+    def star(self, fragment: tuple[int, int]) -> tuple[int, int]:
+        a, b = fragment
+        start, end = self.new_state(), self.new_state()
+        for source, target in ((start, a), (b, end), (start, end), (b, a)):
+            self.add_eps(source, target)
+        return start, end
+
+    def sequence(self, fragments: list[tuple[int, int]]) -> tuple[int, int]:
+        for (_, b), (a, _) in zip(fragments, fragments[1:]):
+            self.add_eps(b, a)
+        return fragments[0][0], fragments[-1][1]
+
+    def choice(self, fragments: list[tuple[int, int]]) -> tuple[int, int]:
+        if len(fragments) == 1:
+            return fragments[0]
+        start, end = self.new_state(), self.new_state()
+        for a, b in fragments:
+            self.add_eps(start, a)
+            self.add_eps(b, end)
+        return start, end
 
     def closure(self, states: Collection[int]) -> frozenset[int]:
         """The ε-closure of ``states``: the union of each state's own closure.
@@ -208,80 +169,76 @@ class _Nfa:
         return frozenset(seen)
 
 
-def _build_nfa(ast, nfa: _Nfa) -> tuple[int, int]:
-    """Thompson construction: the (start, accept) states of ``ast`` in ``nfa``.
+def _parse_regex(expression: str, nfa: _Nfa) -> tuple[tuple[int, int], set[str]]:
+    """Build the Thompson automaton of ``expression`` in ``nfa`` while reading it.
 
-    Walks the AST with an explicit stack, so nesting depth is not limited
-    by the recursion limit.  A node's own states are numbered before its
-    parts', in the order a recursive construction numbers them.
+    Returns the (start, accept) fragment of the whole expression and the
+    labels it names.  Precedence, loosest first: ``|``, ``.``, postfix
+    ``*``.  Open groups live on an explicit stack, so nesting depth is not
+    limited by the recursion limit.
     """
-    built: list[tuple[int, int]] = []  # (start, end) of finished nodes, in order
-    # (node, its own (start, end) once its parts are queued; None before).
-    stack: list[tuple[tuple, tuple[int, int] | None]] = [(ast, None)]
-    while stack:
-        node, own = stack.pop()
-        kind = node[0]
-        if kind == "sym":
-            a, b = nfa.new_state(), nfa.new_state()
-            nfa.add_sym(a, node[1], b)
-            built.append((a, b))
+    tokens = _regex_tokens(expression)
+    if not tokens:
+        raise RegulationError("empty expression")
+    labels: set[str] = set()
+    # One frame per open group (the bottom one is the whole expression): the
+    # fragments of its finished alternatives and of its current sequence.
+    groups: list[tuple[list, list]] = [([], [])]
+    pos = 0
+    node = None  # the fragment just read; None while an operand is expected
+    while True:
+        tok = tokens[pos] if pos < len(tokens) else None
+        if node is None:
+            if tok == "(":
+                groups.append(([], []))
+            elif tok is None or tok in ".|*)":
+                raise RegulationError(f"expected a rule label in expression, found {tok!r}")
+            else:
+                node = nfa.symbol(tok)
+                labels.add(tok)
+            pos += 1
             continue
-        if kind not in ("cat", "alt", "star"):
-            raise AssertionError(f"unknown AST node {kind!r}")
-        parts = (node[1],) if kind == "star" else node[1]
-        if own is None:
-            own = () if kind == "cat" else (nfa.new_state(), nfa.new_state())
-            stack.append((node, own))
-            stack.extend((part, None) for part in reversed(parts))
+        if tok == "*":
+            node = nfa.star(node)
+            pos += 1
             continue
-        done = built[-len(parts):]
-        del built[-len(parts):]
-        if kind == "cat":
-            for (_, b), (a, _) in zip(done, done[1:]):
-                nfa.add_eps(b, a)
-            built.append((done[0][0], done[-1][1]))
+        alternatives, sequence = groups[-1]
+        sequence.append(node)
+        node = None
+        if tok == ".":
+            pos += 1
             continue
-        start, end = own
-        for a, b in done:
-            nfa.add_eps(start, a)
-            nfa.add_eps(b, end)
-        if kind == "star":
-            ((a, b),) = done
-            nfa.add_eps(start, end)
-            nfa.add_eps(b, a)
-        built.append(own)
-    return built[0]
-
-
-def _ast_symbols(ast) -> set[str]:
-    symbols: set[str] = set()
-    stack = [ast]
-    while stack:
-        node = stack.pop()
-        if node[0] == "sym":
-            symbols.add(node[1])
-        elif node[0] == "star":
-            stack.append(node[1])
+        alternatives.append(nfa.sequence(sequence))
+        if tok == "|":
+            sequence.clear()
+            pos += 1
+            continue
+        node = nfa.choice(alternatives)
+        if tok == ")" and len(groups) > 1:
+            groups.pop()
+            pos += 1
+        elif len(groups) > 1:
+            raise RegulationError("missing ')' in expression")
+        elif tok is not None:
+            raise RegulationError(f"unexpected {tok!r} in expression")
         else:
-            stack.extend(node[1])
-    return symbols
+            return node, labels
 
 
 def compile_label_regex(expression: str, labels: Collection[str]) -> Dfa:
     """Compile an expression over rule labels to a minimal DFA with liveness.
 
-    Raises ``RegulationError`` once the subset construction holds more
-    than ``MAX_DFA_STATES`` states.
+    The parser builds the Thompson automaton and collects the labels in
+    one pass; labels outside ``labels`` are rejected after it, so a syntax
+    error is reported first.  Raises ``RegulationError`` once the subset
+    construction holds more than ``MAX_DFA_STATES`` states.
     """
-    ast = _parse_regex(expression)
-    symbols = _ast_symbols(ast)
+    nfa = _Nfa()
+    (start, accept), symbols = _parse_regex(expression, nfa)
     unknown = sorted(symbols - set(labels))
     if unknown:
         raise RegulationError(f"unknown rule label(s) in expression: {', '.join(unknown)}")
     alphabet = sorted(symbols)
-
-    nfa = _Nfa()
-    start, accept = _build_nfa(ast, nfa)
 
     # Subset construction.
     initial = nfa.closure((start,))
@@ -309,17 +266,12 @@ def compile_label_regex(expression: str, labels: Collection[str]) -> Dfa:
     accepting = {cid for subset, cid in subset_ids.items() if accept in subset}
     n = len(subset_ids)
 
-    # Totalize with a dead state, then minimize by partition refinement.
+    # Minimize by partition refinement, a missing transition going to ``dead``.
     dead = n
-    total = dict(table)
-    for state in range(n + 1):
-        for label in alphabet:
-            total.setdefault((state, label), dead)
-
     block_of = {s: (1 if s in accepting else 0) for s in range(n + 1)}
     while True:
         signatures = {
-            s: (block_of[s], tuple(block_of[total[(s, a)]] for a in alphabet))
+            s: (block_of[s], tuple(block_of[table.get((s, a), dead)] for a in alphabet))
             for s in range(n + 1)
         }
         renumber: dict[tuple, int] = {}
@@ -334,7 +286,7 @@ def compile_label_regex(expression: str, labels: Collection[str]) -> Dfa:
         block_of = new_block_of
 
     min_trans = {
-        (block_of[s], a): block_of[total[(s, a)]] for s in range(n + 1) for a in alphabet
+        (block_of[s], a): block_of[table.get((s, a), dead)] for s in range(n + 1) for a in alphabet
     }
     min_start = block_of[0]
     min_accepting = frozenset(block_of[s] for s in accepting)

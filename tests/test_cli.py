@@ -582,6 +582,35 @@ def test_agent_ids_never_reach_an_output(tmp_path):
         assert _run_interned(agents, argv) == normal, argv
 
 
+@pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+def test_stdout_writes_the_bytes_of_output_whatever_its_encoding(tmp_path, encoding):
+    vanishing = tmp_path / "vanishing.bcsl"  # its run reaches ∅
+    vanishing.write_text("#! rules\nr ~ A{x}::c =>\n\n#! inits\n1 A{x}::c\n", encoding="utf-8")
+    two_site = tmp_path / "two_site.bcsl"  # its regulated product has ε self-loops
+    two_site.write_text(TWO_SITE_MODEL, encoding="utf-8")
+    regular = write_regulation(tmp_path, "regular")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(bcsl.__file__)))
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONIOENCODING=encoding,
+        PYTHONPATH=root + os.pathsep + inherited if inherited else root,
+    )
+    commands = [
+        ["simulate", str(vanishing), "--format", "text"],
+        ["lts", str(two_site), "--regulation", regular, "--format", "json"],
+    ]
+    for argv in commands:
+        written = tmp_path / "written"
+        assert main([*argv, "-o", str(written)]) == 0
+        expected = written.read_bytes()
+        assert not expected.isascii()
+        proc = subprocess.run(
+            [sys.executable, "-m", "bcsl", *argv], capture_output=True, env=env, check=False
+        )
+        assert (proc.returncode, proc.stdout) == (0, expected), proc.stderr.decode()
+
+
 # ---------------------------------------------------------------------------
 # Guard: mutated inputs end in a documented exit code
 # ---------------------------------------------------------------------------

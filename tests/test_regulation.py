@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,6 +80,13 @@ def test_regex_errors():
         compile_label_regex("   ", LABELS)
     with pytest.raises(RegulationError, match="unexpected character"):
         compile_label_regex("r1_S+r2", LABELS)
+    # Syntax errors come before the unknown-label check.
+    with pytest.raises(RegulationError, match="expected a rule label"):
+        compile_label_regex("nope.", LABELS)
+    with pytest.raises(RegulationError, match="missing"):
+        compile_label_regex("(nope", LABELS)
+    with pytest.raises(RegulationError, match="unexpected character"):
+        compile_label_regex("nope.$", LABELS)
     # (a|b)*.a.(a|b)^n needs 2^(n+1) subset states.
     with pytest.raises(RegulationError, match="automaton states"):
         compile_label_regex("(a|b)*.a" + ".(a|b)" * 16, ("a", "b"))
@@ -110,6 +118,53 @@ def test_nested_expression_keeps_its_structure():
         compile_label_regex("r1_S)", LABELS)
     with pytest.raises(RegulationError, match="missing"):
         compile_label_regex("(r1_S r2)", LABELS)
+
+
+# Expression trees over LABELS, at most four operators deep:
+# ("sym", label) | ("cat", parts) | ("alt", parts) | ("star", part).
+_EXPRESSIONS = st.sampled_from(LABELS).map(lambda label: ("sym", label))
+for _ in range(4):
+    _EXPRESSIONS = st.one_of(
+        st.sampled_from(LABELS).map(lambda label: ("sym", label)),
+        st.tuples(st.sampled_from(("cat", "alt")), st.lists(_EXPRESSIONS, min_size=2, max_size=3)),
+        st.tuples(st.just("star"), _EXPRESSIONS),
+    )
+
+_PRECEDENCE = {"alt": 0, "cat": 1, "star": 2, "sym": 3}
+
+
+def _label_text(tree, loosest=0) -> str:
+    """``tree`` as a label expression, parenthesised only where precedence needs it."""
+    kind, body = tree
+    if kind == "sym":
+        return body
+    if kind == "star":
+        text = _label_text(body, _PRECEDENCE["star"]) + "*"
+    else:
+        operator = "." if kind == "cat" else "|"
+        text = operator.join(_label_text(part, _PRECEDENCE[kind]) for part in body)
+    return f"({text})" if _PRECEDENCE[kind] < loosest else text
+
+
+def _python_re(tree) -> str:
+    """``tree`` in Python ``re`` syntax, each label one character."""
+    kind, body = tree
+    if kind == "sym":
+        return "abc"[LABELS.index(body)]
+    if kind == "star":
+        return f"(?:{_python_re(body)})*"
+    return "(?:" + ("" if kind == "cat" else "|").join(map(_python_re, body)) + ")"
+
+
+@given(_EXPRESSIONS)
+@settings(deadline=None)
+def test_compiled_expressions_agree_with_python_re(tree):
+    dfa = compile_label_regex(_label_text(tree), LABELS)
+    pattern = re.compile(_python_re(tree))
+    for n in range(5):
+        for word in itertools.product(LABELS, repeat=n):
+            text = "".join("abc"[LABELS.index(label)] for label in word)
+            assert dfa.accepts(word) == bool(pattern.fullmatch(text)), (_label_text(tree), word)
 
 
 def _regular_cases():
