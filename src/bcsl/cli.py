@@ -347,8 +347,9 @@ def _tree_text(tree, label_fn) -> str:
         f"edges: {tree.n_edges}",
         f"truncated: {str(tree.truncated).lower()}",
     ]
+    text = tree.node_texts(label_fn)
     for parent, label, child in tree.edges:
-        lines.append(f"  {label_fn(tree.states[parent])} --{label}--> {label_fn(tree.states[child])}")
+        lines.append(f"  {text[parent]} --{label}--> {text[child]}")
     return "\n".join(lines)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
+from operator import itemgetter
 from typing import Callable, Collection, Hashable
 
 from .mrs import EPSILON_LABEL
@@ -89,6 +90,13 @@ class RunTree:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    def node_texts(self, label_fn: Callable[[Hashable], str]) -> list[str]:
+        """``label_fn`` of each node's state, called once per distinct state."""
+        text = dict.fromkeys(self.states)
+        for state in text:
+            text[state] = label_fn(state)
+        return [text[state] for state in self.states]
 
 
 @dataclass(frozen=True)
@@ -440,6 +448,10 @@ def maximal_label_sequences(lts: Lts, depth: int) -> LabelSequences:
     return LabelSequences(frozenset(complete), frozenset(incomplete))
 
 
+# The sort key of an ``unroll`` child ``(label, state key, state)``.
+_label_and_key = itemgetter(0, 1)
+
+
 def unroll(
     initial: Hashable,
     successor_fn: SuccessorFn,
@@ -450,25 +462,36 @@ def unroll(
 
     ε edges are omitted, also when testing whether the depth bound cut
     the tree.  The node cap guards against exponential blow-up on cyclic
-    systems.
+    systems.  Siblings are ordered by ``(label, state key)``, the key
+    being ``_state_key``'s text; the sort is stable.
+
+    Each distinct state is stored once, as the first object that reached
+    it, and keyed once per tree: a child is interned before the sort, and
+    a repeated one reuses the stored key.  ``successor_fn`` still runs
+    once per expanded node, repeated or not.
     """
     states: list = [initial]
     edges: list[tuple[int, str, int]] = []
     frontier = [(0, initial)]
-    # state -> the first object that reached it; repeated nodes share it.
-    seen: dict[Hashable, Hashable] = {initial: initial}
+    # state -> (the first object that reached it, its sort key).
+    seen: dict[Hashable, tuple[Hashable, str]] = {initial: (initial, _state_key(initial))}
     for _ in range(depth):
         if not frontier:
             break
         next_frontier = []
         for node, state in frontier:
-            for label, target in sorted(
-                _steps(successor_fn, state), key=lambda lt: (lt[0], _state_key(lt[1]))
-            ):
+            children = []
+            for label, target in _steps(successor_fn, state):
+                stored = seen.get(target)
+                if stored is None:
+                    stored = seen[target] = (target, _state_key(target))
+                children.append((label, stored[1], stored[0]))
+            # Equal keys are equal states: tied children are the same move.
+            children.sort(key=_label_and_key)
+            for label, _, target in children:
                 if len(states) >= max_nodes:
                     return RunTree(tuple(states), tuple(edges), True)
                 child = len(states)
-                target = seen.setdefault(target, target)
                 states.append(target)
                 edges.append((node, label, child))
                 next_frontier.append((child, target))
@@ -514,14 +537,17 @@ def lts_to_dot(lts: Lts, label_fn: Callable[[Hashable], str] = _state_key) -> st
 
 def tree_to_dot(tree: RunTree, label_fn: Callable[[Hashable], str] = _state_key) -> str:
     """DOT digraph of an unrolled run tree (root doubled)."""
+    texts = tree.node_texts(label_fn)
+    # Every distinct text, of a node or of an edge label, quoted once.
+    quoted = {text: _dot_quote(text) for text in {*texts, *(label for _, label, _ in tree.edges)}}
     lines = ["digraph runs {"]
-    for i, state in enumerate(tree.states):
-        attrs = f"label={_dot_quote(label_fn(state))}"
+    for i, text in enumerate(texts):
+        attrs = f"label={quoted[text]}"
         if i == 0:
             attrs += ", peripheries=2"
         lines.append(f"  n{i} [{attrs}];")
     for parent, label, child in tree.edges:
-        lines.append(f"  n{parent} -> n{child} [label={_dot_quote(label)}];")
+        lines.append(f"  n{parent} -> n{child} [label={quoted[label]}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -540,7 +566,7 @@ def lts_to_json_obj(lts: Lts, label_fn: Callable[[Hashable], str] = _state_key) 
 def tree_to_json_obj(tree: RunTree, label_fn: Callable[[Hashable], str] = _state_key) -> dict:
     """JSON-ready mirror of an unrolled run tree."""
     return {
-        "nodes": [{"id": i, "state": label_fn(s)} for i, s in enumerate(tree.states)],
+        "nodes": [{"id": i, "state": text} for i, text in enumerate(tree.node_texts(label_fn))],
         "edges": [[parent, label, child] for parent, label, child in tree.edges],
         "truncated": tree.truncated,
     }

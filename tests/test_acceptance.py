@@ -432,6 +432,10 @@ def test_criterion_7_cli_determinism(tmp_path):
 # one state's successor list: the initial state has three successors, so a
 # cap of 3 keeps two of them, and a cap of 5 cuts the first list of the
 # next depth.  Recorded from an ``explore`` that sorted every successor.
+# The ``--unroll`` rows cap tree nodes the same way: 3 cuts inside the
+# root's three sorted children.  Recorded from an ``unroll`` that keyed
+# every child afresh.
+_UNROLL_CUT = ["lts", "model.bcsl", "--unroll", "--max-depth", "4", "--format", "text"]
 TRUNCATED_RUNS = [
     (
         ["lts", "model.bcsl", "--max-states", "3", "--format", "dot"],
@@ -453,14 +457,47 @@ TRUNCATED_RUNS = [
         2,
         "d147572be5dc17aaa14c32f5f12a3aab419ef909574df037731d1e48984eea83",
     ),
+    (
+        [*_UNROLL_CUT, "--max-states", "3"],
+        0,
+        "317a3eb54a2e9ac00260300e76f0f2c27ec2ae90be151e52f976321609fa6baf",
+    ),
+    (
+        [*_UNROLL_CUT, "--max-states", "3", "--regulation", "reg.json"],
+        0,
+        "6dcceecb38e5ed196362de068ab1a22a240a3aad85e3e10ef140950a6dcc8bb6",
+    ),
+    (
+        [*_UNROLL_CUT, "--max-states", "5"],
+        0,
+        "22b604a2c4a784bfdc26f24689b1c79957903ff7c21971c9e823ad9e0cbe7a7b",
+    ),
+    (
+        [*_UNROLL_CUT, "--max-states", "5", "--regulation", "reg.json"],
+        0,
+        "bacef399a6fae0fb04d5a5bfd1e3bee2eb950deaa95dd2ded2eccf9e6109940c",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "args, code, digest", TRUNCATED_RUNS, ids=["lts-3", "check-3", "lts-5", "check-5"]
+    "args, code, digest",
+    TRUNCATED_RUNS,
+    ids=[
+        "lts-3",
+        "check-3",
+        "lts-5",
+        "check-5",
+        "unroll-3",
+        "unroll-regulated-3",
+        "unroll-5",
+        "unroll-regulated-5",
+    ],
 )
 def test_truncated_runs_keep_their_bytes(tmp_path, args, code, digest):
     (tmp_path / "model.bcsl").write_text(TWO_SITE_MODEL, encoding="utf-8")
+    reg = json.dumps(REGULATION_CONFIGS["regular"])
+    (tmp_path / "reg.json").write_text(reg, encoding="utf-8")
     for hash_seed in ("1", "2"):
         got_code, out = _run_cli(args, hash_seed, str(tmp_path))
         assert (got_code, hashlib.sha256(out).hexdigest()) == (code, digest), (args, hash_seed)

@@ -27,6 +27,7 @@ from bcsl import (
     tree_to_json_obj,
     unroll,
 )
+from bcsl.cli import _tree_text
 from conftest import TWO_SITE_MODEL, UNREGULATED_SEQUENCES, bench_module
 
 M0 = parse_multiset("1 P(S{i},T{i})::cell")
@@ -474,6 +475,41 @@ def test_unroll_omits_epsilon_edges(two_site_model):
     assert grounded == unroll(two_site_model.init, RuleMatcher(two_site_model).successors, 4)
     assert all(label != EPSILON_LABEL for _, label, _ in grounded.edges)
     assert not grounded.truncated
+
+
+def test_unroll_and_tree_exports_text_each_distinct_state_once():
+    # A cycle of three states whose successor function returns fresh, equal
+    # objects on every call: 31 nodes at depth 4, 3 distinct states.
+    reprs = []
+
+    class Node:
+        def __init__(self, n):
+            self.n = n
+
+        def __eq__(self, other):
+            return self.n == other.n
+
+        def __hash__(self):
+            return hash(self.n)
+
+        def __repr__(self):
+            reprs.append(self.n)
+            return f"n{self.n}"
+
+    def cycle(state):
+        return [("a", Node((state.n + 2) % 3)), ("a", Node((state.n + 1) % 3))]
+
+    tree = unroll(Node(0), cycle, 4)
+    assert (tree.n_nodes, len({id(state) for state in tree.states})) == (31, 3)
+    assert sorted(reprs) == [0, 1, 2]
+    # Siblings of one label are ordered by their state key.
+    assert [state.n for state in tree.states[:3]] == [0, 1, 2]
+    for export in (tree_to_dot, tree_to_json_obj, _tree_text):
+        named = []
+        export(tree, lambda state: named.append(state.n) or f"s{state.n}")
+        assert sorted(named) == [0, 1, 2], export
+    nodes = tree_to_json_obj(tree, lambda state: f"s{state.n}")["nodes"]
+    assert [node["state"] for node in nodes] == [f"s{state.n}" for state in tree.states]
 
 
 # ---------------------------------------------------------------------------
