@@ -8,9 +8,7 @@ and machine-checks that the direct and the grounded semantics coincide.
 from .conformance import (
     ConformanceReport,
     Counterexample,
-    LemmaReport,
     check_equivalence,
-    check_lemmas,
 )
 from .lts import (
     LabelSequences,
@@ -22,7 +20,6 @@ from .lts import (
     extend_epsilon,
     lts_to_dot,
     lts_to_json_obj,
-    map_states,
     maximal_label_sequences,
     tree_to_dot,
     tree_to_json_obj,
@@ -45,12 +42,10 @@ from .patterns import (
     GroundingError,
     Instantiation,
     Reaction,
-    consistent,
     deatomise,
     enumerate_instantiations,
     expand_agent,
     expand_pattern,
-    ground_pattern,
     ground_rule,
     instantiation_count,
     pattern_multiset,
@@ -84,7 +79,6 @@ from .syntax import (
     parse_multiset,
     parse_pattern,
     parse_rule,
-    serialize,
 )
 from .terms import (
     EPSILON,
@@ -94,7 +88,6 @@ from .terms import (
     Pattern,
     Structure,
     canonicalize,
-    congruent,
 )
 
 __version__ = "0.1.0"

@@ -6,19 +6,16 @@ by rule patterns (``lts`` module) and rewriting by the grounded system
 are anchored at the same initial state, that reduces to equality of the
 reachable labelled graphs (with ε self-loops on terminal states).
 ``check_equivalence`` explores both within the same bounds and reports
-the first discrepancy; ``check_lemmas`` compares enabledness and the
-per-rule successor sets at a single state.
+the first discrepancy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lts import Lts, RuleMatcher, build_lts, explore, extend_epsilon
-from .mrs import Mrs, apply_rule, build_mrs, enabled, successors
-from .patterns import enumerate_instantiations, expand_pattern, pattern_multiset
+from .lts import Lts, build_lts, explore, extend_epsilon
+from .mrs import Mrs, build_mrs, successors
 from .syntax import BcslModel
-from .terms import Multiset
 
 
 @dataclass(frozen=True)
@@ -49,25 +46,6 @@ class ConformanceReport:
     @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    """Per-rule agreement of the two semantics at one state."""
-
-    label: str
-    direct_enabled: bool
-    grounded_enabled: bool
-    direct_targets: frozenset[Multiset]
-    grounded_targets: frozenset[Multiset]
-
-    @property
-    def enabledness_agrees(self) -> bool:
-        return self.direct_enabled == self.grounded_enabled
-
-    @property
-    def application_agrees(self) -> bool:
-        return self.direct_targets == self.grounded_targets
 
 
 def _first_difference(direct: Lts, grounded: Lts) -> Counterexample | None:
@@ -132,31 +110,3 @@ def check_equivalence(
         counterexample=counterexample,
     )
 
-
-def check_lemmas(model: BcslModel, state: Multiset) -> dict[str, LemmaReport]:
-    """Per-rule agreement of enabledness and successor sets at ``state``.
-
-    The direct side asks whether some instantiation of the (expanded)
-    left-hand side is contained in the state and collects the matcher's
-    rewrite targets; the grounded side asks ``enabled`` and
-    ``apply_rule`` of the rules of ``build_mrs(model)`` with the label.
-    """
-    matcher = RuleMatcher(model)
-    direct_successors = matcher.successors(state)
-    grounded_rules = build_mrs(model).rules
-    reports: dict[str, LemmaReport] = {}
-    for rule in model.rules:
-        lhs = expand_pattern(rule.lhs, model.structure_signature)
-        direct_enabled = any(
-            pattern_multiset(inst.result).issubset(state)
-            for inst in enumerate_instantiations(lhs, model.atomic_signature)
-        )
-        direct_targets = frozenset(
-            target for label, target in direct_successors if label == rule.label
-        )
-        fired = [mu for mu in grounded_rules if mu.label == rule.label and enabled(mu, state)]
-        grounded_targets = frozenset(apply_rule(mu, state) for mu in fired)
-        reports[rule.label] = LemmaReport(
-            rule.label, direct_enabled, bool(fired), direct_targets, grounded_targets
-        )
-    return reports

@@ -101,7 +101,7 @@ class RunTree:
 
 @dataclass(frozen=True)
 class LabelSequences:
-    """Maximal non-ε label sequences up to a depth.
+    """Maximal non-ε label sequences up to a depth (library API, README § Library).
 
     A sequence lands in ``incomplete`` when the depth bound cut it off
     while further non-ε steps were possible.
@@ -410,21 +410,13 @@ def extend_epsilon(lts: Lts) -> Lts:
     return Lts(lts.initial, lts.states, lts.transitions | loops, lts.unsettled)
 
 
-def map_states(lts: Lts, project: Callable[[Hashable], Hashable]) -> Lts:
-    """Quotient an LTS by projecting its states (e.g. dropping memory)."""
-    return Lts(
-        project(lts.initial),
-        frozenset(project(s) for s in lts.states),
-        frozenset((project(a), label, project(b)) for a, label, b in lts.transitions),
-        frozenset(project(s) for s in lts.unsettled),
-    )
-
-
 def maximal_label_sequences(lts: Lts, depth: int) -> LabelSequences:
     """Label sequences of runs from the initial state up to their first ε.
 
     A sequence is complete when the run can only stutter afterwards, and
-    incomplete when the depth bound stopped it first.
+    incomplete when the depth bound stopped it first.  Library API
+    (README § Library): no command prints run sets, but the tests'
+    regulation oracles read them.
     """
     adjacency: dict[Hashable, list[tuple[str, Hashable]]] = {}
     for src, label, tgt in lts.transitions:

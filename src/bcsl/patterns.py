@@ -1,10 +1,11 @@
-"""Pattern expansion, instantiation enumeration, consistency and grounding.
+"""Pattern expansion, instantiation enumeration and grounding.
 
 A pattern abstracts a family of concrete states: structures may omit
 atomics (added by expansion with the ε feature) and atomics may carry ε
 (resolved by instantiation to every feature the signature allows).
-Grounding turns a pattern into its set of concrete multisets and a rule
-into its set of reactions, i.e. consistent pairs of instantiated sides.
+Grounding turns a rule into its set of reactions, i.e. consistent pairs
+of instantiated sides: wherever the two sides' deatomisations hold equal
+source atomics (ε equals only ε), the instantiations resolve them alike.
 """
 
 from __future__ import annotations
@@ -153,35 +154,9 @@ def enumerate_instantiations(
     return tuple(out)
 
 
-def consistent(first: Instantiation, second: Instantiation) -> bool:
-    """Positional consistency of two instantiations.
-
-    At every shared deatomisation position, equal source atomics (name and
-    feature; ε equals only ε) must have received equal resolved atomics.
-    """
-    s1, s2 = deatomise(first.source), deatomise(second.source)
-    r1, r2 = deatomise(first.result), deatomise(second.result)
-    n = min(len(s1), len(s2))
-    return all(s1[k] != s2[k] or r1[k] == r2[k] for k in range(n))
-
-
 def pattern_multiset(pattern: Pattern) -> Multiset:
     """Read an ε-free pattern as a multiset of its agents."""
     return Multiset.from_agents(pattern.agents)
-
-
-def ground_pattern(
-    pattern: Pattern,
-    structure_signature: Mapping[str, frozenset[str]],
-    atomic_signature: Mapping[str, frozenset[str]],
-    cap: int = DEFAULT_GROUNDING_CAP,
-) -> frozenset[Multiset]:
-    """All concrete multisets the pattern can stand for."""
-    expanded = expand_pattern(pattern, structure_signature)
-    return frozenset(
-        pattern_multiset(inst.result)
-        for inst in enumerate_instantiations(expanded, atomic_signature, cap)
-    )
 
 
 def ground_rule(
@@ -201,10 +176,10 @@ def ground_rule(
             f"rule {rule.label!r} has {candidates} candidate instantiation pairs, "
             f"exceeding the cap of {cap}"
         )
-    # ``consistent`` on every pair, with each deatomisation done once: a
-    # pair is consistent when its results agree at the positions where the
-    # two sources agree, so the right-hand instantiations are grouped by
-    # their resolved atomics there, in enumeration order.
+    # Consistency of every pair, with each deatomisation done once: a pair
+    # is consistent when its results agree at the positions where the two
+    # sources agree, so the right-hand instantiations are grouped by their
+    # resolved atomics there, in enumeration order.
     s1, s2 = deatomise(lhs), deatomise(rhs)
     shared = [k for k in range(min(len(s1), len(s2))) if s1[k] == s2[k]]
 

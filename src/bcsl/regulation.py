@@ -29,10 +29,12 @@ The other two keep no memory:
   i.e. some groundings of theirs consume a common agent.
 
 ε never counts as a regulated rule: it fires exactly when the permitted
-set is empty and leaves the memory unchanged.  ``guarded`` decides it
-once, for every walk: it wraps the successor function of the direct
-matcher or of the grounded system alike, and gives a node with no
-permitted successor its ε self-loop.
+set is empty and leaves the memory unchanged.  Two walks decide it, each
+from the moves of ``RegulationGuard.step``: ``guarded``, which wraps the
+successor function of the direct matcher or of the grounded system alike
+for ``explore`` and ``unroll``, gives a node with no permitted successor
+its ε self-loop; ``mrs.sample_run`` (``bcsl simulate``) stutters on ε
+when ``step`` permits no move.
 """
 
 from __future__ import annotations
@@ -407,16 +409,26 @@ def _label_pairs(raw: Any, known: frozenset[str], where: str) -> frozenset[tuple
     return frozenset(pairs)
 
 
-def _transitive_closure(pairs: frozenset[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    closure = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(tuple(closure), repeat=2):
-            if b == c and (a, d) not in closure:
-                closure.add((a, d))
-                changed = True
-    return frozenset(closure)
+def _labels_above(pairs: frozenset[tuple[str, str]]) -> dict[str, set[str]]:
+    """Each label's set of labels above it in the transitive closure of ``pairs``.
+
+    One reachability walk per label over the pair graph, so a label lies
+    on a cycle exactly when it reaches itself.
+    """
+    graph: dict[str, set[str]] = {}
+    for a, b in pairs:
+        graph.setdefault(a, set()).add(b)
+    above: dict[str, set[str]] = {}
+    for label in graph:
+        reached: set[str] = set()
+        stack = [label]
+        while stack:
+            for b in graph.get(stack.pop(), ()):
+                if b not in reached:
+                    reached.add(b)
+                    stack.append(b)
+        above[label] = reached
+    return above
 
 
 def _last_label_automaton(
@@ -454,18 +466,15 @@ def compile_regulation(config: Mapping[str, Any], labels: Collection[str]) -> Re
         return AutomatonRegulation(dfa.start, moves, {memory: f"q{memory}" for memory in moves})
 
     if kind == "ordered":
-        pairs = _label_pairs(config.get("pairs"), known, "'pairs'")
-        order = _transitive_closure(pairs)
-        reflexive = sorted({a for a, b in order if a == b})
-        if reflexive:
+        above = _labels_above(_label_pairs(config.get("pairs"), known, "'pairs'"))
+        cyclic = sorted(a for a, reached in above.items() if a in reached)
+        if cyclic:
             raise RegulationError(
                 "'pairs' is not a strict partial order (cycle through "
-                + ", ".join(reflexive)
+                + ", ".join(cyclic)
                 + ")"
             )
-        return _last_label_automaton(
-            {a: known - {b for lower, b in order if lower == a} for a in known}, known
-        )
+        return _last_label_automaton({a: known - above.get(a, set()) for a in known}, known)
 
     if kind == "programmed":
         raw = config.get("successors")

@@ -1,4 +1,4 @@
-"""Model files: lexing, parsing, signature inference and serialization.
+"""Model files: lexing, parsing, signature inference and ``model_to_text``.
 
 A model file has two sections, one rule or init entry per line::
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .terms import EPSILON, Agent, Atomic, Multiset, Pattern, Structure
 
@@ -359,7 +359,7 @@ def parse_multiset(text: str) -> Multiset:
     """
     stripped = text.strip()
     if stripped in ("", "∅"):
-        return Multiset.empty()
+        return Multiset()
     parser = _LineParser(_tokenize(stripped, 1), _Roles())
     counts: dict[Agent, int] = {}
     while True:
@@ -425,13 +425,6 @@ def infer_signatures(
         {name: frozenset(pool) for name, pool in features.items()},
         {name: frozenset(pool) for name, pool in members.items()},
     )
-
-
-def serialize(term: Atomic | Structure | Agent | Pattern | Multiset | BcslRule) -> str:
-    """Canonical text of a term; inverse of the corresponding parser."""
-    if isinstance(term, (Atomic, Structure, Agent, Pattern, Multiset, BcslRule)):
-        return str(term)
-    raise TypeError(f"cannot serialize {type(term).__name__}")
 
 
 def model_to_text(model: BcslModel) -> str:

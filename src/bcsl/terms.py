@@ -75,10 +75,6 @@ class Atomic:
         if self.feature != EPSILON:
             _check_name(self.feature, "feature")
 
-    @property
-    def is_grounded(self) -> bool:
-        return self.feature != EPSILON
-
     def __str__(self) -> str:
         return f"{self.name}{{{self.feature}}}"
 
@@ -141,10 +137,6 @@ class Agent:
             object.__setattr__(self, "_text", value)
         return value
 
-    @property
-    def is_grounded(self) -> bool:
-        return EPSILON not in self.text
-
     def __str__(self) -> str:
         return self.text
 
@@ -158,10 +150,6 @@ class Pattern:
     """
 
     agents: tuple[Agent, ...] = ()
-
-    @property
-    def is_grounded(self) -> bool:
-        return all(a.is_grounded for a in self.agents)
 
     def __str__(self) -> str:
         return " + ".join(str(a) for a in self.agents)
@@ -186,11 +174,6 @@ def _canonical_component(component: Component) -> Component:
         if ordered != component.composition:
             return Structure(component.name, ordered)
     return component
-
-
-def congruent(a: Agent, b: Agent) -> bool:
-    """True when ``a`` and ``b`` are structurally congruent."""
-    return canonicalize(a) == canonicalize(b)
 
 
 # The process-wide intern table: the id of each grounded agent text met
@@ -262,12 +245,9 @@ class Multiset(frozenset):
         return _new(Multiset, merged.items())
 
     def __reduce__(self):
-        # Rebuild from the agents: ids belong to one process.
+        # Kept on purpose: pickled pairs would carry ids that belong to one
+        # process, so a copy is rebuilt from the agents.
         return (Multiset, (self.to_dict(),))
-
-    @classmethod
-    def empty(cls) -> Multiset:
-        return cls()
 
     @classmethod
     def from_agents(cls, agents: Iterable[Agent]) -> Multiset:
@@ -283,7 +263,7 @@ class Multiset(frozenset):
         return _pairs(self)
 
     def count(self, agent: Agent) -> int:
-        """Multiplicity of ``agent`` (0 when absent)."""
+        """Multiplicity of ``agent`` (0 when absent); ``in`` and the tests read it."""
         key = _IDS.get(canonicalize(agent).text)
         return next((n for a, n in _pairs(self) if a == key), 0)
 
@@ -358,14 +338,11 @@ class Multiset(frozenset):
         return tuple(agent for agent, _ in self.items())
 
     def to_dict(self) -> dict[Agent, int]:
-        """A fresh dict of the multiplicities, sorted by agent text."""
+        """A fresh dict of the multiplicities, sorted by agent text (library API)."""
         return dict(self.items())
 
-    @property
-    def total(self) -> int:
-        """Cardinality counting repetitions."""
-        return sum(n for _, n in _pairs(self))
-
+    # Kept on purpose: without these two, ``in`` and iteration would
+    # silently read the ``(agent id, count)`` pairs of the frozenset.
     def __contains__(self, agent: Agent) -> bool:
         return self.count(agent) >= 1
 

@@ -239,7 +239,7 @@ def _random_multiset(rng, pool):
 def _multiset_laws(trials: int) -> None:
     rng = random.Random(20_240)
     pool = _agent_pool()
-    empty = Multiset.empty()
+    empty = Multiset()
     for _ in range(trials):
         a = _random_multiset(rng, pool)
         b = _random_multiset(rng, pool)

@@ -7,7 +7,6 @@ from bcsl import (
     build_lts,
     build_mrs,
     check_equivalence,
-    check_lemmas,
     explore,
     parse_model,
     parse_multiset,
@@ -16,6 +15,7 @@ from bcsl import (
 from bcsl.terms import agent_id, agent_of
 from conftest import TWO_SITE_MODEL
 from corpus import random_model_text
+from oracles import check_lemmas
 
 BOUNDS = {"max_states": 300, "max_depth": 25}
 

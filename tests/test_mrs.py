@@ -15,7 +15,6 @@ from bcsl import (
     check_equivalence,
     enabled,
     explore,
-    ground_pattern,
     parse_agent,
     parse_model,
     parse_multiset,
@@ -25,6 +24,7 @@ from bcsl import (
 from bcsl.cli import main
 from conftest import REGULATION_CONFIGS, TWO_SITE_MODEL, UNREGULATED_SEQUENCES, bench_module
 from corpus import random_model_text
+from oracles import ground_pattern
 
 # The grounding of the two-site model, frozen as (label, pre, post) texts.
 EXPECTED_ELEMENTS = {
@@ -121,7 +121,7 @@ def test_apply_rewrites_state():
 
 
 def test_apply_epsilon_is_identity():
-    eps = MrsRule(EPSILON_LABEL, Multiset.empty(), Multiset.empty())
+    eps = MrsRule(EPSILON_LABEL, Multiset(), Multiset())
     assert apply_rule(eps, M0) == M0
 
 
@@ -169,7 +169,7 @@ def test_epsilon_when_deadlocked(two_site_model):
 
 def test_empty_pre_rule_beats_epsilon():
     mrs = build_mrs(parse_model("#! rules\nmk ~ => A{u}::c\n#! inits\n1 A{u}::c\n"))
-    succ = successors(mrs, Multiset.empty())
+    succ = successors(mrs, Multiset())
     assert {label for label, _ in succ} == {"mk"}
 
 
@@ -308,7 +308,7 @@ def test_indexed_successors_on_site_model_states(shape):
 @pytest.mark.parametrize("name", sorted(HAND_MODELS))
 def test_indexed_successors_on_hand_models(name):
     mrs = build_mrs(parse_model(HAND_MODELS[name]))
-    states = {*reached_states(mrs, **BOUNDS), Multiset.empty()}
+    states = {*reached_states(mrs, **BOUNDS), Multiset()}
     a, b = parse_agent("A{u}::c"), parse_agent("B{v}::c")
     states |= {Multiset({a: n, b: m}) for n in range(4) for m in range(3)}
     assert_index_agrees(mrs, states, name)
@@ -317,7 +317,7 @@ def test_indexed_successors_on_hand_models(name):
 def test_empty_pre_rule_fires_everywhere():
     mrs = build_mrs(parse_model(HAND_MODELS["empty-pre"]))
     made = parse_multiset("1 A{u}::c")
-    assert successors(mrs, Multiset.empty()) == {("mk", made)}
+    assert successors(mrs, Multiset()) == {("mk", made)}
     assert {label for label, _ in successors(mrs, parse_multiset("1 B{v}::c"))} == {"mk"}
     assert {label for label, _ in successors(mrs, made)} == {"mk", "rm"}
 

@@ -12,11 +12,9 @@ from bcsl import (
     Pattern,
     Reaction,
     Structure,
-    consistent,
     deatomise,
     enumerate_instantiations,
     expand_pattern,
-    ground_pattern,
     ground_rule,
     instantiation_count,
     parse_agent,
@@ -27,6 +25,7 @@ from bcsl import (
 from bcsl.patterns import assign_features, pattern_multiset
 from conftest import TWO_SITE_MODEL
 from corpus import random_model_text
+from oracles import consistent, ground_pattern
 
 TWO_SITE_ATOMIC = {"S": frozenset("ia"), "T": frozenset("ia")}
 TWO_SITE_STRUCTURE = {"P": frozenset({"S", "T"})}

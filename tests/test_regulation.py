@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,6 @@ from bcsl import (
     extend_epsilon,
     guarded,
     make_guard,
-    map_states,
     maximal_label_sequences,
     parse_model,
     parse_multiset,
@@ -43,6 +43,7 @@ from conftest import (
     bench_module,
 )
 from corpus import random_model_text
+from oracles import map_states, transitive_closure
 
 LABELS = ("r1_S", "r1_T", "r2")
 
@@ -288,13 +289,44 @@ def test_ordered_closure_is_transitive():
     assert "r2" not in reg.moves["r1_S"]
 
 
-def _closure(pairs):
-    closure = set(pairs)
-    while True:
-        step = {(a, d) for a, b in closure for c, d in closure if b == c} - closure
-        if not step:
-            return closure
-        closure |= step
+# At most six labels, and any pairs over them: self-pairs and cycles too.
+_label_pair_sets = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(
+        st.just([f"r{i}" for i in range(n)]),
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))).map(
+            lambda pairs: sorted((f"r{a}", f"r{b}") for a, b in pairs)
+        ),
+    )
+)
+
+
+@given(case=_label_pair_sets)
+def test_ordered_compiles_as_the_fix_point_closure_does(case):
+    labels, pairs = case
+    order = transitive_closure(frozenset(pairs))
+    cyclic = sorted({a for a, b in order if a == b})
+    config = {"type": "ordered", "pairs": [list(pair) for pair in pairs]}
+    if cyclic:
+        expected = f"'pairs' is not a strict partial order (cycle through {', '.join(cyclic)})"
+        with pytest.raises(RegulationError) as caught:
+            compile_regulation(config, labels)
+        assert str(caught.value) == expected
+        return
+    regulation = compile_regulation(config, labels)
+    expected_moves = {None: {label: label for label in labels}}
+    for a in labels:
+        expected_moves[a] = {b: b for b in labels if (a, b) not in order}
+    assert regulation.moves == expected_moves
+
+
+def test_a_long_ordered_chain_compiles_fast():
+    labels = [f"r{i}" for i in range(200)]
+    config = {"type": "ordered", "pairs": [[a, b] for a, b in zip(labels, labels[1:])]}
+    start = time.perf_counter()
+    regulation = compile_regulation(config, labels)
+    assert time.perf_counter() - start < 1.0
+    assert regulation.moves["r0"] == {"r0": "r0"}
+    assert regulation.moves["r199"].keys() == set(labels)
 
 
 # Labels of corpus models, and pairs drawn along a ranking of them, so that
@@ -315,7 +347,7 @@ def strict_orders(draw, labels, max_size=8):
 @given(pairs=strict_orders(CORPUS_LABELS))
 def test_compiled_ordered_equals_its_definition(pairs):
     regulation = compile_regulation({"type": "ordered", "pairs": pairs}, CORPUS_LABELS)
-    closure = _closure(pairs)
+    closure = transitive_closure(pairs)
     for memory in [None, *CORPUS_LABELS]:
         for candidate in CORPUS_LABELS:
             expected = memory is None or (memory, candidate) not in closure
@@ -656,7 +688,7 @@ def _sequences_by_definition(model, permitted, depth):
 def _ordered_by_definition(pairs):
     """Ordered (Dassow & Păun): with ``<`` the transitive closure of the
     pairs, no ``b`` fires right after ``a`` when ``a < b``."""
-    order = _closure(pairs)
+    order = transitive_closure(pairs)
     return lambda history, label, state, enabled: not history or (history[-1], label) not in order
 
 

@@ -18,7 +18,6 @@ from bcsl import (
     parse_multiset,
     parse_pattern,
     parse_rule,
-    serialize,
 )
 
 # ---------------------------------------------------------------------------
@@ -36,7 +35,7 @@ def test_two_site_model_parses(two_site_model):
 def test_empty_model():
     model = parse_model("#! rules\n#! inits\n")
     assert model.rules == ()
-    assert model.init == Multiset.empty()
+    assert model.init == Multiset()
     assert model.atomic_signature == {}
     assert model.structure_signature == {}
 
@@ -135,12 +134,12 @@ def test_syntax_error_positions():
 # ---------------------------------------------------------------------------
 
 def test_infer_signatures_empty():
-    assert infer_signatures([], Multiset.empty()) == ({}, {})
+    assert infer_signatures([], Multiset()) == ({}, {})
 
 
 def test_infer_signatures_single_rule():
     rule = parse_rule("r ~ A{x}::c => A{y}::c")
-    atomic, structure = infer_signatures([rule], Multiset.empty())
+    atomic, structure = infer_signatures([rule], Multiset())
     assert atomic == {"A": frozenset({"x", "y"})}
     assert structure == {}
 
@@ -155,7 +154,7 @@ def test_infer_signatures_uninstantiable_atomic():
     ghost = Pattern((Agent((Atomic("A", EPSILON),), "c"),))
     rule = BcslRule("r", ghost, ghost)
     with pytest.raises(SignatureError, match="no concrete feature"):
-        infer_signatures([rule], Multiset.empty())
+        infer_signatures([rule], Multiset())
 
 
 # ---------------------------------------------------------------------------
@@ -164,21 +163,16 @@ def test_infer_signatures_uninstantiable_atomic():
 
 def test_serialize_agent():
     agent = parse_agent("P(S{i},T{i})::cell")
-    assert serialize(agent) == "P(S{i},T{i})::cell"
+    assert str(agent) == "P(S{i},T{i})::cell"
 
 
 def test_serialize_empty_pattern():
-    assert serialize(Pattern(())) == ""
+    assert str(Pattern(())) == ""
 
 
 def test_serialize_multiset_count_prefixed():
     agent = parse_agent("P(S{a},T{i})::cell")
-    assert serialize(Multiset({agent: 2})) == "2 P(S{a},T{i})::cell"
-
-
-def test_serialize_rejects_foreign_values():
-    with pytest.raises(TypeError):
-        serialize(42)
+    assert str(Multiset({agent: 2})) == "2 P(S{a},T{i})::cell"
 
 
 def test_model_to_text_roundtrip(two_site_model):
@@ -222,24 +216,24 @@ patterns = st.builds(Pattern, st.lists(agents, max_size=3).map(tuple))
 
 @given(agent=agents)
 def test_agent_roundtrip(agent):
-    assert parse_agent(serialize(agent)) == agent
+    assert parse_agent(str(agent)) == agent
 
 
 @given(pattern=patterns)
 def test_pattern_roundtrip(pattern):
-    assert parse_pattern(serialize(pattern)) == pattern
+    assert parse_pattern(str(pattern)) == pattern
 
 
 @given(agent_list=st.lists(agents, max_size=5))
 def test_multiset_roundtrip(agent_list):
     m = Multiset.from_agents(agent_list)
-    assert parse_multiset(serialize(m)) == m
+    assert parse_multiset(str(m)) == m
 
 
 @given(lhs=patterns, rhs=patterns)
 def test_rule_roundtrip(lhs, rhs):
     rule = BcslRule("some_rule", lhs, rhs)
-    assert parse_rule(serialize(rule)) == rule
+    assert parse_rule(str(rule)) == rule
 
 
 def test_parse_multiset_accepts_bare_and_counted():
@@ -247,5 +241,5 @@ def test_parse_multiset_accepts_bare_and_counted():
     m = parse_multiset("2 A{x}::c + A{x}::c + 1 B{y}::c")
     assert m.count(parse_agent("A{x}::c")) == 3
     assert m.count(parse_agent("B{y}::c")) == 1
-    assert parse_multiset("∅") == Multiset.empty()
-    assert parse_multiset("") == Multiset.empty()
+    assert parse_multiset("∅") == Multiset()
+    assert parse_multiset("") == Multiset()
