@@ -3,7 +3,9 @@
 Subcommands: ``parse`` (model echo / summary), ``ground`` (grounded
 rewriting system), ``lts`` (reachable graph or unrolled run tree,
 optionally regulated), ``simulate`` (seeded random run) and ``check``
-(equivalence of the direct and grounded semantics).
+(equivalence of the direct and grounded semantics).  ``main`` builds
+only the named subcommand's parser; anything else, and a stray argument,
+goes to the full tree, whose top-level parser reports the stray one.
 
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
 3 model parse error, 4 grounding cap exceeded.  ``check`` exits 2 when a
@@ -65,43 +67,33 @@ def _natural(text: str) -> int:
     return value
 
 
+def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
+    add = p.add_argument
+    add("model", help="model file")
+    if command != "check":
+        formats = ("dot", "json", "text") if command == "lts" else ("json", "text")
+        add("--format", choices=formats, default="json")
+        add("-o", "--output", default=None, help="write to a file instead of stdout")
+    if command in ("lts", "simulate"):
+        add("--regulation", default=None, help="regulation config (JSON file)")
+    if command in ("lts", "check"):
+        add("--max-states", type=_natural, default=100_000)
+        add("--max-depth", type=_natural, default=1_000)
+    if command == "lts":
+        add("--unroll", action="store_true", help="export the depth-bounded run tree instead")
+    elif command == "simulate":
+        add("--steps", type=_natural, default=10)
+        add("--seed", type=int, default=0)
+    elif command == "check":
+        add("--json", action="store_true", help="machine-readable report")
+        add("-o", "--output", default=None)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bcsl", description="BCSL model toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-        p.add_argument("model", help="model file")
-        p.add_argument("--format", choices=formats, default="json")
-        p.add_argument("-o", "--output", default=None, help="write to a file instead of stdout")
-
-    p_parse = sub.add_parser("parse", help="parse a model and print it back")
-    add_common(p_parse, ("json", "text"))
-
-    p_ground = sub.add_parser("ground", help="ground a model to a rewriting system")
-    add_common(p_ground, ("json", "text"))
-
-    p_lts = sub.add_parser("lts", help="build the reachable transition system")
-    add_common(p_lts, ("dot", "json", "text"))
-    p_lts.add_argument("--regulation", default=None, help="regulation config (JSON file)")
-    p_lts.add_argument("--max-states", type=_natural, default=100_000)
-    p_lts.add_argument("--max-depth", type=_natural, default=1_000)
-    p_lts.add_argument(
-        "--unroll", action="store_true", help="export the depth-bounded run tree instead"
-    )
-
-    p_sim = sub.add_parser("simulate", help="sample a seeded random run")
-    add_common(p_sim, ("json", "text"))
-    p_sim.add_argument("--regulation", default=None, help="regulation config (JSON file)")
-    p_sim.add_argument("--steps", type=_natural, default=10)
-    p_sim.add_argument("--seed", type=int, default=0)
-
-    p_check = sub.add_parser("check", help="compare direct and grounded semantics")
-    p_check.add_argument("model", help="model file")
-    p_check.add_argument("--max-states", type=_natural, default=100_000)
-    p_check.add_argument("--max-depth", type=_natural, default=1_000)
-    p_check.add_argument("--json", action="store_true", help="machine-readable report")
-    p_check.add_argument("-o", "--output", default=None)
-
+    for command, (_, help_text) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=help_text), command)
     return parser
 
 
@@ -431,22 +423,30 @@ def _cmd_check(args) -> int:
 
 
 _COMMANDS = {
-    "parse": _cmd_parse,
-    "ground": _cmd_ground,
-    "lts": _cmd_lts,
-    "simulate": _cmd_simulate,
-    "check": _cmd_check,
+    "parse": (_cmd_parse, "parse a model and print it back"),
+    "ground": (_cmd_ground, "ground a model to a rewriting system"),
+    "lts": (_cmd_lts, "build the reachable transition system"),
+    "simulate": (_cmd_simulate, "sample a seeded random run"),
+    "check": (_cmd_check, "compare direct and grounded semantics"),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_arg_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command in _COMMANDS:
+            parser = argparse.ArgumentParser(prog=f"bcsl {command}")
+            _add_arguments(parser, command)
+            args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=command))
+            if extras:  # the full tree reports them, from its top-level parser
+                build_arg_parser().parse_args(argv)
+        else:
+            args = build_arg_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ParseError, SignatureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

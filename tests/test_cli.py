@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -33,6 +34,13 @@ def write_regulation(tmp_path, name) -> str:
     path = tmp_path / f"reg_{name}.json"
     path.write_text(json.dumps(REGULATION_CONFIGS[name]), encoding="utf-8")
     return str(path)
+
+
+def _child_env() -> dict[str, str]:
+    """The environment, with this ``bcsl`` first on a child's path."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(bcsl.__file__)))
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=root + os.pathsep + inherited if inherited else root)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +235,79 @@ def test_usage_error_exit_code(capsys):
     assert main(["lts"]) == 2  # missing model argument
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+# SHA-256 of repr((exit code, stdout, stderr)) of ``main(line.split())`` at
+# 80 columns, recorded under Python 3.11 while ``main`` still built the full
+# argparse tree for every call.  "m" names no file: every line ends in
+# parsing.  A stray argument is reported by the top-level ``bcsl`` parser.
+USAGE_DIGESTS = {
+    "": "7f0998d7ae914d55397b2f39eb76955dd910516a4385fe5f99d615dff5002eaa",
+    "-h": "142980751fb8110b6f6c727df83c5e3ec7e6ddca63276b4c6f87aedded7fdbfb",
+    "--help": "142980751fb8110b6f6c727df83c5e3ec7e6ddca63276b4c6f87aedded7fdbfb",
+    "-h check": "142980751fb8110b6f6c727df83c5e3ec7e6ddca63276b4c6f87aedded7fdbfb",
+    "parse -h": "8e83bc44ed655f56d41ad71da3afcb9baa87ca990737d92c0c8df0e1045b1070",
+    "ground -h": "1e33636c96a142576e29497478c6c27465b5263d26f7d52868e1b4e88efc78fb",
+    "lts -h": "53d2e1417d276d939eda98fb6afbaee3f373fa4761c221e0fdb9a1be644ceacf",
+    "simulate -h": "a65de9e023d0b21bb943cfd8a153f75533b7389f460260e5316b3521b8e0f29d",
+    "check -h": "b4a93860de2e94225dc4dc4f21701859b01b0a45328133c018425f9a3485836d",
+    "frob x": "542176a453f930b6db127b993e0fc7e95c3d1e789b98a1ae8e489f9a69e88b78",
+    "check": "f99bd25c6604d8993c5cad83f4c3dcd5468d157af1ff46785b71d3587f929fbb",
+    "--frob check m": "1584813b786f41db47c7f13dc27ccbe0bedcdc1ea727c2383b92bfd0de5288c5",
+    "lts m --max-states -1": "7d7beeabe3441666d1cce3067413ec785a85b714c3e6ec2bd0d7ddda61024a00",
+    "lts m --max-depth x": "29f1f8f3d1efb898def86b805d4185cc222373f266c7a94e3407c368c4a730a1",
+    "simulate m --steps -2": "1ad74236eb5748c1513f3d58f368c7e1a601af8c7e6220e0e3bb8e6be7f15966",
+    "simulate m --seed q": "599c5590a0a31621159bda6eb466da103d8f6d34d6bcfbf697865b0fe71f1d38",
+    "lts m --format svg": "0b9cadf237db8774325395e0321e8a5fc8293b62cd2bfdab9c79dce05557a37a",
+    "check m --max": "8118cafaf98a377b6b442267bc1a3575409c97ac13768df5229d0ab6bf8b1a42",
+    "parse m --frob": "1584813b786f41db47c7f13dc27ccbe0bedcdc1ea727c2383b92bfd0de5288c5",
+    "ground m --frob": "1584813b786f41db47c7f13dc27ccbe0bedcdc1ea727c2383b92bfd0de5288c5",
+    "lts m --frob": "1584813b786f41db47c7f13dc27ccbe0bedcdc1ea727c2383b92bfd0de5288c5",
+    "simulate m --frob": "1584813b786f41db47c7f13dc27ccbe0bedcdc1ea727c2383b92bfd0de5288c5",
+    "check m --frob": "1584813b786f41db47c7f13dc27ccbe0bedcdc1ea727c2383b92bfd0de5288c5",
+    "lts m --unroll extra": "29fd2fe87ce2216ff367cfb1ca222ae0322949815adbe2f16d2b9b3e3e6158d3",
+}
+
+
+@pytest.mark.parametrize("line", list(USAGE_DIGESTS))
+def test_usage_keeps_its_bytes(capsys, monkeypatch, line):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = line.split()
+    result = (main(argv), *capsys.readouterr())
+    with pytest.raises(SystemExit) as parsed:
+        cli.build_arg_parser().parse_args(argv)
+    assert result == (parsed.value.code, *capsys.readouterr())
+    if sys.version_info[:2] == (3, 11):  # argparse words some messages differently elsewhere
+        assert hashlib.sha256(repr(result).encode()).hexdigest() == USAGE_DIGESTS[line]
+
+
+@pytest.mark.parametrize(
+    "argv, most", [(["check", "--json"], 6), (["lts", "--format", "text"], 8)], ids=["check", "lts"]
+)
+def test_a_valid_call_builds_one_parser(model_path, tmp_path, monkeypatch, argv, most):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    command, *flags = argv
+    assert main([command, model_path, *flags, "-o", str(tmp_path / "out")]) == 0
+    assert len(added) <= most, added
+
+
+def test_module_entry_reads_sys_argv(model_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "bcsl", "check", model_path, "--frob"],
+        capture_output=True,
+        env=_child_env(),
+        check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines()[-1] == "bcsl: error: unrecognized arguments: --frob"
 
 
 def test_parse_error_exit_code(capsys, tmp_path):
@@ -545,12 +626,10 @@ sys.exit(main(sys.argv[2:]))
 
 
 def _run_interned(agents: list[str], argv: list[str]) -> tuple[int, bytes]:
-    root = os.path.dirname(os.path.dirname(os.path.abspath(bcsl.__file__)))
-    inherited = os.environ.get("PYTHONPATH")
     proc = subprocess.run(
         [sys.executable, "-c", _INTERN_THEN_RUN, "\n".join(agents), *argv],
         capture_output=True,
-        env=dict(os.environ, PYTHONPATH=root + os.pathsep + inherited if inherited else root),
+        env=_child_env(),
         check=False,
     )
     return proc.returncode, proc.stdout
@@ -589,13 +668,7 @@ def test_stdout_writes_the_bytes_of_output_whatever_its_encoding(tmp_path, encod
     two_site = tmp_path / "two_site.bcsl"  # its regulated product has ε self-loops
     two_site.write_text(TWO_SITE_MODEL, encoding="utf-8")
     regular = write_regulation(tmp_path, "regular")
-    root = os.path.dirname(os.path.dirname(os.path.abspath(bcsl.__file__)))
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(
-        os.environ,
-        PYTHONIOENCODING=encoding,
-        PYTHONPATH=root + os.pathsep + inherited if inherited else root,
-    )
+    env = dict(_child_env(), PYTHONIOENCODING=encoding)
     commands = [
         ["simulate", str(vanishing), "--format", "text"],
         ["lts", str(two_site), "--regulation", regular, "--format", "json"],
