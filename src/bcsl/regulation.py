@@ -48,7 +48,7 @@ from typing import Any, Collection, Hashable, Mapping
 from .lts import Lts, RuleMatcher, RunTree, SuccessorFn, explore, unroll
 from .mrs import EPSILON_LABEL, Mrs, build_mrs
 from .syntax import BcslModel, parse_multiset
-from .terms import Multiset
+from .terms import IDENTIFIER, Multiset
 
 
 class RegulationError(Exception):
@@ -91,7 +91,7 @@ class Dfa:
 
 
 # A label, an operator, or (the second group) a stray character.
-_REGEX_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|[.|*()])|(\S))")
+_REGEX_TOKEN = re.compile(rf"\s*(?:({IDENTIFIER}|[.|*()])|(\S))")
 
 
 def _regex_tokens(expression: str) -> list[str]:

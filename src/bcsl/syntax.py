@@ -8,8 +8,10 @@ A model file has two sections, one rule or init entry per line::
     #! inits
     1 P(S{i},T{i})::cell
 
-Line grammar (whitespace between tokens is insignificant, ``//`` starts a
-comment, blank lines are ignored)::
+Only ``\n``, ``\r\n`` and ``\r`` end a line.  Every other whitespace
+character, form feed, vertical tab and U+2028 included, separates tokens
+within a line; whitespace between tokens is insignificant, ``//`` starts
+a comment, and blank lines are ignored.  Line grammar::
 
     rule:        LABEL "~" pattern ("=>" | "->") pattern
     init:        COUNT agent
@@ -28,6 +30,10 @@ names form mutually exclusive classes across the whole model; an
 identifier reused in a different syntactic role is an error.  An empty
 rule side is written as nothing, e.g. ``make ~ => A{u}::cell``.
 
+Each line is read by one lexer pass, into ``(kind, value, column)``
+tokens, and one recursive-descent ``_LineParser``; the role of every name
+seen so far is shared across the lines of a model.
+
 Signatures are never written explicitly: ``infer_signatures`` collects,
 for every atomic name, the set of concrete features it carries anywhere
 in the model, and for every structure name the union of atomic names
@@ -40,7 +46,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .terms import EPSILON, Agent, Atomic, Multiset, Pattern, Structure
+from .terms import EPSILON, IDENTIFIER, Agent, Atomic, Multiset, Pattern, Structure
 
 
 class ParseError(Exception):
@@ -84,197 +90,153 @@ class BcslModel:
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Lexer and recursive-descent parser over one line
 # ---------------------------------------------------------------------------
 
+# A token is ``(kind, value, column)``: the kind is "ident", "int" or the
+# operator itself (both arrows read as "=>"); a stray character is an error.
 _TOKEN_RE = re.compile(
-    r"""(?P<WS>\s+)
-      | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<INT>[0-9]+)
-      | (?P<DCOLON>::)
-      | (?P<ARROW>=>|->)
-      | (?P<PUNCT>[{}(),.+~])
-    """,
-    re.VERBOSE,
+    rf"\s*(?:(?P<ident>{IDENTIFIER})|(?P<int>[0-9]+)|(?P<op>::|[=-]>|[{{}}(),.+~])|(?P<stray>\S))"
 )
+# Only these end a model line; every other whitespace character, such as
+# a form feed, separates tokens within it.
+_LINE_BREAK = re.compile(r"\r\n?|\n")
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "int", "::", "arrow", one of "{}(),.+~", or "end"
-    value: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str, line_no: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    for match in _TOKEN_RE.finditer(text):
-        if match.start() != pos:
-            raise ParseError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
-        pos = match.end()
-        kind = match.lastgroup
-        if kind == "WS":
-            continue
-        value = match.group()
-        col = match.start() + 1
-        if kind == "IDENT":
-            tokens.append(_Token("ident", value, line_no, col))
-        elif kind == "INT":
-            tokens.append(_Token("int", value, line_no, col))
-        elif kind == "DCOLON":
-            tokens.append(_Token("::", value, line_no, col))
-        elif kind == "ARROW":
-            tokens.append(_Token("arrow", "=>", line_no, col))
-        else:
-            tokens.append(_Token(value, value, line_no, col))
-    if pos != len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
-    tokens.append(_Token("end", "", line_no, len(text) + 1))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# Name classes
-# ---------------------------------------------------------------------------
-
-class _Roles:
-    """Tracks the syntactic role of every identifier seen so far."""
-
-    def __init__(self) -> None:
-        self._seen: dict[str, tuple[str, int]] = {}
-
-    def register(self, name: str, role: str, line: int, col: int) -> None:
-        prev = self._seen.get(name)
-        if prev is None:
-            self._seen[name] = (role, line)
-        elif prev[0] != role:
-            raise ParseError(
-                f"name {name!r} used as {role} here but as {prev[0]} on line {prev[1]}",
-                line,
-                col,
-            )
-
-
-# ---------------------------------------------------------------------------
-# Recursive-descent parser over one line of tokens
-# ---------------------------------------------------------------------------
 
 class _LineParser:
-    def __init__(self, tokens: list[_Token], roles: _Roles):
-        self._tokens = tokens
+    """Reads one line of text, with the roles of the names seen so far.
+
+    ``roles`` maps each name to its role and the line of its first use;
+    ``parse_model`` shares one dict across the lines of a model.
+    """
+
+    def __init__(self, text: str, line: int = 1, roles: dict[str, tuple[str, int]] | None = None):
+        self.line = line
+        self._roles = {} if roles is None else roles
         self._pos = 0
-        self._roles = roles
+        self._tokens = tokens = []
+        for match in _TOKEN_RE.finditer(text):
+            kind = match.lastgroup
+            value = match[kind]
+            col = match.start(kind) + 1
+            if kind == "stray":
+                raise ParseError(f"unexpected character {value!r}", line, col)
+            if kind == "op":
+                kind = value = "=>" if value == "->" else value
+            tokens.append((kind, value, col))
+        tokens.append(("end", "", len(text) + 1))
 
-    def peek(self) -> _Token:
-        return self._tokens[self._pos]
+    def peek(self) -> str:
+        return self._tokens[self._pos][0]
 
-    def take(self) -> _Token:
+    def accept(self, kind: str) -> bool:
+        if self._tokens[self._pos][0] != kind:
+            return False
+        self._pos += 1
+        return True
+
+    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
         tok = self._tokens[self._pos]
-        if tok.kind != "end":
-            self._pos += 1
+        if tok[0] != kind:
+            found = repr(tok[1]) if tok[0] != "end" else "end of line"
+            raise ParseError(f"expected {what}, found {found}", self.line, tok[2])
+        self._pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            found = repr(tok.value) if tok.kind != "end" else "end of line"
-            raise ParseError(f"expected {what}, found {found}", tok.line, tok.col)
-        return self.take()
-
     def expect_end(self) -> None:
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing {tok.value!r}", tok.line, tok.col)
+        kind, value, col = self._tokens[self._pos]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing {value!r}", self.line, col)
+
+    def claim(self, token: tuple[str, str, int], role: str) -> str:
+        """Record ``token``'s name in ``role``; a name keeps one role per model."""
+        name = token[1]
+        first_role, first_line = self._roles.setdefault(name, (role, self.line))
+        if first_role != role:
+            raise ParseError(
+                f"name {name!r} used as {role} here but as {first_role} on line {first_line}",
+                self.line,
+                token[2],
+            )
+        return name
 
     def parse_rule(self) -> BcslRule:
-        label = self.expect("ident", "rule label")
+        label = self.expect("ident", "rule label")[1]
         self.expect("~", "'~' after the rule label")
-        lhs = self.parse_pattern(stop={"arrow"})
-        self.expect("arrow", "'=>' between rule sides")
-        rhs = self.parse_pattern(stop={"end"})
+        lhs = self.parse_pattern(stop="=>")
+        self.expect("=>", "'=>' between rule sides")
+        rhs = self.parse_pattern(stop="end")
         self.expect_end()
-        return BcslRule(label.value, lhs, rhs)
+        return BcslRule(label, lhs, rhs)
 
-    def parse_init(self) -> tuple[int, Agent]:
-        count_tok = self.expect("int", "an agent count")
-        count = int(count_tok.value)
-        if count < 1:
-            raise ParseError("agent count must be positive", count_tok.line, count_tok.col)
-        agent = self.parse_agent()
-        self.expect_end()
-        return count, agent
+    def parse_counted(self, bare: bool) -> tuple[int, Agent]:
+        """``COUNT agent``; with ``bare``, a missing count reads as 1."""
+        count = 1
+        if not bare or self.peek() == "int":
+            _, value, col = self.expect("int", "an agent count")
+            count = int(value)
+            if count < 1:
+                raise ParseError("agent count must be positive", self.line, col)
+        return count, self.parse_agent()
 
-    def parse_pattern(self, stop: set[str]) -> Pattern:
-        if self.peek().kind in stop:
+    def parse_pattern(self, stop: str) -> Pattern:
+        if self.peek() == stop:
             return Pattern(())
         agents = [self.parse_agent()]
-        while self.peek().kind == "+":
-            self.take()
+        while self.accept("+"):
             agents.append(self.parse_agent())
         return Pattern(tuple(agents))
 
     def parse_agent(self) -> Agent:
         chain = [self.parse_component()]
-        while self.peek().kind == ".":
-            self.take()
+        while self.accept("."):
             chain.append(self.parse_component())
         self.expect("::", "'::' before the compartment")
-        comp = self.expect("ident", "a compartment name")
-        self._roles.register(comp.value, "compartment", comp.line, comp.col)
-        return Agent(tuple(chain), comp.value)
+        compartment = self.claim(self.expect("ident", "a compartment name"), "compartment")
+        return Agent(tuple(chain), compartment)
 
     def parse_component(self) -> Atomic | Structure:
         name = self.expect("ident", "a component name")
-        tok = self.peek()
-        if tok.kind == "{":
+        kind, _, col = self._tokens[self._pos]
+        if kind == "{":
             return self._finish_atomic(name)
-        if tok.kind == "(":
+        if kind == "(":
             return self._finish_structure(name)
-        raise ParseError(
-            f"expected '{{' or '(' after component name {name.value!r}", tok.line, tok.col
-        )
+        raise ParseError(f"expected '{{' or '(' after component name {name[1]!r}", self.line, col)
 
-    def _finish_atomic(self, name: _Token) -> Atomic:
-        self._roles.register(name.value, "atomic", name.line, name.col)
+    def _finish_atomic(self, name: tuple[str, str, int]) -> Atomic:
+        atomic = self.claim(name, "atomic")
         self.expect("{", "'{'")
-        feature = self.expect("ident", "a feature name")
-        self._roles.register(feature.value, "feature", feature.line, feature.col)
+        feature = self.claim(self.expect("ident", "a feature name"), "feature")
         self.expect("}", "'}'")
-        return Atomic(name.value, feature.value)
+        return Atomic(atomic, feature)
 
-    def _finish_structure(self, name: _Token) -> Structure:
-        self._roles.register(name.value, "structure", name.line, name.col)
+    def _finish_structure(self, name: tuple[str, str, int]) -> Structure:
+        structure = self.claim(name, "structure")
         self.expect("(", "'('")
         composition: list[Atomic] = []
-        positions: list[_Token] = []
-        if self.peek().kind != ")":
+        columns: list[int] = []
+        if self.peek() != ")":
             while True:
-                atom_name = self.peek()
-                composition.append(self._finish_atomic(self.expect("ident", "an atomic name")))
-                positions.append(atom_name)
-                if self.peek().kind != ",":
+                atom_name = self.expect("ident", "an atomic name")
+                composition.append(self._finish_atomic(atom_name))
+                columns.append(atom_name[2])
+                if not self.accept(","):
                     break
-                self.take()
         self.expect(")", "')' closing the composition")
-        seen: set[str] = set()
-        for atom, tok in zip(composition, positions):
-            if atom.name in seen:
-                raise ParseError(
-                    f"duplicate atomic {atom.name!r} in composition of {name.value!r}",
-                    tok.line,
-                    tok.col,
-                )
-            seen.add(atom.name)
         names = [a.name for a in composition]
+        for i, (atom, col) in enumerate(zip(names, columns)):
+            if atom in names[:i]:
+                raise ParseError(
+                    f"duplicate atomic {atom!r} in composition of {structure!r}", self.line, col
+                )
         if names != sorted(names):
             raise ParseError(
-                f"composition of {name.value!r} is not alphanumerically sorted",
-                name.line,
-                name.col,
+                f"composition of {structure!r} is not alphanumerically sorted",
+                self.line,
+                name[2],
             )
-        return Structure(name.value, tuple(composition))
+        return Structure(structure, tuple(composition))
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +256,10 @@ def parse_model(text: str) -> BcslModel:
     rules: list[BcslRule] = []
     label_lines: dict[str, int] = {}
     init_counts: dict[Agent, int] = {}
-    roles = _Roles()
+    roles: dict[str, tuple[str, int]] = {}
     section: str | None = None
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_LINE_BREAK.split(text), start=1):
         line = raw.split("//", 1)[0]
         stripped = line.strip()
         if not stripped:
@@ -310,7 +272,7 @@ def parse_model(text: str) -> BcslModel:
             continue
         if section is None:
             raise ParseError("content before any '#!' section header", line_no, 1)
-        parser = _LineParser(_tokenize(line, line_no), roles)
+        parser = _LineParser(line, line_no, roles)
         if section == "rules":
             rule = parser.parse_rule()
             if rule.label in label_lines:
@@ -322,7 +284,8 @@ def parse_model(text: str) -> BcslModel:
             label_lines[rule.label] = line_no
             rules.append(rule)
         else:
-            count, agent = parser.parse_init()
+            count, agent = parser.parse_counted(bare=False)
+            parser.expect_end()
             init_counts[agent] = init_counts.get(agent, 0) + count
 
     init = Multiset(init_counts)
@@ -332,13 +295,12 @@ def parse_model(text: str) -> BcslModel:
 
 def parse_rule(text: str) -> BcslRule:
     """Parse a single rule line."""
-    parser = _LineParser(_tokenize(text, 1), _Roles())
-    return parser.parse_rule()
+    return _LineParser(text).parse_rule()
 
 
 def parse_agent(text: str) -> Agent:
     """Parse a single agent."""
-    parser = _LineParser(_tokenize(text, 1), _Roles())
+    parser = _LineParser(text)
     agent = parser.parse_agent()
     parser.expect_end()
     return agent
@@ -346,8 +308,8 @@ def parse_agent(text: str) -> Agent:
 
 def parse_pattern(text: str) -> Pattern:
     """Parse a pattern (possibly empty)."""
-    parser = _LineParser(_tokenize(text, 1), _Roles())
-    pattern = parser.parse_pattern(stop={"end"})
+    parser = _LineParser(text)
+    pattern = parser.parse_pattern(stop="end")
     parser.expect_end()
     return pattern
 
@@ -360,20 +322,13 @@ def parse_multiset(text: str) -> Multiset:
     stripped = text.strip()
     if stripped in ("", "∅"):
         return Multiset()
-    parser = _LineParser(_tokenize(stripped, 1), _Roles())
+    parser = _LineParser(stripped)
     counts: dict[Agent, int] = {}
     while True:
-        n = 1
-        if parser.peek().kind == "int":
-            tok = parser.take()
-            n = int(tok.value)
-            if n < 1:
-                raise ParseError("agent count must be positive", tok.line, tok.col)
-        agent = parser.parse_agent()
+        n, agent = parser.parse_counted(bare=True)
         counts[agent] = counts.get(agent, 0) + n
-        if parser.peek().kind != "+":
+        if not parser.accept("+"):
             break
-        parser.take()
     parser.expect_end()
     return Multiset(counts)
 

@@ -49,7 +49,11 @@ from typing import Iterable, Iterator, Mapping, Union
 #: Placeholder feature of an unresolved atomic in a pattern.
 EPSILON = "ε"
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+#: The pattern of every name: atomic, feature, structure, compartment and
+#: rule label alike.
+IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"
+
+_NAME_RE = re.compile(rf"{IDENTIFIER}\Z")
 # Names that have passed ``_check_name``: terms are rebuilt from the same
 # few names over and over, so each is matched against the regex once.
 _ACCEPTED_NAMES: set[str] = set()

@@ -1,4 +1,5 @@
-"""Both semantics agree on hypothesis-drawn model text.
+"""Both semantics agree on hypothesis-drawn model text, and that text
+survives ``model_to_text``.
 
 The fixed corpus (``tests/corpus.py``) has counts of at most 2, chains
 of at most 2 components and two compartments.  The models drawn here
@@ -20,7 +21,7 @@ The default profile draws 100 models; ``--hypothesis-profile=long``
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bcsl import check_equivalence, parse_model
+from bcsl import check_equivalence, model_to_text, parse_model
 
 ATOMICS = {"A": ("u", "v"), "B": ("u", "v")}
 STRUCTURES = {"X": ("A", "B"), "Y": ("B",)}
@@ -146,3 +147,14 @@ def model_texts(draw):
 def test_generated_models_conform(text):
     report = check_equivalence(parse_model(text), max_states=50, max_depth=25)
     assert report.passed, (text, report.counterexample)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(model_texts())
+def test_generated_models_survive_model_to_text(text):
+    model = parse_model(text)
+    again = parse_model(model_to_text(model))
+    assert again.rules == model.rules
+    assert again.init == model.init
+    assert again.atomic_signature == model.atomic_signature
+    assert again.structure_signature == model.structure_signature

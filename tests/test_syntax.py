@@ -129,6 +129,152 @@ def test_syntax_error_positions():
         parse_rule("r A{x}::c => A{y}::c")
 
 
+# Every ``ParseError`` raise site, spread over ``parse_model`` and the four
+# line entry points: the exact message, line and column of each.
+_ENTRY_POINTS = {
+    "model": parse_model,
+    "rule": parse_rule,
+    "agent": parse_agent,
+    "pattern": parse_pattern,
+    "multiset": parse_multiset,
+}
+PINNED_ERRORS = [
+    # stray characters
+    ("model", "#! rules\nr ~ A{x}::c => ?\n#! inits\n",
+     2, 16, "line 2, column 16: unexpected character '?'"),
+    ("model", "#! rules\nr ~ A{x}::c => A{y}::c // fine\nq ~ A{x}:c => A{y}::c\n#! inits\n",
+     3, 9, "line 3, column 9: unexpected character ':'"),
+    ("model", "#! rules\nr ~ A{x}::c = A{y}::c\n#! inits\n",
+     2, 13, "line 2, column 13: unexpected character '='"),
+    ("rule", "r ~ A{x}::c - A{y}::c", 1, 13, "line 1, column 13: unexpected character '-'"),
+    ("agent", "A{x}::c$", 1, 8, "line 1, column 8: unexpected character '$'"),
+    ("agent", "A{é}::c", 1, 3, "line 1, column 3: unexpected character 'é'"),
+    ("pattern", "A{x}::c +\t²", 1, 11, "line 1, column 11: unexpected character '²'"),
+    ("multiset", "  2 A{x}::c + B{y}::c ;", 1, 21, "line 1, column 21: unexpected character ';'"),
+    ("multiset", "∅ + A{x}::c", 1, 1, "line 1, column 1: unexpected character '∅'"),
+    ("rule", "r A{x} ?", 1, 8, "line 1, column 8: unexpected character '?'"),
+    ("model", "#! rules\r\nr ~ A{x}::c => A{y}::c\r\n\r\nq ~ => ?\r\n",
+     4, 8, "line 4, column 8: unexpected character '?'"),
+    ("model", "#! rules\rr ~ => A{y}::c\r#! inits\r1 A{y}::c + @\r",
+     4, 13, "line 4, column 13: unexpected character '@'"),
+    # expected ..., found X / found end of line
+    ("rule", "r A{x}::c => A{y}::c",
+     1, 3, "line 1, column 3: expected '~' after the rule label, found 'A'"),
+    ("rule", "~ A{x}::c => A{y}::c", 1, 1, "line 1, column 1: expected rule label, found '~'"),
+    ("rule", "r ~ A{x}::c A{y}::c",
+     1, 13, "line 1, column 13: expected '=>' between rule sides, found 'A'"),
+    ("rule", "r ~ A{x}::c",
+     1, 12, "line 1, column 12: expected '=>' between rule sides, found end of line"),
+    ("agent", "A{x}",
+     1, 5, "line 1, column 5: expected '::' before the compartment, found end of line"),
+    ("agent", "A{x}::  ",
+     1, 9, "line 1, column 9: expected a compartment name, found end of line"),
+    ("agent", "A::c", 1, 2, "line 1, column 2: expected '{' or '(' after component name 'A'"),
+    ("agent", "A{1}::c", 1, 3, "line 1, column 3: expected a feature name, found '1'"),
+    ("agent", "A{x)::c", 1, 4, "line 1, column 4: expected '}', found ')'"),
+    ("agent", "A{x}.::c", 1, 6, "line 1, column 6: expected a component name, found '::'"),
+    ("agent", "P(S{x}::c",
+     1, 7, "line 1, column 7: expected ')' closing the composition, found '::'"),
+    ("agent", "P(1)::c", 1, 3, "line 1, column 3: expected an atomic name, found '1'"),
+    ("agent", "P(S(x))::c", 1, 4, "line 1, column 4: expected '{', found '('"),
+    ("pattern", "A{x}::c +",
+     1, 10, "line 1, column 10: expected a component name, found end of line"),
+    ("pattern", "A{x}::c + + B{y}::c",
+     1, 11, "line 1, column 11: expected a component name, found '+'"),
+    ("multiset", "2 3 A{x}::c", 1, 3, "line 1, column 3: expected a component name, found '3'"),
+    ("model", "#! rules\n#! inits\nA{x}::c\n",
+     3, 1, "line 3, column 1: expected an agent count, found 'A'"),
+    ("model", "#! rules\n#! inits\n2\n",
+     3, 2, "line 3, column 2: expected a component name, found end of line"),
+    ("model", "#! rules\nr ~ A{x}::c => A{y}::c\n\nr2 ~ => P(S{a}, )::c\n#! inits\n",
+     4, 17, "line 4, column 17: expected an atomic name, found ')'"),
+    # trailing tokens
+    ("agent", "A{x}::c extra", 1, 9, "line 1, column 9: unexpected trailing 'extra'"),
+    ("agent", "A{x}::c -> B{y}::c", 1, 9, "line 1, column 9: unexpected trailing '=>'"),
+    ("rule", "r ~ A{x}::c => A{y}::c => A{z}::c",
+     1, 24, "line 1, column 24: unexpected trailing '=>'"),
+    ("pattern", "A{x}::c A{y}::c", 1, 9, "line 1, column 9: unexpected trailing 'A'"),
+    ("multiset", "2 A{x}::c 3", 1, 11, "line 1, column 11: unexpected trailing '3'"),
+    ("model", "#! rules\n#! inits\n1 A{x}::c + B{y}::c\n",
+     3, 11, "line 3, column 11: unexpected trailing '+'"),
+    # role clashes
+    ("model", "#! rules\nr ~ A{x}::c + A(B{y})::c => A{x}::c\n#! inits\n",
+     2, 15, "line 2, column 15: name 'A' used as structure here but as atomic on line 2"),
+    ("model", "#! rules\nr1 ~ A{x}::c => A{y}::c\n// note\nr2 ~ B{x}::A => B{y}::A\n#! inits\n",
+     4, 12, "line 4, column 12: name 'A' used as compartment here but as atomic on line 2"),
+    ("model", "#! rules\nr ~ A{x}::c =>\n#! inits\n1 B{A}::c\n",
+     4, 5, "line 4, column 5: name 'A' used as feature here but as atomic on line 2"),
+    ("agent", "A(A{x})::c",
+     1, 3, "line 1, column 3: name 'A' used as atomic here but as structure on line 1"),
+    ("rule", "r ~ A{c}::c =>",
+     1, 11, "line 1, column 11: name 'c' used as compartment here but as feature on line 1"),
+    ("pattern", "x{x}::c",
+     1, 3, "line 1, column 3: name 'x' used as feature here but as atomic on line 1"),
+    ("multiset", "P(S{i})::c + S(P{i})::c",
+     1, 14, "line 1, column 14: name 'S' used as structure here but as atomic on line 1"),
+    # duplicate atomics
+    ("agent", "P(S{i},S{a})::c",
+     1, 8, "line 1, column 8: duplicate atomic 'S' in composition of 'P'"),
+    ("model", "#! rules\nr ~ P(S{i},T{i},T{a})::c => P()::c\n#! inits\n",
+     2, 17, "line 2, column 17: duplicate atomic 'T' in composition of 'P'"),
+    # unsorted compositions
+    ("model", "#! rules\nr ~ P(T{i},S{i})::c => P(S{a},T{i})::c\n#! inits\n",
+     2, 5, "line 2, column 5: composition of 'P' is not alphanumerically sorted"),
+    ("pattern", "A{x}::c + P(T{i},S{i})::c",
+     1, 11, "line 1, column 11: composition of 'P' is not alphanumerically sorted"),
+    ("multiset", "Q(b{x},a{x},b{y})::c",
+     1, 13, "line 1, column 13: duplicate atomic 'b' in composition of 'Q'"),
+    # non-positive counts
+    ("model", "#! rules\n#! inits\n0 A{x}::c\n",
+     3, 1, "line 3, column 1: agent count must be positive"),
+    ("multiset", "2 A{x}::c + 00 B{y}::c",
+     1, 13, "line 1, column 13: agent count must be positive"),
+    # duplicate rule labels
+    ("model", "#! rules\nr ~ A{x}::c => A{y}::c\nr ~ A{y}::c => A{x}::c\n#! inits\n",
+     3, 1, "line 3, column 1: duplicate rule label 'r' (first on line 2)"),
+    ("model", "#! rules\nr ~ A{x}::c => A{y}::c\n#! inits\n#! rules\n  r ~ => A{x}::c\n",
+     5, 1, "line 5, column 1: duplicate rule label 'r' (first on line 2)"),
+    # unknown headers
+    ("model", "#! rewrites\n", 1, 1, "line 1, column 1: unknown section header 'rewrites'"),
+    ("model", "#! rules\n#! inits\n#!\n", 3, 1, "line 3, column 1: unknown section header ''"),
+    ("model", "// c\n\n  #! rules x\n",
+     3, 1, "line 3, column 1: unknown section header 'rules x'"),
+    # content before a header
+    ("model", "r ~ A{x}::c => A{y}::c\n",
+     1, 1, "line 1, column 1: content before any '#!' section header"),
+    ("model", "// only a comment\n\n   1 A{x}::c\n#! rules\n",
+     3, 1, "line 3, column 1: content before any '#!' section header"),
+]
+
+
+@pytest.mark.parametrize("entry, text, line, col, message", PINNED_ERRORS)
+def test_parse_errors_keep_their_bytes(entry, text, line, col, message):
+    with pytest.raises(ParseError) as err:
+        _ENTRY_POINTS[entry](text)
+    assert (str(err.value), err.value.line, err.value.col) == (message, line, col)
+
+
+# Whitespace that ``str.splitlines`` would break a line at.
+_NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("space", _NOT_LINE_BREAKS)
+def test_other_whitespace_separates_tokens_within_a_line(space):
+    text = f"#! rules\nr ~ A{{x}}::c{space}=>{space}A{{y}}::c\n#! inits\n1{space}A{{x}}::c\n"
+    model = parse_model(text)
+    assert [str(rule) for rule in model.rules] == ["r ~ A{x}::c => A{y}::c"]
+    assert str(model.init) == "1 A{x}::c"
+    assert str(parse_rule(f"r{space}~ A{{x}}::c =>")) == "r ~ A{x}::c =>"
+
+
+@pytest.mark.parametrize("space", _NOT_LINE_BREAKS)
+def test_only_newlines_count_lines(space):
+    text = f"#! rules\nr ~ A{{x}}::c{space}=> A{{y}}::c\r\nq ~ => A{{y}}::c\rp ~ => ?\n"
+    with pytest.raises(ParseError) as err:
+        parse_model(text)
+    assert (err.value.line, err.value.col) == (4, 8)
+
+
 # ---------------------------------------------------------------------------
 # Signature inference
 # ---------------------------------------------------------------------------
