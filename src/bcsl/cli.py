@@ -47,7 +47,7 @@ from .regulation import (
     regulated_explore,
     regulated_tree,
 )
-from .syntax import BcslModel, ParseError, SignatureError, model_to_text, parse_model
+from .syntax import _LINE_BREAK, BcslModel, ParseError, SignatureError, model_to_text, parse_model
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -221,10 +221,12 @@ def _load_model(path: str) -> BcslModel:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        data = exc.object
-        line = data.count(b"\n", 0, exc.start) + 1
-        col = exc.start - data.rfind(b"\n", 0, exc.start)
-        raise ParseError(f"model file is not valid UTF-8: {exc.reason}", line, col) from exc
+        # Lines and columns as the parser counts them: in the characters of
+        # the valid prefix, split where a model line ends.
+        lines = _LINE_BREAK.split(exc.object[: exc.start].decode("utf-8"))
+        raise ParseError(
+            f"model file is not valid UTF-8: {exc.reason}", len(lines), len(lines[-1]) + 1
+        ) from exc
     return parse_model(text)
 
 

@@ -1,12 +1,13 @@
 """Direct rewriting semantics and reachable transition systems.
 
 ``RuleMatcher`` applies model rules to a state straight from the rule
-patterns (expand, match instantiated agents against the state, resolve
-the right-hand side consistently) without pre-grounding the whole system.
-It finds its rules by agent: a table, filled the first time a state
-holds an agent, gives the effects of the one-agent rules that agent
-instantiates and the starts of the longer rules, whose other left-hand
-agents are matched by backtracking from position 1.
+patterns (expand, unify left-hand agents with the state's agents up to
+congruence, resolve the right-hand side consistently) without grounding
+anything: no left-hand pattern is enumerated, so the cost follows the
+state, not the signature.  It finds its rules by agent: a table, filled
+the first time a state holds an agent, gives the effects of the
+one-agent rules that agent matches and the starts of the longer rules,
+whose other left-hand agents are matched by backtracking from position 1.
 The table, the matches and the effects key on agent ids of the one
 intern table (``terms.agent_id``), the ids that grounding puts into the
 grounded rules too, so matching never hashes an agent and states of both
@@ -20,23 +21,23 @@ are byte-identical.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
-from typing import Callable, Collection, Hashable
+from typing import Callable, Collection, Hashable, Iterable
 
 from .mrs import EPSILON_LABEL
 from .patterns import (
     DEFAULT_GROUNDING_CAP,
     GroundingCapError,
-    GroundingError,
+    _feature_options,
     assign_features,
     deatomise,
-    enumerate_instantiations,
     expand_pattern,
 )
 from .syntax import BcslModel
-from .terms import EPSILON, Multiset, Pattern, agent_id
+from .terms import EPSILON, Multiset, agent_id, agent_of
 
 Transition = tuple[Hashable, str, Hashable]
 # What one match of a rule does: its label, the agent ids it consumes and
@@ -115,153 +116,151 @@ class LabelSequences:
 # Direct rule application
 # ---------------------------------------------------------------------------
 
+# ``name{ε}`` in the escaped text of a component.
+_EPSILON_SLOT = re.compile(r"(\w+)\\\{ε\\\}")
+
+
 class _PreparedRule:
     """One model rule preprocessed for repeated application.
 
-    Left-hand agents are pre-instantiated per agent so matching can walk
-    the state with backtracking; right-hand ε slots are classified as
-    either forced (same source atomic at the same position on the left,
-    so the resolved feature must match) or free over the signature.
-    Both stop at the grounding cap: a left-hand agent with more
-    instantiations, or free slots with more resolutions, raise
-    ``GroundingCapError``.
+    A left-hand agent is matched by unification the first time a state
+    agent meets its position: ``matches(i, agent)`` pairs the pattern's
+    chain components with the state agent's (same compartment), in any
+    order, with equal names and equal features wherever the pattern's
+    feature is not ε: a pattern component is a regex, its own text with
+    each ``{ε}`` a group over the signature's features of its atomic.
+    Each pairing gives one assignment of the agent's ε features (the
+    groups), and the list of them is memoised per position and agent id.
+    Repeated components give several assignments: ``P().P()::c`` matches
+    ``P(S{a}).P(S{b})::c`` with S = a, b and with S = b, a, which resolve
+    the right-hand side differently.
 
-    What a match consumes and produces depends only on its left-hand
-    assignment, so ``effects`` computes both on first use and memoises
-    them in ``_effects``.  The memo key is the tuple of option indices
-    picked at each left-hand position, which fixes the assignment.  The
-    picked agents would not do as a key: options with different
-    assignments can canonicalise to the same agent (``P().P()::c`` picks
-    ``P(S{a}).P(S{b})::c`` under two assignments, which resolve the
-    right-hand side differently).
+    Right-hand ε slots are either forced (the same source atomic at the
+    same position on the left, so the resolved feature must match; no
+    options) or free over the signature.  Free slots with more
+    resolutions than the grounding cap raise ``GroundingCapError``.
 
-    ``_option_index`` maps, per left-hand position, the id of each
-    canonical agent to the list of option indices that instantiate to it
-    (a list, since several assignments can give one agent, as above).
-    ``RuleMatcher`` reads position 0 of it once per agent into its table;
-    ``_descend`` walks the state's distinct agents from position 1 on.  At
-    each position it iterates the smaller of that index and the remaining
-    state, so a state of two or three distinct agents costs two or three
-    probes however many instantiations the position has.
+    What a match consumes and produces depends only on the agents it
+    picks and their assignments, so ``effects`` computes both on first
+    use and memoises them in ``_effects``, keyed by the ``(agent id,
+    assignment index)`` picked at each left-hand position.
     """
 
     def __init__(self, rule, structure_signature, atomic_signature):
         self.label = rule.label
         self.lhs = expand_pattern(rule.lhs, structure_signature)
         self.rhs = expand_pattern(rule.rhs, structure_signature)
-        self._effects: dict[tuple[int, ...], tuple[Effect, ...]] = {}
+
+        def slot(m: re.Match) -> str:  # ``{ε}`` as a group over the atomic's features
+            return m[1] + r"\{(" + "|".join(_feature_options(m[1], atomic_signature)) + r")\}"
+
+        # Per left-hand agent, a regex per chain component for the texts of
+        # the grounded components it unifies with.
+        self._regexes = [
+            [re.compile(_EPSILON_SLOT.sub(slot, re.escape(str(c)))) for c in agent.chain]
+            for agent in self.lhs.agents
+        ]
+        self._matches: list[dict[int, list[tuple[str, ...]]]] = [{} for _ in self.lhs.agents]
+        self._effects: dict[tuple[tuple[int, int], ...], tuple[Effect, ...]] = {}
         lhs_atoms = deatomise(self.lhs)
-        rhs_atoms = deatomise(self.rhs)
-
-        # Per left-hand agent, its options (instantiations) in enumeration
-        # order, each (id of the canonical instantiated agent, {global slot:
-        # feature}), and the index from agent id to option numbers.
-        self.agent_options: list[list[tuple[int, dict[int, str]]]] = []
-        self._option_index: list[dict[int, list[int]]] = []
-        offset = 0
-        for agent in self.lhs.agents:
-            single = Pattern((agent,))
-            n_atoms = len(deatomise(single))
-            slots = [offset + k for k in range(n_atoms) if lhs_atoms[offset + k].feature == EPSILON]
-            options = []
-            index: dict[int, list[int]] = {}
-            for inst in enumerate_instantiations(single, atomic_signature):
-                key = agent_id(inst.result.agents[0])
-                index.setdefault(key, []).append(len(options))
-                options.append((key, dict(zip(slots, inst.assignment))))
-            self.agent_options.append(options)
-            self._option_index.append(index)
-            offset += n_atoms
-
-        # Right-hand ε slots: ("forced", lhs position) or ("free", features).
-        self.rhs_slots: list[tuple[int, str, object]] = []
-        for j, atom in enumerate(rhs_atoms):
-            if atom.feature != EPSILON:
-                continue
-            if j < len(lhs_atoms) and lhs_atoms[j] == atom:
-                self.rhs_slots.append((j, "forced", j))
-            else:
-                options = atomic_signature.get(atom.name)
-                if not options:
-                    raise GroundingError(f"no features known for atomic {atom.name!r}")
-                self.rhs_slots.append((j, "free", sorted(options)))
-        resolutions = prod(len(payload) for _, mode, payload in self.rhs_slots if mode == "free")
+        # The lhs ε positions, in the order the matches' features fill them.
+        self._epsilon = [j for j, atom in enumerate(lhs_atoms) if atom.feature == EPSILON]
+        # Right-hand ε slots: (position, None) when forced, else (position, features).
+        self.rhs_slots: list[tuple[int, list[str] | None]] = []
+        for j, atom in enumerate(deatomise(self.rhs)):
+            if atom.feature == EPSILON:
+                forced = j < len(lhs_atoms) and lhs_atoms[j] == atom
+                options = None if forced else _feature_options(atom.name, atomic_signature)
+                self.rhs_slots.append((j, options))
+        resolutions = prod(len(options) for _, options in self.rhs_slots if options)
         if resolutions > DEFAULT_GROUNDING_CAP:
             raise GroundingCapError(
                 f"rule {self.label!r} has {resolutions} right-hand resolutions, "
                 f"exceeding the cap of {DEFAULT_GROUNDING_CAP}"
             )
 
-    def effects(self, choice: tuple[int, ...]) -> tuple[Effect, ...]:
-        """What the match ``choice`` (option index per left-hand position) does, memoised."""
-        effects = self._effects.get(choice)
+    def matches(self, i: int, agent: int) -> list[tuple[str, ...]]:
+        """The ε assignments under which left-hand agent ``i`` matches ``agent``, memoised."""
+        found = self._matches[i].get(agent)
+        if found is None:
+            pattern, target, regexes = self.lhs.agents[i], agent_of(agent), self._regexes[i]
+            pairings = []
+            if (pattern.compartment, len(regexes)) == (target.compartment, len(target.chain)):
+                pairings = _backtrack(
+                    lambda k, left: [
+                        (text, m.groups())
+                        for text, n in left.items()
+                        if n and (m := regexes[k].fullmatch(text))
+                    ],
+                    len(regexes),
+                    _count(target.text.rpartition("::")[0].split(".")),  # component texts
+                )
+            found = self._matches[i][agent] = [
+                sum((features for _, features in picks), ()) for picks in pairings
+            ]
+        return found
+
+    def candidates(self, i: int, remaining: dict[int, int]) -> list[tuple[int, int]]:
+        """``(agent id, assignment index)`` of every match at position ``i`` on ``remaining``."""
+        return [(a, k) for a, n in remaining.items() if n for k in range(len(self.matches(i, a)))]
+
+    def effects(self, match: tuple[tuple[int, int], ...]) -> tuple[Effect, ...]:
+        """What ``match`` (``(agent id, assignment index)`` per position) does, memoised:
+        one ``(label, consumed, produced)`` per resolution of the free rhs slots."""
+        effects = self._effects.get(match)
         if effects is None:
-            effects = self._effects[choice] = self._effect(choice)
+            features = [f for memo, (a, k) in zip(self._matches, match) for f in memo[a][k]]
+            assignment = dict(zip(self._epsilon, features))
+            consumed = _count(agent for agent, _ in match)
+            positions = [j for j, _ in self.rhs_slots]
+            out = []
+            for combo in itertools.product(
+                *(options or [assignment[j]] for j, options in self.rhs_slots)
+            ):
+                resolved = assign_features(self.rhs, dict(zip(positions, combo)))
+                out.append((self.label, consumed, _count(map(agent_id, resolved.agents))))
+            effects = self._effects[match] = tuple(out)
         return effects
 
-    def _descend(self, remaining: dict[int, int], first: int) -> list[tuple[int, ...]]:
-        """Every choice that completes option ``first`` at position 0 on ``remaining``.
 
-        Backtracks with an explicit stack of hit iterators, one per
-        position, so no left-hand side reaches the recursion limit.  Only
-        the counts of ``remaining`` change, and each is restored.
-        """
-        matches: list[tuple[int, ...]] = []
-        choice, picked = [first], []
-        stack = [self._hits(1, remaining)]
-        while stack:
-            if len(choice) > len(stack):  # undo this position's last pick
-                choice.pop()
-                remaining[picked.pop()] += 1
-            hit = next(stack[-1], None)
-            if hit is None:
-                stack.pop()
-                continue
-            remaining[hit[0]] -= 1
-            picked.append(hit[0])
-            choice.append(hit[1])
-            if len(choice) == len(self._option_index):
-                matches.append(tuple(choice))
-            else:
-                stack.append(self._hits(len(choice), remaining))
-        return matches
-
-    def _hits(self, i: int, remaining: dict[int, int]):
-        """``(agent, option index)`` of the agents present and instantiable at
-        position ``i``, found from the smaller side: its index or the state."""
-        index = self._option_index[i]
-        if len(index) < len(remaining):
-            return iter([(a, k) for a, ks in index.items() if remaining.get(a, 0) > 0 for k in ks])
-        return iter([(a, k) for a, n in remaining.items() if n > 0 for k in index.get(a, ())])
-
-    def _effect(self, choice: tuple[int, ...]) -> tuple[Effect, ...]:
-        """One ``(label, consumed, produced)`` per resolution of the free rhs slots."""
-        consumed: dict[int, int] = {}
-        lhs_assignment: dict[int, str] = {}
-        for options, k in zip(self.agent_options, choice):
-            agent, assignment = options[k]
-            consumed[agent] = consumed.get(agent, 0) + 1
-            lhs_assignment.update(assignment)
-        option_sets = []
-        for _, mode, payload in self.rhs_slots:
-            if mode == "forced":
-                option_sets.append([lhs_assignment[payload]])
-            else:
-                option_sets.append(payload)
-        out = []
-        positions = [pos for pos, _, _ in self.rhs_slots]
-        for combo in itertools.product(*option_sets):
-            resolved = assign_features(self.rhs, dict(zip(positions, combo)))
-            counts: dict[int, int] = {}
-            for agent in resolved.agents:
-                key = agent_id(agent)
-                counts[key] = counts.get(key, 0) + 1
-            out.append((self.label, consumed, counts))
-        return tuple(out)
+def _count(keys: Iterable[Hashable]) -> dict:
+    """How many times each key occurs."""
+    counts: dict = {}
+    for key in keys:
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
-# A table entry: an agent's one-agent effects and its ``(rule, option index)`` join starts.
-_Entry = tuple[tuple[Effect, ...], tuple[tuple[_PreparedRule, int], ...]]
+def _backtrack(candidates, stop: int, remaining: dict, picks: tuple = ()) -> list[tuple]:
+    """Every extension of ``picks`` to ``stop`` picks, one per position.
+
+    ``candidates(i, remaining)`` lists the ``(resource, payload)`` picks
+    open at position ``i``; a pick uses up one count of its resource.
+    It pairs the components of an agent and the agents of a state alike,
+    on an explicit stack, so no chain or left-hand side reaches the
+    recursion limit.  The counts of ``remaining`` are restored.
+    """
+    found, picks, start = [], list(picks), len(picks)
+    stack = [iter(candidates(start, remaining))]
+    while stack:
+        if len(picks) - start == len(stack):  # undo this position's last pick
+            remaining[picks.pop()[0]] += 1
+        pick = next(stack[-1], None)
+        if pick is None:
+            stack.pop()
+            continue
+        remaining[pick[0]] -= 1
+        picks.append(pick)
+        if len(picks) == stop:
+            found.append(tuple(picks))
+        else:
+            stack.append(iter(candidates(len(picks), remaining)))
+    return found
+
+
+# A table entry: an agent's one-agent effects and the ``(rule, (agent id,
+# assignment index))`` starts of its joins.
+_Entry = tuple[tuple[Effect, ...], tuple[tuple[_PreparedRule, tuple[int, int]], ...]]
 
 
 class RuleMatcher:
@@ -270,13 +269,14 @@ class RuleMatcher:
     Rules are looked up by agent id, not scanned: every match of a rule
     with a left-hand side starts at position 0 with one of the state's
     distinct agents.  ``_table`` maps an agent id, the first time a state
-    holds it, to two things: the effects of every one-agent rule it
-    instantiates (one per option index and right-hand resolution), and
-    the ``(rule, option index)`` starts of every rule with two or more
-    left-hand agents, which ``_descend`` completes from position 1 on
-    the rest of the state.  Rules with an empty left-hand side fire once
-    at every state, ∅ included.  The table belongs to the instance and
-    is filled on first use, so construction does no matching.
+    holds it, to two things: the effects of every one-agent rule whose
+    left-hand agent it matches (one per assignment and right-hand
+    resolution), and the ``(rule, (agent id, assignment index))`` starts
+    of every rule with two or more left-hand agents, which ``_backtrack``
+    completes from position 1 on the rest of the state.  Rules with an
+    empty left-hand side fire once at every state, ∅ included.  The table
+    belongs to the instance and is filled on first use, so construction
+    does no matching.
     """
 
     def __init__(self, model: BcslModel):
@@ -284,20 +284,20 @@ class RuleMatcher:
             _PreparedRule(rule, model.structure_signature, model.atomic_signature)
             for rule in model.rules
         ]
-        self._unconditional = [rule for rule in rules if not rule.agent_options]
-        self._keyed = [rule for rule in rules if rule.agent_options]
+        self._unconditional = [rule for rule in rules if not rule.lhs.agents]
+        self._keyed = [rule for rule in rules if rule.lhs.agents]
         self._table: dict[int, _Entry] = {}
 
     def _entry(self, agent: int) -> _Entry:
         """The one-agent effects and the join starts of ``agent`` at position 0."""
         effects: list[Effect] = []
-        starts: list[tuple[_PreparedRule, int]] = []
+        starts: list[tuple[_PreparedRule, tuple[int, int]]] = []
         for rule in self._keyed:
-            for k in rule._option_index[0].get(agent, ()):
-                if len(rule.agent_options) == 1:
-                    effects.extend(rule.effects((k,)))
+            for k in range(len(rule.matches(0, agent))):
+                if len(rule.lhs.agents) == 1:
+                    effects.extend(rule.effects(((agent, k),)))
                 else:
-                    starts.append((rule, k))
+                    starts.append((rule, (agent, k)))
         return tuple(effects), tuple(starts)
 
     def successors(self, state: Multiset) -> frozenset[tuple[str, Multiset]]:
@@ -321,9 +321,9 @@ class RuleMatcher:
             if not starts:
                 continue
             counts[agent] = n - 1
-            for rule, k in starts:
-                for choice in rule._descend(counts, k):
-                    effects.extend(rule.effects(choice))
+            for rule, first in starts:
+                for match in _backtrack(rule.candidates, len(rule.lhs.agents), counts, (first,)):
+                    effects.extend(rule.effects(match))
             counts[agent] = n
         return frozenset(
             (label, state.rewrite(consumed, produced, counts))

@@ -293,18 +293,10 @@ def compile_label_regex(expression: str, labels: Collection[str]) -> Dfa:
     min_start = block_of[0]
     min_accepting = frozenset(block_of[s] for s in accepting)
 
-    # Live states: those from which an accepting state is reachable.
-    reverse: dict[int, set[int]] = {}
-    for (src, _), tgt in min_trans.items():
-        reverse.setdefault(tgt, set()).add(src)
-    live = set(min_accepting)
-    stack = list(live)
-    while stack:
-        s = stack.pop()
-        for p in reverse.get(s, ()):
-            if p not in live:
-                live.add(p)
-                stack.append(p)
+    # Live states: every block but the dead state's.  Refinement puts every
+    # state that cannot reach an accepting state into that block, since
+    # each of them accepts nothing, as ``dead`` does.
+    live = set(block_of.values()) - {block_of[dead]}
 
     transitions = {
         key: tgt for key, tgt in min_trans.items() if key[0] in live and tgt in live

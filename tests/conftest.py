@@ -61,6 +61,20 @@ EXPECTED_TREE_EDGES = {
     "concurrent-free": 6,
 }
 
+# A structure ``Y`` of 20 two-feature atomics: its ``Y()`` stands for 2^20
+# agents, yet only two agents are ever reached, so the whole graph has two
+# states and two transitions.
+_Y_X = ",".join(f"a{i:02d}{{x}}" for i in range(20))
+_Y_Y = ",".join(f"a{i:02d}{{y}}" for i in range(20))
+WIDE_SIGNATURE_MODEL = (
+    "#! rules\n"
+    "r1 ~ Y()::c => Y()::d\n"
+    "r2 ~ Y()::d => Y()::c\n"
+    "#! inits\n"
+    f"1 Y({_Y_X})::c\n"
+    f"1 Y({_Y_Y})::e\n"
+)
+
 UNREGULATED_SEQUENCES = {
     ("r2",),
     ("r1_T", "r2"),

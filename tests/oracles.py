@@ -9,6 +9,9 @@ makes another way, as directly as it can:
 * ``consistent`` — positional consistency of two instantiations, the
   definition ``patterns.ground_rule`` computes by grouping;
 * ``ground_pattern`` — every concrete multiset a pattern stands for;
+* ``enumerated_matches`` — the agents an expanded agent pattern matches,
+  with the ε assignment of each, the oracle of the direct matcher's
+  unification;
 * ``map_states`` — the quotient of an LTS by a projection of its states;
 * ``transitive_closure`` — the fix-point closure of a label relation, the
   oracle of the reachability walks of an ``ordered`` regulation.
@@ -31,7 +34,7 @@ from bcsl.patterns import (
     pattern_multiset,
 )
 from bcsl.syntax import BcslModel
-from bcsl.terms import Multiset, Pattern
+from bcsl.terms import Agent, Multiset, Pattern, agent_id
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,20 @@ def ground_pattern(
         pattern_multiset(inst.result)
         for inst in enumerate_instantiations(expanded, atomic_signature, cap)
     )
+
+
+def enumerated_matches(
+    agent: Agent, atomic_signature: Mapping[str, frozenset[str]]
+) -> dict[int, list[tuple[str, ...]]]:
+    """Each instantiation of the (expanded) agent pattern, canonicalised.
+
+    Maps the id of each canonical agent to the ε assignments that
+    instantiate the pattern to it, in enumeration order.
+    """
+    found: dict[int, list[tuple[str, ...]]] = {}
+    for inst in enumerate_instantiations(Pattern((agent,)), atomic_signature):
+        found.setdefault(agent_id(inst.result.agents[0]), []).append(inst.assignment)
+    return found
 
 
 def map_states(lts: Lts, project: Callable[[Hashable], Hashable]) -> Lts:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bcsl
-from bcsl import build_mrs, cli, parse_model
+from bcsl import build_mrs, cli, conformance, parse_model, parse_multiset
 from bcsl.cli import main
-from conftest import REGULATION_CONFIGS, TWO_SITE_MODEL
+from conftest import REGULATION_CONFIGS, TWO_SITE_MODEL, WIDE_SIGNATURE_MODEL
 from corpus import random_model_text
 
 
@@ -231,6 +232,48 @@ def test_check_truncation_exit_code(capsys, model_path):
 # error handling and exit codes
 # ---------------------------------------------------------------------------
 
+FAILED_CHECK_TEXT = """\
+verdict: fail
+states checked: 8
+direct semantics: 8 states, 12 transitions
+grounded semantics: 7 states, 10 transitions
+counterexample (transition, direct_only):
+  state: 1 P(S{i},T{i})::cell
+  rule:  r2
+  direct rewriting reaches 1 P(S{i},T{i})::out via 'r2' but no grounded rule does
+"""
+
+
+def test_failed_check_prints_its_counterexample(capsys, model_path, monkeypatch):
+    # The grounded side loses its reaction r2 at the initial state.
+    build = conformance.build_mrs
+
+    def lossy(model):
+        mrs = build(model)
+        start = parse_multiset("1 P(S{i},T{i})::cell")
+        rules = tuple(r for r in mrs.rules if not (r.label == "r2" and r.pre == start))
+        assert len(rules) == len(mrs.rules) - 1
+        return dataclasses.replace(mrs, rules=rules)
+
+    monkeypatch.setattr(conformance, "build_mrs", lossy)
+    assert run_cli(capsys, "check", model_path) == (1, FAILED_CHECK_TEXT, "")
+    code, out, err = run_cli(capsys, "check", model_path, "--json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["verdict"] == "fail"
+    assert report["counterexample"] == {
+        "detail": "direct rewriting reaches 1 P(S{i},T{i})::out via 'r2' but no grounded rule does",
+        "direction": "direct_only",
+        "kind": "transition",
+        "label": "r2",
+        "state": "1 P(S{i},T{i})::cell",
+    }
+    assert (report["direct"], report["grounded"]) == (
+        {"states": 8, "transitions": 12},
+        {"states": 7, "transitions": 10},
+    )
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["lts"]) == 2  # missing model argument
     assert main(["frobnicate"]) == 2
@@ -352,6 +395,24 @@ def test_non_utf8_model_is_a_parse_error(capsys, tmp_path):
     assert err == "error: line 2, column 18: model file is not valid UTF-8: invalid continuation byte\n"
 
 
+@pytest.mark.parametrize("before", ["", "é"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_non_utf8_model_reports_the_parsers_position(capsys, tmp_path, newline, before):
+    # Lines end where the parser ends them, and columns count characters.
+    head = newline.join(["#! rules", "r ~ A{x}::c => A{y}::c", "#! inits", f"1 A{{x}}::c {before}"])
+    bad = tmp_path / "bad.bcsl"
+    bad.write_bytes(head.encode("utf-8") + b"\xff" + newline.encode())
+    code, out, err = run_cli(capsys, "parse", str(bad))
+    assert (code, out) == (3, "")
+    column = 11 + len(before)
+    reason = "model file is not valid UTF-8: invalid start byte"
+    assert err == f"error: line 4, column {column}: {reason}\n"
+    if not before:  # a syntax error at the same place reads the same position
+        bad.write_bytes(head.encode("utf-8") + b"$" + newline.encode())
+        code, _, err = run_cli(capsys, "parse", str(bad))
+        assert (code, err) == (3, "error: line 4, column 11: unexpected character '$'\n")
+
+
 def test_non_utf8_regulation_is_a_usage_error(capsys, model_path, tmp_path):
     reg = tmp_path / "reg.json"
     reg.write_bytes(b'{"type": "regular", "expression": "r\xff"}')
@@ -441,6 +502,75 @@ def test_bad_regulation_exit_code(capsys, model_path, tmp_path):
     assert code == 2
 
 
+# Every ``RegulationError`` that ``compile_regulation`` raises, by a config
+# over the two-site model's labels.
+REGULATION_CONFIG_ERRORS = [
+    ([], "regulation config must be an object with a 'type' field"),
+    ({"kind": "regular"}, "regulation config must be an object with a 'type' field"),
+    ({"type": "regular"}, "regular regulation needs an 'expression' string"),
+    ({"type": "ordered", "pairs": "r1_S"}, "'pairs' must be a list of label pairs"),
+    ({"type": "ordered", "pairs": [["r1_S"]]}, "'pairs' entries must be pairs, got ['r1_S']"),
+    ({"type": "ordered", "pairs": [["zap", "r2"]]}, "unknown rule label 'zap' in 'pairs'"),
+    (
+        {"type": "ordered", "pairs": [["r1_S", "r2"], ["r2", "r1_S"]]},
+        "'pairs' is not a strict partial order (cycle through r1_S, r2)",
+    ),
+    ({"type": "programmed"}, "programmed regulation needs a 'successors' mapping"),
+    (
+        {"type": "programmed", "successors": {"zap": []}},
+        "unknown rule label 'zap' in 'successors'",
+    ),
+    (
+        {"type": "programmed", "successors": {"r2": "r1_S"}},
+        "successor set of 'r2' must be a list",
+    ),
+    (
+        {"type": "programmed", "successors": {"r2": ["zap"]}},
+        "unknown rule label 'zap' in successors of 'r2'",
+    ),
+    (
+        {"type": "conditional", "prohibited": []},
+        "conditional regulation needs a 'prohibited' mapping",
+    ),
+    (
+        {"type": "conditional", "prohibited": {"zap": []}},
+        "unknown rule label 'zap' in 'prohibited'",
+    ),
+    (
+        {"type": "conditional", "prohibited": {"r2": "P(S{a})::cell"}},
+        "prohibited contexts of 'r2' must be a list",
+    ),
+    (
+        {"type": "conditional", "prohibited": {"r2": ["P(S{a}"]}},
+        "invalid prohibited context 'P(S{a}' for 'r2': line 1, column 7: "
+        "expected ')' closing the composition, found end of line",
+    ),
+    (
+        {"type": "concurrent-free", "priority": {"r1_S": "r2"}},
+        "'priority' must be a list of label pairs",
+    ),
+    (
+        {"type": "concurrent-free", "priority": [["r1_S", "r2", "r1_T"]]},
+        "'priority' entries must be pairs, got ['r1_S', 'r2', 'r1_T']",
+    ),
+    (
+        {"type": "concurrent-free", "priority": [["r2", "r2"]]},
+        "priority pairs must relate distinct rules: r2",
+    ),
+    ({"type": "stochastic"}, "unknown regulation type 'stochastic'"),
+]
+
+
+@pytest.mark.parametrize("config, message", REGULATION_CONFIG_ERRORS)
+def test_every_regulation_config_error_is_one_usage_line(
+    capsys, model_path, tmp_path, config, message
+):
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run_cli(capsys, "lts", model_path, "--regulation", str(reg))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_output_file(capsys, model_path, tmp_path):
     out_path = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "ground", model_path, "-o", str(out_path))
@@ -462,6 +592,30 @@ def test_deep_regular_expression_runs(capsys, model_path, tmp_path, expression):
     code, out, err = run_cli(capsys, "lts", model_path, "--regulation", str(reg))
     assert code == 0, err
     assert json.loads(out)["states"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["lts"], ["lts", "--unroll", "--max-depth", "6"], ["simulate", "--steps", "6"]]
+)
+def test_a_wide_signature_costs_what_its_states_cost(capsys, tmp_path, argv):
+    # Y() stands for 2^20 agents, but the direct matcher never enumerates it.
+    model = tmp_path / "wide.bcsl"
+    model.write_text(WIDE_SIGNATURE_MODEL, encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv[0], str(model), *argv[1:])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    states = obj["states"] if "states" in obj else [node["state"] for node in obj["nodes"]]
+    assert len({json.dumps(state, sort_keys=True) for state in states}) == 2
+
+
+def test_a_wide_signature_still_caps_grounding(capsys, tmp_path):
+    model = tmp_path / "wide.bcsl"
+    model.write_text(WIDE_SIGNATURE_MODEL, encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(model))
+    assert (code, out) == (4, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and "cap" in err, err
 
 
 @pytest.mark.parametrize("command", ["lts", "check"])

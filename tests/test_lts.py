@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bcsl import (
+    EPSILON,
     EPSILON_LABEL,
     Agent,
     Atomic,
@@ -27,8 +28,12 @@ from bcsl import (
     unroll,
 )
 from bcsl.cli import _tree_text
+from bcsl.lts import _PreparedRule
+from bcsl.patterns import expand_agent
+from bcsl.syntax import BcslRule
+from bcsl.terms import Pattern, Structure, agent_id, agent_of
 from conftest import TWO_SITE_MODEL, UNREGULATED_SEQUENCES, bench_module
-from oracles import map_states
+from oracles import enumerated_matches, map_states
 
 M0 = parse_multiset("1 P(S{i},T{i})::cell")
 
@@ -221,6 +226,92 @@ def matchers_and_states(draw):
 def test_matcher_on_random_states(case):
     matcher, mrs, state = case
     assert matcher.successors(state) == grounded_successors(mrs, state)
+
+
+# ---------------------------------------------------------------------------
+# Unification against enumeration
+# ---------------------------------------------------------------------------
+
+def assert_unification_enumerates(rule, atomic_signature, agents):
+    """Each left-hand position matches ``agents`` and every agent its
+    instantiations give, with the assignments of enumeration."""
+    for i, pattern in enumerate(rule.lhs.agents):
+        expected = enumerated_matches(pattern, atomic_signature)
+        for agent in {*agents, *expected}:
+            found = rule.matches(i, agent)
+            assert sorted(found) == sorted(expected.get(agent, [])), (pattern, agent_of(agent))
+
+
+def assert_model_unifies_as_it_enumerates(text):
+    model = parse_model(text)
+    agents = {agent_id(agent) for agent in build_mrs(model).elements}
+    for rule in model.rules:
+        prepared = _PreparedRule(rule, model.structure_signature, model.atomic_signature)
+        assert_unification_enumerates(prepared, model.atomic_signature, agents)
+
+
+def test_unification_on_corpus_models():
+    for text in _models.corpus_models(200):
+        assert_model_unifies_as_it_enumerates(text)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 2), (4, 2, 2), (3, 2, 3)])
+def test_unification_on_site_models(shape):
+    assert_model_unifies_as_it_enumerates(_models.site_model(*shape))
+
+
+def test_unification_on_repeated_components():
+    assert_model_unifies_as_it_enumerates(SAME_AGENT_TWO_ASSIGNMENTS)
+
+
+# A small signature for drawn pairs.  "z" is a feature outside it, which an
+# ε must not take.
+_ATOMICS = {"s": frozenset({"a", "b"}), "t": frozenset({"a", "b"}), "u": frozenset({"a", "b"})}
+_STRUCTURES = {"P": frozenset({"s", "t"}), "Q": frozenset({"u"})}
+
+
+@st.composite
+def _components(draw, features):
+    name = draw(st.sampled_from(["P", "Q", "s", "u"]))
+    if name in _STRUCTURES:
+        names = sorted(draw(st.sets(st.sampled_from(sorted(_STRUCTURES[name])))))
+        return Structure(name, tuple(Atomic(n, draw(features)) for n in names))
+    return Atomic(name, draw(features))
+
+
+def _resolve(component, draw):
+    """``component`` with each ε replaced by a drawn feature, "z" included."""
+    feature = st.sampled_from(["a", "b", "z"])
+    if isinstance(component, Atomic):
+        return Atomic(component.name, draw(feature)) if component.feature == EPSILON else component
+    return Structure(component.name, tuple(_resolve(a, draw) for a in component.composition))
+
+
+@st.composite
+def patterns_and_agents(draw):
+    """An expanded agent pattern and a grounded agent: mostly the pattern
+    resolved, its chain shuffled and its compartment redrawn, else any
+    agent.  Chains repeat a component often."""
+    compartments = st.sampled_from(["c", "d"])
+    pattern_features = st.sampled_from(["a", "b", EPSILON])
+    chain = draw(st.lists(_components(pattern_features), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        chain.append(chain[0])
+    pattern = expand_agent(Agent(tuple(chain), draw(compartments)), _STRUCTURES)
+    if draw(st.integers(0, 3)):
+        target = draw(st.permutations([_resolve(c, draw) for c in pattern.chain]))
+    else:
+        features = st.sampled_from(["a", "b", "z"])
+        target = draw(st.lists(_components(features), min_size=1, max_size=4))
+    return pattern, Agent(tuple(target), draw(compartments))
+
+
+@settings(max_examples=400, deadline=None)
+@given(patterns_and_agents())
+def test_unification_on_drawn_pairs(case):
+    pattern, target = case
+    rule = _PreparedRule(BcslRule("r", Pattern((pattern,)), Pattern()), _STRUCTURES, _ATOMICS)
+    assert_unification_enumerates(rule, _ATOMICS, {agent_id(target)})
 
 
 # ---------------------------------------------------------------------------
