@@ -2,12 +2,13 @@
 
 ``RuleMatcher`` applies model rules to a state straight from the rule
 patterns (expand, unify left-hand agents with the state's agents up to
-congruence, resolve the right-hand side consistently) without grounding
-anything: no left-hand pattern is enumerated, so the cost follows the
-state, not the signature.  It finds its rules by agent: a table, filled
-the first time a state holds an agent, gives the effects of the
-one-agent rules that agent matches and the starts of the longer rules,
-whose other left-hand agents are matched by backtracking from position 1.
+congruence, resolve the right-hand side consistently by filling in text
+templates) without grounding anything: no left-hand pattern is
+enumerated, so the cost follows the state, not the signature.  It finds
+its rules by agent: a table, filled the first time a state holds an
+agent, gives the effects of the one-agent rules that agent matches and
+the starts of the longer rules, whose other left-hand agents are matched
+by backtracking from position 1.
 The table, the matches and the effects key on agent ids of the one
 intern table (``terms.agent_id``), the ids that grounding puts into the
 grounded rules too, so matching never hashes an agent and states of both
@@ -37,7 +38,7 @@ from .patterns import (
     expand_pattern,
 )
 from .syntax import BcslModel
-from .terms import EPSILON, Multiset, agent_id, agent_of
+from .terms import _IDS, EPSILON, Multiset, agent_id, agent_of
 
 Transition = tuple[Hashable, str, Hashable]
 # What one match of a rule does: its label, the agent ids it consumes and
@@ -129,11 +130,13 @@ class _PreparedRule:
     order, with equal names and equal features wherever the pattern's
     feature is not ε: a pattern component is a regex, its own text with
     each ``{ε}`` a group over the signature's features of its atomic.
-    Each pairing gives one assignment of the agent's ε features (the
-    groups), and the list of them is memoised per position and agent id.
-    Repeated components give several assignments: ``P().P()::c`` matches
-    ``P(S{a}).P(S{b})::c`` with S = a, b and with S = b, a, which resolve
-    the right-hand side differently.
+    A one-component pattern's regex reads the whole agent text,
+    compartment included, so it matches by one ``fullmatch`` and no
+    pairing search.  Each pairing gives one assignment of the agent's ε
+    features (the groups), and the list of them is memoised per position
+    and agent id.  Repeated components give several assignments:
+    ``P().P()::c`` matches ``P(S{a}).P(S{b})::c`` with S = a, b and with
+    S = b, a, which resolve the right-hand side differently.
 
     Right-hand ε slots are either forced (the same source atomic at the
     same position on the left, so the resolved feature must match; no
@@ -143,7 +146,13 @@ class _PreparedRule:
     What a match consumes and produces depends only on the agents it
     picks and their assignments, so ``effects`` computes both on first
     use and memoises them in ``_effects``, keyed by the ``(agent id,
-    assignment index)`` picked at each left-hand position.
+    assignment index)`` picked at each left-hand position.  A produced
+    agent is found by its text: each right-hand agent has a template,
+    its expanded text with every ``{ε}`` a ``%s`` field, built on the
+    first ``effects`` call (so construction costs nothing for it).  The
+    filled-in text is looked up in the intern table; only a spelling
+    never met before, such as a non-canonical chain order, is rebuilt
+    with ``assign_features`` and interned by ``agent_id``.
     """
 
     def __init__(self, rule, structure_signature, atomic_signature):
@@ -154,14 +163,20 @@ class _PreparedRule:
         def slot(m: re.Match) -> str:  # ``{ε}`` as a group over the atomic's features
             return m[1] + r"\{(" + "|".join(_feature_options(m[1], atomic_signature)) + r")\}"
 
-        # Per left-hand agent, a regex per chain component for the texts of
-        # the grounded components it unifies with.
-        self._regexes = [
-            [re.compile(_EPSILON_SLOT.sub(slot, re.escape(str(c)))) for c in agent.chain]
-            for agent in self.lhs.agents
-        ]
+        def regexes(agent) -> list[re.Pattern]:
+            """A regex per chain component for the texts of the grounded
+            components it unifies with; a lone component's reads the whole
+            agent text."""
+            found = [_EPSILON_SLOT.sub(slot, re.escape(str(c))) for c in agent.chain]
+            if len(found) == 1:
+                found[0] += re.escape("::" + agent.compartment)
+            return [re.compile(regex) for regex in found]
+
+        self._regexes = [regexes(agent) for agent in self.lhs.agents]
         self._matches: list[dict[int, list[tuple[str, ...]]]] = [{} for _ in self.lhs.agents]
         self._effects: dict[tuple[tuple[int, int], ...], tuple[Effect, ...]] = {}
+        # Built on the first ``effects`` call (``_rhs_templates``).
+        self._templates: list[tuple[str, int, int]] | None = None
         lhs_atoms = deatomise(self.lhs)
         # The lhs ε positions, in the order the matches' features fill them.
         self._epsilon = [j for j, atom in enumerate(lhs_atoms) if atom.feature == EPSILON]
@@ -184,8 +199,10 @@ class _PreparedRule:
         found = self._matches[i].get(agent)
         if found is None:
             pattern, target, regexes = self.lhs.agents[i], agent_of(agent), self._regexes[i]
-            pairings = []
-            if (pattern.compartment, len(regexes)) == (target.compartment, len(target.chain)):
+            if len(regexes) == 1:  # one component: a fullmatch, no pairing search
+                m = regexes[0].fullmatch(target.text)
+                found = [m.groups()] if m else []
+            elif (pattern.compartment, len(regexes)) == (target.compartment, len(target.chain)):
                 pairings = _backtrack(
                     lambda k, left: [
                         (text, m.groups())
@@ -195,9 +212,10 @@ class _PreparedRule:
                     len(regexes),
                     _count(target.text.rpartition("::")[0].split(".")),  # component texts
                 )
-            found = self._matches[i][agent] = [
-                sum((features for _, features in picks), ()) for picks in pairings
-            ]
+                found = [sum((features for _, features in picks), ()) for picks in pairings]
+            else:
+                found = []
+            self._matches[i][agent] = found
         return found
 
     def candidates(self, i: int, remaining: dict[int, int]) -> list[tuple[int, int]]:
@@ -209,18 +227,35 @@ class _PreparedRule:
         one ``(label, consumed, produced)`` per resolution of the free rhs slots."""
         effects = self._effects.get(match)
         if effects is None:
+            if self._templates is None:
+                self._templates = self._rhs_templates()
             features = [f for memo, (a, k) in zip(self._matches, match) for f in memo[a][k]]
             assignment = dict(zip(self._epsilon, features))
             consumed = _count(agent for agent, _ in match)
-            positions = [j for j, _ in self.rhs_slots]
             out = []
             for combo in itertools.product(
                 *(options or [assignment[j]] for j, options in self.rhs_slots)
             ):
-                resolved = assign_features(self.rhs, dict(zip(positions, combo)))
-                out.append((self.label, consumed, _count(map(agent_id, resolved.agents))))
+                produced: dict[int, int] = {}
+                for k, (template, start, stop) in enumerate(self._templates):
+                    ident = _IDS.get(template % combo[start:stop])
+                    if ident is None:  # a spelling not met before: resolve and intern it
+                        positions = {j: f for (j, _), f in zip(self.rhs_slots, combo)}
+                        ident = agent_id(assign_features(self.rhs, positions).agents[k])
+                    produced[ident] = produced.get(ident, 0) + 1
+                out.append((self.label, consumed, produced))
             effects = self._effects[match] = tuple(out)
         return effects
+
+    def _rhs_templates(self) -> list[tuple[str, int, int]]:
+        """Per right-hand agent: its text with each ``{ε}`` a ``%s`` field, and
+        the ``start:stop`` slice of ``rhs_slots`` (of each resolution) that fills it."""
+        templates, start = [], 0
+        for agent in self.rhs.agents:
+            stop = start + agent.text.count("{ε}")
+            templates.append((agent.text.replace("{ε}", "{%s}"), start, stop))
+            start = stop
+        return templates
 
 
 def _count(keys: Iterable[Hashable]) -> dict:

@@ -12,7 +12,7 @@ Only the state type and its intern table of agent ids (``terms.agent_id``)
 are shared with the direct side.
 
 Two parts of a system are computed on first read, so that ``check``
-and concurrent-free regulation pay only for what they use.
+pays only for what it uses.
 The element universe (``Mrs.elements``), which only ``bcsl ground``
 reads, is read off the grounded rules; nothing is grounded twice.  Every
 grounding of a single rule agent occurs in some reaction, because each

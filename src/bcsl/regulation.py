@@ -26,7 +26,9 @@ The other two keep no memory:
   when any of its prohibited multisets is contained in the current state.
 * concurrent-free — priority pairs ``(high, low)``: ``low`` is blocked
   whenever ``high`` is enabled too and the two labels are concurrent,
-  i.e. some groundings of theirs consume a common agent.
+  i.e. some groundings of theirs consume a common agent.  The relation
+  is found without grounding (``concurrency_relation``): the expanded
+  left-hand agent patterns of the two labels are unified pairwise.
 
 ε never counts as a regulated rule: it fires exactly when the permitted
 set is empty and leaves the memory unchanged.  Two walks decide it, each
@@ -46,9 +48,12 @@ from dataclasses import dataclass
 from typing import Any, Collection, Hashable, Mapping
 
 from .lts import Lts, RuleMatcher, RunTree, SuccessorFn, explore, unroll
-from .mrs import EPSILON_LABEL, Mrs, build_mrs
+# ``build_mrs`` is not called here, but ``bench/tracer.py`` rebinds this
+# name, so it stays importable from this module.
+from .mrs import EPSILON_LABEL, build_mrs  # noqa: F401
+from .patterns import expand_pattern
 from .syntax import BcslModel, parse_multiset
-from .terms import IDENTIFIER, Multiset
+from .terms import EPSILON, IDENTIFIER, Agent, Atomic, Multiset
 
 
 class RegulationError(Exception):
@@ -529,18 +534,87 @@ def compile_regulation(config: Mapping[str, Any], labels: Collection[str]) -> Re
 # Binding to a model and regulated exploration
 # ---------------------------------------------------------------------------
 
-def concurrency_relation(mrs: Mrs) -> LabelRelation:
-    """Label pairs whose groundings consume at least one common agent."""
-    pres: dict[str, list[Multiset]] = {}
-    for rule in mrs.rules:
-        pres.setdefault(rule.label, []).append(rule.pre)
+def concurrency_relation(model: BcslModel) -> LabelRelation:
+    """Label pairs whose groundings consume at least one common agent.
+
+    Found without grounding: two labels are related when some expanded
+    left-hand agent pattern of a rule of one unifies with some of a rule
+    of the other (``_unify``).  A rule with an empty left-hand side is
+    related to no rule; one with a non-empty side is related to itself.
+    """
+    patterns: dict[str, list[Agent]] = {}
+    for rule in model.rules:
+        expanded = expand_pattern(rule.lhs, model.structure_signature)
+        patterns.setdefault(rule.label, []).extend(expanded.agents)
+    signature = model.atomic_signature
     related: set[tuple[str, str]] = set()
-    labels = sorted(pres)
-    for a, b in itertools.combinations_with_replacement(labels, 2):
-        if any(bool(pa.intersection(pb)) for pa in pres[a] for pb in pres[b]):
+    for a, b in itertools.combinations_with_replacement(sorted(patterns), 2):
+        if any(_unify(p, q, signature) for p in patterns[a] for q in patterns[b]):
             related.add((a, b))
             related.add((b, a))
     return frozenset(related)
+
+
+def _unify(p: Agent, q: Agent, signature: Mapping[str, frozenset[str]]) -> bool:
+    """Whether two expanded agent patterns have a common grounding, up to congruence.
+
+    Same compartment and chain length, and the chain components paired
+    one to one in some order, each pair unifying (``_components_unify``).
+    Only whether some pairing exists matters, and repeated ε components
+    can pair in factorially many ways, so the pairing is not enumerated:
+    it is a bipartite perfect matching, found by augmenting paths (Kuhn's
+    method) on an explicit stack, so no chain length reaches the
+    recursion limit.
+    """
+    if p.compartment != q.compartment or len(p.chain) != len(q.chain):
+        return False
+    fits = [
+        [j for j, d in enumerate(q.chain) if _components_unify(c, d, signature)]
+        for c in p.chain
+    ]
+    owner: dict[int, int] = {}  # q's component -> the p component paired with it
+    for start in range(len(fits)):
+        seen: set[int] = set()
+        # Frames of the augmenting path: [p component, its untried options, its pick].
+        path = [[start, iter(fits[start]), None]]
+        while path:
+            frame = path[-1]
+            frame[2] = next((j for j in frame[1] if j not in seen), None)
+            if frame[2] is None:
+                path.pop()
+            elif frame[2] in owner:
+                seen.add(frame[2])
+                taken = owner[frame[2]]
+                path.append([taken, iter(fits[taken]), None])
+            else:
+                for i, _, j in path:
+                    owner[j] = i
+                break
+        else:
+            return False
+    return True
+
+
+def _components_unify(c, d, signature: Mapping[str, frozenset[str]]) -> bool:
+    """Two chain components of one kind and name whose atomics, by name, agree:
+    equal features, or one ε and the other in the signature, or both ε
+    over a non-empty signature."""
+    if type(c) is not type(d) or c.name != d.name:
+        return False
+    if isinstance(c, Atomic):
+        return _features_unify(c.name, c.feature, d.feature, signature)
+    theirs = {atom.name: atom.feature for atom in d.composition}
+    return len(theirs) == len(c.composition) and all(
+        _features_unify(a.name, a.feature, theirs.get(a.name), signature) for a in c.composition
+    )
+
+
+def _features_unify(
+    name: str, f: str, g: str | None, signature: Mapping[str, frozenset[str]]
+) -> bool:
+    if f == EPSILON:
+        return g in signature.get(name, ()) if g != EPSILON else bool(signature.get(name))
+    return f == g or (g == EPSILON and f in signature.get(name, ()))
 
 
 class RegulationGuard:
@@ -582,9 +656,9 @@ class RegulationGuard:
 
 
 def make_guard(regulation: Regulation, model: BcslModel) -> RegulationGuard:
-    """Bind a regulation to a model (grounding it when concurrency is needed)."""
+    """Bind a regulation to a model; nothing is grounded."""
     if isinstance(regulation, ConcurrentFreeRegulation):
-        return RegulationGuard(regulation, concurrency_relation(build_mrs(model)))
+        return RegulationGuard(regulation, concurrency_relation(model))
     return RegulationGuard(regulation)
 
 

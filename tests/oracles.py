@@ -12,6 +12,11 @@ makes another way, as directly as it can:
 * ``enumerated_matches`` — the agents an expanded agent pattern matches,
   with the ε assignment of each, the oracle of the direct matcher's
   unification;
+* ``resolved_effects`` — what one match of a prepared rule consumes and
+  produces, each right-hand side rebuilt by ``assign_features``, the
+  oracle of the matcher's text templates;
+* ``grounded_concurrency`` — the concurrency relation read off the
+  grounded rules, the oracle of ``regulation.concurrency_relation``;
 * ``map_states`` — the quotient of an LTS by a projection of its states;
 * ``transitive_closure`` — the fix-point closure of a label relation, the
   oracle of the reachability walks of an ``ordered`` regulation.
@@ -20,21 +25,23 @@ makes another way, as directly as it can:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping
 
-from bcsl.lts import Lts, RuleMatcher
-from bcsl.mrs import apply_rule, build_mrs, enabled
+from bcsl.lts import Lts, RuleMatcher, _PreparedRule
+from bcsl.mrs import Mrs, apply_rule, build_mrs, enabled
 from bcsl.patterns import (
     DEFAULT_GROUNDING_CAP,
     Instantiation,
+    assign_features,
     deatomise,
     enumerate_instantiations,
     expand_pattern,
     pattern_multiset,
 )
 from bcsl.syntax import BcslModel
-from bcsl.terms import Agent, Multiset, Pattern, agent_id
+from bcsl.terms import EPSILON, Agent, Multiset, Pattern, agent_id
 
 
 @dataclass(frozen=True)
@@ -123,6 +130,53 @@ def enumerated_matches(
     for inst in enumerate_instantiations(Pattern((agent,)), atomic_signature):
         found.setdefault(agent_id(inst.result.agents[0]), []).append(inst.assignment)
     return found
+
+
+def resolved_effects(
+    rule: _PreparedRule,
+    match: tuple[tuple[int, int], ...],
+    atomic_signature: Mapping[str, frozenset[str]],
+) -> tuple[tuple[str, dict[int, int], dict[int, int]], ...]:
+    """What ``match`` (``(agent id, assignment index)`` per left-hand
+    position) consumes and produces, one ``(label, consumed, produced)``
+    per resolution of the right-hand ε atomics, in ``itertools.product``
+    order.
+
+    A right-hand ε atomic equal to the left-hand atomic at its position
+    takes that atomic's assigned feature; any other ranges over its
+    signature.  Each resolution rebuilds the right-hand side with
+    ``assign_features``.
+    """
+    lhs, rhs = deatomise(rule.lhs), deatomise(rule.rhs)
+    features = [f for i, (a, k) in enumerate(match) for f in rule.matches(i, a)[k]]
+    assigned = dict(zip([j for j, atom in enumerate(lhs) if atom.feature == EPSILON], features))
+    slots = [j for j, atom in enumerate(rhs) if atom.feature == EPSILON]
+    options = []
+    for j in slots:
+        forced = j < len(lhs) and lhs[j] == rhs[j]
+        options.append([assigned[j]] if forced else sorted(atomic_signature[rhs[j].name]))
+    consumed = dict(Counter(a for a, _ in match))
+    return tuple(
+        (
+            rule.label,
+            consumed,
+            dict(Counter(map(agent_id, assign_features(rule.rhs, dict(zip(slots, combo))).agents))),
+        )
+        for combo in itertools.product(*options)
+    )
+
+
+def grounded_concurrency(mrs: Mrs) -> frozenset[tuple[str, str]]:
+    """Label pairs with a grounded rule each whose ``pre`` share an agent."""
+    pres: dict[str, list[Multiset]] = {}
+    for rule in mrs.rules:
+        pres.setdefault(rule.label, []).append(rule.pre)
+    related: set[tuple[str, str]] = set()
+    for a, b in itertools.combinations_with_replacement(sorted(pres), 2):
+        if any(bool(pa.intersection(pb)) for pa in pres[a] for pb in pres[b]):
+            related.add((a, b))
+            related.add((b, a))
+    return frozenset(related)
 
 
 def map_states(lts: Lts, project: Callable[[Hashable], Hashable]) -> Lts:

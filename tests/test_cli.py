@@ -188,19 +188,26 @@ def test_simulate_runs_on_the_direct_matcher(capsys, model_path, monkeypatch):
     assert len(json.loads(out)["labels"]) == 4
 
 
-def test_concurrent_free_simulate_grounds_once(capsys, model_path, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [["lts"], ["lts", "--unroll", "--max-depth", "4"], ["simulate", "--steps", "6"]],
+    ids=["lts", "lts-unroll", "simulate"],
+)
+def test_concurrent_free_commands_ground_nothing(capsys, model_path, tmp_path, monkeypatch, argv):
+    # The concurrency relation comes from unifying left-hand patterns.
     calls = []
 
-    def counted(model):
-        calls.append(model)
-        return build_mrs(model)
+    def counted(*args):
+        calls.append(args)
+        raise AssertionError("a concurrent-free command grounded the model")
 
     monkeypatch.setattr("bcsl.cli.build_mrs", counted)
     monkeypatch.setattr("bcsl.regulation.build_mrs", counted)
+    monkeypatch.setattr("bcsl.mrs.ground_rule", counted)
     reg = write_regulation(tmp_path, "concurrent-free")
-    code, _, err = run_cli(capsys, "simulate", model_path, "--regulation", reg)
+    code, _, err = run_cli(capsys, argv[0], model_path, "--regulation", reg, *argv[1:])
     assert code == 0, err
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +615,31 @@ def test_a_wide_signature_costs_what_its_states_cost(capsys, tmp_path, argv):
     obj = json.loads(out)
     states = obj["states"] if "states" in obj else [node["state"] for node in obj["nodes"]]
     assert len({json.dumps(state, sort_keys=True) for state in states}) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["lts"], ["lts", "--unroll", "--max-depth", "6"], ["simulate", "--steps", "6"]],
+    ids=["lts", "lts-unroll", "simulate"],
+)
+def test_a_wide_signature_runs_concurrent_free(capsys, tmp_path, argv):
+    # r1 has 2^40 candidate pairs, but the concurrency relation is unified,
+    # not grounded.  r1 and r2 consume agents of different compartments, so
+    # they are not concurrent and the regulation blocks nothing.
+    model = tmp_path / "wide.bcsl"
+    model.write_text(WIDE_SIGNATURE_MODEL, encoding="utf-8")
+    reg = tmp_path / "cf.json"
+    reg.write_text(json.dumps({"type": "concurrent-free", "priority": [["r1", "r2"]]}), "utf-8")
+    outputs = []
+    for regulation in ([], ["--regulation", str(reg)]):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, argv[0], str(model), *regulation, *argv[1:], "--format", "text"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, ""), err
+        outputs.append(out)
+    assert outputs[1] == outputs[0]
 
 
 def test_a_wide_signature_still_caps_grounding(capsys, tmp_path):

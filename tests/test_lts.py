@@ -27,13 +27,15 @@ from bcsl import (
     tree_to_json_obj,
     unroll,
 )
+from bcsl import terms
 from bcsl.cli import _tree_text
-from bcsl.lts import _PreparedRule
-from bcsl.patterns import expand_agent
-from bcsl.syntax import BcslRule
+from bcsl.lts import _backtrack, _PreparedRule
+from bcsl.patterns import assign_features, expand_agent
+from bcsl.syntax import BcslModel, BcslRule, parse_agent
 from bcsl.terms import Pattern, Structure, agent_id, agent_of
 from conftest import TWO_SITE_MODEL, UNREGULATED_SEQUENCES, bench_module
-from oracles import enumerated_matches, map_states
+from corpus import random_model_text
+from oracles import enumerated_matches, map_states, resolved_effects
 
 M0 = parse_multiset("1 P(S{i},T{i})::cell")
 
@@ -312,6 +314,105 @@ def test_unification_on_drawn_pairs(case):
     pattern, target = case
     rule = _PreparedRule(BcslRule("r", Pattern((pattern,)), Pattern()), _STRUCTURES, _ATOMICS)
     assert_unification_enumerates(rule, _ATOMICS, {agent_id(target)})
+
+
+# ---------------------------------------------------------------------------
+# Right-hand text templates against assign_features
+# ---------------------------------------------------------------------------
+
+def count_rebuilds(monkeypatch) -> list:
+    """The right-hand sides the matcher rebuilds with ``assign_features`` from now on."""
+    rebuilt = []
+
+    def counted(pattern, by_position):
+        rebuilt.append(pattern)
+        return assign_features(pattern, by_position)
+
+    monkeypatch.setattr("bcsl.lts.assign_features", counted)
+    return rebuilt
+
+
+def assert_effects_resolve(model, states):
+    """Every match of every rule at ``states`` does what ``resolved_effects`` says."""
+    for rule in model.rules:
+        prepared = _PreparedRule(rule, model.structure_signature, model.atomic_signature)
+        n = len(prepared.lhs.agents)
+        for state in states:
+            found = _backtrack(prepared.candidates, n, dict(state.pairs())) if n else [()]
+            for match in found:
+                expected = resolved_effects(prepared, match, model.atomic_signature)
+                assert prepared.effects(match) == expected, (str(rule), str(state))
+
+
+def assert_templates_resolve(model, monkeypatch):
+    """The effects agree with ``resolved_effects`` on the reachable states,
+    and then a fresh matcher there rebuilds no right-hand side: every
+    spelling it meets is in the intern table by then."""
+    states = build_lts(model, **CORPUS_BOUNDS).states
+    assert_effects_resolve(model, states)
+    rebuilt = count_rebuilds(monkeypatch)
+    matcher = RuleMatcher(model)
+    for state in states:
+        matcher.successors(state)
+    assert rebuilt == []
+    monkeypatch.undo()
+
+
+def test_templates_on_corpus_models(monkeypatch):
+    for seed in range(200):
+        assert_templates_resolve(parse_model(random_model_text(seed)), monkeypatch)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 2), (3, 2, 3)])
+def test_templates_on_site_models(monkeypatch, shape):
+    assert_templates_resolve(parse_model(_models.site_model(*shape)), monkeypatch)
+
+
+def _structure(name, *atoms):
+    return Structure(name, tuple(Atomic(n, f) for n, f in atoms))
+
+
+# Right-hand agents spelled off the canonical form: the chain reversed
+# (``Lt`` before ``Kt``), the compositions unsorted (``mb`` before ``ma``)
+# and another compartment.  Its ``mb{ε}`` at position 1 is forced by the
+# left-hand side, the one at position 3 is free.  The names occur in no
+# other test, so no spelling of these agents is interned before it runs.
+NON_CANONICAL_RULE = BcslRule(
+    "spell",
+    Pattern((Agent((_structure("Kt", ("ma", "p"), ("mb", EPSILON)),), "c"),)),
+    Pattern(
+        (
+            Agent((Atomic("Lt", "q"), _structure("Kt", ("mb", EPSILON), ("ma", "q"))), "d"),
+            Agent((_structure("Kt", ("mb", EPSILON), ("ma", "p")),), "c"),
+        )
+    ),
+)
+NON_CANONICAL_MODEL = BcslModel(
+    (NON_CANONICAL_RULE,),
+    {"ma": frozenset({"p", "q"}), "mb": frozenset({"p", "q"}), "Lt": frozenset({"q"})},
+    {"Kt": frozenset({"ma", "mb"})},
+    Multiset.from_agents([Agent((_structure("Kt", ("ma", "p"), ("mb", "q")),), "c")]),
+)
+
+
+def test_templates_of_a_non_canonical_right_hand_side(monkeypatch):
+    model = NON_CANONICAL_MODEL
+    spelled = "Lt{q}.Kt(mb{q},ma{q})::d"
+    assert spelled not in terms._IDS
+    rebuilt = count_rebuilds(monkeypatch)
+    found = RuleMatcher(model).successors(model.init)
+    # The intern table missed each of the three spellings once, and filed
+    # each under its canonical agent's id.
+    assert len(rebuilt) == 3
+    assert terms._IDS[spelled] == agent_id(parse_agent("Kt(ma{q},mb{q}).Lt{q}::d"))
+    assert found == grounded_successors(build_mrs(model), model.init)
+    assert {str(target) for _, target in found} == {
+        "1 Kt(ma{p},mb{p})::c + 1 Kt(ma{q},mb{q}).Lt{q}::d",
+        "1 Kt(ma{p},mb{q})::c + 1 Kt(ma{q},mb{q}).Lt{q}::d",
+    }
+    assert_effects_resolve(model, [model.init])
+    monkeypatch.undo()
+    assert_templates_resolve(model, monkeypatch)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from bcsl import (
     unroll,
 )
 from bcsl.conformance import _first_difference
+from bcsl.syntax import BcslModel, BcslRule
+from bcsl.terms import EPSILON, Agent, Atomic, Pattern, Structure
 from conftest import (
     EXPECTED_REGULATED_SEQUENCES,
     EXPECTED_TREE_EDGES,
@@ -43,7 +45,7 @@ from conftest import (
     bench_module,
 )
 from corpus import random_model_text
-from oracles import map_states, transitive_closure
+from oracles import grounded_concurrency, map_states, transitive_closure
 
 LABELS = ("r1_S", "r1_T", "r2")
 
@@ -425,19 +427,108 @@ def test_advance_memoryless_and_epsilon(two_site_model):
 # ---------------------------------------------------------------------------
 
 def test_concurrency_on_two_site(two_site_model):
-    relation = concurrency_relation(build_mrs(two_site_model))
+    relation = concurrency_relation(two_site_model)
     assert ("r1_S", "r2") in relation and ("r2", "r1_S") in relation
     assert ("r1_S", "r1_T") in relation
+    assert relation == grounded_concurrency(build_mrs(two_site_model))
 
 
 def test_empty_pre_rule_not_concurrent():
     model = parse_model(
         "#! rules\nmk ~ => A{u}::c\nuse ~ A{u}::c =>\n#! inits\n1 A{u}::c\n"
     )
-    relation = concurrency_relation(build_mrs(model))
+    relation = concurrency_relation(model)
     assert ("mk", "use") not in relation
     assert ("mk", "mk") not in relation
     assert ("use", "use") in relation
+    assert relation == grounded_concurrency(build_mrs(model))
+
+
+def test_concurrency_unifies_as_it_grounds_on_corpus_models():
+    for k, text in enumerate(_models.corpus_models(200)):
+        model = parse_model(text)
+        assert concurrency_relation(model) == grounded_concurrency(build_mrs(model)), k
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 2), (4, 2, 2), (3, 2, 3)])
+def test_concurrency_unifies_as_it_grounds_on_site_models(shape):
+    model = parse_model(_models.site_model(*shape))
+    relation = concurrency_relation(model)
+    assert relation == grounded_concurrency(build_mrs(model))
+    # Rules of different sites meet in P, rules of one site only at one feature.
+    assert {("act0_0", "act1_0"), ("export", "deact0")} <= relation
+    assert ("act0_0", "deact0") not in relation
+
+
+# A small signature for drawn left-hand sides.  "z" is a feature outside
+# it, which an ε must not take.
+_ATOMICS = {"s": frozenset({"a", "b"}), "t": frozenset({"a", "b"}), "u": frozenset({"a", "b"})}
+_STRUCTURES = {"P": frozenset({"s", "t"}), "Q": frozenset({"u"})}
+_FEATURES = st.sampled_from(["a", "b", "z", EPSILON])
+_COMPARTMENTS = st.sampled_from(["c", "d"])
+
+
+@st.composite
+def _drawn_components(draw):
+    """An atomic or a structure with some of its atomics, any feature or ε each."""
+    name = draw(st.sampled_from(["P", "Q", "s", "u"]))
+    if name in _STRUCTURES:
+        names = sorted(draw(st.sets(st.sampled_from(sorted(_STRUCTURES[name])))))
+        return Structure(name, tuple(Atomic(n, draw(_FEATURES)) for n in names))
+    return Atomic(name, draw(_FEATURES))
+
+
+def _redrawn(component, draw):
+    """``component`` with about half of its features, ε included, drawn anew."""
+    if isinstance(component, Atomic):
+        feature = draw(_FEATURES) if draw(st.booleans()) else component.feature
+        return Atomic(component.name, feature)
+    return Structure(component.name, tuple(_redrawn(a, draw) for a in component.composition))
+
+
+@st.composite
+def _drawn_agents(draw, like=None):
+    """An agent pattern whose chain often repeats a component; given
+    ``like``, mostly a variant of it: its chain shuffled, features redrawn
+    and the compartment drawn anew."""
+    if like is not None and draw(st.integers(0, 3)):
+        chain = draw(st.permutations([_redrawn(c, draw) for c in like.chain]))
+    else:
+        chain = draw(st.lists(_drawn_components(), min_size=1, max_size=2))
+        if draw(st.booleans()):
+            chain.append(chain[0])
+    return Agent(tuple(chain), draw(_COMPARTMENTS))
+
+
+@st.composite
+def drawn_left_hand_pairs(draw):
+    """Two rules ``a`` and ``b`` whose left-hand sides hold one or two agent
+    patterns; ``b``'s first agent mostly a variant of ``a``'s."""
+    first = draw(st.lists(_drawn_agents(), min_size=1, max_size=2))
+    second = [draw(_drawn_agents(like=first[0]))]
+    if draw(st.booleans()):
+        second.append(draw(_drawn_agents()))
+    rules = (
+        BcslRule("a", Pattern(tuple(first)), Pattern()),
+        BcslRule("b", Pattern(tuple(second)), Pattern()),
+    )
+    return BcslModel(rules, _ATOMICS, _STRUCTURES, Multiset())
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_left_hand_pairs())
+def test_concurrency_unifies_as_it_grounds_on_drawn_pairs(model):
+    assert concurrency_relation(model) == grounded_concurrency(build_mrs(model))
+
+
+def test_epsilon_meets_epsilon_only_over_features():
+    # ``v`` has no feature at all, so ``v{ε}`` stands for no agent.
+    lhs = Pattern((Agent((Atomic("v", EPSILON),), "c"),))
+    rules = (BcslRule("a", lhs, Pattern()), BcslRule("b", lhs, Pattern()))
+    model = BcslModel(rules, {**_ATOMICS, "v": frozenset()}, _STRUCTURES, Multiset())
+    assert concurrency_relation(model) == frozenset()
+    model = BcslModel(rules, {**_ATOMICS, "v": frozenset({"a"})}, _STRUCTURES, Multiset())
+    assert concurrency_relation(model) == {(a, b) for a in "ab" for b in "ab"}
 
 
 # ---------------------------------------------------------------------------
