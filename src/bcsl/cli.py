@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Subcommands: ``parse`` (model echo / summary), ``ground`` (grounded
-rewriting system), ``lts`` (reachable graph or unrolled run tree,
-optionally regulated), ``simulate`` (seeded random run) and ``check``
-(equivalence of the direct and grounded semantics).  ``main`` builds
-only the named subcommand's parser; anything else, and a stray argument,
-goes to the full tree, whose top-level parser reports the stray one.
+rewriting system), ``lts`` (reachable graph or unrolled run tree:
+``explore`` or ``unroll`` over ``RuleMatcher(model).successors``,
+``guarded`` under a regulation), ``simulate`` (seeded random run) and
+``check`` (equivalence of the direct and grounded semantics).  ``main``
+builds only the named subcommand's parser; anything else, and a stray
+argument, goes to the full tree, whose top-level parser reports the
+stray one.
 
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
 3 model parse error, 4 grounding cap exceeded.  ``check`` exits 2 when a
@@ -27,25 +29,17 @@ import sys
 from json.encoder import c_make_encoder, encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
+from . import lts
 from .conformance import ConformanceReport, check_equivalence
-from .lts import (
-    RuleMatcher,
-    build_lts,
-    lts_to_dot,
-    lts_to_json_obj,
-    tree_to_dot,
-    tree_to_json_obj,
-    unroll,
-)
+from .lts import RuleMatcher, lts_to_dot, lts_to_json_obj, tree_to_dot, tree_to_json_obj, unroll
 from .mrs import build_mrs, sample_run
 from .patterns import GroundingCapError
 from .regulation import (
     RegulationError,
     compile_regulation,
+    guarded,
     make_guard,
     product_state_text,
-    regulated_explore,
-    regulated_tree,
 )
 from .syntax import _LINE_BREAK, BcslModel, ParseError, SignatureError, model_to_text, parse_model
 
@@ -242,7 +236,7 @@ def _load_regulation(path: str | None, model: BcslModel):
     except RecursionError as exc:
         # The json decoder recurses once per nested array or object.
         raise RegulationError("regulation file nests JSON too deeply") from exc
-    return compile_regulation(config, model.labels)
+    return make_guard(compile_regulation(config, model.labels), model)
 
 
 def _multiset_obj(multiset) -> dict[str, int]:
@@ -291,26 +285,17 @@ def _cmd_ground(args) -> int:
 
 def _cmd_lts(args) -> int:
     model = _load_model(args.model)
-    regulation = _load_regulation(args.regulation, model)
-
-    if regulation is None:
-        label_fn = str
-        if args.unroll:
-            matcher = RuleMatcher(model)
-            walk = unroll(model.init, matcher.successors, args.max_depth, args.max_states)
-        else:
-            walk = build_lts(model, args.max_states, args.max_depth)
-    else:
-        guard = make_guard(regulation, model)
+    guard = _load_regulation(args.regulation, model)
+    root, successor_fn, label_fn = model.init, RuleMatcher(model).successors, str
+    if guard is not None:
+        root, successor_fn = (root, guard.initial_memory()), guarded(successor_fn, guard)
         label_fn = lambda node: product_state_text(node, guard)  # noqa: E731
-        if args.unroll:
-            walk = regulated_tree(model, guard, args.max_depth, args.max_states)
-        else:
-            walk = regulated_explore(model, guard, args.max_states, args.max_depth)
-
     if args.unroll:
+        walk = unroll(root, successor_fn, args.max_depth, args.max_states)
         to_dot, to_json, to_text = tree_to_dot, tree_to_json_obj, _tree_text
     else:
+        # Through the module: a tracer that times the walk rebinds ``lts.explore``.
+        walk = lts.explore(root, successor_fn, args.max_states, args.max_depth)
         to_dot, to_json, to_text = lts_to_dot, lts_to_json_obj, _lts_text
     if args.format == "dot":
         text = to_dot(walk, label_fn)
@@ -349,8 +334,7 @@ def _tree_text(tree, label_fn) -> str:
 
 def _cmd_simulate(args) -> int:
     model = _load_model(args.model)
-    regulation = _load_regulation(args.regulation, model)
-    guard = make_guard(regulation, model) if regulation is not None else None
+    guard = _load_regulation(args.regulation, model)
     run = sample_run(model.init, RuleMatcher(model).successors, args.steps, args.seed, guard)
     if args.format == "text":
         lines = [f"step 0: {run.states[0]}"]

@@ -53,7 +53,11 @@ class Reaction:
 
 
 def expand_agent(agent: Agent, structure_signature: Mapping[str, frozenset[str]]) -> Agent:
-    """Complete every composition with ε atomics for missing signature names."""
+    """Complete every composition with ε atomics for missing signature names.
+
+    Compositions come out sorted by atomic name, as in states, whatever
+    their written order (a hand-built pattern may have any).
+    """
     chain: list[Atomic | Structure] = []
     for component in agent.chain:
         if isinstance(component, Structure):
@@ -61,12 +65,10 @@ def expand_agent(agent: Agent, structure_signature: Mapping[str, frozenset[str]]
                 raise GroundingError(f"structure {component.name!r} has no signature entry")
             present = {a.name for a in component.composition}
             missing = structure_signature[component.name] - present
-            if missing:
-                merged = sorted(
-                    component.composition + tuple(Atomic(n, EPSILON) for n in missing),
-                    key=lambda a: a.name,
-                )
-                component = Structure(component.name, tuple(merged))
+            merged = component.composition + tuple(Atomic(n, EPSILON) for n in missing)
+            merged = tuple(sorted(merged, key=lambda a: a.name))
+            if merged != component.composition:
+                component = Structure(component.name, merged)
         chain.append(component)
     return Agent(tuple(chain), agent.compartment)
 

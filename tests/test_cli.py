@@ -281,6 +281,54 @@ def test_failed_check_prints_its_counterexample(capsys, model_path, monkeypatch)
     )
 
 
+STATE_CHECK_TEXT = """\
+verdict: fail
+states checked: 2
+direct semantics: 1 states, 0 transitions
+grounded semantics: 1 states, 0 transitions
+warning: exploration truncated by bounds; prefixes compared
+counterexample (state, direct_only):
+  state: 1 P(S{i},T{i})::cell
+  state reachable by direct rewriting but not in the grounded system
+"""
+
+STATE_CHECK_JSON = """\
+{
+  "counterexample": {
+    "detail": "state reachable by direct rewriting but not in the grounded system",
+    "direction": "direct_only",
+    "kind": "state",
+    "label": null,
+    "state": "1 P(S{i},T{i})::cell"
+  },
+  "direct": {
+    "states": 1,
+    "transitions": 0
+  },
+  "grounded": {
+    "states": 1,
+    "transitions": 0
+  },
+  "states_checked": 2,
+  "truncated": true,
+  "verdict": "fail"
+}
+"""
+
+
+def test_failed_check_prints_a_state_counterexample(capsys, model_path, monkeypatch):
+    # The grounded side starts elsewhere; at depth 0 no edge is explored,
+    # so only the state sets differ and the counterexample has no rule.
+    build = conformance.build_mrs
+    start = parse_multiset("1 P(S{a},T{a})::cell")
+    monkeypatch.setattr(
+        conformance, "build_mrs", lambda model: dataclasses.replace(build(model), init=start)
+    )
+    argv = ("check", model_path, "--max-depth", "0")
+    assert run_cli(capsys, *argv) == (1, STATE_CHECK_TEXT, "")
+    assert run_cli(capsys, *argv, "--json") == (1, STATE_CHECK_JSON, "")
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["lts"]) == 2  # missing model argument
     assert main(["frobnicate"]) == 2

@@ -372,18 +372,19 @@ def _structure(name, *atoms):
     return Structure(name, tuple(Atomic(n, f) for n, f in atoms))
 
 
-# Right-hand agents spelled off the canonical form: the chain reversed
-# (``Lt`` before ``Kt``), the compositions unsorted (``mb`` before ``ma``)
-# and another compartment.  Its ``mb{ε}`` at position 1 is forced by the
-# left-hand side, the one at position 3 is free.  The names occur in no
-# other test, so no spelling of these agents is interned before it runs.
+# A right-hand agent spelled off the canonical form: its chain reversed
+# (``Lt`` before ``Kt``) and in another compartment.  Compositions are
+# sorted, as ``expand_pattern`` leaves them whatever their written order.
+# The right-hand ``mb{ε}`` at position 1 is forced by the left-hand side,
+# the one at position 4 is free.  The names occur in no other test, so no
+# spelling of these agents is interned before it runs.
 NON_CANONICAL_RULE = BcslRule(
     "spell",
     Pattern((Agent((_structure("Kt", ("ma", "p"), ("mb", EPSILON)),), "c"),)),
     Pattern(
         (
-            Agent((Atomic("Lt", "q"), _structure("Kt", ("mb", EPSILON), ("ma", "q"))), "d"),
-            Agent((_structure("Kt", ("mb", EPSILON), ("ma", "p")),), "c"),
+            Agent((_structure("Kt", ("ma", "p"), ("mb", EPSILON)),), "c"),
+            Agent((Atomic("Lt", "q"), _structure("Kt", ("ma", "q"), ("mb", EPSILON))), "d"),
         )
     ),
 )
@@ -397,17 +398,18 @@ NON_CANONICAL_MODEL = BcslModel(
 
 def test_templates_of_a_non_canonical_right_hand_side(monkeypatch):
     model = NON_CANONICAL_MODEL
-    spelled = "Lt{q}.Kt(mb{q},ma{q})::d"
+    spelled = "Lt{q}.Kt(ma{q},mb{q})::d"
     assert spelled not in terms._IDS
     rebuilt = count_rebuilds(monkeypatch)
     found = RuleMatcher(model).successors(model.init)
-    # The intern table missed each of the three spellings once, and filed
-    # each under its canonical agent's id.
-    assert len(rebuilt) == 3
+    # The intern table missed each of the two chain-reversed spellings
+    # once, and filed each under its canonical agent's id; the forced
+    # ``Kt(ma{p},mb{q})::c`` is the initial agent's own text.
+    assert len(rebuilt) == 2
     assert terms._IDS[spelled] == agent_id(parse_agent("Kt(ma{q},mb{q}).Lt{q}::d"))
     assert found == grounded_successors(build_mrs(model), model.init)
     assert {str(target) for _, target in found} == {
-        "1 Kt(ma{p},mb{p})::c + 1 Kt(ma{q},mb{q}).Lt{q}::d",
+        "1 Kt(ma{p},mb{q})::c + 1 Kt(ma{q},mb{p}).Lt{q}::d",
         "1 Kt(ma{p},mb{q})::c + 1 Kt(ma{q},mb{q}).Lt{q}::d",
     }
     assert_effects_resolve(model, [model.init])
