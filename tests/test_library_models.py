@@ -19,8 +19,6 @@ The default profile draws 100 models; ``--hypothesis-profile=long``
 (``tests/conftest.py``) draws 1,000.
 """
 
-import json
-
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bcsl import (
@@ -102,8 +100,8 @@ def _shuffled(model: BcslModel, rnd) -> BcslModel:
     return BcslModel(rules, model.atomic_signature, model.structure_signature, init)
 
 
-def _lts_json(model: BcslModel) -> str:
-    return json.dumps(lts_to_json_obj(build_lts(model, **BOUNDS), str), sort_keys=True)
+def _lts_json(model: BcslModel) -> dict:
+    return lts_to_json_obj(build_lts(model, **BOUNDS), str)
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
