@@ -17,7 +17,6 @@ from .lts import (
     RunTree,
     build_lts,
     explore,
-    extend_epsilon,
     lts_to_dot,
     lts_to_json_obj,
     maximal_label_sequences,

@@ -24,6 +24,7 @@ rendered by the C encoder (``_Indented``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from json.encoder import c_make_encoder, encode_basestring, encode_basestring_ascii
@@ -108,19 +109,12 @@ def _emit(text: str, output: str | None) -> None:
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
-_STR = frozenset((str,))
-
-
-class _NotPlain(Exception):
-    """The value holds something other than plain JSON data."""
 
 
 def _rows_are_flat(rows: list) -> bool:
-    """Whether the lists, or the dicts with ``str`` keys, in ``rows`` hold only scalars."""
+    """Whether the lists or the dicts in ``rows`` hold only scalars."""
     if type(rows[0]) is dict:
-        return {type(key) for row in rows for key in row} <= _STR and {
-            type(value) for row in rows for value in row.values()
-        } <= _SCALARS
+        return {type(value) for row in rows for value in row.values()} <= _SCALARS
     return {type(item) for row in rows for item in row} <= _SCALARS
 
 
@@ -133,10 +127,10 @@ class _Indented(json.JSONEncoder):
     is one C call at the rows' inner padding, and one ``str.replace``
     turns the row separators into outer ones: an encoded string holds no
     raw newline and a scalar never ends in ``]`` or ``}``, so only a row
-    boundary reads ``],\\n<pad>[``.  Other containers recurse here.  What
-    is not plain JSON (non-``str`` keys, other types, and cycles, which
-    exhaust the recursion limit) goes to the stock encoder, which renders
-    or rejects it as ``json`` does.
+    boundary reads ``],\\n<pad>[``.  Other containers recurse here.  It
+    renders what the CLI dumps, plain JSON data only: dicts with ``str``
+    keys, lists, and ``str``, ``int``, ``float``, ``bool`` or ``None``
+    values.  Without the C encoder, the stock encoder does it all.
     """
 
     def iterencode(self, o, _one_shot=False):
@@ -146,10 +140,7 @@ class _Indented(json.JSONEncoder):
         self._string = encode_basestring_ascii if self.ensure_ascii else encode_basestring
         self._encoders: dict[int, object] = {}
         self._scalar = self._encoder(0)
-        try:
-            return [self._render(o, 0)]
-        except (_NotPlain, RecursionError):
-            return super().iterencode(o, _one_shot)
+        return [self._render(o, 0)]
 
     def _encoder(self, level: int):
         """The C encoder whose items sit at indent ``level``."""
@@ -172,14 +163,7 @@ class _Indented(json.JSONEncoder):
         kind = type(o)
         if kind in _SCALARS:
             return self._scalar(o, 0)[0]
-        if kind is dict:
-            if not set(map(type, o)) <= _STR:
-                raise _NotPlain
-            kinds = set(map(type, o.values()))
-        elif kind is list:
-            kinds = set(map(type, o))
-        else:
-            raise _NotPlain
+        kinds = set(map(type, o.values() if kind is dict else o))
         if not o:
             return "{}" if kind is dict else "[]"
         inner = "\n" + self._pad * (level + 1)
@@ -308,15 +292,15 @@ def _cmd_lts(args) -> int:
 
 
 def _lts_text(graph, label_fn) -> str:
-    text = {state: label_fn(state) for state in graph.states}
+    """The rows of the JSON object, one transition per line."""
+    obj = lts_to_json_obj(graph, label_fn)
     lines = [
-        f"states: {graph.n_states}",
-        f"transitions: {graph.n_transitions}",
-        f"truncated: {str(graph.truncated).lower()}",
-        f"initial: {text[graph.initial]}",
+        f"states: {len(obj['states'])}",
+        f"transitions: {len(obj['transitions'])}",
+        f"truncated: {str(obj['truncated']).lower()}",
+        f"initial: {obj['initial']}",
     ]
-    for src, label, tgt in sorted((text[s], label, text[t]) for s, label, t in graph.transitions):
-        lines.append(f"  {src} --{label}--> {tgt}")
+    lines.extend(f"  {src} --{label}--> {tgt}" for src, label, tgt in obj["transitions"])
     return "\n".join(lines)
 
 
@@ -351,7 +335,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _report_obj(report: ConformanceReport) -> dict:
-    obj = {
+    ce = report.counterexample
+    return {
         "verdict": report.verdict,
         "truncated": report.truncated,
         "states_checked": report.states_checked,
@@ -363,18 +348,8 @@ def _report_obj(report: ConformanceReport) -> dict:
             "states": report.grounded_states,
             "transitions": report.grounded_transitions,
         },
-        "counterexample": None,
+        "counterexample": None if ce is None else dataclasses.asdict(ce),
     }
-    if report.counterexample is not None:
-        ce = report.counterexample
-        obj["counterexample"] = {
-            "kind": ce.kind,
-            "direction": ce.direction,
-            "state": ce.state,
-            "label": ce.label,
-            "detail": ce.detail,
-        }
-    return obj
 
 
 def _cmd_check(args) -> int:

@@ -4,7 +4,9 @@ Every model has two executable semantics here: direct rewriting of states
 by rule patterns (``lts`` module) and rewriting by the grounded system
 (``mrs`` module).  The two must generate the same set of runs; since both
 are anchored at the same initial state, that reduces to equality of the
-reachable labelled graphs (with ε self-loops on terminal states).
+reachable labelled graphs.  Both successor functions fire ε exactly when
+nothing else is enabled: the grounded ``successors``, and on the direct
+side ``RuleMatcher(model).successors(m) or {(ε, m)}``.
 ``check_equivalence`` explores both within the same bounds and reports
 the first discrepancy.
 """
@@ -13,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lts import Lts, build_lts, explore, extend_epsilon
-from .mrs import Mrs, build_mrs, successors
+from . import lts
+from .lts import Lts, explore
+from .mrs import EPSILON_LABEL, Mrs, build_mrs, successors
 from .syntax import BcslModel
 
 
@@ -92,7 +95,11 @@ def check_equivalence(
     cap fails at once instead of after a direct exploration that has no cap.
     """
     grounded_system = build_mrs(model) if mrs is None else mrs
-    direct = extend_epsilon(build_lts(model, max_states, max_depth))
+    # Through the module: a tracer that times the matcher rebinds ``lts.RuleMatcher``.
+    matcher = lts.RuleMatcher(model)
+    direct_fn = lambda m: matcher.successors(m) or {(EPSILON_LABEL, m)}  # noqa: E731
+    direct = explore(model.init, direct_fn, max_states, max_depth)
+    del matcher, direct_fn  # its memos would stay alive through the grounded walk
     grounded = explore(
         grounded_system.init,
         lambda m: successors(grounded_system, m),

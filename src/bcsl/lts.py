@@ -15,8 +15,8 @@ grounded rules too, so matching never hashes an agent and states of both
 semantics are equal exactly when their pairs are.
 ``explore`` computes the bounded breadth-first closure of any successor
 function; ``unroll`` produces the depth-bounded tree used for run-set
-pictures.  Exports (DOT / JSON) are canonically sorted so repeated runs
-are byte-identical.
+pictures.  Exports (DOT through one writer, ``_dot``, and JSON) are
+canonically sorted so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -106,7 +106,8 @@ class LabelSequences:
     """Maximal non-ε label sequences up to a depth (library API, README § Library).
 
     A sequence lands in ``incomplete`` when the depth bound cut it off
-    while further non-ε steps were possible.
+    while further non-ε steps were possible, or when it reaches a state
+    that a bound of the exploration left unsettled.
     """
 
     complete: frozenset[tuple[str, ...]]
@@ -338,8 +339,9 @@ class RuleMatcher:
     def successors(self, state: Multiset) -> frozenset[tuple[str, Multiset]]:
         """Labelled successor states of ``state`` under the model's rules.
 
-        Empty when no rule applies (no implicit ε here; see
-        ``extend_epsilon``).
+        Empty when no rule applies: ε is the caller's, as in
+        ``successors(state) or {(EPSILON_LABEL, state)}`` (``check``'s
+        direct side) or ``guarded``.
         """
         effects = [effect for rule in self._unconditional for effect in rule.effects(())]
         table = self._table
@@ -434,24 +436,14 @@ def build_lts(model: BcslModel, max_states: int = 100_000, max_depth: int = 1_00
     return explore(model.init, matcher.successors, max_states, max_depth)
 
 
-def extend_epsilon(lts: Lts) -> Lts:
-    """Add an ε self-loop to every expanded state with no outgoing transition."""
-    outgoing = {src for src, _, _ in lts.transitions}
-    loops = {
-        (state, EPSILON_LABEL, state)
-        for state in lts.states
-        if state not in outgoing and state not in lts.unsettled
-    }
-    return Lts(lts.initial, lts.states, lts.transitions | loops, lts.unsettled)
-
-
 def maximal_label_sequences(lts: Lts, depth: int) -> LabelSequences:
     """Label sequences of runs from the initial state up to their first ε.
 
-    A sequence is complete when the run can only stutter afterwards, and
-    incomplete when the depth bound stopped it first.  Library API
-    (README § Library): no command prints run sets, but the tests'
-    regulation oracles read them.
+    ε edges are ignored.  A sequence is complete when the run can only
+    stutter afterwards, and incomplete when the depth bound stopped it
+    first or it reaches a state in ``lts.unsettled``, whose kept edges
+    are still followed.  Library API (README § Library): no command
+    prints run sets, but the tests' regulation oracles read them.
     """
     adjacency: dict[Hashable, list[tuple[str, Hashable]]] = {}
     for src, label, tgt in lts.transitions:
@@ -466,11 +458,11 @@ def maximal_label_sequences(lts: Lts, depth: int) -> LabelSequences:
     while stack:
         state, prefix, budget = stack.pop()
         out = adjacency.get(state)
-        if not out:
-            complete.add(prefix)
-        elif budget == 0:
+        if state in lts.unsettled or (out and budget == 0):
             incomplete.add(prefix)
-        else:
+        elif not out:
+            complete.add(prefix)
+        if out and budget:
             stack.extend((target, prefix + (label,), budget - 1) for label, target in out)
     return LabelSequences(frozenset(complete), frozenset(incomplete))
 
@@ -540,6 +532,22 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _dot(name: str, prefix: str, texts: Iterable[str], root: int, edges: Collection) -> str:
+    """DOT digraph ``name``: nodes ``prefix``0, 1, … labelled with ``texts`` in
+    order, node ``root`` drawn doubled, then one line per ``(i, label, j)`` edge."""
+    lines = [f"digraph {name} {{"]
+    for i, text in enumerate(texts):
+        attrs = f"label={_dot_quote(text)}"
+        if i == root:
+            attrs += ", peripheries=2"
+        lines.append(f"  {prefix}{i} [{attrs}];")
+    quoted = {label: _dot_quote(label) for label in {label for _, label, _ in edges}}
+    for src, label, tgt in edges:
+        lines.append(f"  {prefix}{src} -> {prefix}{tgt} [label={quoted[label]}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def lts_to_dot(lts: Lts, label_fn: Callable[[Hashable], str] = _state_key) -> str:
     """DOT digraph: one node per state, edges labelled with rule labels.
 
@@ -549,34 +557,13 @@ def lts_to_dot(lts: Lts, label_fn: Callable[[Hashable], str] = _state_key) -> st
     ordered = sorted(lts.states, key=lambda s: (label_fn(s), _state_key(s)))
     # Node indices follow that order, so edges sort by index, not by text.
     order = {state: i for i, state in enumerate(ordered)}
-    lines = ["digraph lts {"]
-    for i, state in enumerate(ordered):
-        attrs = f"label={_dot_quote(label_fn(state))}"
-        if state == lts.initial:
-            attrs += ", peripheries=2"
-        lines.append(f"  s{i} [{attrs}];")
-    quoted = {label: _dot_quote(label) for label in {label for _, label, _ in lts.transitions}}
-    for src, label, tgt in sorted((order[s], label, order[t]) for s, label, t in lts.transitions):
-        lines.append(f"  s{src} -> s{tgt} [label={quoted[label]}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = sorted((order[s], label, order[t]) for s, label, t in lts.transitions)
+    return _dot("lts", "s", map(label_fn, ordered), order[lts.initial], edges)
 
 
 def tree_to_dot(tree: RunTree, label_fn: Callable[[Hashable], str] = _state_key) -> str:
     """DOT digraph of an unrolled run tree (root doubled)."""
-    texts = tree.node_texts(label_fn)
-    # Every distinct text, of a node or of an edge label, quoted once.
-    quoted = {text: _dot_quote(text) for text in {*texts, *(label for _, label, _ in tree.edges)}}
-    lines = ["digraph runs {"]
-    for i, text in enumerate(texts):
-        attrs = f"label={quoted[text]}"
-        if i == 0:
-            attrs += ", peripheries=2"
-        lines.append(f"  n{i} [{attrs}];")
-    for parent, label, child in tree.edges:
-        lines.append(f"  n{parent} -> n{child} [label={quoted[label]}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot("runs", "n", tree.node_texts(label_fn), 0, tree.edges)
 
 
 def lts_to_json_obj(lts: Lts, label_fn: Callable[[Hashable], str] = _state_key) -> dict:

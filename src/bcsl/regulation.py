@@ -635,9 +635,6 @@ class RegulationGuard:
     def advance(self, memory: Hashable, applied: str) -> Hashable:
         return self.regulation.advance(memory, applied)
 
-    def describe_memory(self, memory: Hashable) -> str:
-        return self.regulation.describe_memory(memory)
-
     def step(
         self, memory: Hashable, state: Multiset, base: Collection[tuple[str, Multiset]]
     ) -> list[tuple[str, tuple[Multiset, Hashable]]]:
@@ -708,5 +705,5 @@ def regulated_tree(
 def product_state_text(node, guard: RegulationGuard) -> str:
     """Readable product-node text: the state plus the memory, when any."""
     state, memory = node
-    described = guard.describe_memory(memory)
+    described = guard.regulation.describe_memory(memory)
     return f"{state} | {described}" if described else str(state)

@@ -35,7 +35,6 @@ from bcsl import (
     enabled,
     enumerate_instantiations,
     explore,
-    extend_epsilon,
     instantiation_count,
     make_guard,
     maximal_label_sequences,
@@ -123,7 +122,7 @@ def test_criterion_3_unregulated_semantics():
     tree = unroll(model.init, RuleMatcher(model).successors, 4)
     assert tree.n_nodes == 10
     assert tree.n_edges == 9
-    sequences = maximal_label_sequences(extend_epsilon(graph), 4)
+    sequences = maximal_label_sequences(graph, 4)
     assert sequences.complete == frozenset(UNREGULATED_SEQUENCES)
     assert sequences.incomplete == frozenset()
     _report(3, "unregulated semantics", started, 0.100)

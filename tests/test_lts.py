@@ -1,3 +1,4 @@
+import hashlib
 import json
 from functools import partial
 
@@ -16,7 +17,6 @@ from bcsl import (
     build_mrs,
     check_equivalence,
     explore,
-    extend_epsilon,
     lts_to_dot,
     lts_to_json_obj,
     maximal_label_sequences,
@@ -578,37 +578,35 @@ def test_explore_matches_reference_on_models(text, max_states, max_depth):
 
 
 # ---------------------------------------------------------------------------
-# ε extension
+# ε extension: check's direct side fires ε when no rule applies
 # ---------------------------------------------------------------------------
 
 def test_extend_epsilon_terminal_states(two_site_model):
-    graph = extend_epsilon(build_lts(two_site_model))
-    loops = {(str(a), l) for a, l, b in graph.transitions if l == EPSILON_LABEL and a == b}
-    assert loops == {
-        ("1 P(S{i},T{i})::out", EPSILON_LABEL),
-        ("1 P(S{a},T{i})::out", EPSILON_LABEL),
-        ("1 P(S{i},T{a})::out", EPSILON_LABEL),
-        ("1 P(S{a},T{a})::out", EPSILON_LABEL),
-    }
-    outgoing = {src for src, _, _ in graph.transitions}
-    assert outgoing == graph.states
+    report = check_equivalence(two_site_model)
+    assert report.passed
+    # The 8 rule transitions and an ε loop at each of the 4 ``out`` states.
+    assert (report.direct_states, report.direct_transitions) == (8, 12)
 
 
 def test_extend_epsilon_no_terminals_unchanged():
     model = parse_model("#! rules\nspin ~ A{x}::c => A{x}::c\n#! inits\n1 A{x}::c\n")
-    graph = build_lts(model)
-    assert extend_epsilon(graph) == graph
+    report = check_equivalence(model)
+    assert report.passed
+    assert report.direct_transitions == build_lts(model).n_transitions == 1
 
 
 def test_extend_epsilon_single_state():
     model = parse_model("#! rules\n#! inits\n1 A{x}::c\n")
-    graph = extend_epsilon(build_lts(model))
-    assert graph.transitions == frozenset({(model.init, EPSILON_LABEL, model.init)})
+    report = check_equivalence(model)
+    assert report.passed
+    assert (report.direct_states, report.direct_transitions) == (1, 1)
 
 
 def test_extend_epsilon_skips_unsettled(two_site_model):
-    graph = extend_epsilon(build_lts(two_site_model, max_states=3))
-    assert all(label != EPSILON_LABEL for _, label, _ in graph.transitions)
+    # A state that the cap left unexpanded, or whose moves it dropped, gets no ε.
+    report = check_equivalence(two_site_model, max_states=3)
+    assert report.passed and report.truncated
+    assert report.direct_transitions == build_lts(two_site_model, max_states=3).n_transitions == 2
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +614,7 @@ def test_extend_epsilon_skips_unsettled(two_site_model):
 # ---------------------------------------------------------------------------
 
 def test_maximal_sequences_two_site(two_site_model):
-    graph = extend_epsilon(build_lts(two_site_model))
+    graph = build_lts(two_site_model)
     seqs = maximal_label_sequences(graph, 4)
     assert seqs.complete == frozenset(UNREGULATED_SEQUENCES)
     assert seqs.incomplete == frozenset()
@@ -624,15 +622,31 @@ def test_maximal_sequences_two_site(two_site_model):
 
 def test_maximal_sequences_no_rules():
     model = parse_model("#! rules\n#! inits\n1 A{x}::c\n")
-    seqs = maximal_label_sequences(extend_epsilon(build_lts(model)), 4)
+    seqs = maximal_label_sequences(build_lts(model), 4)
     assert seqs.complete == frozenset({()})
 
 
 def test_maximal_sequences_cycle_marked_incomplete():
     model = parse_model("#! rules\nspin ~ A{x}::c => A{x}::c\n#! inits\n1 A{x}::c\n")
-    seqs = maximal_label_sequences(extend_epsilon(build_lts(model)), 3)
+    seqs = maximal_label_sequences(build_lts(model), 3)
     assert seqs.complete == frozenset()
     assert seqs.incomplete == frozenset({("spin",) * 3})
+
+
+@pytest.mark.parametrize(
+    "bounds, incomplete",
+    [
+        ({"max_depth": 1}, {("r1_S",), ("r1_T",), ("r2",)}),
+        ({"max_states": 3}, {(), ("r1_S",), ("r1_T",)}),
+    ],
+    ids=["depth", "states"],
+)
+def test_maximal_sequences_unsettled_states_are_incomplete(two_site_model, bounds, incomplete):
+    # A run that reaches a state the bound left unexpanded, or whose moves
+    # the cap dropped, is cut off; the kept edges out of a cut state are followed.
+    seqs = maximal_label_sequences(build_lts(two_site_model, **bounds), 4)
+    assert seqs.complete == frozenset()
+    assert seqs.incomplete == frozenset(incomplete)
 
 
 def test_maximal_sequences_deeper_than_recursion_limit():
@@ -724,6 +738,20 @@ def test_tree_dot_export(two_site_model):
     dot = tree_to_dot(tree)
     assert dot.count(" -> ") == 9
     assert dot.count("peripheries=2") == 1
+
+
+def test_dot_ties_keep_their_bytes(two_site_model):
+    # Graph nodes with equal texts are ordered by state key; tree nodes by index.
+    graph = build_lts(two_site_model)
+    tree = unroll(M0, RuleMatcher(two_site_model).successors, 4)
+    digests = [
+        hashlib.sha256(export(walk, lambda state: "x").encode()).hexdigest()
+        for export, walk in ((lts_to_dot, graph), (tree_to_dot, tree))
+    ]
+    assert digests == [
+        "0e4610d956f85565bcd7f6f8572db5dba76770b0cb2dd6268a82abce75e9f554",
+        "76fd013908c755ce78a1be59fc85082d5f6b8ebf7aa53ba92b4b03b39b8e3ff7",
+    ]
 
 
 def test_json_export_sorted(two_site_model):

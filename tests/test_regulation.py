@@ -21,7 +21,6 @@ from bcsl import (
     compile_regulation,
     concurrency_relation,
     explore,
-    extend_epsilon,
     guarded,
     make_guard,
     maximal_label_sequences,
@@ -558,7 +557,10 @@ def test_regulated_sequences_subset_of_unregulated(two_site_model, name):
 
 
 def test_neutral_regulation_matches_plain_lts(two_site_model):
-    plain = extend_epsilon(build_lts(two_site_model))
+    matcher = RuleMatcher(two_site_model)
+    plain = explore(
+        two_site_model.init, lambda s: matcher.successors(s) or {(EPSILON_LABEL, s)}
+    )
     permit_all = compile_regulation(
         {"type": "conditional", "prohibited": {}}, two_site_model.labels
     )
