@@ -3,11 +3,16 @@
 Subcommands: ``parse`` (model echo / summary), ``ground`` (grounded
 rewriting system), ``lts`` (reachable graph or unrolled run tree:
 ``explore`` or ``unroll`` over ``RuleMatcher(model).successors``,
-``guarded`` under a regulation), ``simulate`` (seeded random run) and
-``check`` (equivalence of the direct and grounded semantics).  ``main``
-builds only the named subcommand's parser; anything else, and a stray
-argument, goes to the full tree, whose top-level parser reports the
-stray one.
+``guarded`` under a regulation), ``simulate`` (``sample_run`` over that
+same walk, printing each node's state) and ``check`` (equivalence of the
+direct and grounded semantics).  ``main`` builds only the named
+subcommand's parser; anything else, and a stray argument, goes to the
+full tree, whose top-level parser reports the stray one.  It loads the
+model once and writes the text that the handler returns.
+
+A programmed regulation that lists no successors for some labels warns
+in one ``warning: <message>`` line on stderr, whatever Python's warning
+filters say, and the run goes on.
 
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
 3 model parse error, 4 grounding cap exceeded.  ``check`` exits 2 when a
@@ -27,6 +32,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from json.encoder import c_make_encoder, encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
@@ -37,6 +43,7 @@ from .mrs import build_mrs, sample_run
 from .patterns import GroundingCapError
 from .regulation import (
     RegulationError,
+    RegulationWarning,
     compile_regulation,
     guarded,
     make_guard,
@@ -220,18 +227,22 @@ def _load_regulation(path: str | None, model: BcslModel):
     except RecursionError as exc:
         # The json decoder recurses once per nested array or object.
         raise RegulationError("regulation file nests JSON too deeply") from exc
-    return make_guard(compile_regulation(config, model.labels), model)
+    # Recorded, so that ``-W error`` cannot turn a repaired config into a traceback.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RegulationWarning)
+        regulation = compile_regulation(config, model.labels)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return make_guard(regulation, model)
 
 
 def _multiset_obj(multiset) -> dict[str, int]:
     return {str(agent): count for agent, count in multiset.items()}
 
 
-def _cmd_parse(args) -> int:
-    model = _load_model(args.model)
+def _cmd_parse(model: BcslModel, args) -> tuple[str, int]:
     if args.format == "text":
-        _emit(model_to_text(model), args.output)
-        return EXIT_OK
+        return model_to_text(model), EXIT_OK
     obj = {
         "rules": [
             {"label": r.label, "lhs": str(r.lhs), "rhs": str(r.rhs)} for r in model.rules
@@ -240,12 +251,10 @@ def _cmd_parse(args) -> int:
         "structure_signature": {k: sorted(v) for k, v in model.structure_signature.items()},
         "init": _multiset_obj(model.init),
     }
-    _emit(_dump(obj), args.output)
-    return EXIT_OK
+    return _dump(obj), EXIT_OK
 
 
-def _cmd_ground(args) -> int:
-    model = _load_model(args.model)
+def _cmd_ground(model: BcslModel, args) -> tuple[str, int]:
     mrs = build_mrs(model)
     if args.format == "text":
         lines = ["elements:"]
@@ -253,8 +262,7 @@ def _cmd_ground(args) -> int:
         lines.append("rules:")
         lines.extend(f"  {rule}" for rule in mrs.rules)
         lines.append(f"init: {mrs.init}")
-        _emit("\n".join(lines), args.output)
-        return EXIT_OK
+        return "\n".join(lines), EXIT_OK
     obj = {
         "elements": sorted(str(agent) for agent in mrs.elements),
         "rules": [
@@ -263,17 +271,24 @@ def _cmd_ground(args) -> int:
         ],
         "init": _multiset_obj(mrs.init),
     }
-    _emit(_dump(obj), args.output)
-    return EXIT_OK
+    return _dump(obj), EXIT_OK
 
 
-def _cmd_lts(args) -> int:
-    model = _load_model(args.model)
-    guard = _load_regulation(args.regulation, model)
-    root, successor_fn, label_fn = model.init, RuleMatcher(model).successors, str
-    if guard is not None:
-        root, successor_fn = (root, guard.initial_memory()), guarded(successor_fn, guard)
-        label_fn = lambda node: product_state_text(node, guard)  # noqa: E731
+def _walk_input(model: BcslModel, guard):
+    """The root, the successor function and the node text of a walk over ``model``.
+
+    The direct matcher's moves from ``model.init``, or, under a guard, the
+    ``guarded`` product over (state, memory) nodes.
+    """
+    successor_fn = RuleMatcher(model).successors
+    if guard is None:
+        return model.init, successor_fn, str
+    root = (model.init, guard.initial_memory())
+    return root, guarded(successor_fn, guard), lambda node: product_state_text(node, guard)
+
+
+def _cmd_lts(model: BcslModel, args) -> tuple[str, int]:
+    root, successor_fn, label_fn = _walk_input(model, _load_regulation(args.regulation, model))
     if args.unroll:
         walk = unroll(root, successor_fn, args.max_depth, args.max_states)
         to_dot, to_json, to_text = tree_to_dot, tree_to_json_obj, _tree_text
@@ -287,8 +302,7 @@ def _cmd_lts(args) -> int:
         text = _dump(to_json(walk, label_fn))
     else:
         text = to_text(walk, label_fn)
-    _emit(text, args.output)
-    return EXIT_OK
+    return text, EXIT_OK
 
 
 def _lts_text(graph, label_fn) -> str:
@@ -316,22 +330,21 @@ def _tree_text(tree, label_fn) -> str:
     return "\n".join(lines)
 
 
-def _cmd_simulate(args) -> int:
-    model = _load_model(args.model)
+def _cmd_simulate(model: BcslModel, args) -> tuple[str, int]:
     guard = _load_regulation(args.regulation, model)
-    run = sample_run(model.init, RuleMatcher(model).successors, args.steps, args.seed, guard)
+    root, successor_fn, _ = _walk_input(model, guard)
+    run = sample_run(root, successor_fn, args.steps, args.seed)
+    states = run.states if guard is None else [node[0] for node in run.states]
     if args.format == "text":
-        lines = [f"step 0: {run.states[0]}"]
+        lines = [f"step 0: {states[0]}"]
         for i, label in enumerate(run.labels, start=1):
-            lines.append(f"step {i} [{label}]: {run.states[i]}")
-        _emit("\n".join(lines), args.output)
-        return EXIT_OK
+            lines.append(f"step {i} [{label}]: {states[i]}")
+        return "\n".join(lines), EXIT_OK
     obj = {
-        "states": [_multiset_obj(state) for state in run.states],
+        "states": [_multiset_obj(state) for state in states],
         "labels": list(run.labels),
     }
-    _emit(_dump(obj), args.output)
-    return EXIT_OK
+    return _dump(obj), EXIT_OK
 
 
 def _report_obj(report: ConformanceReport) -> dict:
@@ -352,11 +365,10 @@ def _report_obj(report: ConformanceReport) -> dict:
     }
 
 
-def _cmd_check(args) -> int:
-    model = _load_model(args.model)
+def _cmd_check(model: BcslModel, args) -> tuple[str, int]:
     report = check_equivalence(model, args.max_states, args.max_depth)
     if args.json:
-        _emit(_dump(_report_obj(report)), args.output)
+        text = _dump(_report_obj(report))
     else:
         lines = [
             f"verdict: {report.verdict}",
@@ -375,12 +387,10 @@ def _cmd_check(args) -> int:
             if ce.label is not None:
                 lines.append(f"  rule:  {ce.label}")
             lines.append(f"  {ce.detail}")
-        _emit("\n".join(lines), args.output)
+        text = "\n".join(lines)
     if not report.passed:
-        return EXIT_CHECK_FAILED
-    if report.truncated:
-        return EXIT_USAGE
-    return EXIT_OK
+        return text, EXIT_CHECK_FAILED
+    return text, EXIT_USAGE if report.truncated else EXIT_OK
 
 
 _COMMANDS = {
@@ -407,7 +417,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command][0](args)
+        text, code = _COMMANDS[args.command][0](_load_model(args.model), args)
+        _emit(text, args.output)
+        return code
     except (ParseError, SignatureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Collection
+from typing import Callable, Collection, Hashable
 
 from .patterns import ground_rule, pattern_multiset
 from .syntax import BcslModel
@@ -91,9 +91,9 @@ class Mrs:
 
 @dataclass(frozen=True)
 class Run:
-    """A finite run prefix: ``labels[i]`` produced ``states[i+1]`` from ``states[i]``."""
+    """A finite run prefix: ``labels[i]`` led from node ``states[i]`` to ``states[i+1]``."""
 
-    states: tuple[Multiset, ...]
+    states: tuple[Hashable, ...]
     labels: tuple[str, ...]
 
 
@@ -155,21 +155,18 @@ def successors(mrs: Mrs, state: Multiset) -> frozenset[tuple[str, Multiset]]:
 
 
 def sample_run(
-    initial: Multiset,
-    successor_fn: Callable[[Multiset], Collection[tuple[str, Multiset]]],
+    initial: Hashable,
+    successor_fn: Callable[[Hashable], Collection[tuple[str, Hashable]]],
     steps: int,
     seed: int = 0,
-    guard=None,
 ) -> Run:
     """Sample a run prefix of ``steps`` steps, uniformly among successors.
 
-    ``successor_fn`` is the direct matcher's or the grounded system's;
-    its ε successors are left out.  Reproducible for a fixed seed: moves
-    are drawn from the successors sorted by label and state text.
-    ``guard`` is a guard of the regulation module (anything with
-    ``initial_memory`` and ``step``): only the moves its ``step`` permits
-    are sampled, and the memory advances with each applied rule.  With no
-    (permitted) successor the run stutters on ε.
+    ``successor_fn`` gives the labelled successors of a node: the direct
+    matcher's or the grounded system's over states, or any other over
+    nodes with a text.  Its ε successors are left out, and a node with no
+    other successor stutters on ε.  Reproducible for a fixed seed: moves
+    are drawn from the successors sorted by label and target text.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -177,21 +174,12 @@ def sample_run(
     state = initial
     states = [state]
     labels: list[str] = []
-    memory = guard.initial_memory() if guard is not None else None
     for _ in range(steps):
-        base = sorted(
+        moves = sorted(
             ((label, target) for label, target in successor_fn(state) if label != EPSILON_LABEL),
             key=lambda lt: (lt[0], str(lt[1])),
         )
-        if guard is None:
-            moves = [(label, (target, None)) for label, target in base]
-        else:
-            moves = guard.step(memory, state, base)
-        if moves:
-            label, (target, memory) = rng.choice(moves)
-        else:
-            label, target = EPSILON_LABEL, state
+        label, state = rng.choice(moves) if moves else (EPSILON_LABEL, state)
         labels.append(label)
-        states.append(target)
-        state = target
+        states.append(state)
     return Run(tuple(states), tuple(labels))

@@ -31,12 +31,12 @@ The other two keep no memory:
   left-hand agent patterns of the two labels are unified pairwise.
 
 ε never counts as a regulated rule: it fires exactly when the permitted
-set is empty and leaves the memory unchanged.  Two walks decide it, each
-from the moves of ``RegulationGuard.step``: ``guarded``, which wraps the
-successor function of the direct matcher or of the grounded system alike
-for ``explore`` and ``unroll``, gives a node with no permitted successor
-its ε self-loop; ``mrs.sample_run`` (``bcsl simulate``) stutters on ε
-when ``step`` permits no move.
+set is empty and leaves the memory unchanged.  ``guarded`` alone decides
+it: it wraps the successor function of the direct matcher or of the
+grounded system alike, and gives a node with no permitted successor its
+ε self-loop.  Every walk of a regulated run goes over it: ``explore`` and
+``unroll`` (``bcsl lts``) and ``mrs.sample_run`` (``bcsl simulate``),
+which stutters on that ε.
 """
 
 from __future__ import annotations
@@ -635,22 +635,6 @@ class RegulationGuard:
     def advance(self, memory: Hashable, applied: str) -> Hashable:
         return self.regulation.advance(memory, applied)
 
-    def step(
-        self, memory: Hashable, state: Multiset, base: Collection[tuple[str, Multiset]]
-    ) -> list[tuple[str, tuple[Multiset, Hashable]]]:
-        """The permitted product moves ``(label, (target, next memory))`` among ``base``.
-
-        ``base`` holds the non-ε ``(label, target)`` successors of
-        ``state``; every one of them is enabled.  ``permits`` runs once
-        per candidate, in ``base``'s order.
-        """
-        enabled_labels = frozenset(label for label, _ in base)
-        return [
-            (label, (target, self.advance(memory, label)))
-            for label, target in base
-            if self.permits(memory, state, label, enabled_labels)
-        ]
-
 
 def make_guard(regulation: Regulation, model: BcslModel) -> RegulationGuard:
     """Bind a regulation to a model; nothing is grounded."""
@@ -663,13 +647,23 @@ def guarded(successor_fn: SuccessorFn, guard: RegulationGuard) -> SuccessorFn:
     """Successors over (state, memory) nodes of either semantics under ``guard``.
 
     ``successor_fn`` gives a state's non-ε successors: the direct
-    matcher's, or the grounded system's with ε removed.  A node with no
-    permitted successor gets an ε self-loop, which ``unroll`` omits.
+    matcher's, or the grounded system's with ε removed.  Every one of them
+    is enabled; ``permits`` runs once per candidate, in their order, and
+    each permitted move ``(label, (target, next memory))`` advances the
+    memory.  A node with no permitted successor gets an ε self-loop, which
+    ``unroll`` omits and ``sample_run`` stutters on.
     """
 
     def product_successors(node):
         state, memory = node
-        return guard.step(memory, state, successor_fn(state)) or [(EPSILON_LABEL, node)]
+        base = successor_fn(state)
+        enabled_labels = frozenset(label for label, _ in base)
+        moves = [
+            (label, (target, guard.advance(memory, label)))
+            for label, target in base
+            if guard.permits(memory, state, label, enabled_labels)
+        ]
+        return moves or [(EPSILON_LABEL, node)]
 
     return product_successors
 

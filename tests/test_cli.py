@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import bcsl
 from bcsl import build_mrs, cli, conformance, parse_model, parse_multiset
 from bcsl.cli import main
-from conftest import REGULATION_CONFIGS, TWO_SITE_MODEL, WIDE_SIGNATURE_MODEL
+from conftest import REGULATION_CONFIGS, TWO_SITE_MODEL, WIDE_SIGNATURE_MODEL, bench_module
 from corpus import random_model_text
 
 
@@ -546,6 +546,40 @@ def test_grounding_cap_ends_every_grounding_command(capsys, tmp_path, name, comm
     assert "Traceback" not in err
 
 
+# Lists no successors for r1_T and r2, which then default to all rules.
+PARTIAL_PROGRAMMED = {"type": "programmed", "successors": {"r1_S": ["r2"]}}
+PARTIAL_PROGRAMMED_WARNING = (
+    "warning: programmed regulation lists no successors for r1_T, r2; defaulting to all rules\n"
+)
+
+
+def test_a_repaired_regulation_warns_on_one_line(capsys, model_path, tmp_path):
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps(PARTIAL_PROGRAMMED), encoding="utf-8")
+    full = tmp_path / "full.json"
+    everything = ["r1_S", "r1_T", "r2"]
+    successors = {"r1_S": ["r2"], "r1_T": everything, "r2": everything}
+    full.write_text(json.dumps({"type": "programmed", "successors": successors}), encoding="utf-8")
+    for argv in (["simulate", "--steps", "12"], ["lts", "--format", "text"]):
+        command, *rest = argv
+        code, out, err = run_cli(capsys, command, model_path, "--regulation", str(partial), *rest)
+        assert (code, err) == (0, PARTIAL_PROGRAMMED_WARNING), argv
+        assert out == run_cli(capsys, command, model_path, "--regulation", str(full), *rest)[1]
+
+
+def test_a_repaired_regulation_runs_when_warnings_are_errors(model_path, tmp_path):
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps(PARTIAL_PROGRAMMED), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "bcsl", "simulate", model_path, "--regulation", str(partial)],
+        capture_output=True,
+        env=dict(_child_env(), PYTHONWARNINGS="error"),
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.decode("utf-8") == PARTIAL_PROGRAMMED_WARNING
+
+
 def test_bad_regulation_exit_code(capsys, model_path, tmp_path):
     reg = tmp_path / "reg.json"
     reg.write_text('{"type": "regular", "expression": "nope"}', encoding="utf-8")
@@ -844,6 +878,49 @@ def test_outputs_keep_their_bytes(capsys, model_path, tmp_path, name):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_DIGESTS[name, seed], argv
+
+
+# SHA-256 of ``simulate --steps 20`` stdout on the 3 x 2 x 2 site model of
+# the benchmark family, seeds 0 to 3 in turn, keyed by (regulation, format);
+# "none" runs without ``--regulation``, the other keys name an entry of
+# ``regulation_configs(3, 2)``.  In 28 of the model's 136 reachable states
+# one label leads to two or more targets, so these pin the order that moves
+# are drawn in: by label, then by target text.
+_models = bench_module("models")
+SITE_CONFIGS = _models.regulation_configs(3, 2)
+SITE_SIMULATE_DIGESTS = {
+    ("none", "json"): "cc659eaa44b9537ccbd6164606f5dd1f302362fde23ed3e949537f2e93eca7e9",
+    ("none", "text"): "b9764df9776e822d08632d95d379b28f80f33ba0070d6a0363ce98ff8fe18467",
+    ("concurrent-free", "json"): "12baa961fc7356cd8f4dcd7e9aff80958fa191d415195f9c91dfbc186b49094c",
+    ("concurrent-free", "text"): "4a1dfad3c59d1ece7304bcbf0c35aef20c85cacd7b55b84563b8230497f2d3dc",
+    ("conditional", "json"): "25110e3103307c5de817fb4d646a82fcc005ba45f634dc7ea82086bebede8714",
+    ("conditional", "text"): "0d31877c648a8f41f9bf954eb346251a35a15977bdeb3b691f401d8379cf643f",
+    ("ordered", "json"): "1072892174c3200ad237bad2fc0bc082aa7870b2a07ffe170519caf402635343",
+    ("ordered", "text"): "18c6981fbf33ed98a6e90ed9ed86f350f3e1833728ca5e4c021b41f7b94c2796",
+    ("programmed", "json"): "18b0e185ddaa086c86f1c3dc6065e0dcff7c6eee016d27873d5d9e8a12b4e12a",
+    ("programmed", "text"): "f8a90848f19ff67cd9d2ad241792ad098eb6a61fcedff204ee91a344c7c46747",
+    ("regular", "json"): "cc659eaa44b9537ccbd6164606f5dd1f302362fde23ed3e949537f2e93eca7e9",
+    ("regular", "text"): "b9764df9776e822d08632d95d379b28f80f33ba0070d6a0363ce98ff8fe18467",
+}
+
+
+@pytest.mark.parametrize("name", ["none", *sorted(SITE_CONFIGS)])
+def test_simulate_keeps_its_bytes_where_one_label_has_many_targets(capsys, tmp_path, name):
+    model = tmp_path / "sites.bcsl"
+    model.write_text(_models.site_model(3, 2, 2), encoding="utf-8")
+    regulation = []
+    if name != "none":
+        config = tmp_path / "reg.json"
+        config.write_text(json.dumps(SITE_CONFIGS[name]), encoding="utf-8")
+        regulation = ["--regulation", str(config)]
+    for fmt in ("json", "text"):
+        digest = hashlib.sha256()
+        for seed in range(4):
+            argv = ["simulate", str(model), *regulation, "--seed", str(seed), "--steps", "20"]
+            code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0, argv
+            digest.update(out.encode())
+        assert digest.hexdigest() == SITE_SIMULATE_DIGESTS[name, fmt], fmt
 
 
 # Interns the agents given one per line in argv[1], in that order, then

@@ -662,10 +662,11 @@ def test_star_free_regular_matches_word_enumeration(two_site_model, expression):
 
 def test_regulated_sampling_follows_regular_language(two_site_model):
     guard = _guard("regular", two_site_model)
-    grounded = _grounded_successor_fn(two_site_model)
+    root = (two_site_model.init, guard.initial_memory())
+    product = guarded(_grounded_successor_fn(two_site_model), guard)
     seen = set()
     for seed in range(12):
-        run = sample_run(two_site_model.init, grounded, 4, seed, guard)
+        run = sample_run(root, product, 4, seed)
         seen.add(run.labels)
     assert seen <= {
         ("r1_S", "r1_T", "r2", EPSILON_LABEL),
@@ -686,19 +687,17 @@ def _grounded_successor_fn(model):
 
 @pytest.mark.parametrize("name", sorted(REGULATION_CONFIGS))
 def test_regulated_sampling_follows_the_grounded_product(two_site_model, name):
+    # Runs sampled over the direct matcher's product are paths of the
+    # grounded system's product, ε stutters included.
     guard = _guard(name, two_site_model)
     root = (two_site_model.init, guard.initial_memory())
-    grounded = _grounded_successor_fn(two_site_model)
-    product = explore(root, guarded(grounded, guard))
-    # (node, label, target state) -> target node; the memory after a move
-    # is a function of the memory before it and the label.
-    edges = {(src, label, tgt[0]): tgt for src, label, tgt in product.transitions}
+    product = explore(root, guarded(_grounded_successor_fn(two_site_model), guard))
+    direct = guarded(RuleMatcher(two_site_model).successors, guard)
     for seed in range(12):
-        run = sample_run(two_site_model.init, grounded, 6, seed, guard)
-        node = root
-        for label, state in zip(run.labels, run.states[1:]):
-            assert (node, label, state) in edges, (seed, run.labels)
-            node = edges[node, label, state]
+        run = sample_run(root, direct, 6, seed)
+        assert run.states[0] == root
+        steps = zip(run.states, run.labels, run.states[1:])
+        assert set(steps) <= product.transitions, (seed, run.labels)
 
 
 # The two-site model with its configs, and the 2 x 2 x 2 site model of the
