@@ -4,11 +4,12 @@ Every model has two executable semantics here: direct rewriting of states
 by rule patterns (``lts`` module) and rewriting by the grounded system
 (``mrs`` module).  The two must generate the same set of runs; since both
 are anchored at the same initial state, that reduces to equality of the
-reachable labelled graphs.  Both successor functions fire ε exactly when
-nothing else is enabled: the grounded ``successors``, and on the direct
-side ``RuleMatcher(model).successors(m) or {(ε, m)}``.
-``check_equivalence`` explores both within the same bounds and reports
-the first discrepancy.
+two successor sets at every reachable state.  Both successor functions
+fire ε exactly when nothing else is enabled: the grounded ``successors``,
+and on the direct side ``RuleMatcher(model).successors(m) or {(ε, m)}``.
+``check_equivalence`` walks the direct side once and compares the two
+sets at each state it expands (an on-the-fly product walk, as in
+Fernandez and Mounier, CAV 1991).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lts
-from .lts import Lts, explore
+from .lts import explore
 from .mrs import EPSILON_LABEL, Mrs, build_mrs, successors
 from .syntax import BcslModel
 
@@ -51,33 +52,10 @@ class ConformanceReport:
         return "pass" if self.passed else "fail"
 
 
-def _first_difference(direct: Lts, grounded: Lts) -> Counterexample | None:
-    # A reachability difference always stems from an edge difference at a
-    # shared state, so edge discrepancies make the localized diagnostic.
-    sides = (
-        (
-            "direct_only", direct, grounded,
-            "direct rewriting reaches {} via {!r} but no grounded rule does",
-            "state reachable by direct rewriting but not in the grounded system",
-        ),
-        (
-            "grounded_only", grounded, direct,
-            "a grounded rule reaches {} via {!r} but direct rewriting does not",
-            "state reachable in the grounded system but not by direct rewriting",
-        ),
-    )
-    for direction, mine, theirs, edge_detail, _ in sides:
-        extra = mine.transitions - theirs.transitions
-        if extra:
-            src, label, tgt = min(extra, key=lambda e: (str(e[0]), e[1], str(e[2])))
-            return Counterexample(
-                "transition", direction, str(src), label, edge_detail.format(tgt, label)
-            )
-    for direction, mine, theirs, _, state_detail in sides:
-        extra = mine.states - theirs.states
-        if extra:
-            return Counterexample("state", direction, min(map(str, extra)), None, state_detail)
-    return None
+_EDGE_DETAILS = (
+    ("direct_only", "direct rewriting reaches {} via {!r} but no grounded rule does"),
+    ("grounded_only", "a grounded rule reaches {} via {!r} but direct rewriting does not"),
+)
 
 
 def check_equivalence(
@@ -86,27 +64,47 @@ def check_equivalence(
     max_depth: int = 1_000,
     mrs: Mrs | None = None,
 ) -> ConformanceReport:
-    """Compare the reachable graphs of the two semantics under shared bounds.
+    """Compare both semantics' successor sets at each state of one walk.
 
-    Passing an explicit ``mrs`` overrides the grounded system (useful as a
-    negative control).  When a bound truncates either exploration, the
-    explored prefixes are compared and ``truncated`` is set.  The model
-    is grounded before the direct side runs, so a model over the grounding
-    cap fails at once instead of after a direct exploration that has no cap.
+    One breadth-first walk explores the direct side, and each state it
+    expands also gets its grounded successors, so a difference counts
+    even among successors that the state cap then drops.  The
+    counterexample comes from the first state, in walk order, whose sets
+    differ: its least differing edge by (label, target text), direct-only
+    edges first.  With no difference, a grounded walk would build the same
+    graph, so the grounded counts are the walk's.  Only on a difference,
+    or when an explicit ``mrs`` (a negative control) starts elsewhere, is
+    the grounded side walked on its own, to count it.  When a bound
+    truncates a walk, the explored prefixes are compared and ``truncated``
+    is set.  The model is grounded first, so a model over the grounding
+    cap fails before a direct exploration that has no cap.
     """
     grounded_system = build_mrs(model) if mrs is None else mrs
     # Through the module: a tracer that times the matcher rebinds ``lts.RuleMatcher``.
     matcher = lts.RuleMatcher(model)
-    direct_fn = lambda m: matcher.successors(m) or {(EPSILON_LABEL, m)}  # noqa: E731
-    direct = explore(model.init, direct_fn, max_states, max_depth)
-    del matcher, direct_fn  # its memos would stay alive through the grounded walk
-    grounded = explore(
-        grounded_system.init,
-        lambda m: successors(grounded_system, m),
-        max_states,
-        max_depth,
-    )
-    counterexample = _first_difference(direct, grounded)
+    differing: list[tuple] = []  # (state, direct-only, grounded-only) of the first
+
+    def direct_fn(m):
+        mine = matcher.successors(m) or {(EPSILON_LABEL, m)}
+        if not differing and mine != (theirs := successors(grounded_system, m)):
+            differing.append((m, mine - theirs, theirs - mine))
+        return mine
+
+    direct = grounded = explore(model.init, direct_fn, max_states, max_depth)
+    counterexample = None
+    if grounded_system.init != model.init:
+        detail = "state reachable by direct rewriting but not in the grounded system"
+        counterexample = Counterexample("state", "direct_only", str(model.init), None, detail)
+    elif differing:
+        state, direct_only, grounded_only = differing[0]
+        direction, detail = _EDGE_DETAILS[0 if direct_only else 1]
+        label, target = min(direct_only or grounded_only, key=lambda e: (e[0], str(e[1])))
+        detail = detail.format(target, label)
+        counterexample = Counterexample("transition", direction, str(state), label, detail)
+    if counterexample:
+        grounded = explore(
+            grounded_system.init, lambda m: successors(grounded_system, m), max_states, max_depth
+        )
     return ConformanceReport(
         states_checked=len(direct.states | grounded.states),
         truncated=direct.truncated or grounded.truncated,
@@ -116,4 +114,3 @@ def check_equivalence(
         grounded_transitions=len(grounded.transitions),
         counterexample=counterexample,
     )
-

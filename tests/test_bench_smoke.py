@@ -63,12 +63,8 @@ TRACED_NAMES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "command, spans, leaves",
-    TRACED_NAMES,
-    ids=["lts", "lts-unroll", "lts-regulated", "lts-regulated-unroll", "check"],
-)
-def test_tracer_sees_every_layer(capsys, monkeypatch, tmp_path, command, spans, leaves):
+def _traced_spans(capsys, monkeypatch, tmp_path, command) -> list:
+    """The recorder's spans of one passing ``bcsl`` command on the two-site model."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "model.bcsl").write_text(TWO_SITE_MODEL, encoding="utf-8")
     config = json.dumps(REGULATION_CONFIGS["concurrent-free"])
@@ -84,8 +80,24 @@ def test_tracer_sees_every_layer(capsys, monkeypatch, tmp_path, command, spans, 
     finally:
         undo()
     capsys.readouterr()
-    assert {name for name, *_ in trace.spans} == spans
-    assert {leaf for *_, span_leaves in trace.spans for leaf in span_leaves} == leaves
+    return trace.spans
+
+
+@pytest.mark.parametrize(
+    "command, spans, leaves",
+    TRACED_NAMES,
+    ids=["lts", "lts-unroll", "lts-regulated", "lts-regulated-unroll", "check"],
+)
+def test_tracer_sees_every_layer(capsys, monkeypatch, tmp_path, command, spans, leaves):
+    traced = _traced_spans(capsys, monkeypatch, tmp_path, command)
+    assert {name for name, *_ in traced} == spans
+    assert {leaf for *_, span_leaves in traced for leaf in span_leaves} == leaves
+
+
+def test_passing_check_explores_once(capsys, monkeypatch, tmp_path):
+    # Both semantics are compared along one walk of the direct side.
+    traced = _traced_spans(capsys, monkeypatch, tmp_path, ["check"])
+    assert [name for name, *_ in traced].count("lts.explore") == 1
 
 
 def test_tracer_counts_the_bytes_of_a_json_export(capsys, monkeypatch, tmp_path):

@@ -3,17 +3,21 @@ import dataclasses
 import pytest
 
 from bcsl import (
+    EPSILON_LABEL,
     MrsRule,
+    RuleMatcher,
     build_lts,
     build_mrs,
     check_equivalence,
+    conformance,
     explore,
     parse_model,
     parse_multiset,
     successors,
 )
+from bcsl.cli import main
 from bcsl.terms import agent_id, agent_of
-from conftest import TWO_SITE_MODEL
+from conftest import TWO_SITE_MODEL, bench_module
 from corpus import random_model_text
 from oracles import check_lemmas
 
@@ -130,17 +134,127 @@ def _uniquely_covering_rules(mrs, max_states, max_depth):
     return sorted(unique)
 
 
-def test_corpus_negative_controls_fail_with_counterexamples():
-    mutated = 0
+def _negative_controls():
+    """(seed, model, system with one uniquely covering rule dropped) on the corpus."""
     for seed in range(25):
         model = parse_model(random_model_text(seed))
         mrs = build_mrs(model)
         for index in _uniquely_covering_rules(mrs, **BOUNDS)[:2]:
-            report = check_equivalence(model, mrs=_drop_rule(mrs, index), **BOUNDS)
-            assert not report.passed, (seed, index)
-            assert report.counterexample is not None
-            mutated += 1
+            yield seed, model, _drop_rule(mrs, index)
+
+
+def test_corpus_negative_controls_fail_with_counterexamples():
+    mutated = 0
+    for seed, model, dropped in _negative_controls():
+        report = check_equivalence(model, mrs=dropped, **BOUNDS)
+        assert not report.passed, seed
+        assert report.counterexample is not None
+        mutated += 1
     assert mutated >= 10
+
+
+def _drop_r2_at(mrs, *texts):
+    starts = {parse_multiset(text) for text in texts}
+    rules = tuple(r for r in mrs.rules if not (r.label == "r2" and r.pre in starts))
+    assert len(rules) == len(mrs.rules) - len(starts)
+    return dataclasses.replace(mrs, rules=rules)
+
+
+def test_counterexample_comes_from_the_first_differing_state_in_walk_order(two_site_model):
+    # r2 is lost at the initial state and one step later, at a state whose
+    # text sorts first; the walk meets the initial state first.
+    init, deeper = "1 P(S{i},T{i})::cell", "1 P(S{a},T{i})::cell"
+    assert deeper < init
+    lossy = _drop_r2_at(build_mrs(two_site_model), init, deeper)
+    report = check_equivalence(two_site_model, mrs=lossy)
+    ce = report.counterexample
+    assert (ce.kind, ce.direction, ce.state, ce.label) == ("transition", "direct_only", init, "r2")
+    assert ce.detail == (
+        "direct rewriting reaches 1 P(S{i},T{i})::out via 'r2' but no grounded rule does"
+    )
+    assert (report.direct_states, report.direct_transitions) == (8, 12)
+    assert (report.grounded_states, report.grounded_transitions) == (6, 8)
+    assert (report.states_checked, report.truncated) == (8, False)
+
+
+def test_a_difference_the_state_cap_drops_still_fails(
+    two_site_model, tmp_path, monkeypatch, capsys
+):
+    # At three states the cap keeps the initial state's r1_S and r1_T edges
+    # and drops its r2 edge, the only one that the grounded side lacks.
+    # Both kept graphs agree, but the initial state, which the walk
+    # expands, has two different successor sets.
+    init = "1 P(S{i},T{i})::cell"
+    lossy = _drop_r2_at(build_mrs(two_site_model), init)
+    report = check_equivalence(two_site_model, max_states=3, mrs=lossy)
+    assert report.truncated and not report.passed
+    ce = report.counterexample
+    assert (ce.direction, ce.state, ce.label) == ("direct_only", init, "r2")
+    assert (report.direct_states, report.direct_transitions) == (3, 2)
+    assert (report.grounded_states, report.grounded_transitions) == (3, 2)
+
+    monkeypatch.setattr(conformance, "build_mrs", lambda model: lossy)
+    path = tmp_path / "model.bcsl"
+    path.write_text(TWO_SITE_MODEL, encoding="utf-8")
+    assert main(["check", str(path), "--max-states", "3"]) == 1
+    assert "warning: exploration truncated by bounds; prefixes compared" in capsys.readouterr().out
+
+
+def test_a_system_that_starts_elsewhere_fails():
+    # Both graphs hold the same two states and edges, but the runs start
+    # at different states.
+    model = parse_model(
+        "#! rules\nr ~ A{x}::c => A{y}::c\ns ~ A{y}::c => A{x}::c\n#! inits\n1 A{x}::c\n"
+    )
+    elsewhere = dataclasses.replace(build_mrs(model), init=parse_multiset("1 A{y}::c"))
+    report = check_equivalence(model, mrs=elsewhere)
+    assert not report.passed
+    ce = report.counterexample
+    assert (ce.kind, ce.direction, ce.state) == ("state", "direct_only", "1 A{x}::c")
+    assert (report.direct_states, report.grounded_states, report.states_checked) == (2, 2, 2)
+
+
+def _one_walk_against_two(model, mrs, bounds):
+    """``check_equivalence``'s report, checked against separate walks of both sides.
+
+    A passing report needs equal graphs, unequal graphs need a failing
+    one, and the report's counts are the two graphs' counts.  Returns
+    the report and whether the graphs are equal.
+    """
+    report = check_equivalence(model, mrs=mrs, **bounds)
+    matcher = RuleMatcher(model)
+    direct = explore(model.init, lambda m: matcher.successors(m) or {(EPSILON_LABEL, m)}, **bounds)
+    grounded = explore(mrs.init, lambda m: successors(mrs, m), **bounds)
+    assert report.passed <= (direct == grounded)
+    assert (report.states_checked, report.truncated) == (
+        len(direct.states | grounded.states),
+        direct.truncated or grounded.truncated,
+    )
+    assert (report.direct_states, report.direct_transitions) == (
+        direct.n_states,
+        direct.n_transitions,
+    )
+    assert (report.grounded_states, report.grounded_transitions) == (
+        grounded.n_states,
+        grounded.n_transitions,
+    )
+    return report, direct == grounded
+
+
+def test_one_walk_agrees_with_two_independent_walks():
+    bench_bounds = {"max_states": 50, "max_depth": 25}
+    truncated = 0
+    for text in bench_module("models").corpus_models(200):
+        model = parse_model(text)
+        report, equal = _one_walk_against_two(model, build_mrs(model), bench_bounds)
+        assert equal and report.passed
+        truncated += report.truncated
+    assert truncated > 0
+    unequal = 0
+    for _, model, dropped in _negative_controls():
+        for bounds in (BOUNDS, bench_bounds):
+            unequal += not _one_walk_against_two(model, dropped, bounds)[1]
+    assert unequal >= 10
 
 
 # ---------------------------------------------------------------------------
