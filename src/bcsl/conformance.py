@@ -93,7 +93,8 @@ def check_equivalence(
     direct = grounded = explore(model.init, direct_fn, max_states, max_depth)
     counterexample = None
     if grounded_system.init != model.init:
-        detail = "state reachable by direct rewriting but not in the grounded system"
+        elsewhere = grounded_system.init
+        detail = f"runs start here by direct rewriting but at {elsewhere} in the grounded system"
         counterexample = Counterexample("state", "direct_only", str(model.init), None, detail)
     elif differing:
         state, direct_only, grounded_only = differing[0]

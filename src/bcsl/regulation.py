@@ -9,11 +9,12 @@ label permitted at memory ``m`` to the memory after it:
 * regular — a language of label sequences, given as a regular expression
   over rule labels with ``.`` (sequence), ``|`` (choice), ``*``
   (repetition) and parentheses.  One pass over the text builds its
-  Thompson automaton while reading it (Thompson, CACM 1968); the subset
-  construction and partition refinement make it a minimal DFA.  A candidate
-  is permitted while the consumed label prefix can still grow into a word
-  of the language; once a complete word has been consumed only ε may
-  follow.  Memory: the DFA state.
+  position automaton while reading it (Glushkov 1961; McNaughton and
+  Yamada, IRE Trans. Electronic Computers, 1960), which has no ε-moves;
+  the subset construction and partition refinement make it a minimal
+  DFA.  A candidate is permitted while the consumed label prefix can
+  still grow into a word of the language; once a complete word has been
+  consumed only ε may follow.  Memory: the DFA state.
 * programmed — a successor set per label; after ``a`` only members of its
   successor set may fire.  Memory: the last applied label.
 * ordered — strict pairs ``a < b``; ``b`` may not fire immediately after
@@ -107,82 +108,58 @@ def _regex_tokens(expression: str) -> list[str]:
     return [token for token, _ in found]
 
 
-class _Nfa:
-    """A Thompson automaton, built one (start, accept) fragment at a time."""
+# A fragment of a position automaton: whether it matches the empty word,
+# the positions a word of it may start with, and those it may end with.
+_Fragment = tuple[bool, frozenset[int], frozenset[int]]
+
+
+class _Positions:
+    """A position automaton, built one (nullable, first, last) fragment at a time.
+
+    Position 0 is the start; every label occurrence gets the next
+    position.  ``follow[p]`` holds the positions that may come right after
+    ``p``, so the automaton has no ε-moves.
+    """
 
     def __init__(self):
-        self.eps: dict[int, set[int]] = {}
-        self.sym: dict[tuple[int, str], set[int]] = {}
-        self.n = 0
-        # ε-closure of each state asked for so far.
-        self._closures: dict[int, frozenset[int]] = {}
+        self.labels: list[str | None] = [None]
+        self.follow: list[set[int]] = [set()]
 
-    def new_state(self) -> int:
-        self.n += 1
-        return self.n - 1
+    def symbol(self, label: str) -> _Fragment:
+        self.labels.append(label)
+        self.follow.append(set())
+        here = frozenset((len(self.labels) - 1,))
+        return False, here, here
 
-    def add_eps(self, a: int, b: int) -> None:
-        self.eps.setdefault(a, set()).add(b)
+    def star(self, fragment: _Fragment) -> _Fragment:
+        _, first, last = fragment
+        for p in last:
+            self.follow[p] |= first
+        return True, first, last
 
-    def symbol(self, label: str) -> tuple[int, int]:
-        a, b = self.new_state(), self.new_state()
-        self.sym[(a, label)] = {b}
-        return a, b
+    def sequence(self, fragments: list[_Fragment]) -> _Fragment:
+        nullable, first, last = fragments[0]
+        for next_nullable, next_first, next_last in fragments[1:]:
+            for p in last:
+                self.follow[p] |= next_first
+            if nullable:
+                first |= next_first
+            last = last | next_last if next_nullable else next_last
+            nullable = nullable and next_nullable
+        return nullable, first, last
 
-    def star(self, fragment: tuple[int, int]) -> tuple[int, int]:
-        a, b = fragment
-        start, end = self.new_state(), self.new_state()
-        for source, target in ((start, a), (b, end), (start, end), (b, a)):
-            self.add_eps(source, target)
-        return start, end
-
-    def sequence(self, fragments: list[tuple[int, int]]) -> tuple[int, int]:
-        for (_, b), (a, _) in zip(fragments, fragments[1:]):
-            self.add_eps(b, a)
-        return fragments[0][0], fragments[-1][1]
-
-    def choice(self, fragments: list[tuple[int, int]]) -> tuple[int, int]:
-        if len(fragments) == 1:
-            return fragments[0]
-        start, end = self.new_state(), self.new_state()
-        for a, b in fragments:
-            self.add_eps(start, a)
-            self.add_eps(b, end)
-        return start, end
-
-    def closure(self, states: Collection[int]) -> frozenset[int]:
-        """The ε-closure of ``states``: the union of each state's own closure.
-
-        Each state's closure is walked once, the first time it is asked
-        for, and kept; add no ε edges after the first call.
-        """
-        closed: set[int] = set()
-        for state in states:
-            own = self._closures.get(state)
-            if own is None:
-                own = self._closures[state] = self._closure_of(state)
-            closed |= own
-        return frozenset(closed)
-
-    def _closure_of(self, state: int) -> frozenset[int]:
-        stack = [state]
-        seen = {state}
-        while stack:
-            s = stack.pop()
-            for t in self.eps.get(s, ()):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
+    def choice(self, fragments: list[_Fragment]) -> _Fragment:
+        nullables, firsts, lasts = zip(*fragments)
+        return any(nullables), frozenset().union(*firsts), frozenset().union(*lasts)
 
 
-def _parse_regex(expression: str, nfa: _Nfa) -> tuple[tuple[int, int], set[str]]:
-    """Build the Thompson automaton of ``expression`` in ``nfa`` while reading it.
+def _parse_regex(expression: str, positions: _Positions) -> tuple[_Fragment, set[str]]:
+    """Build the position automaton of ``expression`` in ``positions`` while reading it.
 
-    Returns the (start, accept) fragment of the whole expression and the
-    labels it names.  Precedence, loosest first: ``|``, ``.``, postfix
-    ``*``.  Open groups live on an explicit stack, so nesting depth is not
-    limited by the recursion limit.
+    Returns the fragment of the whole expression and the labels it names.
+    Precedence, loosest first: ``|``, ``.``, postfix ``*``.  Open groups
+    live on an explicit stack, so nesting depth is not limited by the
+    recursion limit.
     """
     tokens = _regex_tokens(expression)
     if not tokens:
@@ -199,14 +176,15 @@ def _parse_regex(expression: str, nfa: _Nfa) -> tuple[tuple[int, int], set[str]]
             if tok == "(":
                 groups.append(([], []))
             elif tok is None or tok in ".|*)":
-                raise RegulationError(f"expected a rule label in expression, found {tok!r}")
+                found = "end of expression" if tok is None else repr(tok)
+                raise RegulationError(f"expected a rule label in expression, found {found}")
             else:
-                node = nfa.symbol(tok)
+                node = positions.symbol(tok)
                 labels.add(tok)
             pos += 1
             continue
         if tok == "*":
-            node = nfa.star(node)
+            node = positions.star(node)
             pos += 1
             continue
         alternatives, sequence = groups[-1]
@@ -215,12 +193,12 @@ def _parse_regex(expression: str, nfa: _Nfa) -> tuple[tuple[int, int], set[str]]
         if tok == ".":
             pos += 1
             continue
-        alternatives.append(nfa.sequence(sequence))
+        alternatives.append(positions.sequence(sequence))
         if tok == "|":
             sequence.clear()
             pos += 1
             continue
-        node = nfa.choice(alternatives)
+        node = positions.choice(alternatives)
         if tok == ")" and len(groups) > 1:
             groups.pop()
             pos += 1
@@ -235,42 +213,47 @@ def _parse_regex(expression: str, nfa: _Nfa) -> tuple[tuple[int, int], set[str]]
 def compile_label_regex(expression: str, labels: Collection[str]) -> Dfa:
     """Compile an expression over rule labels to a minimal DFA with liveness.
 
-    The parser builds the Thompson automaton and collects the labels in
-    one pass; labels outside ``labels`` are rejected after it, so a syntax
-    error is reported first.  Raises ``RegulationError`` once the subset
-    construction holds more than ``MAX_DFA_STATES`` states.
+    The parser builds the position automaton (Glushkov 1961; McNaughton
+    and Yamada, IRE Trans. Electronic Computers, 1960) and collects the
+    labels in one pass; labels outside ``labels`` are rejected after it,
+    so a syntax error is reported first.  The automaton has no ε-moves, so
+    each subset state is a set of positions, with no closure to take.
+    Raises ``RegulationError`` once the subset construction holds more
+    than ``MAX_DFA_STATES`` states.
     """
-    nfa = _Nfa()
-    (start, accept), symbols = _parse_regex(expression, nfa)
+    positions = _Positions()
+    (nullable, first, last), symbols = _parse_regex(expression, positions)
     unknown = sorted(symbols - set(labels))
     if unknown:
         raise RegulationError(f"unknown rule label(s) in expression: {', '.join(unknown)}")
     alphabet = sorted(symbols)
+    positions.follow[0] = set(first)
 
-    # Subset construction.
-    initial = nfa.closure((start,))
+    # Subset construction from the start position 0.
+    initial = frozenset((0,))
     subset_ids: dict[frozenset[int], int] = {initial: 0}
     worklist = [initial]
     table: dict[tuple[int, str], int] = {}
     while worklist:
         current = worklist.pop()
         cid = subset_ids[current]
-        for label in alphabet:
-            targets: set[int] = set()
-            for s in current:
-                targets |= nfa.sym.get((s, label), set())
-            if not targets:
-                continue
-            closed = nfa.closure(targets)
-            if closed not in subset_ids:
+        by_label: dict[str, set[int]] = {}
+        for p in current:
+            for q in positions.follow[p]:
+                by_label.setdefault(positions.labels[q], set()).add(q)
+        for label, targets in sorted(by_label.items()):
+            target = frozenset(targets)
+            if target not in subset_ids:
                 if len(subset_ids) == MAX_DFA_STATES:
                     raise RegulationError(
                         f"expression needs more than {MAX_DFA_STATES} automaton states"
                     )
-                subset_ids[closed] = len(subset_ids)
-                worklist.append(closed)
-            table[(cid, label)] = subset_ids[closed]
-    accepting = {cid for subset, cid in subset_ids.items() if accept in subset}
+                subset_ids[target] = len(subset_ids)
+                worklist.append(target)
+            table[(cid, label)] = subset_ids[target]
+    accepting = {cid for subset, cid in subset_ids.items() if not last.isdisjoint(subset)}
+    if nullable:
+        accepting.add(0)
     n = len(subset_ids)
 
     # Minimize by partition refinement, a missing transition going to ``dead``.

@@ -289,13 +289,13 @@ grounded semantics: 1 states, 0 transitions
 warning: exploration truncated by bounds; prefixes compared
 counterexample (state, direct_only):
   state: 1 P(S{i},T{i})::cell
-  state reachable by direct rewriting but not in the grounded system
+  runs start here by direct rewriting but at 1 P(S{a},T{a})::cell in the grounded system
 """
 
 STATE_CHECK_JSON = """\
 {
   "counterexample": {
-    "detail": "state reachable by direct rewriting but not in the grounded system",
+    "detail": "runs start here by direct rewriting but at 1 P(S{a},T{a})::cell in the grounded system",
     "direction": "direct_only",
     "kind": "state",
     "label": null,
@@ -647,6 +647,14 @@ REGULATION_CONFIG_ERRORS = [
         "priority pairs must relate distinct rules: r2",
     ),
     ({"type": "stochastic"}, "unknown regulation type 'stochastic'"),
+    (
+        {"type": "regular", "expression": "r1_S."},
+        "expected a rule label in expression, found end of expression",
+    ),
+    (
+        {"type": "regular", "expression": "("},
+        "expected a rule label in expression, found end of expression",
+    ),
 ]
 
 

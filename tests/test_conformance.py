@@ -211,6 +211,9 @@ def test_a_system_that_starts_elsewhere_fails():
     assert not report.passed
     ce = report.counterexample
     assert (ce.kind, ce.direction, ce.state) == ("state", "direct_only", "1 A{x}::c")
+    assert ce.detail == (
+        "runs start here by direct rewriting but at 1 A{y}::c in the grounded system"
+    )
     assert (report.direct_states, report.grounded_states, report.states_checked) == (2, 2, 2)
 
 

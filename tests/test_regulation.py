@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import random
 import re
 import time
 
@@ -73,8 +74,10 @@ def test_dfa_star_and_parentheses():
 def test_regex_errors():
     with pytest.raises(RegulationError, match="unknown rule label"):
         compile_label_regex("r1_S.nope", LABELS)
-    with pytest.raises(RegulationError, match="expected a rule label"):
+    with pytest.raises(RegulationError, match="found end of expression$"):
         compile_label_regex("r1_S.", LABELS)
+    with pytest.raises(RegulationError, match="found '\\|'$"):
+        compile_label_regex("r1_S.|r2", LABELS)
     with pytest.raises(RegulationError, match="missing"):
         compile_label_regex("(r1_S", LABELS)
     with pytest.raises(RegulationError, match="empty"):
@@ -211,6 +214,24 @@ def _dfa_digest(dfa):
     return hashlib.sha256(repr(fields).encode()).hexdigest()[:16]
 
 
+def _random_expression(rng, depth):
+    """A seeded expression over ``a`` to ``d``, heavy in nullable shapes."""
+    if depth == 0:
+        return rng.choice("abcd") + "*" * rng.choice((0, 0, 1, 2))
+    x, y, z = (_random_expression(rng, depth - 1) for _ in range(3))
+    return rng.choice(
+        (
+            f"({x}*.{y}*)*",  # a starred sequence of stars
+            f"({x}|{y}*)*.{z}",  # a starred choice with a nullable branch
+            f"({x})**",  # a star of a star
+            f"({x}.{y})*",
+            f"{x}|{y}.{z}",  # precedence without parentheses
+            f"({x}|{y}).{z}*",
+            f"({x}.{y}|{z})",
+        )
+    )
+
+
 def test_regular_expressions_keep_their_automata():
     digests = [
         _dfa_digest(compile_label_regex(expression, labels))
@@ -220,6 +241,14 @@ def test_regular_expressions_keep_their_automata():
     assert [len(compile_label_regex(*case).live) for case in BLOW_UP_FAMILY] == [
         2 ** (n + 1) for n in range(9)
     ]
+    # 600 seeded random expressions, one digest over all their automata,
+    # recorded when the automata still came from a Thompson ε-automaton.
+    rng = random.Random(25)
+    drawn = hashlib.sha256()
+    for _ in range(600):
+        expression = _random_expression(rng, rng.randint(1, 3))
+        drawn.update(_dfa_digest(compile_label_regex(expression, "abcd")).encode())
+    assert drawn.hexdigest()[:16] == "cb6ae3c69a0624d6"
 
 
 def test_every_regular_config_stays_far_below_the_state_bound(monkeypatch):
