@@ -61,10 +61,9 @@ from .regulation import (
     compile_label_regex,
     compile_regulation,
     concurrency_relation,
+    direct_walk,
     guarded,
     make_guard,
-    regulated_explore,
-    regulated_tree,
 )
 from .syntax import (
     BcslModel,

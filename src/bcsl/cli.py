@@ -2,7 +2,7 @@
 
 Subcommands: ``parse`` (model echo / summary), ``ground`` (grounded
 rewriting system), ``lts`` (reachable graph or unrolled run tree:
-``explore`` or ``unroll`` over ``RuleMatcher(model).successors``,
+``explore`` or ``unroll`` over the walk that ``direct_walk`` builds,
 ``guarded`` under a regulation), ``simulate`` (``sample_run`` over that
 same walk, printing each node's state) and ``check`` (equivalence of the
 direct and grounded semantics).  ``main`` builds only the named
@@ -38,18 +38,20 @@ from pathlib import Path
 
 from . import lts
 from .conformance import ConformanceReport, check_equivalence
-from .lts import RuleMatcher, lts_to_dot, lts_to_json_obj, tree_to_dot, tree_to_json_obj, unroll
+from .lts import lts_to_dot, lts_to_json_obj, tree_to_dot, tree_to_json_obj, unroll
 from .mrs import build_mrs, sample_run
 from .patterns import GroundingCapError
 from .regulation import (
     RegulationError,
     RegulationWarning,
     compile_regulation,
-    guarded,
+    direct_walk,
     make_guard,
-    product_state_text,
 )
 from .syntax import _LINE_BREAK, BcslModel, ParseError, SignatureError, model_to_text, parse_model
+# Nothing here calls it, but ``bench/tracer.py`` rebinds this name, so it
+# stays importable from this module.
+from .lts import RuleMatcher  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -274,21 +276,8 @@ def _cmd_ground(model: BcslModel, args) -> tuple[str, int]:
     return _dump(obj), EXIT_OK
 
 
-def _walk_input(model: BcslModel, guard):
-    """The root, the successor function and the node text of a walk over ``model``.
-
-    The direct matcher's moves from ``model.init``, or, under a guard, the
-    ``guarded`` product over (state, memory) nodes.
-    """
-    successor_fn = RuleMatcher(model).successors
-    if guard is None:
-        return model.init, successor_fn, str
-    root = (model.init, guard.initial_memory())
-    return root, guarded(successor_fn, guard), lambda node: product_state_text(node, guard)
-
-
 def _cmd_lts(model: BcslModel, args) -> tuple[str, int]:
-    root, successor_fn, label_fn = _walk_input(model, _load_regulation(args.regulation, model))
+    root, successor_fn, label_fn = direct_walk(model, _load_regulation(args.regulation, model))
     if args.unroll:
         walk = unroll(root, successor_fn, args.max_depth, args.max_states)
         to_dot, to_json, to_text = tree_to_dot, tree_to_json_obj, _tree_text
@@ -332,7 +321,7 @@ def _tree_text(tree, label_fn) -> str:
 
 def _cmd_simulate(model: BcslModel, args) -> tuple[str, int]:
     guard = _load_regulation(args.regulation, model)
-    root, successor_fn, _ = _walk_input(model, guard)
+    root, successor_fn, _ = direct_walk(model, guard)
     run = sample_run(root, successor_fn, args.steps, args.seed)
     states = run.states if guard is None else [node[0] for node in run.states]
     if args.format == "text":

@@ -554,11 +554,12 @@ def lts_to_dot(lts: Lts, label_fn: Callable[[Hashable], str] = _state_key) -> st
     The initial state is drawn with a doubled periphery.  Output is
     sorted, hence byte-stable.
     """
-    ordered = sorted(lts.states, key=lambda s: (label_fn(s), _state_key(s)))
+    text = {state: label_fn(state) for state in lts.states}
+    ordered = sorted(lts.states, key=lambda s: (text[s], _state_key(s)))
     # Node indices follow that order, so edges sort by index, not by text.
     order = {state: i for i, state in enumerate(ordered)}
     edges = sorted((order[s], label, order[t]) for s, label, t in lts.transitions)
-    return _dot("lts", "s", map(label_fn, ordered), order[lts.initial], edges)
+    return _dot("lts", "s", map(text.__getitem__, ordered), order[lts.initial], edges)
 
 
 def tree_to_dot(tree: RunTree, label_fn: Callable[[Hashable], str] = _state_key) -> str:

@@ -35,9 +35,9 @@ The other two keep no memory:
 set is empty and leaves the memory unchanged.  ``guarded`` alone decides
 it: it wraps the successor function of the direct matcher or of the
 grounded system alike, and gives a node with no permitted successor its
-ε self-loop.  Every walk of a regulated run goes over it: ``explore`` and
-``unroll`` (``bcsl lts``) and ``mrs.sample_run`` (``bcsl simulate``),
-which stutters on that ε.
+ε self-loop.  ``direct_walk`` builds the one walk input, with or without
+a guard, that ``explore`` and ``unroll`` (``bcsl lts``) and
+``mrs.sample_run`` (``bcsl simulate``, which stutters on that ε) take.
 """
 
 from __future__ import annotations
@@ -48,10 +48,12 @@ import warnings
 from dataclasses import dataclass
 from typing import Any, Collection, Hashable, Mapping
 
-from .lts import Lts, RuleMatcher, RunTree, SuccessorFn, explore, unroll
-# ``build_mrs`` is not called here, but ``bench/tracer.py`` rebinds this
-# name, so it stays importable from this module.
-from .mrs import EPSILON_LABEL, build_mrs  # noqa: F401
+from .lts import RuleMatcher, SuccessorFn
+from .mrs import EPSILON_LABEL
+# Nothing here calls these, but ``bench/tracer.py`` rebinds these names,
+# so they stay importable from this module.
+from .lts import explore, unroll  # noqa: F401
+from .mrs import build_mrs  # noqa: F401
 from .patterns import expand_pattern
 from .syntax import BcslModel, parse_multiset
 from .terms import EPSILON, IDENTIFIER, Agent, Atomic, Multiset
@@ -651,36 +653,23 @@ def guarded(successor_fn: SuccessorFn, guard: RegulationGuard) -> SuccessorFn:
     return product_successors
 
 
-def _product(model: BcslModel, guard: RegulationGuard):
-    """The root node and the successor function of the regulated direct runs."""
-    root = (model.init, guard.initial_memory())
-    return root, guarded(RuleMatcher(model).successors, guard)
+def direct_walk(model: BcslModel, guard: RegulationGuard | None = None):
+    """The root, the successor function and the node text of a walk over ``model``.
 
-
-def regulated_explore(
-    model: BcslModel,
-    guard: RegulationGuard,
-    max_states: int = 100_000,
-    max_depth: int = 1_000,
-) -> Lts:
-    """Product graph over (state, regulation memory) pairs.
-
-    Successors are filtered by the regulation and the memory advances with
-    every applied rule; nodes with no permitted successor get an ε
-    self-loop.
+    Without a guard: ``model.init``, the direct matcher's moves and
+    ``str``.  Under one: the ``guarded`` product over (state, memory)
+    nodes from ``(model.init, initial memory)``, each node read as its
+    state plus the memory, when the regulation names one.  ``explore``,
+    ``unroll`` and ``sample_run`` take the first two.
     """
-    return explore(*_product(model, guard), max_states, max_depth)
+    successor_fn = RuleMatcher(model).successors
+    if guard is None:
+        return model.init, successor_fn, str
+    describe = guard.regulation.describe_memory
 
+    def node_text(node) -> str:
+        state, memory = node
+        described = describe(memory)
+        return f"{state} | {described}" if described else str(state)
 
-def regulated_tree(
-    model: BcslModel, guard: RegulationGuard, depth: int, max_nodes: int = 100_000
-) -> RunTree:
-    """Depth-bounded unrolled tree of the regulated runs (ε edges omitted)."""
-    return unroll(*_product(model, guard), depth, max_nodes)
-
-
-def product_state_text(node, guard: RegulationGuard) -> str:
-    """Readable product-node text: the state plus the memory, when any."""
-    state, memory = node
-    described = guard.regulation.describe_memory(memory)
-    return f"{state} | {described}" if described else str(state)
+    return (model.init, guard.initial_memory()), guarded(successor_fn, guard), node_text

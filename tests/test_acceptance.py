@@ -32,16 +32,16 @@ from bcsl import (
     canonicalize,
     check_equivalence,
     compile_regulation,
+    direct_walk,
     enabled,
     enumerate_instantiations,
     explore,
+    guarded,
     instantiation_count,
     make_guard,
     maximal_label_sequences,
     parse_model,
     parse_multiset,
-    regulated_explore,
-    regulated_tree,
     successors,
     unroll,
 )
@@ -203,14 +203,24 @@ def test_criterion_4_equivalence():
 
 def test_criterion_5_regulations():
     model = parse_model(TWO_SITE_MODEL)
+    system = build_mrs(model)
+
+    def grounded(state):
+        return [(label, t) for label, t in successors(system, state) if label != EPSILON_LABEL]
+
     started = time.perf_counter()
     for name, config in REGULATION_CONFIGS.items():
         guard = make_guard(compile_regulation(config, model.labels), model)
-        product = regulated_explore(model, guard)
+        root, direct, _ = direct_walk(model, guard)
+        grounded_root = (system.init, guard.initial_memory())
+        grounded_product = guarded(grounded, guard)
+        product = explore(root, direct)
+        assert product == explore(grounded_root, grounded_product), name
         sequences = maximal_label_sequences(product, 6)
         assert sequences.complete == frozenset(EXPECTED_REGULATED_SEQUENCES[name]), name
         assert sequences.incomplete == frozenset(), name
-        tree = regulated_tree(model, guard, 4)
+        tree = unroll(root, direct, 4)
+        assert tree == unroll(grounded_root, grounded_product, 4), name
         assert tree.n_edges == EXPECTED_TREE_EDGES[name], name
     _report(5, "regulations", started, 1.0)
 

@@ -754,6 +754,20 @@ def test_dot_ties_keep_their_bytes(two_site_model):
     ]
 
 
+@pytest.mark.parametrize("export", [lts_to_dot, lts_to_json_obj])
+def test_graph_exports_read_each_state_text_once(two_site_model, export):
+    graph = build_lts(two_site_model)
+    calls = []
+
+    def label_fn(state):
+        calls.append(state)
+        return str(state)
+
+    export(graph, label_fn)
+    assert sorted(map(str, calls)) == sorted(map(str, graph.states))
+    assert len(calls) == graph.n_states == 8
+
+
 def test_json_export_sorted(two_site_model):
     graph = build_lts(two_site_model)
     obj = lts_to_json_obj(graph)

@@ -21,14 +21,13 @@ from bcsl import (
     compile_label_regex,
     compile_regulation,
     concurrency_relation,
+    direct_walk,
     explore,
     guarded,
     make_guard,
     maximal_label_sequences,
     parse_model,
     parse_multiset,
-    regulated_explore,
-    regulated_tree,
     sample_run,
     successors,
     unroll,
@@ -565,17 +564,17 @@ def test_epsilon_meets_epsilon_only_over_features():
 @pytest.mark.parametrize("name", sorted(REGULATION_CONFIGS))
 def test_regulated_sequences_and_tree(two_site_model, name):
     guard = _guard(name, two_site_model)
-    product = regulated_explore(two_site_model, guard)
+    product = explore(*direct_walk(two_site_model, guard)[:2])
     seqs = maximal_label_sequences(product, 6)
     assert seqs.complete == frozenset(EXPECTED_REGULATED_SEQUENCES[name])
     assert seqs.incomplete == frozenset()
-    tree = regulated_tree(two_site_model, guard, 4)
+    tree = unroll(*direct_walk(two_site_model, guard)[:2], 4)
     assert tree.n_edges == EXPECTED_TREE_EDGES[name]
 
 
 @pytest.mark.parametrize("name", sorted(REGULATION_CONFIGS))
 def test_regulated_sequences_subset_of_unregulated(two_site_model, name):
-    product = regulated_explore(two_site_model, _guard(name, two_site_model))
+    product = explore(*direct_walk(two_site_model, _guard(name, two_site_model))[:2])
     complete = maximal_label_sequences(product, 6).complete
     # every regulated run is an unregulated run (possibly stopped early)
     for seq in complete:
@@ -593,7 +592,7 @@ def test_neutral_regulation_matches_plain_lts(two_site_model):
         {"type": "conditional", "prohibited": {}}, two_site_model.labels
     )
     guard = make_guard(permit_all, two_site_model)
-    neutral = map_states(regulated_explore(two_site_model, guard), lambda node: node[0])
+    neutral = map_states(explore(*direct_walk(two_site_model, guard)[:2]), lambda node: node[0])
     assert neutral.states == plain.states
     assert neutral.transitions == plain.transitions
     assert neutral.initial == plain.initial
@@ -601,7 +600,7 @@ def test_neutral_regulation_matches_plain_lts(two_site_model):
 
 @pytest.mark.parametrize("name", ["conditional", "concurrent-free"])
 def test_memoryless_regulations_quotient_cleanly(two_site_model, name):
-    product = regulated_explore(two_site_model, _guard(name, two_site_model))
+    product = explore(*direct_walk(two_site_model, _guard(name, two_site_model))[:2])
     quotient = map_states(product, lambda node: node[0])
     assert len(quotient.states) == len(product.states)
     assert maximal_label_sequences(product, 6) == maximal_label_sequences(quotient, 6)
@@ -610,7 +609,7 @@ def test_memoryless_regulations_quotient_cleanly(two_site_model, name):
 def test_degenerate_programmed_blocks_after_first_step(two_site_model):
     config = {"type": "programmed", "successors": {l: [] for l in LABELS}}
     regulation = compile_regulation(config, two_site_model.labels)
-    product = regulated_explore(two_site_model, make_guard(regulation, two_site_model))
+    product = explore(*direct_walk(two_site_model, make_guard(regulation, two_site_model))[:2])
     seqs = maximal_label_sequences(product, 6)
     assert seqs.complete == frozenset({("r1_S",), ("r1_T",), ("r2",)})
 
@@ -619,7 +618,7 @@ def test_star_expression_regulation(two_site_model):
     regulation = compile_regulation(
         {"type": "regular", "expression": "(r1_S.r1_T)*.r2"}, two_site_model.labels
     )
-    product = regulated_explore(two_site_model, make_guard(regulation, two_site_model))
+    product = explore(*direct_walk(two_site_model, make_guard(regulation, two_site_model))[:2])
     seqs = maximal_label_sequences(product, 8)
     assert seqs.complete == frozenset({("r2",), ("r1_S", "r1_T", "r2")})
 
@@ -628,7 +627,7 @@ def test_empty_word_language_blocks_everything(two_site_model):
     regulation = compile_regulation(
         {"type": "regular", "expression": "r1_S*"}, two_site_model.labels
     )
-    product = regulated_explore(two_site_model, make_guard(regulation, two_site_model))
+    product = explore(*direct_walk(two_site_model, make_guard(regulation, two_site_model))[:2])
     seqs = maximal_label_sequences(product, 6)
     assert seqs.complete == frozenset({()})
 
@@ -680,7 +679,7 @@ def test_star_free_regular_matches_word_enumeration(two_site_model, expression):
     regulation = compile_regulation(
         {"type": "regular", "expression": expression}, two_site_model.labels
     )
-    product = regulated_explore(two_site_model, make_guard(regulation, two_site_model))
+    product = explore(*direct_walk(two_site_model, make_guard(regulation, two_site_model))[:2])
     assert maximal_label_sequences(product, 8).complete == frozenset(executable)
 
 
@@ -718,9 +717,8 @@ def test_regulated_sampling_follows_the_grounded_product(two_site_model, name):
     # Runs sampled over the direct matcher's product are paths of the
     # grounded system's product, ε stutters included.
     guard = _guard(name, two_site_model)
-    root = (two_site_model.init, guard.initial_memory())
+    root, direct, _ = direct_walk(two_site_model, guard)
     product = explore(root, guarded(_grounded_successor_fn(two_site_model), guard))
-    direct = guarded(RuleMatcher(two_site_model).successors, guard)
     for seed in range(12):
         run = sample_run(root, direct, 6, seed)
         assert run.states[0] == root
@@ -753,18 +751,17 @@ def test_guarded_gives_one_product_over_both_semantics(case, name):
     model = parse_model(text)
     guard = make_guard(compile_regulation(configs[name], model.labels), model)
     root = (model.init, guard.initial_memory())
-    direct = RuleMatcher(model).successors
-    grounded = _grounded_successor_fn(model)
+    grounded = guarded(_grounded_successor_fn(model), guard)
+    direct_root, direct, _ = direct_walk(model, guard)
+    assert direct_root == root
 
-    direct_graph = explore(root, guarded(direct, guard))
-    grounded_graph = explore(root, guarded(grounded, guard))
+    direct_graph = explore(direct_root, direct)
+    grounded_graph = explore(root, grounded)
     assert direct_graph.n_states == n_states[name]
     assert direct_graph == grounded_graph
-    assert regulated_explore(model, guard) == direct_graph
 
-    direct_tree = unroll(root, guarded(direct, guard), 4)
-    assert unroll(root, guarded(grounded, guard), 4) == direct_tree
-    assert regulated_tree(model, guard, 4) == direct_tree
+    direct_tree = unroll(direct_root, direct, 4)
+    assert unroll(root, grounded, 4) == direct_tree
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +868,7 @@ ORACLE_DEPTH = 6
 def _assert_matches_definition(text, config, permitted):
     model = parse_model(text)
     guard = make_guard(compile_regulation(config, model.labels), model)
-    product = regulated_explore(model, guard)
+    product = explore(*direct_walk(model, guard)[:2])
     expected = _sequences_by_definition(model, permitted, ORACLE_DEPTH)
     assert maximal_label_sequences(product, ORACLE_DEPTH) == expected
 
