@@ -39,15 +39,12 @@ from .patterns import (
     DEFAULT_GROUNDING_CAP,
     GroundingCapError,
     GroundingError,
-    Instantiation,
-    Reaction,
     deatomise,
     enumerate_instantiations,
     expand_agent,
     expand_pattern,
     ground_rule,
     instantiation_count,
-    pattern_multiset,
 )
 from .regulation import (
     AutomatonRegulation,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Collection, Hashable
 
-from .patterns import ground_rule, pattern_multiset
+from .patterns import ground_rule
 from .syntax import BcslModel
 from .terms import Agent, Multiset, agent_id
 
@@ -110,11 +110,9 @@ def build_mrs(model: BcslModel) -> Mrs:
     for rule in model.rules:
         if rule.label == EPSILON_LABEL:
             raise ValueError(f"rule label {EPSILON_LABEL!r} is reserved")
-        for reaction in ground_rule(rule, model.structure_signature, model.atomic_signature):
+        for lhs, rhs in ground_rule(rule, model.structure_signature, model.atomic_signature):
             mu = MrsRule(
-                rule.label,
-                pattern_multiset(reaction.lhs_inst.result),
-                pattern_multiset(reaction.rhs_inst.result),
+                rule.label, Multiset.from_agents(lhs.agents), Multiset.from_agents(rhs.agents)
             )
             seen[mu] = None
 

@@ -3,20 +3,21 @@
 A pattern abstracts a family of concrete states: structures may omit
 atomics (added by expansion with the ε feature) and atomics may carry ε
 (resolved by instantiation to every feature the signature allows).
-Grounding turns a rule into its set of reactions, i.e. consistent pairs
-of instantiated sides: wherever the two sides' deatomisations hold equal
-source atomics (ε equals only ε), the instantiations resolve them alike.
+``enumerate_instantiations`` gives a pattern's instantiations as ε-free
+patterns.  ``ground_rule`` turns a rule into its reactions, i.e. the
+consistent pairs of instantiated sides, as ``(lhs, rhs)`` pattern pairs:
+wherever the two sides' deatomisations hold equal source atomics (ε
+equals only ε), the instantiations resolve them alike.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import prod
 from typing import Mapping
 
 from .syntax import BcslRule
-from .terms import EPSILON, Agent, Atomic, Multiset, Pattern, Structure
+from .terms import EPSILON, Agent, Atomic, Pattern, Structure
 
 #: Abort grounding when one rule would produce more candidate pairs than this.
 DEFAULT_GROUNDING_CAP = 1_000_000
@@ -28,28 +29,6 @@ class GroundingError(Exception):
 
 class GroundingCapError(GroundingError):
     """Grounding aborted because the enumeration would be too large."""
-
-
-@dataclass(frozen=True)
-class Instantiation:
-    """One resolution of a pattern's ε features.
-
-    ``assignment`` lists the chosen feature for each ε atomic of
-    ``source`` in deatomisation order; ``result`` is the ε-free pattern.
-    """
-
-    source: Pattern
-    assignment: tuple[str, ...]
-    result: Pattern
-
-
-@dataclass(frozen=True)
-class Reaction:
-    """A grounded rule: consistent instantiations of both sides."""
-
-    label: str
-    lhs_inst: Instantiation
-    rhs_inst: Instantiation
 
 
 def expand_agent(agent: Agent, structure_signature: Mapping[str, frozenset[str]]) -> Agent:
@@ -136,8 +115,9 @@ def enumerate_instantiations(
     pattern: Pattern,
     atomic_signature: Mapping[str, frozenset[str]],
     cap: int = DEFAULT_GROUNDING_CAP,
-) -> tuple[Instantiation, ...]:
-    """All resolutions of the pattern's ε atomics, in deterministic order.
+) -> tuple[Pattern, ...]:
+    """All resolutions of the pattern's ε atomics, as ε-free patterns in
+    deterministic order.
 
     Every ε position independently ranges over the (sorted) features of
     its atomic's signature; an ε-free pattern yields exactly itself.
@@ -150,15 +130,10 @@ def enumerate_instantiations(
         raise GroundingCapError(
             f"pattern '{pattern}' has {total} instantiations, exceeding the cap of {cap}"
         )
-    out = []
-    for combo in itertools.product(*option_sets):
-        out.append(Instantiation(pattern, combo, assign_features(pattern, dict(zip(slots, combo)))))
-    return tuple(out)
-
-
-def pattern_multiset(pattern: Pattern) -> Multiset:
-    """Read an ε-free pattern as a multiset of its agents."""
-    return Multiset.from_agents(pattern.agents)
+    return tuple(
+        assign_features(pattern, dict(zip(slots, combo)))
+        for combo in itertools.product(*option_sets)
+    )
 
 
 def ground_rule(
@@ -166,8 +141,9 @@ def ground_rule(
     structure_signature: Mapping[str, frozenset[str]],
     atomic_signature: Mapping[str, frozenset[str]],
     cap: int = DEFAULT_GROUNDING_CAP,
-) -> tuple[Reaction, ...]:
-    """All reactions of a rule: consistent pairs from both sides' instantiations."""
+) -> tuple[tuple[Pattern, Pattern], ...]:
+    """All reactions of a rule: the consistent ``(lhs, rhs)`` pairs of both
+    sides' instantiations, lhs-major in enumeration order."""
     lhs = expand_pattern(rule.lhs, structure_signature)
     rhs = expand_pattern(rule.rhs, structure_signature)
     candidates = instantiation_count(lhs, atomic_signature) * instantiation_count(
@@ -185,14 +161,14 @@ def ground_rule(
     s1, s2 = deatomise(lhs), deatomise(rhs)
     shared = [k for k in range(min(len(s1), len(s2))) if s1[k] == s2[k]]
 
-    def at_shared(inst: Instantiation) -> tuple[Atomic, ...]:
-        atoms = deatomise(inst.result)
+    def at_shared(result: Pattern) -> tuple[Atomic, ...]:
+        atoms = deatomise(result)
         return tuple(atoms[k] for k in shared)
 
-    lhs_insts = enumerate_instantiations(lhs, atomic_signature, cap)
-    by_key: dict[tuple[Atomic, ...], list[Instantiation]] = {}
-    for ir in enumerate_instantiations(rhs, atomic_signature, cap):
-        by_key.setdefault(at_shared(ir), []).append(ir)
+    lhs_results = enumerate_instantiations(lhs, atomic_signature, cap)
+    by_key: dict[tuple[Atomic, ...], list[Pattern]] = {}
+    for right in enumerate_instantiations(rhs, atomic_signature, cap):
+        by_key.setdefault(at_shared(right), []).append(right)
     return tuple(
-        Reaction(rule.label, il, ir) for il in lhs_insts for ir in by_key.get(at_shared(il), ())
+        (left, right) for left in lhs_results for right in by_key.get(at_shared(left), ())
     )

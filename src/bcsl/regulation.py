@@ -11,10 +11,10 @@ label permitted at memory ``m`` to the memory after it:
   (repetition) and parentheses.  One pass over the text builds its
   position automaton while reading it (Glushkov 1961; McNaughton and
   Yamada, IRE Trans. Electronic Computers, 1960), which has no ε-moves;
-  the subset construction and partition refinement make it a minimal
-  DFA.  A candidate is permitted while the consumed label prefix can
-  still grow into a word of the language; once a complete word has been
-  consumed only ε may follow.  Memory: the DFA state.
+  the subset construction and Hopcroft's refinement (1971) make it a
+  minimal DFA.  A candidate is permitted while the consumed label prefix
+  can still grow into a word of the language; once a complete word has
+  been consumed only ε may follow.  Memory: the DFA state.
 * programmed — a successor set per label; after ``a`` only members of its
   successor set may fire.  Memory: the last applied label.
 * ordered — strict pairs ``a < b``; ``b`` may not fire immediately after
@@ -80,8 +80,9 @@ MAX_DFA_STATES = 4_096
 class Dfa:
     """Deterministic automaton over rule labels.
 
-    Transitions are partial: a missing key is the dead state.  ``live``
-    holds the states from which some word can still be completed.
+    Transitions are partial: a missing key rejects the word.  There is no
+    dead state: some word can still be completed from every state, so
+    ``live`` holds them all.
     """
 
     start: int
@@ -258,40 +259,37 @@ def compile_label_regex(expression: str, labels: Collection[str]) -> Dfa:
         accepting.add(0)
     n = len(subset_ids)
 
-    # Minimize by partition refinement, a missing transition going to ``dead``.
-    dead = n
-    block_of = {s: (1 if s in accepting else 0) for s in range(n + 1)}
-    while True:
-        signatures = {
-            s: (block_of[s], tuple(block_of[table.get((s, a), dead)] for a in alphabet))
-            for s in range(n + 1)
-        }
-        renumber: dict[tuple, int] = {}
-        new_block_of = {}
-        for s in sorted(signatures):
-            sig = signatures[s]
-            if sig not in renumber:
-                renumber[sig] = len(renumber)
-            new_block_of[s] = renumber[sig]
-        if new_block_of == block_of:
-            break
-        block_of = new_block_of
+    # Minimise by Hopcroft's refinement over the partial table.  Each position
+    # lies on a word of the language, so every subset state is live and no
+    # dead state is needed: both initial blocks, pending for every label,
+    # split the states that lack a move from those that have it.
+    inverse: dict[tuple[int, str], list[int]] = {}
+    for (s, a), t in table.items():
+        inverse.setdefault((t, a), []).append(s)
+    blocks = [b for b in (set(range(n)) - accepting, accepting) if b]
+    block_of = {s: j for j, b in enumerate(blocks) for s in b}
+    pending = {(j, a) for j in range(len(blocks)) for a in alphabet}
+    while pending:
+        j, a = pending.pop()
+        hit: dict[int, set[int]] = {}
+        for t in blocks[j]:
+            for s in inverse.get((t, a), ()):
+                hit.setdefault(block_of[s], set()).add(s)
+        for k, inside in hit.items():
+            if len(inside) < len(blocks[k]):
+                # The smaller half becomes a new block; a pending (k, b) now
+                # stands for the larger one, so both halves stay pending.
+                small, blocks[k] = sorted((inside, blocks[k] - inside), key=len)
+                blocks.append(small)
+                block_of.update((s, len(blocks) - 1) for s in small)
+                pending.update((len(blocks) - 1, b) for b in alphabet)
 
-    min_trans = {
-        (block_of[s], a): block_of[table.get((s, a), dead)] for s in range(n + 1) for a in alphabet
-    }
-    min_start = block_of[0]
-    min_accepting = frozenset(block_of[s] for s in accepting)
-
-    # Live states: every block but the dead state's.  Refinement puts every
-    # state that cannot reach an accepting state into that block, since
-    # each of them accepts nothing, as ``dead`` does.
-    live = set(block_of.values()) - {block_of[dead]}
-
-    transitions = {
-        key: tgt for key, tgt in min_trans.items() if key[0] in live and tgt in live
-    }
-    return Dfa(min_start, min_accepting, transitions, frozenset(live))
+    # Number the blocks by their least state: memory names follow discovery order.
+    order = sorted(range(len(blocks)), key=lambda j: min(blocks[j]))
+    number = {s: i for i, j in enumerate(order) for s in blocks[j]}
+    transitions = {(number[s], a): number[t] for (s, a), t in sorted(table.items())}
+    min_accepting = frozenset(number[s] for s in accepting)
+    return Dfa(number[0], min_accepting, transitions, frozenset(range(len(blocks))))
 
 
 # ---------------------------------------------------------------------------

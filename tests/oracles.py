@@ -6,8 +6,11 @@ makes another way, as directly as it can:
 
 * ``check_lemmas`` — the per-state lemmas relating the two semantics:
   enabledness and the successor set of each rule, direct vs grounded;
-* ``consistent`` — positional consistency of two instantiations, the
-  definition ``patterns.ground_rule`` computes by grouping;
+* ``consistent`` — positional consistency of two instantiations, each a
+  ``(source, result)`` pair of patterns, the definition
+  ``patterns.ground_rule`` computes by grouping;
+* ``reactions_by_definition`` — every lhs × rhs instantiation pair that
+  ``consistent`` accepts, lhs-major, the oracle of ``ground_rule``;
 * ``ground_pattern`` — every concrete multiset a pattern stands for;
 * ``enumerated_matches`` — the agents an expanded agent pattern matches,
   with the ε assignment of each, the oracle of the direct matcher's
@@ -33,14 +36,12 @@ from bcsl.lts import Lts, RuleMatcher, _PreparedRule
 from bcsl.mrs import Mrs, apply_rule, build_mrs, enabled
 from bcsl.patterns import (
     DEFAULT_GROUNDING_CAP,
-    Instantiation,
     assign_features,
     deatomise,
     enumerate_instantiations,
     expand_pattern,
-    pattern_multiset,
 )
-from bcsl.syntax import BcslModel
+from bcsl.syntax import BcslModel, BcslRule
 from bcsl.terms import EPSILON, Agent, Multiset, Pattern, agent_id
 
 
@@ -78,8 +79,8 @@ def check_lemmas(model: BcslModel, state: Multiset) -> dict[str, LemmaReport]:
     for rule in model.rules:
         lhs = expand_pattern(rule.lhs, model.structure_signature)
         direct_enabled = any(
-            pattern_multiset(inst.result).issubset(state)
-            for inst in enumerate_instantiations(lhs, model.atomic_signature)
+            Multiset.from_agents(result.agents).issubset(state)
+            for result in enumerate_instantiations(lhs, model.atomic_signature)
         )
         direct_targets = frozenset(
             target for label, target in direct_successors if label == rule.label
@@ -92,16 +93,33 @@ def check_lemmas(model: BcslModel, state: Multiset) -> dict[str, LemmaReport]:
     return reports
 
 
-def consistent(first: Instantiation, second: Instantiation) -> bool:
-    """Positional consistency of two instantiations.
+def consistent(first: tuple[Pattern, Pattern], second: tuple[Pattern, Pattern]) -> bool:
+    """Positional consistency of two instantiations, each a ``(source,
+    result)`` pair: a pattern and one of its ε-free instantiations.
 
     At every shared deatomisation position, equal source atomics (name and
     feature; ε equals only ε) must have received equal resolved atomics.
     """
-    s1, s2 = deatomise(first.source), deatomise(second.source)
-    r1, r2 = deatomise(first.result), deatomise(second.result)
+    s1, s2 = deatomise(first[0]), deatomise(second[0])
+    r1, r2 = deatomise(first[1]), deatomise(second[1])
     n = min(len(s1), len(s2))
     return all(s1[k] != s2[k] or r1[k] == r2[k] for k in range(n))
+
+
+def reactions_by_definition(
+    rule: BcslRule,
+    structure_signature: Mapping[str, frozenset[str]],
+    atomic_signature: Mapping[str, frozenset[str]],
+) -> tuple[tuple[Pattern, Pattern], ...]:
+    """Every lhs × rhs instantiation pair that ``consistent`` accepts, lhs-major."""
+    lhs = expand_pattern(rule.lhs, structure_signature)
+    rhs = expand_pattern(rule.rhs, structure_signature)
+    return tuple(
+        (left, right)
+        for left in enumerate_instantiations(lhs, atomic_signature)
+        for right in enumerate_instantiations(rhs, atomic_signature)
+        if consistent((lhs, left), (rhs, right))
+    )
 
 
 def ground_pattern(
@@ -113,8 +131,8 @@ def ground_pattern(
     """All concrete multisets the pattern can stand for."""
     expanded = expand_pattern(pattern, structure_signature)
     return frozenset(
-        pattern_multiset(inst.result)
-        for inst in enumerate_instantiations(expanded, atomic_signature, cap)
+        Multiset.from_agents(result.agents)
+        for result in enumerate_instantiations(expanded, atomic_signature, cap)
     )
 
 
@@ -124,11 +142,16 @@ def enumerated_matches(
     """Each instantiation of the (expanded) agent pattern, canonicalised.
 
     Maps the id of each canonical agent to the ε assignments that
-    instantiate the pattern to it, in enumeration order.
+    instantiate the pattern to it, in enumeration order.  An assignment is
+    read off the instantiation's atomics at the pattern's ε positions.
     """
+    pattern = Pattern((agent,))
+    slots = [k for k, atom in enumerate(deatomise(pattern)) if atom.feature == EPSILON]
     found: dict[int, list[tuple[str, ...]]] = {}
-    for inst in enumerate_instantiations(Pattern((agent,)), atomic_signature):
-        found.setdefault(agent_id(inst.result.agents[0]), []).append(inst.assignment)
+    for result in enumerate_instantiations(pattern, atomic_signature):
+        atoms = deatomise(result)
+        assignment = tuple(atoms[k].feature for k in slots)
+        found.setdefault(agent_id(result.agents[0]), []).append(assignment)
     return found
 
 

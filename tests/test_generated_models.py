@@ -1,5 +1,6 @@
-"""Both semantics agree on hypothesis-drawn model text, and that text
-survives ``model_to_text``.
+"""Both semantics agree on hypothesis-drawn model text, ``ground_rule``
+gives the reactions of its definition there, and that text survives
+``model_to_text``.
 
 The fixed corpus (``tests/corpus.py``) has counts of at most 2, chains
 of at most 2 components and two compartments.  The models drawn here
@@ -21,7 +22,8 @@ The default profile draws 100 models; ``--hypothesis-profile=long``
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bcsl import check_equivalence, model_to_text, parse_model
+from bcsl import check_equivalence, ground_rule, model_to_text, parse_model
+from oracles import reactions_by_definition
 
 ATOMICS = {"A": ("u", "v"), "B": ("u", "v")}
 STRUCTURES = {"X": ("A", "B"), "Y": ("B",)}
@@ -147,6 +149,18 @@ def model_texts(draw):
 def test_generated_models_conform(text):
     report = check_equivalence(parse_model(text), max_states=50, max_depth=25)
     assert report.passed, (text, report.counterexample)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(model_texts())
+def test_generated_models_ground_by_definition(text):
+    model = parse_model(text)
+    signatures = (model.structure_signature, model.atomic_signature)
+    for rule in model.rules:
+        assert ground_rule(rule, *signatures) == reactions_by_definition(rule, *signatures), (
+            text,
+            rule,
+        )
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])

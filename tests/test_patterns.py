@@ -10,7 +10,6 @@ from bcsl import (
     GroundingError,
     Multiset,
     Pattern,
-    Reaction,
     Structure,
     deatomise,
     enumerate_instantiations,
@@ -22,10 +21,10 @@ from bcsl import (
     parse_pattern,
     parse_rule,
 )
-from bcsl.patterns import assign_features, pattern_multiset
+from bcsl.patterns import assign_features
 from conftest import TWO_SITE_MODEL
 from corpus import random_model_text
-from oracles import consistent, ground_pattern
+from oracles import consistent, ground_pattern, reactions_by_definition
 
 TWO_SITE_ATOMIC = {"S": frozenset("ia"), "T": frozenset("ia")}
 TWO_SITE_STRUCTURE = {"P": frozenset({"S", "T"})}
@@ -108,7 +107,7 @@ def test_deatomise_mixes_chains_and_compositions():
 def test_two_choices_for_single_epsilon():
     p = Pattern((Agent((Structure("P", (eps("S"), Atomic("T", "i"))),), "cell"),))
     insts = enumerate_instantiations(p, TWO_SITE_ATOMIC)
-    assert [str(i.result) for i in insts] == [
+    assert [str(i) for i in insts] == [
         "P(S{a},T{i})::cell",
         "P(S{i},T{i})::cell",
     ]
@@ -118,8 +117,7 @@ def test_grounded_pattern_instantiates_to_itself():
     p = parse_pattern("P(S{i},T{i})::cell")
     insts = enumerate_instantiations(p, TWO_SITE_ATOMIC)
     assert len(insts) == 1
-    assert insts[0].result == p
-    assert insts[0].assignment == ()
+    assert insts[0] == p
 
 
 def test_two_epsilons_give_four():
@@ -194,7 +192,7 @@ def test_instantiation_count_and_results_match_brute_force():
     for pattern in _pattern_family():
         expected = brute_force_instantiation_results(pattern, SIGNATURE, UNIVERSE)
         insts = enumerate_instantiations(pattern, SIGNATURE)
-        assert {i.result for i in insts} == expected
+        assert set(insts) == expected
         assert instantiation_count(pattern, SIGNATURE) == len(insts) == len(expected)
 
 
@@ -203,39 +201,35 @@ def test_instantiation_count_and_results_match_brute_force():
 # ---------------------------------------------------------------------------
 
 def _expanded_insts(rule_text):
+    """Each expanded side's instantiations as ``(source, result)`` pairs, by result text."""
     rule = parse_rule(rule_text)
-    lhs = expand_pattern(rule.lhs, TWO_SITE_STRUCTURE)
-    rhs = expand_pattern(rule.rhs, TWO_SITE_STRUCTURE)
-    return (
-        enumerate_instantiations(lhs, TWO_SITE_ATOMIC),
-        enumerate_instantiations(rhs, TWO_SITE_ATOMIC),
-    )
+    sides = [expand_pattern(side, TWO_SITE_STRUCTURE) for side in (rule.lhs, rule.rhs)]
+    return [
+        {str(result): (side, result) for result in enumerate_instantiations(side, TWO_SITE_ATOMIC)}
+        for side in sides
+    ]
 
 
 def test_consistency_forces_shared_epsilon_positions():
     lhs_insts, rhs_insts = _expanded_insts("r1_S ~ P(S{i})::cell => P(S{a})::cell")
-    by_assignment = {i.assignment: i for i in lhs_insts}
-    same_t = (by_assignment[("i",)], {i.assignment: i for i in rhs_insts}[("i",)])
-    flip_t = (by_assignment[("i",)], {i.assignment: i for i in rhs_insts}[("a",)])
+    same_t = (lhs_insts["P(S{i},T{i})::cell"], rhs_insts["P(S{a},T{i})::cell"])
+    flip_t = (lhs_insts["P(S{i},T{i})::cell"], rhs_insts["P(S{a},T{a})::cell"])
     assert consistent(*same_t)
     assert not consistent(*flip_t)
 
 
 def test_consistency_reflexive():
     lhs_insts, _ = _expanded_insts("r2 ~ P()::cell => P()::out")
-    for inst in lhs_insts:
+    for inst in lhs_insts.values():
         assert consistent(inst, inst)
 
 
 def test_consistency_vacuous_for_disjoint_positions():
-    short = enumerate_instantiations(parse_pattern("A{x}::c"), {"A": frozenset("xy")})
-    long = enumerate_instantiations(
-        Pattern((Agent((eps("B"), eps("B2")), "c"),)),
-        {"B": frozenset("xy"), "B2": frozenset("xy")},
-    )
-    for left in short:
-        for right in long:
-            assert consistent(left, right)
+    short = parse_pattern("A{x}::c")
+    long = Pattern((Agent((eps("B"), eps("B2")), "c"),))
+    for left in enumerate_instantiations(short, {"A": frozenset("xy")}):
+        for right in enumerate_instantiations(long, {"B": frozenset("xy"), "B2": frozenset("xy")}):
+            assert consistent((short, left), (long, right))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +249,7 @@ def test_ground_pattern_empty_composition():
 def test_ground_pattern_grounded_is_singleton():
     p = parse_pattern("P(S{i},T{i})::cell")
     assert ground_pattern(p, TWO_SITE_STRUCTURE, TWO_SITE_ATOMIC) == frozenset(
-        {pattern_multiset(p)}
+        {Multiset.from_agents(p.agents)}
     )
 
 
@@ -277,26 +271,13 @@ def test_ground_rule_counts(two_site_model):
 
 def test_ground_rule_reactions_are_positionally_consistent(two_site_model):
     for rule in two_site_model.rules:
-        for reaction in ground_rule(rule, TWO_SITE_STRUCTURE, TWO_SITE_ATOMIC):
-            lhs_src = deatomise(reaction.lhs_inst.source)
-            rhs_src = deatomise(reaction.rhs_inst.source)
-            lhs_res = deatomise(reaction.lhs_inst.result)
-            rhs_res = deatomise(reaction.rhs_inst.result)
+        lhs_src = deatomise(expand_pattern(rule.lhs, TWO_SITE_STRUCTURE))
+        rhs_src = deatomise(expand_pattern(rule.rhs, TWO_SITE_STRUCTURE))
+        for lhs, rhs in ground_rule(rule, TWO_SITE_STRUCTURE, TWO_SITE_ATOMIC):
+            lhs_res, rhs_res = deatomise(lhs), deatomise(rhs)
             for k in range(min(len(lhs_src), len(rhs_src))):
                 if lhs_src[k] == rhs_src[k]:
                     assert lhs_res[k] == rhs_res[k]
-
-
-def _reactions_by_definition(rule, structure_signature, atomic_signature):
-    """Every lhs × rhs instantiation pair that ``consistent`` accepts, lhs-major."""
-    lhs = expand_pattern(rule.lhs, structure_signature)
-    rhs = expand_pattern(rule.rhs, structure_signature)
-    return tuple(
-        Reaction(rule.label, il, ir)
-        for il in enumerate_instantiations(lhs, atomic_signature)
-        for ir in enumerate_instantiations(rhs, atomic_signature)
-        if consistent(il, ir)
-    )
 
 
 def test_ground_rule_matches_definition_on_corpus():
@@ -305,7 +286,7 @@ def test_ground_rule_matches_definition_on_corpus():
         model = parse_model(text)
         signatures = (model.structure_signature, model.atomic_signature)
         for rule in model.rules:
-            assert ground_rule(rule, *signatures) == _reactions_by_definition(rule, *signatures), (
+            assert ground_rule(rule, *signatures) == reactions_by_definition(rule, *signatures), (
                 text,
                 rule,
             )
@@ -319,9 +300,9 @@ def test_ground_rule_cap(two_site_model):
 
 def test_pattern_multiset_requires_grounded():
     with pytest.raises(ValueError, match="not grounded"):
-        pattern_multiset(Pattern((Agent((eps("S"),), "c"),)))
+        Multiset.from_agents(Pattern((Agent((eps("S"),), "c"),)).agents)
 
 
 def test_pattern_multiset_counts_duplicates():
     p = parse_pattern("A{x}::c + A{x}::c")
-    assert pattern_multiset(p) == Multiset({parse_agent("A{x}::c"): 2})
+    assert Multiset.from_agents(p.agents) == Multiset({parse_agent("A{x}::c"): 2})

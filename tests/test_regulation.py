@@ -168,6 +168,12 @@ def test_compiled_expressions_agree_with_python_re(tree):
         for word in itertools.product(LABELS, repeat=n):
             text = "".join("abc"[LABELS.index(label)] for label in word)
             assert dfa.accepts(word) == bool(pattern.fullmatch(text)), (_label_text(tree), word)
+    # No dead state: every state reaches an accepting one, and is live.
+    states = {dfa.start, *(s for s, _ in dfa.transitions), *dfa.transitions.values()}
+    reaching = set(dfa.accepting)
+    while more := {s for (s, _), t in dfa.transitions.items() if t in reaching} - reaching:
+        reaching |= more
+    assert reaching == states == dfa.live, _label_text(tree)
 
 
 def _regular_cases():
@@ -256,6 +262,16 @@ def test_every_regular_config_stays_far_below_the_state_bound(monkeypatch):
     monkeypatch.setattr(bcsl.regulation, "MAX_DFA_STATES", 32)
     for expression, labels in _regular_cases():
         compile_label_regex(expression, labels)
+
+
+def test_a_long_label_chain_compiles_fast():
+    # A chain of n labels needs n + 1 states, all distinct.  Moore-style
+    # rounds split one block per round on it, quadratic in n: about 25 s.
+    start = time.perf_counter()
+    dfa = compile_label_regex(".".join(["r1_S"] * 4000), LABELS)
+    assert time.perf_counter() - start < 2.0
+    assert len(dfa.live) == 4001
+    assert dfa.accepts(["r1_S"] * 4000) and not dfa.accepts(["r1_S"] * 3999)
 
 
 # ---------------------------------------------------------------------------
