@@ -532,34 +532,56 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _dot(name: str, prefix: str, texts: Iterable[str], root: int, edges: Collection) -> str:
+def _dot(name: str, prefix: str, texts: Iterable[str], root: int, edges: Iterable) -> str:
     """DOT digraph ``name``: nodes ``prefix``0, 1, … labelled with ``texts`` in
-    order, node ``root`` drawn doubled, then one line per ``(i, label, j)`` edge."""
+    order, node ``root`` drawn doubled, then one line per ``(i, label, j)`` edge.
+
+    The one DOT writer, of graphs and of run trees; each label is quoted
+    the first time an edge carries it."""
     lines = [f"digraph {name} {{"]
     for i, text in enumerate(texts):
         attrs = f"label={_dot_quote(text)}"
         if i == root:
             attrs += ", peripheries=2"
         lines.append(f"  {prefix}{i} [{attrs}];")
-    quoted = {label: _dot_quote(label) for label in {label for _, label, _ in edges}}
+    suffixes: dict[str, str] = {}
     for src, label, tgt in edges:
-        lines.append(f"  {prefix}{src} -> {prefix}{tgt} [label={quoted[label]}];")
+        suffix = suffixes.get(label)
+        if suffix is None:
+            suffix = suffixes[label] = f" [label={_dot_quote(label)}];"
+        lines.append(f"  {prefix}{src} -> {prefix}{tgt}{suffix}")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _decoded(codes: list[int], width: int, n: int, labels: list[str]) -> Iterable:
+    """The ``(i, label, j)`` edges of ``i * width + rank(label) * n + j`` codes."""
+    for code in codes:
+        src, rest = divmod(code, width)
+        rank, tgt = divmod(rest, n)
+        yield src, labels[rank], tgt
 
 
 def lts_to_dot(lts: Lts, label_fn: Callable[[Hashable], str] = _state_key) -> str:
     """DOT digraph: one node per state, edges labelled with rule labels.
 
     The initial state is drawn with a doubled periphery.  Output is
-    sorted, hence byte-stable.
+    sorted, hence byte-stable: nodes by ``(text, state key)``, edges by
+    ``(source index, label, target index)``, each edge sorted as one
+    integer.  ``_dot`` writes it.
     """
     text = {state: label_fn(state) for state in lts.states}
-    ordered = sorted(lts.states, key=lambda s: (text[s], _state_key(s)))
-    # Node indices follow that order, so edges sort by index, not by text.
-    order = {state: i for i, state in enumerate(ordered)}
-    edges = sorted((order[s], label, order[t]) for s, label, t in lts.transitions)
-    return _dot("lts", "s", map(text.__getitem__, ordered), order[lts.initial], edges)
+    # Two stable sorts: the order of the ``(text, state key)`` key.
+    ordered = sorted(lts.states, key=_state_key)
+    ordered.sort(key=text.__getitem__)
+    index = {state: i for i, state in enumerate(ordered)}
+    n = len(ordered)
+    labels = sorted({label for _, label, _ in lts.transitions})
+    rank = {label: r * n for r, label in enumerate(labels)}
+    width = len(labels) * n
+    codes = sorted([index[s] * width + rank[label] + index[t] for s, label, t in lts.transitions])
+    edges = _decoded(codes, width, n, labels)
+    return _dot("lts", "s", map(text.__getitem__, ordered), index[lts.initial], edges)
 
 
 def tree_to_dot(tree: RunTree, label_fn: Callable[[Hashable], str] = _state_key) -> str:

@@ -55,7 +55,7 @@ from .mrs import EPSILON_LABEL
 from .lts import explore, unroll  # noqa: F401
 from .mrs import build_mrs  # noqa: F401
 from .patterns import expand_pattern
-from .syntax import BcslModel, parse_multiset
+from .syntax import BcslModel, ParseError, parse_multiset
 from .terms import EPSILON, IDENTIFIER, Agent, Atomic, Multiset
 
 
@@ -492,9 +492,13 @@ def compile_regulation(config: Mapping[str, Any], labels: Collection[str]) -> Re
                 raise RegulationError(f"prohibited contexts of {label!r} must be a list")
             parsed = []
             for text in contexts:
+                if not isinstance(text, str):
+                    raise RegulationError(
+                        f"prohibited context {text!r} for {label!r} must be a string"
+                    )
                 try:
                     parsed.append(parse_multiset(text))
-                except Exception as exc:
+                except ParseError as exc:
                     raise RegulationError(
                         f"invalid prohibited context {text!r} for {label!r}: {exc}"
                     ) from exc

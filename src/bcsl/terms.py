@@ -34,10 +34,12 @@ spelling is canonicalised once.  A multiset is a ``frozenset`` of
 of every state store, run in C, and ``frozenset`` keeps the hash.  Both
 semantics build their states over the same table: the direct matcher
 and the grounded rule index key on ids, and the states of both hold
-equal agents as one id.  Ids depend on the order agents are first met,
-so nothing printed reads them: ``items`` (sorted by agent text), the
-text and ``to_dict`` are derived from the agents, and the first two are
-kept once computed.
+equal agents as one id.  The table also keeps each id's canonical text,
+the one source of agent text order.  Ids depend on the order agents are
+first met, so nothing printed reads them: ``items`` and ``to_dict`` sort
+their agents by the table's texts, and the text (``str``) is rendered
+from those texts alone, without building ``items``, and kept once
+computed.
 """
 
 from __future__ import annotations
@@ -182,10 +184,11 @@ def _canonical_component(component: Component) -> Component:
 
 # The process-wide intern table: the id of each grounded agent text met
 # (the canonical form's and every other spelling's), and the canonical
-# agent of each id.  Ids are handed out in first-use order and never
-# dropped.  Nothing locks it: the program runs in one thread.
+# agent of each id and its text.  Ids are handed out in first-use order
+# and never dropped.  Nothing locks it: the program runs in one thread.
 _IDS: dict[str, int] = {}
 _AGENTS: list[Agent] = []
+_TEXTS: list[str] = []
 
 
 def agent_id(agent: Agent) -> int:
@@ -203,6 +206,7 @@ def agent_id(agent: Agent) -> int:
         if value is None:
             value = _IDS[canonical.text] = len(_AGENTS)
             _AGENTS.append(canonical)
+            _TEXTS.append(canonical.text)
         _IDS[text] = value
     return value
 
@@ -231,11 +235,12 @@ class Multiset(frozenset):
     and raises ``TypeError``.  ``<`` and ``<=`` are left to ``frozenset``
     (they compare pair sets; ``issubset`` is inclusion), because any
     ordering method of its own would slow down every ``==`` of states.
-    The entries sorted by agent text (``items``) and the text (``str``)
-    are computed the first time they are asked for and kept.
+    The text (``str``) is computed the first time it is asked for and
+    kept; the entries sorted by agent text (``items``) are sorted anew on
+    each call.
     """
 
-    __slots__ = ("_items", "_text")
+    __slots__ = ("_text",)
 
     def __new__(cls, counts: Mapping[Agent, int] | None = None) -> Multiset:
         merged: dict[int, int] = {}
@@ -331,11 +336,8 @@ class Multiset(frozenset):
 
     def items(self) -> tuple[tuple[Agent, int], ...]:
         """Entries as (agent, multiplicity) pairs, sorted by agent text."""
-        value = getattr(self, "_items", None)
-        if value is None:
-            entries = ((_AGENTS[a], n) for a, n in _pairs(self))
-            value = self._items = tuple(sorted(entries, key=lambda kv: kv[0].text))
-        return value
+        ordered = sorted([(_TEXTS[a], a, n) for a, n in _pairs(self)])
+        return tuple([(_AGENTS[a], n) for _, a, n in ordered])
 
     def agents(self) -> tuple[Agent, ...]:
         """Distinct agents, sorted by text."""
@@ -363,7 +365,8 @@ class Multiset(frozenset):
     def __str__(self) -> str:
         value = getattr(self, "_text", None)
         if value is None:
-            value = self._text = " + ".join(f"{n} {agent}" for agent, n in self.items()) or "∅"
+            entries = sorted([(_TEXTS[a], n) for a, n in _pairs(self)])
+            value = self._text = " + ".join([f"{n} {text}" for text, n in entries]) or "∅"
         return value
 
     def __repr__(self) -> str:

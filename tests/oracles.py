@@ -22,7 +22,10 @@ makes another way, as directly as it can:
   grounded rules, the oracle of ``regulation.concurrency_relation``;
 * ``map_states`` — the quotient of an LTS by a projection of its states;
 * ``transitive_closure`` — the fix-point closure of a label relation, the
-  oracle of the reachability walks of an ``ordered`` regulation.
+  oracle of the reachability walks of an ``ordered`` regulation;
+* ``dot_by_definition`` — the DOT text of an LTS with its nodes sorted by
+  ``(text, state key)`` and its edges as ``(source index, label, target
+  index)`` tuples, the oracle of ``lts_to_dot``'s integer edge codes.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping
 
-from bcsl.lts import Lts, RuleMatcher, _PreparedRule
+from bcsl.lts import Lts, RuleMatcher, _dot_quote, _PreparedRule, _state_key
 from bcsl.mrs import Mrs, apply_rule, build_mrs, enabled
 from bcsl.patterns import (
     DEFAULT_GROUNDING_CAP,
@@ -223,3 +226,18 @@ def transitive_closure(pairs: frozenset[tuple[str, str]]) -> frozenset[tuple[str
                 closure.add((a, d))
                 changed = True
     return frozenset(closure)
+
+
+def dot_by_definition(lts: Lts, label_fn: Callable[[Hashable], str] = _state_key) -> str:
+    """The DOT digraph ``lts_to_dot`` writes, with every edge sorted as a tuple."""
+    text = {state: label_fn(state) for state in lts.states}
+    ordered = sorted(lts.states, key=lambda s: (text[s], _state_key(s)))
+    order = {state: i for i, state in enumerate(ordered)}
+    lines = ["digraph lts {"]
+    for i, state in enumerate(ordered):
+        root = ", peripheries=2" if state == lts.initial else ""
+        lines.append(f"  s{i} [label={_dot_quote(text[state])}{root}];")
+    for src, label, tgt in sorted((order[s], label, order[t]) for s, label, t in lts.transitions):
+        lines.append(f"  s{src} -> s{tgt} [label={_dot_quote(label)}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

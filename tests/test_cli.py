@@ -655,6 +655,14 @@ REGULATION_CONFIG_ERRORS = [
         {"type": "regular", "expression": "("},
         "expected a rule label in expression, found end of expression",
     ),
+    (
+        {"type": "conditional", "prohibited": {"r2": [5]}},
+        "prohibited context 5 for 'r2' must be a string",
+    ),
+    (
+        {"type": "conditional", "prohibited": {"r2": [None]}},
+        "prohibited context None for 'r2' must be a string",
+    ),
 ]
 
 

@@ -3,7 +3,7 @@ import json
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bcsl import (
     EPSILON,
@@ -35,7 +35,8 @@ from bcsl.syntax import BcslModel, BcslRule, parse_agent
 from bcsl.terms import Pattern, Structure, agent_id, agent_of
 from conftest import TWO_SITE_MODEL, UNREGULATED_SEQUENCES, bench_module
 from corpus import random_model_text
-from oracles import enumerated_matches, map_states, resolved_effects
+from oracles import dot_by_definition, enumerated_matches, map_states, resolved_effects
+from test_generated_models import model_texts
 
 M0 = parse_multiset("1 P(S{i},T{i})::cell")
 
@@ -752,6 +753,48 @@ def test_dot_ties_keep_their_bytes(two_site_model):
         "0e4610d956f85565bcd7f6f8572db5dba76770b0cb2dd6268a82abce75e9f554",
         "76fd013908c755ce78a1be59fc85082d5f6b8ebf7aa53ba92b4b03b39b8e3ff7",
     ]
+
+
+# Node texts that tie every state, and texts that tie some of them.
+def _constant_text(state):
+    return "x"
+
+
+def _distinct_agents(state):
+    return str(len(state.agents()))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(model_texts(), st.integers(1, 60), st.integers(0, 12))
+def test_dot_matches_its_definition_on_generated_models(text, max_states, max_depth):
+    # Small caps truncate the graph; depth 0 leaves the initial state alone.
+    graph = build_lts(parse_model(text), max_states, max_depth)
+    for args in ((), (_constant_text,), (_distinct_agents,)):
+        assert lts_to_dot(graph, *args) == dot_by_definition(graph, *args), text
+
+
+# Twelve rules move each of three X agents round a cycle of twelve
+# features: 364 states and twelve labels, whose text order (r0, r1, r10,
+# r11, r2, ...) is not their numeric order.
+_FEATURE_CYCLE = (
+    "#! rules\n"
+    + "".join(f"r{k} ~ X{{f{k}}}::c => X{{f{(k + 1) % 12}}}::c\n" for k in range(12))
+    + "#! inits\n3 X{f0}::c\n"
+)
+
+
+@pytest.mark.parametrize(
+    "args", [(), (_constant_text,), (_distinct_agents,)], ids=["default", "constant", "distinct"]
+)
+@pytest.mark.parametrize("max_states, max_depth", [(100_000, 1_000), (200, 1_000), (100_000, 0)])
+def test_dot_matches_its_definition(args, max_states, max_depth):
+    graph = build_lts(parse_model(_FEATURE_CYCLE), max_states, max_depth)
+    labels = {label for _, label, _ in graph.transitions}
+    if max_depth:
+        assert len(labels) == 12 and graph.n_states >= 100
+    else:
+        assert (graph.n_states, graph.n_transitions) == (1, 0)
+    assert lts_to_dot(graph, *args) == dot_by_definition(graph, *args)
 
 
 @pytest.mark.parametrize("export", [lts_to_dot, lts_to_json_obj])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import os
@@ -252,6 +253,41 @@ def test_text_forms():
     assert str(Multiset()) == "∅"
     m = Multiset({AGENT_POOL[0]: 2})
     assert str(m) == "2 A{x}::c"
+
+
+# One fresh compartment per example, so that its agents are new to the
+# intern table.
+_FRESH_COMPARTMENTS = itertools.count()
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 11), st.booleans(), st.integers(0, 12)),
+        max_size=12,
+        unique_by=lambda entry: entry[:2],
+    )
+)
+def test_text_follows_canonical_text_not_id(entries):
+    # Agent k is ``A{vk}.B{y}``, written in either chain order; its
+    # canonical text orders v10 and v11 before v2.
+    compartment = f"fresh{next(_FRESH_COMPARTMENTS)}"
+
+    def spelling(k, flipped):
+        chain = (Atomic("A", f"v{k}"), Atomic("B", "y"))
+        return Agent(chain[::-1] if flipped else chain, compartment)
+
+    canonical = sorted((spelling(k, False) for k in range(12)), key=str, reverse=True)
+    ids = [agent_id(agent) for agent in canonical]
+    assert ids == sorted(ids)  # ids rise as text falls
+    merged: dict[str, int] = {}
+    for k, flipped, n in entries:
+        text = str(spelling(k, False))
+        merged[text] = merged.get(text, 0) + n
+    expected = sorted((text, n) for text, n in merged.items() if n)
+    m = Multiset({spelling(k, flipped): n for k, flipped, n in entries})
+    assert str(m) == (" + ".join(f"{n} {text}" for text, n in expected) or "∅")
+    assert [(agent.text, n) for agent, n in m.items()] == expected
+    assert all(canonicalize(agent) is agent for agent, _ in m.items())
 
 
 # ---------------------------------------------------------------------------
