@@ -16,14 +16,30 @@ slots are forced by the left.  Omitted composition members are ε slots
 after expansion; each rule omits at most ``_SLOTS`` of them, which keeps
 grounding small.
 
+Each drawn model also runs under a drawn regulation of each of the five
+kinds, where the memoised product walk must give what the walk that
+recomputes every node gives.
+
 The default profile draws 100 models; ``--hypothesis-profile=long``
 (``tests/conftest.py``) draws 1,000.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bcsl import check_equivalence, ground_rule, model_to_text, parse_model
-from oracles import reactions_by_definition
+from bcsl import (
+    RuleMatcher,
+    check_equivalence,
+    compile_regulation,
+    direct_walk,
+    explore,
+    ground_rule,
+    make_guard,
+    model_to_text,
+    parse_model,
+    sample_run,
+    unroll,
+)
+from oracles import guarded_by_definition, reactions_by_definition
 
 ATOMICS = {"A": ("u", "v"), "B": ("u", "v")}
 STRUCTURES = {"X": ("A", "B"), "Y": ("B",)}
@@ -172,3 +188,59 @@ def test_generated_models_survive_model_to_text(text):
     assert again.init == model.init
     assert again.atomic_signature == model.atomic_signature
     assert again.structure_signature == model.structure_signature
+
+
+def _label_expression(draw, labels, depth=2) -> str:
+    """A regular expression over ``labels``: labels joined by ``.``, ``|`` and ``*``."""
+    kind = draw(st.sampled_from(["label", "sequence", "choice", "star"] if depth else ["label"]))
+    if kind == "label":
+        return draw(st.sampled_from(labels))
+    if kind == "star":
+        return f"({_label_expression(draw, labels, depth - 1)})*"
+    parts = [_label_expression(draw, labels, depth - 1) for _ in range(draw(st.integers(2, 3)))]
+    return "(" + (".", "|")[kind == "choice"].join(parts) + ")"
+
+
+@st.composite
+def regulation_configs(draw, kind, labels, agents):
+    """A regulation of ``kind`` over ``labels``; contexts are made of ``agents``."""
+    if kind == "regular":
+        return {"type": kind, "expression": _label_expression(draw, labels)}
+    if kind == "programmed":
+        subsets = st.lists(st.sampled_from(labels), unique=True)
+        return {"type": kind, "successors": {label: draw(subsets) for label in labels}}
+    if kind == "conditional":
+        contexts = st.lists(st.sampled_from(agents), min_size=1, max_size=2).map(" + ".join)
+        chosen = draw(st.lists(st.sampled_from(labels), unique=True)) if agents else []
+        return {
+            "type": kind,
+            "prohibited": {label: draw(st.lists(contexts, max_size=2)) for label in chosen},
+        }
+    # Pairs of distinct labels; for ``ordered``, only those along one drawn
+    # order of the labels, so that they form a strict partial order.
+    order = draw(st.permutations(labels)) if kind == "ordered" else labels
+    pairs = [(a, b) for i, a in enumerate(order) for b in order[i + 1 :]]
+    if kind != "ordered":
+        pairs += [(b, a) for a, b in pairs]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    return {"type": kind, "pairs" if kind == "ordered" else "priority": chosen}
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(model_texts(), st.data())
+def test_generated_models_walk_memoised_regulations_by_definition(text, data):
+    model = parse_model(text)
+    labels = sorted(model.labels)
+    matcher = RuleMatcher(model)
+    reached = explore(model.init, matcher.successors, max_states=50).states
+    agents = sorted({str(agent) for state in reached for agent in state})
+    for kind in ("regular", "ordered", "programmed", "conditional", "concurrent-free"):
+        config = data.draw(regulation_configs(kind, labels, agents), label=kind)
+        guard = make_guard(compile_regulation(config, labels), model)
+        root, memoised, _ = direct_walk(model, guard)
+        reference = guarded_by_definition(matcher.successors, guard)
+        assert explore(root, memoised, 50, 25) == explore(root, reference, 50, 25), config
+        assert unroll(root, memoised, 4, 2_000) == unroll(root, reference, 4, 2_000), config
+        for seed in range(2):
+            run = sample_run(root, memoised, 12, seed)
+            assert run == sample_run(root, reference, 12, seed), config

@@ -43,7 +43,12 @@ from conftest import (
     bench_module,
 )
 from corpus import random_model_text
-from oracles import grounded_concurrency, map_states, transitive_closure
+from oracles import (
+    grounded_concurrency,
+    guarded_by_definition,
+    map_states,
+    transitive_closure,
+)
 
 LABELS = ("r1_S", "r1_T", "r2")
 
@@ -778,6 +783,33 @@ def test_guarded_gives_one_product_over_both_semantics(case, name):
 
     direct_tree = unroll(direct_root, direct, 4)
     assert unroll(root, grounded, 4) == direct_tree
+
+    # The memoised walk gives what the walk that recomputes every node gives.
+    reference = guarded_by_definition(RuleMatcher(model).successors, guard)
+    assert explore(root, reference) == direct_graph
+    assert unroll(root, reference, 4) == direct_tree
+    for seed in range(4):
+        assert sample_run(root, direct, 12, seed) == sample_run(root, reference, 12, seed)
+
+    # Each distinct node runs the base function once; its moves are one tuple.
+    base = _grounded_successor_fn(model)
+    calls, asked = [], []
+
+    def counted(state):
+        calls.append(state)
+        return base(state)
+
+    memoised = guarded(counted, guard)
+
+    def asking(node):
+        asked.append(node)
+        return memoised(node)
+
+    assert unroll(root, asking, 4) == direct_tree
+    assert len(calls) == len(set(asked))
+    moves = memoised(root)
+    assert type(moves) is tuple and memoised(root) is moves
+    assert len(calls) == len(set(asked))
 
 
 # ---------------------------------------------------------------------------
