@@ -5,10 +5,11 @@ rewriting system), ``lts`` (reachable graph or unrolled run tree:
 ``explore`` or ``unroll`` over the walk that ``direct_walk`` builds,
 ``guarded`` under a regulation), ``simulate`` (``sample_run`` over that
 same walk, printing each node's state) and ``check`` (equivalence of the
-direct and grounded semantics).  ``main`` builds only the named
-subcommand's parser; anything else, and a stray argument, goes to the
-full tree, whose top-level parser reports the stray one.  It loads the
-model once and writes the text that the handler returns.
+direct and grounded semantics).  ``main`` parses with only the named
+subcommand's parser, built on that subcommand's first use and reused for
+the life of the process; anything else, and a stray argument, goes to
+the full tree, whose top-level parser reports the stray one.  It loads
+the model once and writes the text that the handler returns.
 
 A programmed regulation that lists no successors for some labels warns
 in one ``warning: <message>`` line on stderr, whatever Python's warning
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import warnings
@@ -98,6 +100,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text) in _COMMANDS.items():
         _add_arguments(sub.add_parser(command, help=help_text), command)
+    return parser
+
+
+@functools.cache
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, built on its first use.
+
+    Reuse is safe: ``parse_known_args`` leaves the parser as it was,
+    defaults land on the namespace each call passes in, and usage or help
+    text reads the terminal width when it is printed.
+    """
+    parser = argparse.ArgumentParser(prog=f"bcsl {command}")
+    _add_arguments(parser, command)
     return parser
 
 
@@ -396,9 +411,9 @@ def main(argv: list[str] | None = None) -> int:
     command = argv[0] if argv else None
     try:
         if command in _COMMANDS:
-            parser = argparse.ArgumentParser(prog=f"bcsl {command}")
-            _add_arguments(parser, command)
-            args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=command))
+            args, extras = _command_parser(command).parse_known_args(
+                argv[1:], argparse.Namespace(command=command)
+            )
             if extras:  # the full tree reports them, from its top-level parser
                 build_arg_parser().parse_args(argv)
         else:

@@ -337,8 +337,10 @@ def test_usage_error_exit_code(capsys):
 
 # SHA-256 of repr((exit code, stdout, stderr)) of ``main(line.split())`` at
 # 80 columns, recorded under Python 3.11 while ``main`` still built the full
-# argparse tree for every call.  "m" names no file: every line ends in
-# parsing.  A stray argument is reported by the top-level ``bcsl`` parser.
+# argparse tree for every call.  They hold for a warm subcommand parser too,
+# one that an earlier call in the process built.  "m" names no file: every
+# line ends in parsing.  A stray argument is reported by the top-level
+# ``bcsl`` parser.
 USAGE_DIGESTS = {
     "": "7f0998d7ae914d55397b2f39eb76955dd910516a4385fe5f99d615dff5002eaa",
     "-h": "142980751fb8110b6f6c727df83c5e3ec7e6ddca63276b4c6f87aedded7fdbfb",
@@ -391,9 +393,49 @@ def test_a_valid_call_builds_one_parser(model_path, tmp_path, monkeypatch, argv,
         return add_argument(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    cli._command_parser.cache_clear()
     command, *flags = argv
-    assert main([command, model_path, *flags, "-o", str(tmp_path / "out")]) == 0
+    call = [command, model_path, *flags, "-o", str(tmp_path / "out")]
+    assert main(call) == 0
     assert len(added) <= most, added
+    added.clear()
+    assert main(call) == 0
+    assert added == []
+
+
+def test_a_reused_parser_carries_nothing_between_calls(capsys, model_path, tmp_path, monkeypatch):
+    out = tmp_path / "out.dot"
+    calls = [
+        ["lts", model_path, "--unroll", "--max-depth", "2", "--format", "text"],
+        ["lts", model_path, "--format", "text"],
+        ["simulate", model_path, "--seed", "5", "--steps", "3"],
+        ["simulate", model_path],
+        ["check", model_path, "--json"],
+        ["check", model_path],
+        ["lts", model_path, "--max-states", "-1"],
+        ["lts", model_path, "--frob"],
+        ["lts", model_path, "--format", "dot", "-o", str(out)],
+    ]
+
+    def run(argv):
+        out.unlink(missing_ok=True)
+        code = main(argv)
+        return (code, *capsys.readouterr(), out.read_bytes() if out.exists() else None)
+
+    monkeypatch.setenv("COLUMNS", "40")
+    cli._command_parser.cache_clear()
+    narrow = [run(argv) for argv in calls]
+    monkeypatch.setenv("COLUMNS", "80")
+    warm = [run(argv) for argv in calls]
+    cold = []
+    for argv in calls:
+        cli._command_parser.cache_clear()
+        cold.append(run(argv))
+    assert warm == cold
+    # The usage line wraps at the width read when the error is printed.
+    negative = calls.index(["lts", model_path, "--max-states", "-1"])
+    assert narrow[negative][2] != warm[negative][2]
+    assert warm[-1][3] is not None
 
 
 def test_module_entry_reads_sys_argv(model_path):
