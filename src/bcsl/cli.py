@@ -5,7 +5,9 @@ rewriting system), ``lts`` (reachable graph or unrolled run tree:
 ``explore`` or ``unroll`` over the walk that ``direct_walk`` builds,
 ``guarded`` under a regulation), ``simulate`` (``sample_run`` over that
 same walk, printing each node's state) and ``check`` (equivalence of the
-direct and grounded semantics).  ``main`` parses with only the named
+direct and grounded semantics).  ``unroll`` and ``sample_run`` ask for a
+node again, so they get the walk's function under ``functools.cache``;
+``explore`` gets it uncached.  ``main`` parses with only the named
 subcommand's parser, built on that subcommand's first use and reused for
 the life of the process; anything else, and a stray argument, goes to
 the full tree, whose top-level parser reports the stray one.  It loads
@@ -18,11 +20,12 @@ filters say, and the run goes on.
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
 3 model parse error, 4 grounding cap exceeded.  ``check`` exits 2 when a
 bound truncated the comparison.  A model file that is not UTF-8 is a
-parse error; a regulation file that is not UTF-8 or nests JSON too
-deeply to read, or a regular expression whose automaton needs more than
-``MAX_DFA_STATES`` states, is a configuration error; and a negative
-bound or step count is a usage error.  All outputs are canonically
-sorted, so repeated invocations are byte-identical.  JSON output is
+parse error; a regulation file that is not UTF-8, nests JSON too
+deeply or holds too long an integer, or a regular expression whose
+automaton needs more than ``MAX_DFA_STATES`` states, is a configuration
+error; and a negative bound or step count is a usage error.  All
+outputs are canonically sorted, so repeated invocations are
+byte-identical.  JSON output is
 exactly ``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)``,
 rendered by the C encoder (``_Indented``).
 """
@@ -241,6 +244,8 @@ def _load_regulation(path: str | None, model: BcslModel):
         raise RegulationError(f"regulation file is not valid UTF-8: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise RegulationError(f"regulation file is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer longer than ``sys.get_int_max_str_digits()``
+        raise RegulationError("regulation file holds an integer with too many digits") from exc
     except RecursionError as exc:
         # The json decoder recurses once per nested array or object.
         raise RegulationError("regulation file nests JSON too deeply") from exc
@@ -294,7 +299,7 @@ def _cmd_ground(model: BcslModel, args) -> tuple[str, int]:
 def _cmd_lts(model: BcslModel, args) -> tuple[str, int]:
     root, successor_fn, label_fn = direct_walk(model, _load_regulation(args.regulation, model))
     if args.unroll:
-        walk = unroll(root, successor_fn, args.max_depth, args.max_states)
+        walk = unroll(root, functools.cache(successor_fn), args.max_depth, args.max_states)
         to_dot, to_json, to_text = tree_to_dot, tree_to_json_obj, _tree_text
     else:
         # Through the module: a tracer that times the walk rebinds ``lts.explore``.
@@ -337,7 +342,7 @@ def _tree_text(tree, label_fn) -> str:
 def _cmd_simulate(model: BcslModel, args) -> tuple[str, int]:
     guard = _load_regulation(args.regulation, model)
     root, successor_fn, _ = direct_walk(model, guard)
-    run = sample_run(root, successor_fn, args.steps, args.seed)
+    run = sample_run(root, functools.cache(successor_fn), args.steps, args.seed)
     states = run.states if guard is None else [node[0] for node in run.states]
     if args.format == "text":
         lines = [f"step 0: {states[0]}"]

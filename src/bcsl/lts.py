@@ -487,8 +487,8 @@ def unroll(
     Each distinct state is stored once, as the first object that reached
     it, and keyed once per tree: a child is interned before the sort, and
     a repeated one reuses the stored key.  ``successor_fn`` still runs
-    once per expanded node, repeated or not; a memoising one, as
-    ``regulation.guarded`` returns, makes the repeated nodes cheap.
+    once per expanded node, repeated or not; ``bcsl lts --unroll``
+    passes it under ``functools.cache``, so repeated nodes are cheap.
     """
     states: list = [initial]
     edges: list[tuple[int, str, int]] = []

@@ -35,11 +35,12 @@ The other two keep no memory:
 set is empty and leaves the memory unchanged.  ``guarded`` alone decides
 it: it wraps the successor function of the direct matcher or of the
 grounded system alike, and gives a node with no permitted successor its
-ε self-loop.  It computes each distinct node's moves once and keeps
-them, so the nodes that recur in a run tree or a sampled run cost a
-lookup.  ``direct_walk`` builds the one walk input, with or without a
-guard, that ``explore`` and ``unroll`` (``bcsl lts``) and
-``mrs.sample_run`` (``bcsl simulate``, which stutters on that ε) take.
+ε self-loop.  It keeps nothing between calls: a caller that asks for a
+node again, as ``bcsl lts --unroll`` and ``bcsl simulate`` do, wraps the
+walk's function in ``functools.cache``.  ``direct_walk`` builds the one
+walk input, with or without a guard, that ``explore`` and ``unroll``
+(``bcsl lts``) and ``mrs.sample_run`` (``bcsl simulate``, which stutters
+on that ε) take.
 """
 
 from __future__ import annotations
@@ -637,32 +638,21 @@ def guarded(successor_fn: SuccessorFn, guard: RegulationGuard) -> SuccessorFn:
 
     ``successor_fn`` gives a state's non-ε successors: the direct
     matcher's, or the grounded system's with ε removed.  Every one of them
-    is enabled; ``permits`` runs once per candidate of each distinct node,
-    in their order, and each permitted move ``(label, (target, next
-    memory))`` advances the memory.  A node with no permitted successor
-    gets an ε self-loop, which ``unroll`` omits and ``sample_run`` stutters
-    on.
-
-    The returned function keeps each node's moves, as a tuple, for as long
-    as it lives (one CLI call for the one ``direct_walk`` returns): a node
-    asked for again, as ``unroll`` and ``sample_run`` do, costs one dict
-    lookup.  So ``successor_fn`` and the guard must be pure: the same
-    state and memory must always give the same moves.
+    is enabled; ``permits`` runs once per candidate, in their order, on
+    every call, and each permitted move ``(label, (target, next memory))``
+    advances the memory.  A node with no permitted successor gets an ε
+    self-loop, which ``unroll`` omits and ``sample_run`` stutters on.
     """
-    memo: dict[Hashable, tuple] = {}
 
     def product_successors(node):
-        moves = memo.get(node)
-        if moves is None:
-            state, memory = node
-            base = successor_fn(state)
-            enabled_labels = frozenset(label for label, _ in base)
-            moves = memo[node] = tuple(
-                (label, (target, guard.advance(memory, label)))
-                for label, target in base
-                if guard.permits(memory, state, label, enabled_labels)
-            ) or ((EPSILON_LABEL, node),)
-        return moves
+        state, memory = node
+        base = successor_fn(state)
+        enabled_labels = frozenset(label for label, _ in base)
+        return tuple(
+            (label, (target, guard.advance(memory, label)))
+            for label, target in base
+            if guard.permits(memory, state, label, enabled_labels)
+        ) or ((EPSILON_LABEL, node),)
 
     return product_successors
 

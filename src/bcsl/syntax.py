@@ -174,7 +174,10 @@ class _LineParser:
         count = 1
         if not bare or self.peek() == "int":
             _, value, col = self.expect("int", "an agent count")
-            count = int(value)
+            try:
+                count = int(value)
+            except ValueError:  # longer than ``sys.get_int_max_str_digits()``
+                raise ParseError("agent count has too many digits", self.line, col) from None
             if count < 1:
                 raise ParseError("agent count must be positive", self.line, col)
         return count, self.parse_agent()

@@ -25,10 +25,7 @@ makes another way, as directly as it can:
   oracle of the reachability walks of an ``ordered`` regulation;
 * ``dot_by_definition`` — the DOT text of an LTS with its nodes sorted by
   ``(text, state key)`` and its edges as ``(source index, label, target
-  index)`` tuples, the oracle of ``lts_to_dot``'s integer edge codes;
-* ``guarded_by_definition`` — the regulated product's moves of a node,
-  computed afresh on every call, the oracle of ``regulation.guarded``'s
-  per-node memo.
+  index)`` tuples, the oracle of ``lts_to_dot``'s integer edge codes.
 """
 
 from __future__ import annotations
@@ -38,8 +35,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping
 
-from bcsl.lts import Lts, RuleMatcher, SuccessorFn, _dot_quote, _PreparedRule, _state_key
-from bcsl.mrs import EPSILON_LABEL, Mrs, apply_rule, build_mrs, enabled
+from bcsl.lts import Lts, RuleMatcher, _dot_quote, _PreparedRule, _state_key
+from bcsl.mrs import Mrs, apply_rule, build_mrs, enabled
 from bcsl.patterns import (
     DEFAULT_GROUNDING_CAP,
     assign_features,
@@ -47,7 +44,6 @@ from bcsl.patterns import (
     enumerate_instantiations,
     expand_pattern,
 )
-from bcsl.regulation import RegulationGuard
 from bcsl.syntax import BcslModel, BcslRule
 from bcsl.terms import EPSILON, Agent, Multiset, Pattern, agent_id
 
@@ -245,25 +241,3 @@ def dot_by_definition(lts: Lts, label_fn: Callable[[Hashable], str] = _state_key
         lines.append(f"  s{src} -> s{tgt} [label={_dot_quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def guarded_by_definition(successor_fn: SuccessorFn, guard: RegulationGuard) -> SuccessorFn:
-    """Successors over (state, memory) nodes under ``guard``, recomputed per call.
-
-    The base successors of the node's state, each kept when ``permits``
-    accepts it and advanced to its next memory; a node with none kept
-    gets its ε self-loop.
-    """
-
-    def product_successors(node):
-        state, memory = node
-        base = successor_fn(state)
-        enabled_labels = frozenset(label for label, _ in base)
-        moves = [
-            (label, (target, guard.advance(memory, label)))
-            for label, target in base
-            if guard.permits(memory, state, label, enabled_labels)
-        ]
-        return moves or [(EPSILON_LABEL, node)]
-
-    return product_successors

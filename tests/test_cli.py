@@ -210,6 +210,28 @@ def test_concurrent_free_commands_ground_nothing(capsys, model_path, tmp_path, m
     assert len(calls) == 0
 
 
+@pytest.mark.parametrize(
+    "argv, n_states",
+    [(["lts", "--unroll", "--max-depth", "4"], 8), (["simulate", "--steps", "30"], 3)],
+    ids=["lts-unroll", "simulate"],
+)
+def test_walks_that_revisit_ask_for_each_state_once(
+    capsys, model_path, monkeypatch, argv, n_states
+):
+    # ``unroll`` and ``sample_run`` ask for a node again; the CLI caches the walk.
+    asked = []
+
+    class CountingMatcher(bcsl.regulation.RuleMatcher):
+        def successors(self, state):
+            asked.append(state)
+            return super().successors(state)
+
+    monkeypatch.setattr("bcsl.regulation.RuleMatcher", CountingMatcher)
+    code, _, err = run_cli(capsys, argv[0], model_path, *argv[1:])
+    assert code == 0, err
+    assert len(asked) == len(set(asked)) == n_states
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -705,6 +727,18 @@ REGULATION_CONFIG_ERRORS = [
         {"type": "conditional", "prohibited": {"r2": [None]}},
         "prohibited context None for 'r2' must be a string",
     ),
+    # Integers longer than ``int`` reads from text; a string is the file's text.
+    pytest.param(
+        {"type": "conditional", "prohibited": {"r2": ["7" * 5_000 + " P(S{i},T{i})::cell"]}},
+        f"invalid prohibited context '{'7' * 5_000} P(S{{i}},T{{i}})::cell' for 'r2': "
+        "line 1, column 1: agent count has too many digits",
+        id="context-count-5000-digits",
+    ),
+    pytest.param(
+        '{"type": "ordered", "pairs": [], "limit": ' + "7" * 5_000 + "}",
+        "regulation file holds an integer with too many digits",
+        id="json-integer-5000-digits",
+    ),
 ]
 
 
@@ -713,7 +747,7 @@ def test_every_regulation_config_error_is_one_usage_line(
     capsys, model_path, tmp_path, config, message
 ):
     reg = tmp_path / "reg.json"
-    reg.write_text(json.dumps(config), encoding="utf-8")
+    reg.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
     code, out, err = run_cli(capsys, "lts", model_path, "--regulation", str(reg))
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -1098,12 +1132,14 @@ def _mutate(data: bytes, edits) -> bytes:
     return bytes(out)
 
 
-def _assert_documented_exit(capsys, argv: list[str]) -> None:
+def _assert_documented_exit(capsys, argv: list[str]) -> str:
+    """Run ``argv``, check its exit code and return its stderr."""
     code = main(argv)
     err = capsys.readouterr().err
     assert code in (0, 1, 2, 3, 4), argv
     assert code != 1 or argv[0] == "check", argv
     assert "Traceback" not in err, argv
+    return err
 
 
 _GUARD_SETTINGS = settings(
@@ -1132,6 +1168,38 @@ def test_mutated_regulation_ends_in_documented_exit_code(capsys, tmp_path, name,
     for command in _REGULATED_COMMANDS:
         argv = [command[0], str(model), *command[1:], "--regulation", str(reg), "-o", output]
         _assert_documented_exit(capsys, argv)
+
+
+# Integers of 1 to 6,000 digits, past the 4,300 that ``int`` reads from text
+# by default; a leading 0 makes some of them a count of 0.
+_LONG_INTEGERS = st.builds(
+    lambda lead, fill, digits: lead + fill * (digits - 1),
+    st.sampled_from("0123456789"),
+    st.sampled_from("0123456789"),
+    st.integers(min_value=1, max_value=6_000),
+)
+
+
+@_GUARD_SETTINGS
+@given(init=_LONG_INTEGERS, context=_LONG_INTEGERS)
+def test_long_counts_end_in_documented_exit_code(capsys, tmp_path, init, context):
+    model = tmp_path / "model.bcsl"
+    model.write_text(TWO_SITE_MODEL.replace("\n1 P(", f"\n{init} P("), encoding="utf-8")
+    plain = tmp_path / "plain.bcsl"
+    plain.write_text(TWO_SITE_MODEL, encoding="utf-8")
+    reg = tmp_path / "reg.json"
+    config = {"type": "conditional", "prohibited": {"r2": [f"{context} P(S{{a}},T{{a}})::cell"]}}
+    reg.write_text(json.dumps(config), encoding="utf-8")
+    output = str(tmp_path / "out")
+    argvs = [[command[0], str(model), *command[1:]] for command in _MODEL_COMMANDS]
+    argvs += [
+        [command[0], str(path), *command[1:], "--regulation", str(reg)]
+        for path in (plain, model)
+        for command in _REGULATED_COMMANDS
+    ]
+    for argv in argvs:
+        err = _assert_documented_exit(capsys, [*argv, "-o", output])
+        assert err.count("\n") <= 1, argv
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,13 @@ PINNED_ERRORS = [
      1, 1, "line 1, column 1: content before any '#!' section header"),
     ("model", "// only a comment\n\n   1 A{x}::c\n#! rules\n",
      3, 1, "line 3, column 1: content before any '#!' section header"),
+    # counts longer than ``int`` reads from text (``sys.get_int_max_str_digits()``)
+    pytest.param("model", "#! rules\n#! inits\n" + "7" * 5_000 + " A{x}::c\n",
+                 3, 1, "line 3, column 1: agent count has too many digits",
+                 id="init-count-5000-digits"),
+    pytest.param("multiset", "2 A{x}::c + " + "9" * 5_000 + " B{y}::c",
+                 1, 13, "line 1, column 13: agent count has too many digits",
+                 id="multiset-count-5000-digits"),
 ]
 
 
