@@ -14,12 +14,14 @@ from .lts import (
     LabelSequences,
     Lts,
     RuleMatcher,
+    Run,
     RunTree,
     build_lts,
     explore,
     lts_to_dot,
     lts_to_json_obj,
     maximal_label_sequences,
+    sample_run,
     tree_to_dot,
     tree_to_json_obj,
     unroll,
@@ -28,11 +30,9 @@ from .mrs import (
     EPSILON_LABEL,
     Mrs,
     MrsRule,
-    Run,
     apply_rule,
     build_mrs,
     enabled,
-    sample_run,
     successors,
 )
 from .patterns import (
@@ -79,6 +79,7 @@ from .terms import (
     EPSILON,
     Agent,
     Atomic,
+    CountTooLongError,
     Multiset,
     Pattern,
     Structure,

@@ -3,8 +3,8 @@
 Subcommands: ``parse`` (model echo / summary), ``ground`` (grounded
 rewriting system), ``lts`` (reachable graph or unrolled run tree:
 ``explore`` or ``unroll`` over the walk that ``direct_walk`` builds,
-``guarded`` under a regulation), ``simulate`` (``sample_run`` over that
-same walk, printing each node's state) and ``check`` (equivalence of the
+``guarded`` under a regulation), ``simulate`` (``lts.sample_run`` over
+that same walk, printing each node's state) and ``check`` (equivalence of the
 direct and grounded semantics).  ``unroll`` and ``sample_run`` ask for a
 node again, so they get the walk's function under ``functools.cache``;
 ``explore`` gets it uncached.  ``main`` parses with only the named
@@ -18,13 +18,16 @@ in one ``warning: <message>`` line on stderr, whatever Python's warning
 filters say, and the run goes on.
 
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
-3 model parse error, 4 grounding cap exceeded.  ``check`` exits 2 when a
-bound truncated the comparison.  A model file that is not UTF-8 is a
-parse error; a regulation file that is not UTF-8, nests JSON too
-deeply or holds too long an integer, or a regular expression whose
-automaton needs more than ``MAX_DFA_STATES`` states, is a configuration
-error; and a negative bound or step count is a usage error.  All
-outputs are canonically sorted, so repeated invocations are
+3 model parse error, 4 grounding cap exceeded; ``main`` maps each error
+to its code through one table, ``_ERROR_EXITS``.  ``check`` exits 2 when
+a bound truncated the comparison.  A model file that is not UTF-8, or
+init counts of one agent that sum past ``sys.get_int_max_str_digits()``
+digits, is a parse error; a state count that a rule grows past them is
+a usage error (``CountTooLongError``); a regulation file that is not
+UTF-8, nests JSON too deeply or holds too long an integer, or a regular
+expression whose automaton needs more than ``MAX_DFA_STATES`` states, is
+a configuration error; and a negative bound or step count is a usage
+error.  All outputs are canonically sorted, so repeated invocations are
 byte-identical.  JSON output is
 exactly ``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)``,
 rendered by the C encoder (``_Indented``).
@@ -43,8 +46,8 @@ from pathlib import Path
 
 from . import lts
 from .conformance import ConformanceReport, check_equivalence
-from .lts import lts_to_dot, lts_to_json_obj, tree_to_dot, tree_to_json_obj, unroll
-from .mrs import build_mrs, sample_run
+from .lts import lts_to_dot, lts_to_json_obj, sample_run, tree_to_dot, tree_to_json_obj, unroll
+from .mrs import build_mrs
 from .patterns import GroundingCapError
 from .regulation import (
     RegulationError,
@@ -54,6 +57,7 @@ from .regulation import (
     make_guard,
 )
 from .syntax import _LINE_BREAK, BcslModel, ParseError, SignatureError, model_to_text, parse_model
+from .terms import CountTooLongError
 # Nothing here calls it, but ``bench/tracer.py`` rebinds this name, so it
 # stays importable from this module.
 from .lts import RuleMatcher  # noqa: F401
@@ -63,6 +67,16 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_GROUNDING_CAP = 4
+
+# The exit code of each error that ``main`` reports in one ``error:`` line.
+_ERROR_EXITS = {
+    ParseError: EXIT_PARSE,
+    SignatureError: EXIT_PARSE,
+    GroundingCapError: EXIT_GROUNDING_CAP,
+    RegulationError: EXIT_USAGE,
+    CountTooLongError: EXIT_USAGE,
+    OSError: EXIT_USAGE,
+}
 
 
 def _natural(text: str) -> int:
@@ -429,18 +443,9 @@ def main(argv: list[str] | None = None) -> int:
         text, code = _COMMANDS[args.command][0](_load_model(args.model), args)
         _emit(text, args.output)
         return code
-    except (ParseError, SignatureError) as exc:
+    except tuple(_ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except GroundingCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GROUNDING_CAP
-    except RegulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in _ERROR_EXITS.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

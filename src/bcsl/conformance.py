@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lts
-from .lts import explore
+from .lts import _move_key, explore
 from .mrs import EPSILON_LABEL, Mrs, build_mrs, successors
 from .syntax import BcslModel
 
@@ -70,8 +70,8 @@ def check_equivalence(
     expands also gets its grounded successors, so a difference counts
     even among successors that the state cap then drops.  The
     counterexample comes from the first state, in walk order, whose sets
-    differ: its least differing edge by (label, target text), direct-only
-    edges first.  With no difference, a grounded walk would build the same
+    differ: its least differing edge in ``_move_key`` order (label, then
+    target text), direct-only edges first.  With no difference, a grounded walk would build the same
     graph, so the grounded counts are the walk's.  Only on a difference,
     or when an explicit ``mrs`` (a negative control) starts elsewhere, is
     the grounded side walked on its own, to count it.  When a bound
@@ -99,7 +99,7 @@ def check_equivalence(
     elif differing:
         state, direct_only, grounded_only = differing[0]
         direction, detail = _EDGE_DETAILS[0 if direct_only else 1]
-        label, target = min(direct_only or grounded_only, key=lambda e: (e[0], str(e[1])))
+        label, target = min(direct_only or grounded_only, key=_move_key)
         detail = detail.format(target, label)
         counterexample = Counterexample("transition", direction, str(state), label, detail)
     if counterexample:

@@ -15,13 +15,16 @@ grounded rules too, so matching never hashes an agent and states of both
 semantics are equal exactly when their pairs are.
 ``explore`` computes the bounded breadth-first closure of any successor
 function; ``unroll`` produces the depth-bounded tree used for run-set
-pictures.  Exports (DOT through one writer, ``_dot``, and JSON) are
-canonically sorted so repeated runs are byte-identical.
+pictures; ``sample_run`` draws one seeded run.  All three order states
+by ``str`` and moves by ``_move_key``.  Exports (DOT through one writer,
+``_dot``, and JSON) are canonically sorted so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 import re
 from dataclasses import dataclass
 from math import prod
@@ -376,8 +379,9 @@ class RuleMatcher:
 _UNSEEN = object()
 
 
-def _state_key(state: Hashable) -> str:
-    return str(state) if isinstance(state, Multiset) else repr(state)
+def _move_key(move: tuple[str, Hashable]) -> tuple[str, str]:
+    """The order of moves: by label, then by target text."""
+    return move[0], str(move[1])
 
 
 def explore(
@@ -388,9 +392,10 @@ def explore(
 ) -> Lts:
     """Breadth-first closure of ``successor_fn`` from ``initial``.
 
-    Deterministic for any hash seed: frontiers and successor sets are
-    processed in sorted order.  Edges leading to states beyond the state
-    cap are dropped (endpoints of kept edges are always explored states).
+    Deterministic for any hash seed: frontiers are processed in text
+    order, and successor sets in ``_move_key`` order.  Edges leading to
+    states beyond the state cap are dropped (endpoints of kept edges are
+    always explored states).
 
     Each reached state is stored once, as the first object that reached
     it, and every transition refers to the stored objects.  The frontier
@@ -405,12 +410,12 @@ def explore(
     frontier = [initial]
     depth = 0
     while frontier and depth < max_depth:
-        frontier.sort(key=_state_key)
+        frontier.sort(key=str)
         next_frontier = []
         for state in frontier:
             successors = successor_fn(state)
             if 0 < max_states - len(states) < len(successors):
-                successors = sorted(successors, key=lambda lt: (lt[0], _state_key(lt[1])))
+                successors = sorted(successors, key=_move_key)
             for label, target in successors:
                 stored = states.get(target, _UNSEEN)
                 if stored is _UNSEEN:
@@ -467,7 +472,7 @@ def maximal_label_sequences(lts: Lts, depth: int) -> LabelSequences:
     return LabelSequences(frozenset(complete), frozenset(incomplete))
 
 
-# The sort key of an ``unroll`` child ``(label, state key, state)``.
+# The sort key of an ``unroll`` child ``(label, state text, state)``.
 _label_and_key = itemgetter(0, 1)
 
 
@@ -481,20 +486,21 @@ def unroll(
 
     ε edges are omitted, also when testing whether the depth bound cut
     the tree.  The node cap guards against exponential blow-up on cyclic
-    systems.  Siblings are ordered by ``(label, state key)``, the key
-    being ``_state_key``'s text; the sort is stable.
+    systems.  Siblings are ordered as ``_move_key`` orders moves; the sort
+    is stable.
 
     Each distinct state is stored once, as the first object that reached
-    it, and keyed once per tree: a child is interned before the sort, and
-    a repeated one reuses the stored key.  ``successor_fn`` still runs
-    once per expanded node, repeated or not; ``bcsl lts --unroll``
-    passes it under ``functools.cache``, so repeated nodes are cheap.
+    it, and its text is computed once per tree: a child is interned
+    before the sort, and a repeated one reuses the stored text.
+    ``successor_fn`` still runs once per expanded node, repeated or not;
+    ``bcsl lts --unroll`` passes it under ``functools.cache``, so
+    repeated nodes are cheap.
     """
     states: list = [initial]
     edges: list[tuple[int, str, int]] = []
     frontier = [(0, initial)]
-    # state -> (the first object that reached it, its sort key).
-    seen: dict[Hashable, tuple[Hashable, str]] = {initial: (initial, _state_key(initial))}
+    # state -> (the first object that reached it, its text).
+    seen: dict[Hashable, tuple[Hashable, str]] = {initial: (initial, str(initial))}
     for _ in range(depth):
         if not frontier:
             break
@@ -504,9 +510,9 @@ def unroll(
             for label, target in _steps(successor_fn, state):
                 stored = seen.get(target)
                 if stored is None:
-                    stored = seen[target] = (target, _state_key(target))
+                    stored = seen[target] = (target, str(target))
                 children.append((label, stored[1], stored[0]))
-            # Equal keys are equal states: tied children are the same move.
+            # Equal texts are equal states: tied children are the same move.
             children.sort(key=_label_and_key)
             for label, _, target in children:
                 if len(states) >= max_nodes:
@@ -523,6 +529,37 @@ def unroll(
 def _steps(successor_fn: SuccessorFn, state: Hashable) -> list[tuple[str, Hashable]]:
     """The non-ε successors of ``state``."""
     return [(label, target) for label, target in successor_fn(state) if label != EPSILON_LABEL]
+
+
+@dataclass(frozen=True)
+class Run:
+    """A finite run prefix: ``labels[i]`` led from node ``states[i]`` to ``states[i+1]``."""
+
+    states: tuple[Hashable, ...]
+    labels: tuple[str, ...]
+
+
+def sample_run(initial: Hashable, successor_fn: SuccessorFn, steps: int, seed: int = 0) -> Run:
+    """Sample a run prefix of ``steps`` steps, uniformly among successors.
+
+    ``successor_fn`` gives the labelled successors of a node: the direct
+    matcher's or the grounded system's over states, or any other over
+    nodes with a text.  Its ε successors are left out (``_steps``), and a
+    node with no other successor stutters on ε.  Reproducible for a fixed
+    seed: moves are drawn from the successors in ``_move_key`` order.
+    """
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+    rng = random.Random(seed)
+    state = initial
+    states = [state]
+    labels: list[str] = []
+    for _ in range(steps):
+        moves = sorted(_steps(successor_fn, state), key=_move_key)
+        label, state = rng.choice(moves) if moves else (EPSILON_LABEL, state)
+        labels.append(label)
+        states.append(state)
+    return Run(tuple(states), tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -563,17 +600,17 @@ def _decoded(codes: list[int], width: int, n: int, labels: list[str]) -> Iterabl
         yield src, labels[rank], tgt
 
 
-def lts_to_dot(lts: Lts, label_fn: Callable[[Hashable], str] = _state_key) -> str:
+def lts_to_dot(lts: Lts, label_fn: Callable[[Hashable], str] = str) -> str:
     """DOT digraph: one node per state, edges labelled with rule labels.
 
     The initial state is drawn with a doubled periphery.  Output is
-    sorted, hence byte-stable: nodes by ``(text, state key)``, edges by
+    sorted, hence byte-stable: nodes by ``(label_fn text, str text)``, edges by
     ``(source index, label, target index)``, each edge sorted as one
     integer.  ``_dot`` writes it.
     """
     text = {state: label_fn(state) for state in lts.states}
-    # Two stable sorts: the order of the ``(text, state key)`` key.
-    ordered = sorted(lts.states, key=_state_key)
+    # Two stable sorts: the order of the ``(label_fn text, str text)`` key.
+    ordered = sorted(lts.states, key=str)
     ordered.sort(key=text.__getitem__)
     index = {state: i for i, state in enumerate(ordered)}
     n = len(ordered)
@@ -585,12 +622,12 @@ def lts_to_dot(lts: Lts, label_fn: Callable[[Hashable], str] = _state_key) -> st
     return _dot("lts", "s", map(text.__getitem__, ordered), index[lts.initial], edges)
 
 
-def tree_to_dot(tree: RunTree, label_fn: Callable[[Hashable], str] = _state_key) -> str:
+def tree_to_dot(tree: RunTree, label_fn: Callable[[Hashable], str] = str) -> str:
     """DOT digraph of an unrolled run tree (root doubled)."""
     return _dot("runs", "n", tree.node_texts(label_fn), 0, tree.edges)
 
 
-def lts_to_json_obj(lts: Lts, label_fn: Callable[[Hashable], str] = _state_key) -> dict:
+def lts_to_json_obj(lts: Lts, label_fn: Callable[[Hashable], str] = str) -> dict:
     """JSON-ready mirror of the LTS fields with sorted arrays."""
     text = {state: label_fn(state) for state in lts.states}
     return {
@@ -601,7 +638,7 @@ def lts_to_json_obj(lts: Lts, label_fn: Callable[[Hashable], str] = _state_key) 
     }
 
 
-def tree_to_json_obj(tree: RunTree, label_fn: Callable[[Hashable], str] = _state_key) -> dict:
+def tree_to_json_obj(tree: RunTree, label_fn: Callable[[Hashable], str] = str) -> dict:
     """JSON-ready mirror of an unrolled run tree."""
     return {
         "nodes": [{"id": i, "state": text} for i, text in enumerate(tree.node_texts(label_fn))],

@@ -1,4 +1,4 @@
-"""Multiset rewriting systems: representation, construction, run semantics.
+"""Multiset rewriting systems: representation, construction, rule application.
 
 A system is a finite element universe, a set of rewrite rules (pairs of
 multisets tagged with the label of the originating model rule) and an
@@ -8,6 +8,7 @@ forever; finite run prefixes therefore end in ε-stuttering.
 
 Rule application here is definitional (``enabled``, ``apply_rule``,
 ``successors``): it is the oracle the direct matcher is checked against.
+Walks over either semantics live in ``lts``.
 Only the state type and its intern table of agent ids (``terms.agent_id``)
 are shared with the direct side.
 
@@ -26,10 +27,8 @@ candidates; ``enabled`` and ``apply_rule`` decide as before.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Collection, Hashable
 
 from .patterns import ground_rule
 from .syntax import BcslModel
@@ -89,14 +88,6 @@ class Mrs:
         return {agent: tuple(rules) for agent, rules in keyed.items()}, tuple(unconditional)
 
 
-@dataclass(frozen=True)
-class Run:
-    """A finite run prefix: ``labels[i]`` led from node ``states[i]`` to ``states[i+1]``."""
-
-    states: tuple[Hashable, ...]
-    labels: tuple[str, ...]
-
-
 def build_mrs(model: BcslModel) -> Mrs:
     """Ground a model into a multiset rewriting system.
 
@@ -150,34 +141,3 @@ def successors(mrs: Mrs, state: Multiset) -> frozenset[tuple[str, Multiset]]:
     if not out:
         return frozenset({(EPSILON_LABEL, state)})
     return frozenset(out)
-
-
-def sample_run(
-    initial: Hashable,
-    successor_fn: Callable[[Hashable], Collection[tuple[str, Hashable]]],
-    steps: int,
-    seed: int = 0,
-) -> Run:
-    """Sample a run prefix of ``steps`` steps, uniformly among successors.
-
-    ``successor_fn`` gives the labelled successors of a node: the direct
-    matcher's or the grounded system's over states, or any other over
-    nodes with a text.  Its ε successors are left out, and a node with no
-    other successor stutters on ε.  Reproducible for a fixed seed: moves
-    are drawn from the successors sorted by label and target text.
-    """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    rng = random.Random(seed)
-    state = initial
-    states = [state]
-    labels: list[str] = []
-    for _ in range(steps):
-        moves = sorted(
-            ((label, target) for label, target in successor_fn(state) if label != EPSILON_LABEL),
-            key=lambda lt: (lt[0], str(lt[1])),
-        )
-        label, state = rng.choice(moves) if moves else (EPSILON_LABEL, state)
-        labels.append(label)
-        states.append(state)
-    return Run(tuple(states), tuple(labels))

@@ -39,8 +39,8 @@ grounded system alike, and gives a node with no permitted successor its
 node again, as ``bcsl lts --unroll`` and ``bcsl simulate`` do, wraps the
 walk's function in ``functools.cache``.  ``direct_walk`` builds the one
 walk input, with or without a guard, that ``explore`` and ``unroll``
-(``bcsl lts``) and ``mrs.sample_run`` (``bcsl simulate``, which stutters
-on that ε) take.
+(``bcsl lts``) and ``sample_run`` (``bcsl simulate``, which stutters on
+that ε) take, all three from ``lts``.
 """
 
 from __future__ import annotations

@@ -43,10 +43,11 @@ appearing in its compositions.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
-from .terms import EPSILON, IDENTIFIER, Agent, Atomic, Multiset, Pattern, Structure
+from .terms import EPSILON, IDENTIFIER, Agent, Atomic, Multiset, Pattern, Structure, canonicalize
 
 
 class ParseError(Exception):
@@ -169,18 +170,30 @@ class _LineParser:
         self.expect_end()
         return BcslRule(label, lhs, rhs)
 
-    def parse_counted(self, bare: bool) -> tuple[int, Agent]:
-        """``COUNT agent``; with ``bare``, a missing count reads as 1."""
-        count = 1
+    def add_counted(self, counts: dict[Agent, int], bare: bool) -> None:
+        """Add ``COUNT agent`` to ``counts``; with ``bare``, a missing count reads as 1.
+
+        Congruent agents share one entry.  A count, or a sum of counts, that
+        ``str`` could not write (more than ``sys.get_int_max_str_digits()``
+        digits) fails at its count; a sum is compared with a power of ten,
+        never written.
+        """
+        count, col = 1, self._tokens[self._pos][2]
         if not bare or self.peek() == "int":
-            _, value, col = self.expect("int", "an agent count")
+            value = self.expect("int", "an agent count")[1]
             try:
                 count = int(value)
             except ValueError:  # longer than ``sys.get_int_max_str_digits()``
                 raise ParseError("agent count has too many digits", self.line, col) from None
             if count < 1:
                 raise ParseError("agent count must be positive", self.line, col)
-        return count, self.parse_agent()
+        agent = canonicalize(self.parse_agent())
+        if agent in counts:
+            count += counts[agent]
+            limit = sys.get_int_max_str_digits()
+            if limit and count >= 10**limit:
+                raise ParseError("agent counts sum to too many digits", self.line, col)
+        counts[agent] = count
 
     def parse_pattern(self, stop: str) -> Pattern:
         if self.peek() == stop:
@@ -253,7 +266,8 @@ def parse_model(text: str) -> BcslModel:
     """Parse a model file into rules, inferred signatures and the initial state.
 
     Rules keep their source order; repeated init lines for congruent
-    agents aggregate.  Raises :class:`ParseError` with a source position
+    agents aggregate, and a sum longer than ``str`` writes fails at the
+    count that makes it.  Raises :class:`ParseError` with a source position
     on any syntax or well-formedness defect.
     """
     rules: list[BcslRule] = []
@@ -287,9 +301,8 @@ def parse_model(text: str) -> BcslModel:
             label_lines[rule.label] = line_no
             rules.append(rule)
         else:
-            count, agent = parser.parse_counted(bare=False)
+            parser.add_counted(init_counts, bare=False)
             parser.expect_end()
-            init_counts[agent] = init_counts.get(agent, 0) + count
 
     init = Multiset(init_counts)
     atomic_signature, structure_signature = infer_signatures(rules, init)
@@ -328,8 +341,7 @@ def parse_multiset(text: str) -> Multiset:
     parser = _LineParser(stripped)
     counts: dict[Agent, int] = {}
     while True:
-        n, agent = parser.parse_counted(bare=True)
-        counts[agent] = counts.get(agent, 0) + n
+        parser.add_counted(counts, bare=True)
         if not parser.accept("+"):
             break
     parser.expect_end()

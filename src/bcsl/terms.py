@@ -39,12 +39,14 @@ the one source of agent text order.  Ids depend on the order agents are
 first met, so nothing printed reads them: ``items`` and ``to_dict`` sort
 their agents by the table's texts, and the text (``str``) is rendered
 from those texts alone, without building ``items``, and kept once
-computed.
+computed.  It is where every count becomes text, so a count longer than
+``sys.get_int_max_str_digits()`` digits raises ``CountTooLongError`` there.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -59,6 +61,10 @@ _NAME_RE = re.compile(rf"{IDENTIFIER}\Z")
 # Names that have passed ``_check_name``: terms are rebuilt from the same
 # few names over and over, so each is matched against the regex once.
 _ACCEPTED_NAMES: set[str] = set()
+
+
+class CountTooLongError(ValueError):
+    """A state count with more digits than ``str`` writes (``sys.get_int_max_str_digits()``)."""
 
 
 def _check_name(name: str, kind: str) -> None:
@@ -366,7 +372,12 @@ class Multiset(frozenset):
         value = getattr(self, "_text", None)
         if value is None:
             entries = sorted([(_TEXTS[a], n) for a, n in _pairs(self)])
-            value = self._text = " + ".join([f"{n} {text}" for text, n in entries]) or "∅"
+            try:
+                value = self._text = " + ".join([f"{n} {text}" for text, n in entries]) or "∅"
+            except ValueError:
+                limit = sys.get_int_max_str_digits()
+                message = f"agent count has more than {limit} digits, too many to write as text"
+                raise CountTooLongError(message) from None
         return value
 
     def __repr__(self) -> str:

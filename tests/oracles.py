@@ -24,7 +24,7 @@ makes another way, as directly as it can:
 * ``transitive_closure`` — the fix-point closure of a label relation, the
   oracle of the reachability walks of an ``ordered`` regulation;
 * ``dot_by_definition`` — the DOT text of an LTS with its nodes sorted by
-  ``(text, state key)`` and its edges as ``(source index, label, target
+  ``(label_fn text, str text)`` and its edges as ``(source index, label, target
   index)`` tuples, the oracle of ``lts_to_dot``'s integer edge codes.
 """
 
@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping
 
-from bcsl.lts import Lts, RuleMatcher, _dot_quote, _PreparedRule, _state_key
+from bcsl.lts import Lts, RuleMatcher, _dot_quote, _PreparedRule
 from bcsl.mrs import Mrs, apply_rule, build_mrs, enabled
 from bcsl.patterns import (
     DEFAULT_GROUNDING_CAP,
@@ -228,10 +228,10 @@ def transitive_closure(pairs: frozenset[tuple[str, str]]) -> frozenset[tuple[str
     return frozenset(closure)
 
 
-def dot_by_definition(lts: Lts, label_fn: Callable[[Hashable], str] = _state_key) -> str:
+def dot_by_definition(lts: Lts, label_fn: Callable[[Hashable], str] = str) -> str:
     """The DOT digraph ``lts_to_dot`` writes, with every edge sorted as a tuple."""
     text = {state: label_fn(state) for state in lts.states}
-    ordered = sorted(lts.states, key=lambda s: (text[s], _state_key(s)))
+    ordered = sorted(lts.states, key=lambda s: (text[s], str(s)))
     order = {state: i for i, state in enumerate(ordered)}
     lines = ["digraph lts {"]
     for i, state in enumerate(ordered):

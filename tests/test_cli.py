@@ -1202,6 +1202,196 @@ def test_long_counts_end_in_documented_exit_code(capsys, tmp_path, init, context
         assert err.count("\n") <= 1, argv
 
 
+# One rule turns the largest count that ``str`` writes into one digit more.
+_DIGITS = sys.get_int_max_str_digits()
+GROWN_MODEL = (
+    "#! rules\nr ~ A{x}::c => A{y}::c\n#! inits\n1 A{x}::c\n" + "9" * _DIGITS + " A{y}::c\n"
+)
+GROWN_ERROR = f"error: agent count has more than {_DIGITS} digits, too many to write as text\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["lts", "--format", f] for f in ("dot", "json", "text")),
+        *(["lts", "--unroll", "--format", f] for f in ("dot", "json", "text")),
+        ["lts", "--regulation", "reg.json", "--format", "text"],
+        *(["simulate", "--format", f] for f in ("json", "text")),
+        ["simulate", "--regulation", "reg.json"],
+        ["check"],
+        ["check", "--json"],
+    ],
+    ids=" ".join,
+)
+def test_a_count_grown_past_the_digit_limit_is_one_usage_line(capsys, tmp_path, argv):
+    model = tmp_path / "grown.bcsl"
+    model.write_text(GROWN_MODEL, encoding="utf-8")
+    (tmp_path / "reg.json").write_text('{"type": "ordered", "pairs": []}', encoding="utf-8")
+    argv = [str(tmp_path / a) if a == "reg.json" else a for a in argv]
+    assert run_cli(capsys, argv[0], str(model), *argv[1:]) == (2, "", GROWN_ERROR)
+
+
+# ---------------------------------------------------------------------------
+# Token-level fuzzing: model files from the grammar in ``syntax.py``'s
+# docstring and configs of the five regulation schemas, with extreme tokens
+# ---------------------------------------------------------------------------
+
+# Whitespace that separates tokens within a line; "" lets tokens touch.
+_SPACES = ["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+# Counts of 1 to 6,000 digits, and the largest that ``str`` writes.
+_COUNTS = st.sampled_from(["1", "2", "9" * _DIGITS]) | _LONG_INTEGERS
+
+
+def _draw_name(draw, pool: str, long: bool = False) -> str:
+    """A letter of ``pool``, rarely ε; with ``long``, sometimes a run of up to 10,000 of one."""
+    kind = draw(st.integers(0, 99))
+    if kind == 0:
+        return "ε"
+    letter = draw(st.sampled_from(pool))
+    return letter * draw(st.integers(1, 10_000)) if long and kind == 1 else letter
+
+
+def _draw_items(draw, make, long: bool = False) -> list:
+    """Up to 3 items; with ``long``, up to 2,000 that repeat up to 3 drawn ones in turn."""
+    n = draw(st.integers(0, 2_000) if long else st.integers(0, 3))
+    drawn = [make() for _ in range(min(n, 3))]
+    return [drawn[i % len(drawn)] for i in range(n)]
+
+
+@st.composite
+def _model_texts(draw) -> str:
+    """A model file: rules and init lines built from the line grammar.
+
+    Each model stretches at most one of names, chains and sides, so that
+    it stays small.  A long chain holds atomic components only, which
+    carry no ε after expansion: a repeated ``P()`` against a state agent
+    of mixed components has exponentially many pairings.
+    """
+    long = draw(st.sampled_from(["", "name", "chain", "side"]))
+    sep = draw(st.sampled_from(_SPACES))
+
+    def name(pool: str) -> str:
+        return _draw_name(draw, pool, long == "name")
+
+    def atomic() -> str:
+        return name("ST") + "{" + name("abi") + "}"
+
+    def component() -> str:
+        if draw(st.booleans()):
+            return atomic()
+        composition = _draw_items(draw, atomic)
+        if draw(st.booleans()):  # as the grammar asks: distinct atomics, sorted by name
+            composition = sorted({a.partition("{")[0]: a for a in composition}.values())
+        return name("PQ") + "(" + ",".join(composition) + ")"
+
+    agents: list[str] = []
+
+    def agent() -> str:  # often one drawn before, so that rules meet the inits
+        if agents and draw(st.booleans()):
+            return draw(st.sampled_from(agents))
+        chain = _draw_items(draw, atomic, long == "chain")
+        if len(chain) <= 3:
+            chain = [component() for _ in range(max(len(chain), 1))]
+        agents.append(".".join(chain) + "::" + name("cd"))
+        return agents[-1]
+
+    def side() -> str:
+        return " + ".join(_draw_items(draw, agent, long == "side"))
+
+    rules = [
+        sep.join([name("rq"), "~", side(), "=>", side()])
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    inits = []
+    for _ in range(draw(st.integers(0, 2))):
+        written = agent()
+        inits += [draw(_COUNTS) + sep + written for _ in range(draw(st.integers(1, 3)))]
+    return "\n".join(["#! rules", *rules, "#! inits", *inits]) + "\n"
+
+
+_FUZZ_SETTINGS = settings(
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+
+@_FUZZ_SETTINGS
+@given(text=_model_texts())
+def test_grammar_drawn_models_end_in_documented_exit_code(capsys, tmp_path, text):
+    model = tmp_path / "model.bcsl"
+    model.write_text(text, encoding="utf-8")
+    output = str(tmp_path / "out")
+    for command in _MODEL_COMMANDS:
+        argv = [command[0], str(model), *command[1:], "-o", output]
+        assert _assert_documented_exit(capsys, argv).count("\n") <= 1, argv
+
+
+@st.composite
+def _regulation_texts(draw) -> str:
+    """A config of one of the five schemas over the two-site model's labels.
+
+    Each config stretches at most one of names and lists: a label of up to
+    10,000 characters, or lists, expressions and prohibited contexts of
+    up to 2,000 items.
+    """
+    long = draw(st.sampled_from(["", "name", "items"]))
+
+    def items(make) -> list:
+        return _draw_items(draw, make, long == "items")
+
+    def label() -> str:  # a model label, sometimes in whitespace, or a drawn name
+        kind = draw(st.integers(0, 7))
+        if kind == 0:
+            return _draw_name(draw, "r", long == "name")
+        space = draw(st.sampled_from(_SPACES)) if kind == 1 else ""
+        return space + draw(st.sampled_from(["r1_S", "r1_T", "r2"])) + space
+
+    def pair() -> list[str]:
+        return [label(), label()]
+
+    def context() -> str:  # long counts, or up to 2,000 agents of counts 1 and 2
+        count = st.sampled_from(["1", "2"]) if long == "items" else _COUNTS
+        agent = draw(st.sampled_from(["P(S{a},T{i})::cell", "P(S{i},T{i})::cell", "P()::cell"]))
+        return " + ".join(items(lambda: draw(count) + " " + agent)) or "∅"
+
+    def operand() -> str:
+        form = draw(st.sampled_from(["{}", "{}*", "({}|{})", "({}.{})*"]))
+        return form.format(label(), label())
+
+    kind = draw(st.sampled_from(sorted(REGULATION_CONFIGS)))
+    config: dict = {"type": kind}
+    if kind == "regular":
+        config["expression"] = draw(st.sampled_from([".", "|"])).join(items(operand))
+    elif kind == "ordered":
+        config["pairs"] = items(pair)
+    elif kind == "programmed":
+        config["successors"] = {label(): items(label) for _ in range(draw(st.integers(0, 3)))}
+    elif kind == "conditional":
+        config["prohibited"] = {
+            label(): [context() for _ in range(draw(st.integers(0, 3)))]
+            for _ in range(draw(st.integers(0, 3)))
+        }
+    else:
+        config["priority"] = items(pair)
+    text = json.dumps(config, ensure_ascii=False)
+    if draw(st.integers(0, 9)) == 0:  # a JSON integer of 1 to 6,000 digits
+        text = text[:-1] + ', "limit": 1' + draw(_LONG_INTEGERS)[1:] + "}"
+    return text
+
+
+@_FUZZ_SETTINGS
+@given(config=_regulation_texts())
+def test_schema_drawn_regulations_end_in_documented_exit_code(capsys, tmp_path, config):
+    model = tmp_path / "model.bcsl"
+    model.write_text(TWO_SITE_MODEL, encoding="utf-8")
+    reg = tmp_path / "reg.json"
+    reg.write_text(config, encoding="utf-8")
+    output = str(tmp_path / "out")
+    for command in _REGULATED_COMMANDS:
+        argv = [command[0], str(model), *command[1:], "--regulation", str(reg), "-o", output]
+        assert _assert_documented_exit(capsys, argv).count("\n") <= 1, argv
+
+
 # ---------------------------------------------------------------------------
 # JSON writer
 # ---------------------------------------------------------------------------

@@ -16,9 +16,12 @@ from bcsl import (
     build_lts,
     build_mrs,
     check_equivalence,
+    compile_regulation,
+    direct_walk,
     explore,
     lts_to_dot,
     lts_to_json_obj,
+    make_guard,
     maximal_label_sequences,
     parse_model,
     parse_multiset,
@@ -575,6 +578,25 @@ def test_explore_matches_reference_on_models(text, max_states, max_depth):
     graph = _assert_explore_matches_reference(
         model.init, RuleMatcher(model).successors, max_states, max_depth
     )
+    assert graph.truncated == (max_states < 100_000 or max_depth < 1_000)
+
+
+_SITES = bench_module("models")
+
+
+@pytest.mark.parametrize("name", sorted(_SITES.regulation_configs(3, 2)))
+@pytest.mark.parametrize(
+    "max_states, max_depth",
+    [(100_000, 1_000), (1, 1_000), (7, 1_000), (40, 1_000), (100_000, 0), (100_000, 2)],
+)
+def test_explore_matches_reference_on_product_nodes(name, max_states, max_depth):
+    # ``(state, memory)`` nodes, as ``bcsl lts --regulation`` walks them
+    # under its state and depth caps: ``explore`` orders them by ``str``,
+    # the reference by ``_key``, which reads a tuple's ``repr``.
+    model = parse_model(_SITES.site_model(3, 2, 2))
+    regulation = compile_regulation(_SITES.regulation_configs(3, 2)[name], model.labels)
+    root, successor_fn, _ = direct_walk(model, make_guard(regulation, model))
+    graph = _assert_explore_matches_reference(root, successor_fn, max_states, max_depth)
     assert graph.truncated == (max_states < 100_000 or max_depth < 1_000)
 
 

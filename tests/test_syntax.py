@@ -251,6 +251,14 @@ PINNED_ERRORS = [
     pytest.param("multiset", "2 A{x}::c + " + "9" * 5_000 + " B{y}::c",
                  1, 13, "line 1, column 13: agent count has too many digits",
                  id="multiset-count-5000-digits"),
+    # counts that ``int`` reads, whose sum for one agent it could not write
+    pytest.param("model",
+                 "#! rules\n#! inits\n" + "9" * 4_300 + " A{x}.B{y}::c\n  1 B{y}.A{x}::c\n",
+                 4, 3, "line 4, column 3: agent counts sum to too many digits",
+                 id="init-counts-sum-past-4300-digits"),
+    pytest.param("multiset", "9" * 4_300 + " A{x}::c + B{y}::c + A{x}::c",
+                 1, 4_322, "line 1, column 4322: agent counts sum to too many digits",
+                 id="multiset-counts-sum-past-4300-digits"),
 ]
 
 
