@@ -36,7 +36,6 @@ rendered by the C encoder (``_Indented``).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -134,19 +133,24 @@ def _command_parser(command: str) -> argparse.ArgumentParser:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+    # The final newline is written on its own: ``text + "\n"`` would copy
+    # the whole output while the caller still holds ``text``.
+    end = "" if text.endswith("\n") else "\n"
     if output is None:
         # The same UTF-8 bytes as ``-o``, whatever the stream's own encoding.
         buffer = getattr(sys.stdout, "buffer", None)
         if buffer is None:
             sys.stdout.write(text)
+            sys.stdout.write(end)
         else:
             sys.stdout.flush()
             buffer.write(text.encode("utf-8"))
+            buffer.write(end.encode())
             buffer.flush()
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.write(end)
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
@@ -384,7 +388,7 @@ def _report_obj(report: ConformanceReport) -> dict:
             "states": report.grounded_states,
             "transitions": report.grounded_transitions,
         },
-        "counterexample": None if ce is None else dataclasses.asdict(ce),
+        "counterexample": None if ce is None else {f: getattr(ce, f) for f in ce._fields},
     }
 
 

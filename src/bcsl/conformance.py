@@ -14,34 +14,54 @@ Fernandez and Mounier, CAV 1991).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import lts
 from .lts import _move_key, explore
 from .mrs import EPSILON_LABEL, Mrs, build_mrs, successors
 from .syntax import BcslModel
+from .terms import _Record
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(_Record):
     """A reachable discrepancy between the two semantics."""
 
-    kind: str  # "state" or "transition"
-    direction: str  # "direct_only" or "grounded_only"
-    state: str
-    label: str | None
-    detail: str
+    __slots__ = _fields = ("kind", "direction", "state", "label", "detail")
+
+    def __init__(self, kind: str, direction: str, state: str, label: str | None, detail: str):
+        self.kind = kind  # "state" or "transition"
+        self.direction = direction  # "direct_only" or "grounded_only"
+        self.state = state
+        self.label = label
+        self.detail = detail
 
 
-@dataclass(frozen=True)
-class ConformanceReport:
-    states_checked: int
-    truncated: bool
-    direct_states: int
-    grounded_states: int
-    direct_transitions: int
-    grounded_transitions: int
-    counterexample: Counterexample | None
+class ConformanceReport(_Record):
+    __slots__ = _fields = (
+        "states_checked",
+        "truncated",
+        "direct_states",
+        "grounded_states",
+        "direct_transitions",
+        "grounded_transitions",
+        "counterexample",
+    )
+
+    def __init__(
+        self,
+        states_checked: int,
+        truncated: bool,
+        direct_states: int,
+        grounded_states: int,
+        direct_transitions: int,
+        grounded_transitions: int,
+        counterexample: Counterexample | None,
+    ) -> None:
+        self.states_checked = states_checked
+        self.truncated = truncated
+        self.direct_states = direct_states
+        self.grounded_states = grounded_states
+        self.direct_transitions = direct_transitions
+        self.grounded_transitions = grounded_transitions
+        self.counterexample = counterexample
 
     @property
     def passed(self) -> bool:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
 from typing import Callable, Collection, Hashable, Iterable
@@ -41,7 +40,7 @@ from .patterns import (
     expand_pattern,
 )
 from .syntax import BcslModel
-from .terms import _IDS, EPSILON, Multiset, agent_id, agent_of
+from .terms import _IDS, EPSILON, Multiset, _Record, agent_id, agent_of
 
 Transition = tuple[Hashable, str, Hashable]
 # What one match of a rule does: its label, the agent ids it consumes and
@@ -50,8 +49,7 @@ Effect = tuple[str, dict[int, int], dict[int, int]]
 SuccessorFn = Callable[[Hashable], Collection[tuple[str, Hashable]]]
 
 
-@dataclass(frozen=True)
-class Lts:
+class Lts(_Record):
     """Reachable labelled transition graph.
 
     ``unsettled`` holds states whose outgoing transitions are not fully
@@ -59,10 +57,20 @@ class Lts:
     dropped by the state cap); ``truncated`` says whether there are any.
     """
 
-    initial: Hashable
-    states: frozenset
-    transitions: frozenset[Transition]
-    unsettled: frozenset = frozenset()
+    __slots__ = _fields = ("initial", "states", "transitions", "unsettled")
+    __eq__, __hash__ = _Record._same_fields, _Record._hash_fields
+
+    def __init__(
+        self,
+        initial: Hashable,
+        states: frozenset,
+        transitions: frozenset[Transition],
+        unsettled: frozenset = frozenset(),
+    ) -> None:
+        self.initial = initial
+        self.states = states
+        self.transitions = transitions
+        self.unsettled = unsettled
 
     @property
     def truncated(self) -> bool:
@@ -77,16 +85,21 @@ class Lts:
         return len(self.transitions)
 
 
-@dataclass(frozen=True)
-class RunTree:
+class RunTree(_Record):
     """Depth-bounded unrolling: fresh node per step, ε edges omitted.
 
     ``states[i]`` is the state at node ``i``; node 0 is the root.
     """
 
-    states: tuple
-    edges: tuple[tuple[int, str, int], ...]
-    truncated: bool = False
+    __slots__ = _fields = ("states", "edges", "truncated")
+    __eq__, __hash__ = _Record._same_fields, _Record._hash_fields
+
+    def __init__(
+        self, states: tuple, edges: tuple[tuple[int, str, int], ...], truncated: bool = False
+    ) -> None:
+        self.states = states
+        self.edges = edges
+        self.truncated = truncated
 
     @property
     def n_nodes(self) -> int:
@@ -104,8 +117,7 @@ class RunTree:
         return [text[state] for state in self.states]
 
 
-@dataclass(frozen=True)
-class LabelSequences:
+class LabelSequences(_Record):
     """Maximal non-ε label sequences up to a depth (library API, README § Library).
 
     A sequence lands in ``incomplete`` when the depth bound cut it off
@@ -113,8 +125,14 @@ class LabelSequences:
     that a bound of the exploration left unsettled.
     """
 
-    complete: frozenset[tuple[str, ...]]
-    incomplete: frozenset[tuple[str, ...]]
+    __slots__ = _fields = ("complete", "incomplete")
+    __eq__, __hash__ = _Record._same_fields, _Record._hash_fields
+
+    def __init__(
+        self, complete: frozenset[tuple[str, ...]], incomplete: frozenset[tuple[str, ...]]
+    ) -> None:
+        self.complete = complete
+        self.incomplete = incomplete
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +549,15 @@ def _steps(successor_fn: SuccessorFn, state: Hashable) -> list[tuple[str, Hashab
     return [(label, target) for label, target in successor_fn(state) if label != EPSILON_LABEL]
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(_Record):
     """A finite run prefix: ``labels[i]`` led from node ``states[i]`` to ``states[i+1]``."""
 
-    states: tuple[Hashable, ...]
-    labels: tuple[str, ...]
+    __slots__ = _fields = ("states", "labels")
+    __eq__, __hash__ = _Record._same_fields, _Record._hash_fields
+
+    def __init__(self, states: tuple[Hashable, ...], labels: tuple[str, ...]) -> None:
+        self.states = states
+        self.labels = labels
 
 
 def sample_run(initial: Hashable, successor_fn: SuccessorFn, steps: int, seed: int = 0) -> Run:

@@ -27,42 +27,54 @@ candidates; ``enabled`` and ``apply_rule`` decide as before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .patterns import ground_rule
 from .syntax import BcslModel
-from .terms import Agent, Multiset, agent_id
+from .terms import Agent, Multiset, _Record, agent_id
 
 #: Reserved label of the implicit empty rule; model rules may not use it.
 EPSILON_LABEL = "ε"
 
 
-@dataclass(frozen=True)
-class MrsRule:
+class MrsRule(_Record):
     """One rewrite rule: consume ``pre``, produce ``post``."""
 
-    label: str
-    pre: Multiset
-    post: Multiset
+    __slots__ = _fields = ("label", "pre", "post")
+
+    def __init__(self, label: str, pre: Multiset, post: Multiset) -> None:
+        self.label = label
+        self.pre = pre
+        self.post = post
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.label == other.label and self.pre == other.pre and self.post == other.post
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.pre, self.post))
 
     def __str__(self) -> str:
         return f"{self.label}: {self.pre} => {self.post}"
 
 
-@dataclass(frozen=True)
-class Mrs:
+class Mrs(_Record):
     """A multiset rewriting system over a finite element universe.
 
     ``rules`` excludes the implicit ε rule and is stored sorted for
     reproducible output.  ``elements``, the universe, and the rule index
     of ``successors`` are computed on first read from this instance's own
-    ``init`` and ``rules``, so a copy made with
-    ``dataclasses.replace(mrs, rules=...)`` has its own.
+    ``init`` and ``rules``, so a copy with other rules, ``Mrs(rules,
+    mrs.init)``, has its own.  Two systems are equal only when they are
+    the same object.
     """
 
-    rules: tuple[MrsRule, ...]
-    init: Multiset
+    _fields = ("rules", "init")
+
+    def __init__(self, rules: tuple[MrsRule, ...], init: Multiset) -> None:
+        self.rules = rules
+        self.init = init
 
     @cached_property
     def elements(self) -> frozenset[Agent]:

@@ -48,7 +48,6 @@ from __future__ import annotations
 import itertools
 import re
 import warnings
-from dataclasses import dataclass
 from typing import Any, Collection, Hashable, Mapping
 
 from .lts import RuleMatcher, SuccessorFn
@@ -59,7 +58,7 @@ from .lts import explore, unroll  # noqa: F401
 from .mrs import build_mrs  # noqa: F401
 from .patterns import expand_pattern
 from .syntax import BcslModel, ParseError, parse_multiset
-from .terms import EPSILON, IDENTIFIER, Agent, Atomic, Multiset
+from .terms import EPSILON, IDENTIFIER, Agent, Atomic, Multiset, _Record
 
 
 class RegulationError(Exception):
@@ -79,8 +78,7 @@ MAX_DFA_STATES = 4_096
 # Regular expressions over rule labels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(_Record):
     """Deterministic automaton over rule labels.
 
     Transitions are partial: a missing key rejects the word.  There is no
@@ -88,10 +86,19 @@ class Dfa:
     ``live`` holds them all.
     """
 
-    start: int
-    accepting: frozenset[int]
-    transitions: Mapping[tuple[int, str], int]
-    live: frozenset[int]
+    __slots__ = _fields = ("start", "accepting", "transitions", "live")
+
+    def __init__(
+        self,
+        start: int,
+        accepting: frozenset[int],
+        transitions: Mapping[tuple[int, str], int],
+        live: frozenset[int],
+    ) -> None:
+        self.start = start
+        self.accepting = accepting
+        self.transitions = transitions
+        self.live = live
 
     def accepts(self, word: Collection[str]) -> bool:
         state: int | None = self.start
@@ -302,17 +309,24 @@ def compile_label_regex(expression: str, labels: Collection[str]) -> Dfa:
 LabelRelation = frozenset[tuple[str, str]]
 
 
-@dataclass(frozen=True)
-class AutomatonRegulation:
+class AutomatonRegulation(_Record):
     """A finite memory over rule labels: regular, ordered and programmed.
 
     ``moves[m]`` maps each label permitted at memory ``m`` to the memory
     after it; ``names[m]`` is the text of memory ``m``.
     """
 
-    start: Hashable
-    moves: Mapping[Hashable, Mapping[str, Hashable]]
-    names: Mapping[Hashable, str]
+    __slots__ = _fields = ("start", "moves", "names")
+
+    def __init__(
+        self,
+        start: Hashable,
+        moves: Mapping[Hashable, Mapping[str, Hashable]],
+        names: Mapping[Hashable, str],
+    ) -> None:
+        self.start = start
+        self.moves = moves
+        self.names = names
 
     def initial_memory(self) -> Hashable:
         return self.start
@@ -332,8 +346,10 @@ class AutomatonRegulation:
         return self.names[memory]
 
 
-class _Memoryless:
+class _Memoryless(_Record):
     """A regulation that decides on the state and the enabled labels alone."""
+
+    __slots__ = ()
 
     def initial_memory(self) -> None:
         return None
@@ -345,21 +361,25 @@ class _Memoryless:
         return ""
 
 
-@dataclass(frozen=True)
 class ConditionalRegulation(_Memoryless):
     """Block a rule while one of its prohibited contexts sits in the state."""
 
-    prohibited: Mapping[str, tuple[Multiset, ...]]
+    __slots__ = _fields = ("prohibited",)
+
+    def __init__(self, prohibited: Mapping[str, tuple[Multiset, ...]]) -> None:
+        self.prohibited = prohibited
 
     def permits(self, memory, state, candidate, enabled_labels, concurrency) -> bool:
         return all(not context.issubset(state) for context in self.prohibited.get(candidate, ()))
 
 
-@dataclass(frozen=True)
 class ConcurrentFreeRegulation(_Memoryless):
     """Among enabled concurrent rules, admit only the prioritised one."""
 
-    priority: LabelRelation  # (high, low)
+    __slots__ = _fields = ("priority",)
+
+    def __init__(self, priority: LabelRelation) -> None:
+        self.priority = priority  # (high, low)
 
     def permits(self, memory, state, candidate, enabled_labels, concurrency) -> bool:
         return not any(

@@ -44,10 +44,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from typing import Iterable
 
 from .terms import EPSILON, IDENTIFIER, Agent, Atomic, Multiset, Pattern, Structure, canonicalize
+from .terms import _Record
 
 
 class ParseError(Exception):
@@ -63,27 +63,49 @@ class SignatureError(Exception):
     """Model-level signature defect (e.g. an atomic with no concrete feature)."""
 
 
-@dataclass(frozen=True)
-class BcslRule:
+class BcslRule(_Record):
     """A labelled rewrite rule between two patterns."""
 
-    label: str
-    lhs: Pattern
-    rhs: Pattern
+    __slots__ = _fields = ("label", "lhs", "rhs")
+
+    def __init__(self, label: str, lhs: Pattern, rhs: Pattern) -> None:
+        self.label = label
+        self.lhs = lhs
+        self.rhs = rhs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.label == other.label and self.lhs == other.lhs and self.rhs == other.rhs
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.lhs, self.rhs))
 
     def __str__(self) -> str:
         parts = [self.label, "~", str(self.lhs), "=>", str(self.rhs)]
         return " ".join(p for p in parts if p)
 
 
-@dataclass
-class BcslModel:
-    """Rules, inferred signatures and a grounded initial state."""
+class BcslModel(_Record):
+    """Rules, inferred signatures and a grounded initial state.
 
-    rules: tuple[BcslRule, ...]
-    atomic_signature: dict[str, frozenset[str]]
-    structure_signature: dict[str, frozenset[str]]
-    init: Multiset
+    Compares by its fields; its signatures are dicts, so it has no hash.
+    """
+
+    __slots__ = _fields = ("rules", "atomic_signature", "structure_signature", "init")
+    __eq__ = _Record._same_fields
+
+    def __init__(
+        self,
+        rules: tuple[BcslRule, ...],
+        atomic_signature: dict[str, frozenset[str]],
+        structure_signature: dict[str, frozenset[str]],
+        init: Multiset,
+    ) -> None:
+        self.rules = rules
+        self.atomic_signature = atomic_signature
+        self.structure_signature = structure_signature
+        self.init = init
 
     @property
     def labels(self) -> tuple[str, ...]:

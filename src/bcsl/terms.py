@@ -15,6 +15,9 @@ immutable multiset of canonical grounded agents with pointwise union,
 difference (clamped at zero), intersection and inclusion, and a fused
 ``rewrite`` (remove, then add) for successor states.
 
+The term classes are plain records (``_Record``), immutable by
+convention: nothing assigns a field after construction.  Atomics,
+structures and patterns compare and hash by their fields.
 An agent's identity is its text (``Agent.text``, e.g. ``A{x}.P(S{i})::c``):
 its hash, its equality and its key in the intern table.  Every name is an
 identifier, so the text is injective and text equality is field
@@ -47,7 +50,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
 #: Placeholder feature of an unresolved atomic in a pattern.
@@ -75,34 +77,78 @@ def _check_name(name: str, kind: str) -> None:
     _ACCEPTED_NAMES.add(name)
 
 
-@dataclass(frozen=True)
-class Atomic:
+class _Record:
+    """Base of the plain record classes: the dataclass ``repr`` over ``_fields``.
+
+    Records are immutable by convention: nothing assigns a field after
+    ``__init__``.  A record that compares by its fields takes ``__eq__``
+    and ``__hash__`` from ``_same_fields`` and ``_hash_fields``, or writes
+    its own where instances are built by the thousand.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def _same_fields(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def _hash_fields(self) -> int:
+        return hash(self._values())
+
+
+class Atomic(_Record):
     """Leaf component: a named site with one feature (possibly ε)."""
 
-    name: str
-    feature: str
+    __slots__ = _fields = ("name", "feature")
 
-    def __post_init__(self) -> None:
-        _check_name(self.name, "atomic")
-        if self.feature != EPSILON:
-            _check_name(self.feature, "feature")
+    def __init__(self, name: str, feature: str) -> None:
+        _check_name(name, "atomic")
+        if feature != EPSILON:
+            _check_name(feature, "feature")
+        self.name = name
+        self.feature = feature
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.feature == other.feature
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.feature))
 
     def __str__(self) -> str:
         return f"{self.name}{{{self.feature}}}"
 
 
-@dataclass(frozen=True)
-class Structure:
+class Structure(_Record):
     """Named container of atomics; atomic names are pairwise distinct."""
 
-    name: str
-    composition: tuple[Atomic, ...] = ()
+    __slots__ = _fields = ("name", "composition")
 
-    def __post_init__(self) -> None:
-        _check_name(self.name, "structure")
-        names = [a.name for a in self.composition]
+    def __init__(self, name: str, composition: tuple[Atomic, ...] = ()) -> None:
+        _check_name(name, "structure")
+        names = [a.name for a in composition]
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate atomic name in composition of {self.name!r}")
+            raise ValueError(f"duplicate atomic name in composition of {name!r}")
+        self.name = name
+        self.composition = composition
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.composition == other.composition
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.composition))
 
     def __str__(self) -> str:
         return f"{self.name}({','.join(str(a) for a in self.composition)})"
@@ -111,8 +157,7 @@ class Structure:
 Component = Union[Atomic, Structure]
 
 
-@dataclass(frozen=True)
-class Agent:
+class Agent(_Record):
     """A chain of components in a compartment; the element type of states.
 
     The text (``text`` / ``str``) is the agent's identity: ``hash`` and
@@ -121,16 +166,16 @@ class Agent:
     agent pickles with it.
     """
 
-    chain: tuple[Component, ...]
-    compartment: str
+    __slots__ = ("chain", "compartment", "_text")
+    _fields = ("chain", "compartment")
 
-    # Text cache; the class-level None means "not computed yet".
-    _text = None
-
-    def __post_init__(self) -> None:
-        if not self.chain:
+    def __init__(self, chain: tuple[Component, ...], compartment: str) -> None:
+        if not chain:
             raise ValueError("agent chain must not be empty")
-        _check_name(self.compartment, "compartment")
+        _check_name(compartment, "compartment")
+        self.chain = chain
+        self.compartment = compartment
+        self._text = None  # not computed yet
 
     def __hash__(self) -> int:
         return hash(self.text)
@@ -145,23 +190,32 @@ class Agent:
         """Serialized form, e.g. ``A{x}.P(S{i})::cell``."""
         value = self._text
         if value is None:
-            value = ".".join(str(c) for c in self.chain) + "::" + self.compartment
-            object.__setattr__(self, "_text", value)
+            value = self._text = ".".join(str(c) for c in self.chain) + "::" + self.compartment
         return value
 
     def __str__(self) -> str:
         return self.text
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(_Record):
     """Ordered agent sequence; may be empty.
 
     Unlike states, patterns compare positionally: the written order of
     agents (and of chain components) is part of pattern identity.
     """
 
-    agents: tuple[Agent, ...] = ()
+    __slots__ = _fields = ("agents",)
+
+    def __init__(self, agents: tuple[Agent, ...] = ()) -> None:
+        self.agents = agents
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.agents == other.agents
+
+    def __hash__(self) -> int:
+        return hash((self.agents,))
 
     def __str__(self) -> str:
         return " + ".join(str(a) for a in self.agents)

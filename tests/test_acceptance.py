@@ -5,7 +5,6 @@ per criterion.  Times are wall-clock on the current machine and asserted
 against the stated budgets.
 """
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -23,6 +22,7 @@ from bcsl import (
     Atomic,
     EPSILON,
     EPSILON_LABEL,
+    Mrs,
     Multiset,
     Pattern,
     RuleMatcher,
@@ -146,7 +146,7 @@ def test_criterion_4_equivalence():
 
     # negative controls: a dropped grounding and a spurious one must both fail
     mrs = build_mrs(model)
-    dropped = dataclasses.replace(mrs, rules=mrs.rules[:-1])
+    dropped = Mrs(mrs.rules[:-1], mrs.init)
     report = check_equivalence(model, mrs=dropped)
     assert not report.passed and report.counterexample is not None
 
@@ -157,7 +157,7 @@ def test_criterion_4_equivalence():
         parse_multiset("1 P(S{i},T{i})::cell"),
         parse_multiset("2 P(S{i},T{i})::cell"),
     )
-    spurious = dataclasses.replace(mrs, rules=mrs.rules + (bogus,))
+    spurious = Mrs(mrs.rules + (bogus,), mrs.init)
     report = check_equivalence(model, mrs=spurious, **bounds)
     assert not report.passed and report.counterexample is not None
 
@@ -183,9 +183,9 @@ def test_criterion_4_equivalence():
             }
             if covered - others:
                 report = check_equivalence(
-                    random_model, mrs=dataclasses.replace(
-                        random_mrs,
-                        rules=random_mrs.rules[:index] + random_mrs.rules[index + 1 :],
+                    random_model, mrs=Mrs(
+                        random_mrs.rules[:index] + random_mrs.rules[index + 1 :],
+                        random_mrs.init,
                     ),
                     **bounds,
                 )

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bcsl
-from bcsl import build_mrs, cli, conformance, parse_model, parse_multiset
+from bcsl import Mrs, build_mrs, cli, conformance, parse_model, parse_multiset
 from bcsl.cli import main
 from conftest import REGULATION_CONFIGS, TWO_SITE_MODEL, WIDE_SIGNATURE_MODEL, bench_module
 from corpus import random_model_text
@@ -282,7 +281,7 @@ def test_failed_check_prints_its_counterexample(capsys, model_path, monkeypatch)
         start = parse_multiset("1 P(S{i},T{i})::cell")
         rules = tuple(r for r in mrs.rules if not (r.label == "r2" and r.pre == start))
         assert len(rules) == len(mrs.rules) - 1
-        return dataclasses.replace(mrs, rules=rules)
+        return Mrs(rules, mrs.init)
 
     monkeypatch.setattr(conformance, "build_mrs", lossy)
     assert run_cli(capsys, "check", model_path) == (1, FAILED_CHECK_TEXT, "")
@@ -344,7 +343,7 @@ def test_failed_check_prints_a_state_counterexample(capsys, model_path, monkeypa
     build = conformance.build_mrs
     start = parse_multiset("1 P(S{a},T{a})::cell")
     monkeypatch.setattr(
-        conformance, "build_mrs", lambda model: dataclasses.replace(build(model), init=start)
+        conformance, "build_mrs", lambda model: Mrs(build(model).rules, start)
     )
     argv = ("check", model_path, "--max-depth", "0")
     assert run_cli(capsys, *argv) == (1, STATE_CHECK_TEXT, "")

@@ -1,9 +1,8 @@
-import dataclasses
-
 import pytest
 
 from bcsl import (
     EPSILON_LABEL,
+    Mrs,
     MrsRule,
     RuleMatcher,
     build_lts,
@@ -85,7 +84,7 @@ def test_both_semantics_hold_the_model_agent_objects(text):
 
 def _drop_rule(mrs, index):
     rules = mrs.rules[:index] + mrs.rules[index + 1 :]
-    return dataclasses.replace(mrs, rules=rules)
+    return Mrs(rules, mrs.init)
 
 
 def test_dropped_grounding_is_detected(two_site_model):
@@ -111,7 +110,7 @@ def test_spurious_rule_is_detected(two_site_model):
         parse_multiset("1 P(S{i},T{i})::cell"),
         parse_multiset("2 P(S{i},T{i})::cell"),
     )
-    corrupted = dataclasses.replace(mrs, rules=mrs.rules + (bogus,))
+    corrupted = Mrs(mrs.rules + (bogus,), mrs.init)
     report = check_equivalence(two_site_model, mrs=corrupted, **BOUNDS)
     assert not report.passed
     assert report.counterexample.direction == "grounded_only"
@@ -157,7 +156,7 @@ def _drop_r2_at(mrs, *texts):
     starts = {parse_multiset(text) for text in texts}
     rules = tuple(r for r in mrs.rules if not (r.label == "r2" and r.pre in starts))
     assert len(rules) == len(mrs.rules) - len(starts)
-    return dataclasses.replace(mrs, rules=rules)
+    return Mrs(rules, mrs.init)
 
 
 def test_counterexample_comes_from_the_first_differing_state_in_walk_order(two_site_model):
@@ -206,7 +205,7 @@ def test_a_system_that_starts_elsewhere_fails():
     model = parse_model(
         "#! rules\nr ~ A{x}::c => A{y}::c\ns ~ A{y}::c => A{x}::c\n#! inits\n1 A{x}::c\n"
     )
-    elsewhere = dataclasses.replace(build_mrs(model), init=parse_multiset("1 A{y}::c"))
+    elsewhere = Mrs(build_mrs(model).rules, parse_multiset("1 A{y}::c"))
     report = check_equivalence(model, mrs=elsewhere)
     assert not report.passed
     ce = report.counterexample

@@ -5,9 +5,17 @@ on the package modules.  ``__init__.py`` only re-exports, so it is left
 out.  An import that its module never reads is allowed only on a
 ``# noqa: F401`` line under a comment that names ``bench/tracer.py``,
 which rebinds module names to time them.
+
+Every ``bcsl`` call starts a process, so the package also keeps out of
+its import what costs start-up time and nothing needs: ``dataclasses``,
+which loads ``inspect`` and ``ast`` and runs generated code for each
+decorated class.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bcsl"
@@ -82,3 +90,35 @@ def test_a_stray_import_is_caught():
     assert unused_imports(source) == ({"Path", "dumps"}, {"os"})
     unmarked = "# Kept for no one.\nfrom pathlib import Path  # noqa: F401\n"
     assert unused_imports(unmarked) == (set(), {"Path"})
+
+
+def _dataclass_uses(source: str) -> list[str]:
+    """The ``dataclasses`` imports and ``dataclass`` decorators of a module, as text."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            found += [ast.unparse(d) for d in node.decorator_list if "dataclass" in ast.unparse(d)]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found.append(node.module)
+    return found
+
+
+def test_no_module_uses_dataclasses():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert not _dataclass_uses(path.read_text(encoding="utf-8")), path.name
+    caught = "import dataclasses\n@dataclasses.dataclass(frozen=True)\nclass A:\n    x: int\n"
+    assert _dataclass_uses(caught) == ["dataclasses", "dataclasses.dataclass(frozen=True)"]
+    assert _dataclass_uses("from dataclasses import dataclass as d\n") == ["dataclasses"]
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    probe = "import sys, bcsl.cli; sys.exit('dataclasses' in sys.modules)"
+    child = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 0, child.stderr

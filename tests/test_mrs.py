@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import bcsl.mrs
 from bcsl import (
     EPSILON_LABEL,
+    Mrs,
     MrsRule,
     Multiset,
     Pattern,
@@ -350,10 +350,10 @@ def test_replaced_rules_are_indexed_afresh(two_site_model):
     states = reached_states(mrs)
     assert_index_agrees(mrs, states, "full")  # the full system has its index now
     for i in range(len(mrs.rules)):
-        dropped = dataclasses.replace(mrs, rules=mrs.rules[:i] + mrs.rules[i + 1 :])
+        dropped = Mrs(mrs.rules[:i] + mrs.rules[i + 1 :], mrs.init)
         assert_index_agrees(dropped, states, ("dropped", i))
     bogus = rule("bogus", "1 P(S{a},T{a})::out", "1 P(S{i},T{i})::cell")
-    spurious = dataclasses.replace(mrs, rules=mrs.rules + (bogus,))
+    spurious = Mrs(mrs.rules + (bogus,), mrs.init)
     assert_index_agrees(spurious, states, "spurious")
     assert ("bogus", M0) in successors(spurious, parse_multiset("1 P(S{a},T{a})::out"))
 
@@ -438,7 +438,7 @@ def test_elements_equal_their_definition():
 def test_elements_are_computed_once():
     mrs = build_mrs(parse_model(TWO_SITE_MODEL))
     assert mrs.elements is mrs.elements
-    assert dataclasses.replace(mrs, rules=()).elements == frozenset(mrs.init.agents())
+    assert Mrs((), mrs.init).elements == frozenset(mrs.init.agents())
 
 
 def test_check_simulate_and_concurrent_free_never_ground_the_universe(monkeypatch, tmp_path):
