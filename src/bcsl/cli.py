@@ -13,6 +13,14 @@ the life of the process; anything else, and a stray argument, goes to
 the full tree, whose top-level parser reports the stray one.  It loads
 the model once and writes the text that the handler returns.
 
+``main`` runs the handler with the cyclic collector off, and on every
+exit puts it back as the caller left it.  That is safe because a call
+builds no reference cycle: its states, moves, edges and output are all
+freed by reference counting, which
+``tests/test_cli.py::test_a_call_leaves_no_garbage_for_the_collector``
+pins for every command.  On a large walk the collector would otherwise
+scan the growing state store again and again, to find nothing.
+
 A programmed regulation that lists no successors for some labels warns
 in one ``warning: <message>`` line on stderr, whatever Python's warning
 filters say, and the run goes on.
@@ -37,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 import warnings
@@ -163,6 +172,15 @@ def _rows_are_flat(rows: list) -> bool:
     return {type(item) for row in rows for item in row} <= _SCALARS
 
 
+def _unserializable(o):
+    """``JSONEncoder.default`` without an instance.
+
+    Handed to ``_Indented``'s C encoders in place of the bound
+    ``self.default``, which would make the encoder hold itself in a cycle
+    that only the cyclic collector frees."""
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 class _Indented(json.JSONEncoder):
     """Output of an integer ``indent``, rendered by the C encoder, byte for byte.
 
@@ -193,7 +211,7 @@ class _Indented(json.JSONEncoder):
         if encoder is None:
             encoder = self._encoders[level] = c_make_encoder(
                 None,
-                self.default,
+                _unserializable,
                 self._string,
                 None,
                 self.key_separator,
@@ -443,6 +461,8 @@ def main(argv: list[str] | None = None) -> int:
             args = build_arg_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    collecting = gc.isenabled()
+    gc.disable()  # see the module docstring
     try:
         text, code = _COMMANDS[args.command][0](_load_model(args.model), args)
         _emit(text, args.output)
@@ -450,6 +470,9 @@ def main(argv: list[str] | None = None) -> int:
     except tuple(_ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _ERROR_EXITS.items() if isinstance(exc, kind))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -591,34 +591,35 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _dot(name: str, prefix: str, texts: Iterable[str], root: int, edges: Iterable) -> str:
+def _dot(
+    name: str, prefix: str, texts: list[str], root: int, labels: list[str], codes: Iterable[int]
+) -> str:
     """DOT digraph ``name``: nodes ``prefix``0, 1, … labelled with ``texts`` in
-    order, node ``root`` drawn doubled, then one line per ``(i, label, j)`` edge.
+    order, node ``root`` drawn doubled, then one line per edge code, in the
+    order of ``codes``.
 
-    The one DOT writer, of graphs and of run trees; each label is quoted
-    the first time an edge carries it."""
+    The one DOT writer, of graphs and of run trees.  For ``n`` nodes, the
+    edge ``(i, labels[r], j)`` is the code ``i * len(labels) * n + r * n +
+    j`` (``_edge_ranks``).  Each node's name and each label's ``[label=…];``
+    suffix is written once, so an edge line only joins three of them."""
+    n = len(texts)
+    width = len(labels) * n
+    names = [f"{prefix}{i}" for i in range(n)]
+    suffixes = [f" [label={_dot_quote(label)}];" for label in labels]
     lines = [f"digraph {name} {{"]
-    for i, text in enumerate(texts):
-        attrs = f"label={_dot_quote(text)}"
-        if i == root:
-            attrs += ", peripheries=2"
-        lines.append(f"  {prefix}{i} [{attrs}];")
-    suffixes: dict[str, str] = {}
-    for src, label, tgt in edges:
-        suffix = suffixes.get(label)
-        if suffix is None:
-            suffix = suffixes[label] = f" [label={_dot_quote(label)}];"
-        lines.append(f"  {prefix}{src} -> {prefix}{tgt}{suffix}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f"  {node} [label={_dot_quote(text)}];" for node, text in zip(names, texts)]
+    lines[1 + root] = f"  {names[root]} [label={_dot_quote(texts[root])}, peripheries=2];"
+    lines += [f"  {names[c // width]} -> {names[c % n]}{suffixes[c % width // n]}" for c in codes]
+    lines.append("}\n")  # the final newline, without a copy of the whole text
+    return "\n".join(lines)
 
 
-def _decoded(codes: list[int], width: int, n: int, labels: list[str]) -> Iterable:
-    """The ``(i, label, j)`` edges of ``i * width + rank(label) * n + j`` codes."""
-    for code in codes:
-        src, rest = divmod(code, width)
-        rank, tgt = divmod(rest, n)
-        yield src, labels[rank], tgt
+def _edge_ranks(edges: Iterable[tuple], n: int) -> tuple[list[str], dict[str, int], int]:
+    """The sorted labels of ``edges``, each label's ``rank * n`` and the code
+    width ``len(labels) * n``: an edge ``(i, label, j)`` between nodes ``i``
+    and ``j`` of ``n`` is the code ``i * width + rank[label] + j``."""
+    labels = sorted({label for _, label, _ in edges})
+    return labels, {label: r * n for r, label in enumerate(labels)}, len(labels) * n
 
 
 def lts_to_dot(lts: Lts, label_fn: Callable[[Hashable], str] = str) -> str:
@@ -627,25 +628,23 @@ def lts_to_dot(lts: Lts, label_fn: Callable[[Hashable], str] = str) -> str:
     The initial state is drawn with a doubled periphery.  Output is
     sorted, hence byte-stable: nodes by ``(label_fn text, str text)``, edges by
     ``(source index, label, target index)``, each edge sorted as one
-    integer.  ``_dot`` writes it.
+    integer code.  ``_dot`` writes it.
     """
     text = {state: label_fn(state) for state in lts.states}
     # Two stable sorts: the order of the ``(label_fn text, str text)`` key.
     ordered = sorted(lts.states, key=str)
     ordered.sort(key=text.__getitem__)
     index = {state: i for i, state in enumerate(ordered)}
-    n = len(ordered)
-    labels = sorted({label for _, label, _ in lts.transitions})
-    rank = {label: r * n for r, label in enumerate(labels)}
-    width = len(labels) * n
+    labels, rank, width = _edge_ranks(lts.transitions, len(ordered))
     codes = sorted([index[s] * width + rank[label] + index[t] for s, label, t in lts.transitions])
-    edges = _decoded(codes, width, n, labels)
-    return _dot("lts", "s", map(text.__getitem__, ordered), index[lts.initial], edges)
+    return _dot("lts", "s", [text[s] for s in ordered], index[lts.initial], labels, codes)
 
 
 def tree_to_dot(tree: RunTree, label_fn: Callable[[Hashable], str] = str) -> str:
-    """DOT digraph of an unrolled run tree (root doubled)."""
-    return _dot("runs", "n", tree.node_texts(label_fn), 0, tree.edges)
+    """DOT digraph of an unrolled run tree (root doubled), edges in tree order."""
+    labels, rank, width = _edge_ranks(tree.edges, tree.n_nodes)
+    codes = [i * width + rank[label] + j for i, label, j in tree.edges]
+    return _dot("runs", "n", tree.node_texts(label_fn), 0, labels, codes)
 
 
 def lts_to_json_obj(lts: Lts, label_fn: Callable[[Hashable], str] = str) -> dict:

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -1435,3 +1436,101 @@ def _json_values(depth: int):
 def test_dump_writes_what_json_dumps_writes(value):
     expected = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
     assert cli._dump(value) == expected
+
+
+# ---------------------------------------------------------------------------
+# The cyclic collector: off inside ``main``, as the caller left it outside
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def collector():
+    """Puts the collector back as it was, whatever a test leaves behind."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+# Every command that the byte tests pin, as arguments after the model path.
+_BYTE_TEST_CALLS = [
+    *[[command, "--format", fmt] for command in ("parse", "ground") for fmt in ("json", "text")],
+    *[["lts", "--format", fmt] for fmt in ("dot", "json", "text")],
+    *[["lts", "--unroll", "--format", fmt] for fmt in ("dot", "json", "text")],
+    *[["lts", "--regulation", name] for name in sorted(REGULATION_CONFIGS)],
+    *[["simulate", "--format", fmt] for fmt in ("json", "text")],
+    ["check"],
+    ["check", "--json"],
+]
+
+
+@pytest.mark.parametrize("call", _BYTE_TEST_CALLS, ids=" ".join)
+def test_a_call_leaves_no_garbage_for_the_collector(model_path, tmp_path, collector, call):
+    # ``main`` runs with the collector off, which is safe only while a call
+    # builds no reference cycle: reference counting alone must free it all.
+    command, *rest = call
+    if "--regulation" in rest:
+        rest[-1] = write_regulation(tmp_path, rest[-1])
+    argv = [command, model_path, *rest, "-o", str(tmp_path / "out")]
+    main(argv)  # fills the per-process caches: parsers, the intern table
+    gc.collect()
+    gc.disable()
+    main(argv)
+    assert gc.collect() == 0
+
+
+# One ``main`` call per way out of it: its arguments, where ``{model}`` is
+# the two-site model and ``{dir}`` holds the files the test writes, and its
+# exit code.
+_EXIT_PATHS = {
+    "ok": (["lts", "{model}", "--format", "dot"], 0),
+    "bad-regulation": (["lts", "{model}", "--regulation", "{dir}/bad.json"], 2),
+    "truncated-check": (["check", "{model}", "--max-states", "3"], 2),
+    "output-is-a-directory": (["parse", "{model}", "-o", "{dir}"], 2),
+    "parse-error": (["parse", "{dir}/bad.bcsl"], 3),
+    "grounding-cap": (["ground", "{dir}/capped.bcsl"], 4),
+    "usage-error": (["lts"], 2),
+    "help": (["lts", "-h"], 0),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("path", sorted(_EXIT_PATHS))
+def test_main_leaves_the_collector_as_it_found_it(
+    capsys, model_path, tmp_path, monkeypatch, collector, path, enabled
+):
+    bad_model = "#! rules\nr ~ A{x}:c => A{y}::c\n#! inits\n"
+    (tmp_path / "bad.bcsl").write_text(bad_model, encoding="utf-8")
+    (tmp_path / "capped.bcsl").write_text(CAP_MODELS["agent-over-cap"], encoding="utf-8")
+    bad_regulation = '{"type": "regular", "expression": "nope"}'
+    (tmp_path / "bad.json").write_text(bad_regulation, encoding="utf-8")
+    seen = []
+    for command, (handler, help_text) in cli._COMMANDS.items():
+
+        def spy(model, args, handler=handler):
+            seen.append(gc.isenabled())
+            return handler(model, args)
+
+        monkeypatch.setitem(cli._COMMANDS, command, (spy, help_text))
+    template, code = _EXIT_PATHS[path]
+    argv = [arg.format(model=model_path, dir=tmp_path) for arg in template]
+    (gc.enable if enabled else gc.disable)()
+    assert main(argv) == code
+    assert gc.isenabled() is enabled
+    # The handler runs with the collector off; argparse and the model's
+    # parser stop these calls before it.
+    assert seen == ([] if path in ("usage-error", "help", "parse-error") else [False])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_an_escaping_exception_leaves_the_collector_as_it_found_it(
+    model_path, monkeypatch, collector, enabled
+):
+    def broken(model, args):
+        assert not gc.isenabled()
+        raise RuntimeError("handler failed")
+
+    monkeypatch.setitem(cli._COMMANDS, "parse", (broken, "broken"))
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(RuntimeError, match="handler failed"):
+        main(["parse", model_path])
+    assert gc.isenabled() is enabled

@@ -13,6 +13,7 @@ from bcsl import (
     Lts,
     Multiset,
     RuleMatcher,
+    RunTree,
     build_lts,
     build_mrs,
     check_equivalence,
@@ -761,6 +762,24 @@ def test_tree_dot_export(two_site_model):
     dot = tree_to_dot(tree)
     assert dot.count(" -> ") == 9
     assert dot.count("peripheries=2") == 1
+
+
+def test_tree_dot_keeps_the_order_of_the_edges():
+    # Edges are written as the tree lists them, not sorted; labels and
+    # node texts are quoted.
+    tree = RunTree(("a", 'b"', "c"), ((0, "y", 2), (0, "x", 1), (1, "y\\", 2)))
+    assert tree_to_dot(tree) == (
+        "digraph runs {\n"
+        '  n0 [label="a", peripheries=2];\n'
+        '  n1 [label="b\\""];\n'
+        '  n2 [label="c"];\n'
+        '  n0 -> n2 [label="y"];\n'
+        '  n0 -> n1 [label="x"];\n'
+        '  n1 -> n2 [label="y\\\\"];\n'
+        "}\n"
+    )
+    lone = RunTree(("a",), ())
+    assert tree_to_dot(lone) == 'digraph runs {\n  n0 [label="a", peripheries=2];\n}\n'
 
 
 def test_dot_ties_keep_their_bytes(two_site_model):
