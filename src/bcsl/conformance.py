@@ -22,19 +22,19 @@ from .terms import _Record
 
 
 class Counterexample(_Record):
-    """A reachable discrepancy between the two semantics."""
+    """A reachable discrepancy between the two semantics.
+
+    ``kind`` is "state" or "transition", ``direction`` "direct_only" or
+    "grounded_only"; ``label`` is ``None`` for a state.
+    """
 
     __slots__ = _fields = ("kind", "direction", "state", "label", "detail")
 
-    def __init__(self, kind: str, direction: str, state: str, label: str | None, detail: str):
-        self.kind = kind  # "state" or "transition"
-        self.direction = direction  # "direct_only" or "grounded_only"
-        self.state = state
-        self.label = label
-        self.detail = detail
-
 
 class ConformanceReport(_Record):
+    """What ``check_equivalence`` found: the counts of both explorations, and
+    the first ``Counterexample``, or ``None`` when the semantics agree."""
+
     __slots__ = _fields = (
         "states_checked",
         "truncated",
@@ -44,24 +44,6 @@ class ConformanceReport(_Record):
         "grounded_transitions",
         "counterexample",
     )
-
-    def __init__(
-        self,
-        states_checked: int,
-        truncated: bool,
-        direct_states: int,
-        grounded_states: int,
-        direct_transitions: int,
-        grounded_transitions: int,
-        counterexample: Counterexample | None,
-    ) -> None:
-        self.states_checked = states_checked
-        self.truncated = truncated
-        self.direct_states = direct_states
-        self.grounded_states = grounded_states
-        self.direct_transitions = direct_transitions
-        self.grounded_transitions = grounded_transitions
-        self.counterexample = counterexample
 
     @property
     def passed(self) -> bool:

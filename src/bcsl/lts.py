@@ -58,19 +58,8 @@ class Lts(_Record):
     """
 
     __slots__ = _fields = ("initial", "states", "transitions", "unsettled")
+    _defaults = {"unsettled": frozenset()}
     __eq__, __hash__ = _Record._same_fields, _Record._hash_fields
-
-    def __init__(
-        self,
-        initial: Hashable,
-        states: frozenset,
-        transitions: frozenset[Transition],
-        unsettled: frozenset = frozenset(),
-    ) -> None:
-        self.initial = initial
-        self.states = states
-        self.transitions = transitions
-        self.unsettled = unsettled
 
     @property
     def truncated(self) -> bool:
@@ -92,14 +81,8 @@ class RunTree(_Record):
     """
 
     __slots__ = _fields = ("states", "edges", "truncated")
+    _defaults = {"truncated": False}
     __eq__, __hash__ = _Record._same_fields, _Record._hash_fields
-
-    def __init__(
-        self, states: tuple, edges: tuple[tuple[int, str, int], ...], truncated: bool = False
-    ) -> None:
-        self.states = states
-        self.edges = edges
-        self.truncated = truncated
 
     @property
     def n_nodes(self) -> int:
@@ -127,12 +110,6 @@ class LabelSequences(_Record):
 
     __slots__ = _fields = ("complete", "incomplete")
     __eq__, __hash__ = _Record._same_fields, _Record._hash_fields
-
-    def __init__(
-        self, complete: frozenset[tuple[str, ...]], incomplete: frozenset[tuple[str, ...]]
-    ) -> None:
-        self.complete = complete
-        self.incomplete = incomplete
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +531,6 @@ class Run(_Record):
 
     __slots__ = _fields = ("states", "labels")
     __eq__, __hash__ = _Record._same_fields, _Record._hash_fields
-
-    def __init__(self, states: tuple[Hashable, ...], labels: tuple[str, ...]) -> None:
-        self.states = states
-        self.labels = labels
 
 
 def sample_run(initial: Hashable, successor_fn: SuccessorFn, steps: int, seed: int = 0) -> Run:

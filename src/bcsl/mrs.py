@@ -72,10 +72,6 @@ class Mrs(_Record):
 
     _fields = ("rules", "init")
 
-    def __init__(self, rules: tuple[MrsRule, ...], init: Multiset) -> None:
-        self.rules = rules
-        self.init = init
-
     @cached_property
     def elements(self) -> frozenset[Agent]:
         """The init agents plus the agents of every rule's ``pre`` and ``post``."""

@@ -88,18 +88,6 @@ class Dfa(_Record):
 
     __slots__ = _fields = ("start", "accepting", "transitions", "live")
 
-    def __init__(
-        self,
-        start: int,
-        accepting: frozenset[int],
-        transitions: Mapping[tuple[int, str], int],
-        live: frozenset[int],
-    ) -> None:
-        self.start = start
-        self.accepting = accepting
-        self.transitions = transitions
-        self.live = live
-
     def accepts(self, word: Collection[str]) -> bool:
         state: int | None = self.start
         for label in word:
@@ -318,16 +306,6 @@ class AutomatonRegulation(_Record):
 
     __slots__ = _fields = ("start", "moves", "names")
 
-    def __init__(
-        self,
-        start: Hashable,
-        moves: Mapping[Hashable, Mapping[str, Hashable]],
-        names: Mapping[Hashable, str],
-    ) -> None:
-        self.start = start
-        self.moves = moves
-        self.names = names
-
     def initial_memory(self) -> Hashable:
         return self.start
 
@@ -366,20 +344,15 @@ class ConditionalRegulation(_Memoryless):
 
     __slots__ = _fields = ("prohibited",)
 
-    def __init__(self, prohibited: Mapping[str, tuple[Multiset, ...]]) -> None:
-        self.prohibited = prohibited
-
     def permits(self, memory, state, candidate, enabled_labels, concurrency) -> bool:
         return all(not context.issubset(state) for context in self.prohibited.get(candidate, ()))
 
 
 class ConcurrentFreeRegulation(_Memoryless):
-    """Among enabled concurrent rules, admit only the prioritised one."""
+    """Among enabled concurrent rules, admit only the prioritised one
+    (``priority`` holds ``(high, low)`` label pairs)."""
 
     __slots__ = _fields = ("priority",)
-
-    def __init__(self, priority: LabelRelation) -> None:
-        self.priority = priority  # (high, low)
 
     def permits(self, memory, state, candidate, enabled_labels, concurrency) -> bool:
         return not any(

@@ -95,18 +95,6 @@ class BcslModel(_Record):
     __slots__ = _fields = ("rules", "atomic_signature", "structure_signature", "init")
     __eq__ = _Record._same_fields
 
-    def __init__(
-        self,
-        rules: tuple[BcslRule, ...],
-        atomic_signature: dict[str, frozenset[str]],
-        structure_signature: dict[str, frozenset[str]],
-        init: Multiset,
-    ) -> None:
-        self.rules = rules
-        self.atomic_signature = atomic_signature
-        self.structure_signature = structure_signature
-        self.init = init
-
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(r.label for r in self.rules)

@@ -16,8 +16,10 @@ difference (clamped at zero), intersection and inclusion, and a fused
 ``rewrite`` (remove, then add) for successor states.
 
 The term classes are plain records (``_Record``), immutable by
-convention: nothing assigns a field after construction.  Atomics,
-structures and patterns compare and hash by their fields.
+convention: nothing assigns a field after construction.  ``_Record``
+has one constructor over ``_fields``, with ``_defaults`` for the fields
+left out; the term classes, built by the thousand, write their own.
+Atomics, structures and patterns compare and hash by their fields.
 An agent's identity is its text (``Agent.text``, e.g. ``A{x}.P(S{i})::c``):
 its hash, its equality and its key in the intern table.  Every name is an
 identifier, so the text is injective and text equality is field
@@ -78,16 +80,35 @@ def _check_name(name: str, kind: str) -> None:
 
 
 class _Record:
-    """Base of the plain record classes: the dataclass ``repr`` over ``_fields``.
+    """Base of the plain record classes: one constructor, and the dataclass ``repr``.
 
-    Records are immutable by convention: nothing assigns a field after
-    ``__init__``.  A record that compares by its fields takes ``__eq__``
-    and ``__hash__`` from ``_same_fields`` and ``_hash_fields``, or writes
-    its own where instances are built by the thousand.
+    The constructor fills ``_fields`` in order, first from the positional
+    values, then from the keywords; a field given neither way takes its
+    value from the class's ``_defaults``.  Too many positional values, an
+    unknown or repeated field, and a missing field with no default raise
+    ``TypeError``.  Records are immutable by convention: nothing assigns a
+    field after ``__init__``.  A record that compares by its fields takes
+    ``__eq__`` and ``__hash__`` from ``_same_fields`` and ``_hash_fields``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: Mapping[str, object] = {}
+
+    def __init__(self, *values, **named) -> None:
+        kind, fields = type(self).__qualname__, self._fields
+        if len(values) > len(fields):
+            raise TypeError(f"{kind} takes {len(fields)} fields, got {len(values)} by position")
+        for name, value in zip(fields, values):
+            if name in named:
+                raise TypeError(f"{kind} got field {name!r} twice")
+            setattr(self, name, value)
+        for name in fields[len(values) :]:
+            if name not in named and name not in self._defaults:
+                raise TypeError(f"{kind} is missing field {name!r}")
+            setattr(self, name, named.pop(name) if name in named else self._defaults[name])
+        if named:
+            raise TypeError(f"{kind} has no field {next(iter(named))!r}")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -105,6 +126,9 @@ class _Record:
         return hash(self._values())
 
 
+# Built by the thousand, the term classes, ``BcslRule`` and ``MrsRule`` write
+# their own ``__init__``, ``__eq__`` and ``__hash__``: ``_Record``'s generic
+# constructor made ``corpus_check``'s parse and matcher round 21% slower.
 class Atomic(_Record):
     """Leaf component: a named site with one feature (possibly ε)."""
 
@@ -333,6 +357,8 @@ class Multiset(frozenset):
 
     def count(self, agent: Agent) -> int:
         """Multiplicity of ``agent`` (0 when absent); ``in`` and the tests read it."""
+        if not isinstance(agent, Agent):
+            raise TypeError("a Multiset counts Agents; bcsl.parse_agent reads one from its text")
         key = _IDS.get(canonicalize(agent).text)
         return next((n for a, n in _pairs(self) if a == key), 0)
 

@@ -6,6 +6,9 @@ out.  An import that its module never reads is allowed only on a
 ``# noqa: F401`` line under a comment that names ``bench/tracer.py``,
 which rebinds module names to time them.
 
+The records take ``_Record``'s one constructor; only the classes built
+by the thousand write their own ``__init__``.
+
 Every ``bcsl`` call starts a process, so the package also keeps out of
 its import what costs start-up time and nothing needs: ``dataclasses``,
 which loads ``inspect`` and ``ast`` and runs generated code for each
@@ -122,3 +125,41 @@ def test_importing_the_cli_loads_no_dataclasses():
         text=True,
     )
     assert child.returncode == 0, child.stderr
+
+
+# The records built by the thousand, whose hand-written ``__init__`` is
+# faster than ``_Record``'s generic one.
+OWN_INIT = {"Atomic", "Structure", "Agent", "Pattern", "BcslRule", "MrsRule"}
+
+
+def _defines_init(node: ast.ClassDef) -> bool:
+    return any(isinstance(s, ast.FunctionDef) and s.name == "__init__" for s in node.body)
+
+
+def record_classes(sources: list[str]) -> dict[str, bool]:
+    """Each ``_Record`` subclass, direct or not, and whether it defines ``__init__``."""
+    classes = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+    bases = {name: {ast.unparse(b) for b in node.bases} for name, node in classes.items()}
+    records, grown = {"_Record"}, True
+    while grown:
+        found = {name for name in classes if bases[name] & records}
+        grown, records = not found <= records, records | found
+    return {name: _defines_init(classes[name]) for name in records - {"_Record"}}
+
+
+def test_only_the_records_built_by_the_thousand_write_an_init():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    records = record_classes(sources)
+    assert {"Lts", "Mrs", "ConformanceReport", "ConcurrentFreeRegulation"} <= records.keys()
+    assert {name for name, own_init in records.items() if own_init} == OWN_INIT
+    caught = (
+        "class _Record:\n    def __init__(self): pass\n"
+        "class _Base(_Record): pass\n"
+        "class Leaf(_Base):\n    def __init__(self): pass\n"
+        "class Other:\n    def __init__(self): pass\n"
+    )
+    assert record_classes([caught]) == {"_Base": False, "Leaf": True}

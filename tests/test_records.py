@@ -127,6 +127,27 @@ def test_a_record_keeps_its_fields_and_compares_by_them_where_read(cls, fields, 
         assert hash(record) == hash(twin) and hash(record) != hash(other)
 
 
+# The fields that a record may be built without.
+DEFAULTED = {Structure: "composition", Pattern: "agents", Lts: "unsettled", RunTree: "truncated"}
+
+
+@pytest.mark.parametrize(
+    "cls, fields, changed, compared", RECORDS, ids=[row[0].__name__ for row in RECORDS]
+)
+def test_a_record_refuses_fields_it_does_not_take(cls, fields, changed, compared):
+    values = [getattr(cls(**fields), name) for name in cls._fields]
+    for name in fields:
+        if name != DEFAULTED.get(cls):
+            with pytest.raises(TypeError):
+                cls(**{key: value for key, value in fields.items() if key != name})
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    with pytest.raises(TypeError):
+        cls(**fields, no_such_field=values[0])
+    with pytest.raises(TypeError):
+        cls(values[0], **dict(zip(cls._fields, values)))
+
+
 def test_defaults():
     assert Structure("X").composition == ()
     assert Pattern().agents == ()

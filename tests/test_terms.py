@@ -179,6 +179,22 @@ def test_non_grounded_agent_rejected():
         Multiset.from_agents([ghost])
 
 
+@pytest.mark.parametrize("value", [5, "A{x}::c", None, Atomic("A", "x")], ids=repr)
+def test_a_multiset_counts_only_agents(value):
+    m = Multiset({AGENT_POOL[0]: 1})
+    message = "a Multiset counts Agents; bcsl.parse_agent reads one from its text"
+    with pytest.raises(TypeError) as raised:
+        value in m
+    assert str(raised.value) == message
+    with pytest.raises(TypeError) as raised:
+        m.count(value)
+    assert str(raised.value) == message
+    # An agent counts 0 when it is absent or not grounded.
+    ghost = Agent((Atomic("A", EPSILON),), "c")
+    for agent in (AGENT_POOL[1], ghost):
+        assert m.count(agent) == 0 and agent not in m
+
+
 def test_zero_multiplicities_are_dropped():
     m = Multiset({AGENT_POOL[0]: 0, AGENT_POOL[1]: 2})
     assert m.count(AGENT_POOL[0]) == 0
