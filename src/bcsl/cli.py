@@ -38,7 +38,12 @@ a configuration error; and a negative bound or step count is a usage
 error.  All outputs are canonically sorted, so repeated invocations are
 byte-identical.  JSON output is
 exactly ``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)``,
-rendered by the C encoder (``_Indented``).
+rendered by the C encoder (``_Indented``).  ``lts`` hands the dump its
+long arrays (a graph's transitions, a tree's nodes and edges) as row
+blocks (``_Rows``), written while the dump runs: a graph's rows are
+integer edge codes over the states ranked by text, and each distinct
+state text and label is encoded once.  ``--format text`` writes a
+graph's rows from the same codes.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from pathlib import Path
 
 from . import lts
 from .conformance import ConformanceReport, check_equivalence
-from .lts import lts_to_dot, lts_to_json_obj, sample_run, tree_to_dot, tree_to_json_obj, unroll
+from .lts import _edge_ranks, lts_to_dot, sample_run, tree_to_dot, unroll
 from .mrs import build_mrs
 from .patterns import GroundingCapError
 from .regulation import (
@@ -66,9 +71,9 @@ from .regulation import (
 )
 from .syntax import _LINE_BREAK, BcslModel, ParseError, SignatureError, model_to_text, parse_model
 from .terms import CountTooLongError
-# Nothing here calls it, but ``bench/tracer.py`` rebinds this name, so it
-# stays importable from this module.
-from .lts import RuleMatcher  # noqa: F401
+# Nothing here calls them, but ``bench/tracer.py`` rebinds these names, so
+# they stay importable from this module.
+from .lts import RuleMatcher, lts_to_json_obj, tree_to_json_obj  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -172,6 +177,19 @@ def _rows_are_flat(rows: list) -> bool:
     return {type(item) for row in rows for item in row} <= _SCALARS
 
 
+class _Rows:
+    """A JSON array of rows that ``_Indented`` writes while the dump runs.
+
+    ``write(string, inner, item)`` gives the text of each row: its items
+    encoded by ``string``, each after ``item`` (a newline and the items'
+    padding), and its closing bracket after ``inner`` (the rows' own)."""
+
+    __slots__ = ("write",)
+
+    def __init__(self, write):
+        self.write = write
+
+
 def _unserializable(o):
     """``JSONEncoder.default`` without an instance.
 
@@ -190,17 +208,27 @@ class _Indented(json.JSONEncoder):
     is one C call at the rows' inner padding, and one ``str.replace``
     turns the row separators into outer ones: an encoded string holds no
     raw newline and a scalar never ends in ``]`` or ``}``, so only a row
-    boundary reads ``],\\n<pad>[``.  Other containers recurse here.  It
-    renders what the CLI dumps, plain JSON data only: dicts with ``str``
-    keys, lists, and ``str``, ``int``, ``float``, ``bool`` or ``None``
-    values.  Without the C encoder, the stock encoder does it all.
+    boundary reads ``],\\n<pad>[``.  A row block (``_Rows``) is written
+    verbatim at its indent: the rows that its writer gives, joined as the
+    rows of a list.  Other containers recurse here.  It renders what the
+    CLI dumps: dicts with ``str`` keys, lists, row blocks, and ``str``,
+    ``int``, ``float``, ``bool`` or ``None`` values.  Either way the text
+    is exactly what ``json.dumps(obj, indent=2, sort_keys=True,
+    ensure_ascii=False)`` writes for the same data.  Without the C
+    encoder, the stock encoder does it all, with each row block's rows
+    in its place, read back from the text they write without padding.
     """
 
+    def default(self, o):
+        if type(o) is _Rows:  # only the stock encoder asks: the rows read back
+            return json.loads("[" + ",".join(o.write(self._string, "", "")) + "]")
+        return super().default(o)
+
     def iterencode(self, o, _one_shot=False):
+        self._string = encode_basestring_ascii if self.ensure_ascii else encode_basestring
         if c_make_encoder is None:
             return super().iterencode(o, _one_shot)
         self._pad = " " * self.indent
-        self._string = encode_basestring_ascii if self.ensure_ascii else encode_basestring
         self._encoders: dict[int, object] = {}
         self._scalar = self._encoder(0)
         return [self._render(o, 0)]
@@ -226,11 +254,19 @@ class _Indented(json.JSONEncoder):
         kind = type(o)
         if kind in _SCALARS:
             return self._scalar(o, 0)[0]
+        inner = "\n" + self._pad * (level + 1)
+        outer = "\n" + self._pad * level
+        if kind is _Rows:
+            rows = o.write(self._string, inner, inner + self._pad)
+            if not rows:
+                return "[]"
+            # The brackets go on the end rows: one copy of the whole, in the join.
+            rows[0] = "[" + inner + rows[0]
+            rows[-1] += outer + "]"
+            return (self.item_separator + inner).join(rows)
         kinds = set(map(type, o.values() if kind is dict else o))
         if not o:
             return "{}" if kind is dict else "[]"
-        inner = "\n" + self._pad * (level + 1)
-        outer = "\n" + self._pad * level
         if kinds <= _SCALARS:
             text = "".join(self._encoder(level + 1)(o, 0))
             return text[0] + inner + text[1:-1] + outer + text[-1]
@@ -336,11 +372,11 @@ def _cmd_lts(model: BcslModel, args) -> tuple[str, int]:
     root, successor_fn, label_fn = direct_walk(model, _load_regulation(args.regulation, model))
     if args.unroll:
         walk = unroll(root, functools.cache(successor_fn), args.max_depth, args.max_states)
-        to_dot, to_json, to_text = tree_to_dot, tree_to_json_obj, _tree_text
+        to_dot, to_json, to_text = tree_to_dot, _tree_json, _tree_text
     else:
         # Through the module: a tracer that times the walk rebinds ``lts.explore``.
         walk = lts.explore(root, successor_fn, args.max_states, args.max_depth)
-        to_dot, to_json, to_text = lts_to_dot, lts_to_json_obj, _lts_text
+        to_dot, to_json, to_text = lts_to_dot, _lts_json, _lts_text
     if args.format == "dot":
         text = to_dot(walk, label_fn)
     elif args.format == "json":
@@ -350,17 +386,88 @@ def _cmd_lts(model: BcslModel, args) -> tuple[str, int]:
     return text, EXIT_OK
 
 
+def _text_ranks(graph, label_fn) -> tuple[list[str], dict]:
+    """The distinct ``label_fn`` texts of the states, sorted, and each
+    state's rank among them; equal texts share a rank."""
+    text = {state: label_fn(state) for state in graph.states}
+    texts = sorted(set(text.values()))
+    rank = {t: r for r, t in enumerate(texts)}
+    return texts, {state: rank[t] for state, t in text.items()}
+
+
+def _edge_rows(graph, rank: dict, heads: list[str], mid, tails: list[str]) -> list[str]:
+    """One row per transition, ``heads[source rank] + mid(label) + tails[target
+    rank]``, in the order of the sorted ``[source text, label, target text]``.
+
+    Each transition is sorted as one integer code (``lts._edge_ranks``)
+    over the text ranks, which order sources and targets as their texts
+    do; states of equal text share a rank, so their rows tie as their
+    texts do."""
+    n = len(tails)
+    labels, offset, width = _edge_ranks(graph.transitions, n)
+    mids = [mid(label) for label in labels]
+    codes = sorted([rank[s] * width + offset[label] + rank[t] for s, label, t in graph.transitions])
+    return [f"{heads[c // width]}{mids[c % width // n]}{tails[c % n]}" for c in codes]
+
+
+def _lts_json(graph, label_fn) -> dict:
+    """``lts_to_json_obj``'s object, its states and transitions row blocks
+    that encode each distinct text once."""
+    texts, rank = _text_ranks(graph, label_fn)
+    # The JSON string of each text, made for the first block written.
+    encoded = functools.cache(lambda string: [string(text) for text in texts])
+
+    def states(string, inner, item):
+        return list(map(encoded(string).__getitem__, sorted(rank.values())))
+
+    def transitions(string, inner, item):
+        return _edge_rows(
+            graph,
+            rank,
+            [f"[{item}{text}," for text in encoded(string)],
+            lambda label: f"{item}{string(label)},{item}",
+            [f"{text}{inner}]" for text in encoded(string)],
+        )
+
+    return {
+        "initial": texts[rank[graph.initial]],
+        "states": _Rows(states),
+        "transitions": _Rows(transitions),
+        "truncated": graph.truncated,
+    }
+
+
 def _lts_text(graph, label_fn) -> str:
     """The rows of the JSON object, one transition per line."""
-    obj = lts_to_json_obj(graph, label_fn)
+    texts, rank = _text_ranks(graph, label_fn)
     lines = [
-        f"states: {len(obj['states'])}",
-        f"transitions: {len(obj['transitions'])}",
-        f"truncated: {str(obj['truncated']).lower()}",
-        f"initial: {obj['initial']}",
+        f"states: {graph.n_states}",
+        f"transitions: {graph.n_transitions}",
+        f"truncated: {str(graph.truncated).lower()}",
+        f"initial: {texts[rank[graph.initial]]}",
     ]
-    lines.extend(f"  {src} --{label}--> {tgt}" for src, label, tgt in obj["transitions"])
+    heads = [f"  {text} --" for text in texts]
+    lines += _edge_rows(graph, rank, heads, lambda label: f"{label}--> ", texts)
     return "\n".join(lines)
+
+
+def _tree_json(tree, label_fn) -> dict:
+    """``tree_to_json_obj``'s object, its nodes and edges row blocks in tree order."""
+
+    def nodes(string, inner, item):
+        texts = tree.node_texts(label_fn)
+        encoded = {text: string(text) for text in dict.fromkeys(texts)}
+        return [
+            f'{{{item}"id": {i},{item}"state": {encoded[text]}{inner}}}'
+            for i, text in enumerate(texts)
+        ]
+
+    def edges(string, inner, item):
+        labels = {label for _, label, _ in tree.edges}
+        mids = {label: f",{item}{string(label)},{item}" for label in labels}
+        return [f"[{item}{i}{mids[label]}{j}{inner}]" for i, label, j in tree.edges]
+
+    return {"nodes": _Rows(nodes), "edges": _Rows(edges), "truncated": tree.truncated}
 
 
 def _tree_text(tree, label_fn) -> str:

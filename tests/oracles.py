@@ -25,7 +25,10 @@ makes another way, as directly as it can:
   oracle of the reachability walks of an ``ordered`` regulation;
 * ``dot_by_definition`` — the DOT text of an LTS with its nodes sorted by
   ``(label_fn text, str text)`` and its edges as ``(source index, label, target
-  index)`` tuples, the oracle of ``lts_to_dot``'s integer edge codes.
+  index)`` tuples, the oracle of ``lts_to_dot``'s integer edge codes;
+* ``text_by_definition`` — the ``--format text`` lines of a graph or a run
+  tree, read off ``lts_to_json_obj`` or ``tree_to_json_obj``, the oracle of
+  the CLI's text rows from integer edge codes.
 """
 
 from __future__ import annotations
@@ -35,7 +38,15 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping
 
-from bcsl.lts import Lts, RuleMatcher, _dot_quote, _PreparedRule
+from bcsl.lts import (
+    Lts,
+    RuleMatcher,
+    RunTree,
+    _dot_quote,
+    _PreparedRule,
+    lts_to_json_obj,
+    tree_to_json_obj,
+)
 from bcsl.mrs import Mrs, apply_rule, build_mrs, enabled
 from bcsl.patterns import (
     DEFAULT_GROUNDING_CAP,
@@ -241,3 +252,28 @@ def dot_by_definition(lts: Lts, label_fn: Callable[[Hashable], str] = str) -> st
         lines.append(f"  s{src} -> s{tgt} [label={_dot_quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def text_by_definition(walk: Lts | RunTree, label_fn: Callable[[Hashable], str] = str) -> str:
+    """The text ``bcsl lts --format text`` writes: the JSON object's counts,
+    then its rows, one edge per line."""
+    if isinstance(walk, Lts):
+        obj = lts_to_json_obj(walk, label_fn)
+        lines = [
+            f"states: {len(obj['states'])}",
+            f"transitions: {len(obj['transitions'])}",
+            f"truncated: {str(obj['truncated']).lower()}",
+            f"initial: {obj['initial']}",
+        ]
+        rows = obj["transitions"]
+    else:
+        obj = tree_to_json_obj(walk, label_fn)
+        lines = [
+            f"nodes: {len(obj['nodes'])}",
+            f"edges: {len(obj['edges'])}",
+            f"truncated: {str(obj['truncated']).lower()}",
+        ]
+        text = [node["state"] for node in obj["nodes"]]
+        rows = [(text[parent], label, text[child]) for parent, label, child in obj["edges"]]
+    lines.extend(f"  {src} --{label}--> {tgt}" for src, label, tgt in rows)
+    return "\n".join(lines)

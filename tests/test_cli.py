@@ -1,6 +1,7 @@
 import argparse
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -1475,6 +1476,46 @@ def test_a_call_leaves_no_garbage_for_the_collector(model_path, tmp_path, collec
     gc.disable()
     main(argv)
     assert gc.collect() == 0
+
+
+# The calls of ``_BYTE_TEST_CALLS`` that write JSON.
+_JSON_CALLS = [
+    call
+    for call in _BYTE_TEST_CALLS
+    if "text" not in call and "dot" not in call and call != ["check"]
+]
+
+
+def _output(model_path, tmp_path, call) -> bytes:
+    command, *rest = call
+    if "--regulation" in rest:
+        rest[-1] = write_regulation(tmp_path, rest[-1])
+    out = tmp_path / "out"
+    main([command, model_path, *rest, "-o", str(out)])
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("call", _JSON_CALLS, ids=" ".join)
+def test_json_keeps_its_bytes_without_the_c_encoder(model_path, tmp_path, monkeypatch, call):
+    # Without ``json``'s C encoder the stock encoder writes it all, the
+    # ``lts`` row blocks included.
+    assert len(_JSON_CALLS) == 11
+    expected = _output(model_path, tmp_path, call)
+    monkeypatch.setattr(cli, "c_make_encoder", None)
+    assert _output(model_path, tmp_path, call) == expected
+
+
+def test_a_stdout_without_a_buffer_gets_the_same_text(model_path, tmp_path, monkeypatch):
+    # The text, ε labels included, goes through ``write``, not through ``buffer``.
+    argv = ["lts", model_path, "--regulation", write_regulation(tmp_path, "ordered")]
+    out = tmp_path / "out"
+    main([*argv, "--format", "text", "-o", str(out)])
+    expected = out.read_text(encoding="utf-8")
+    stdout = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main([*argv, "--format", "text"]) == 0
+    assert stdout.getvalue() == expected
+    assert not hasattr(stdout, "buffer") and "--ε-->" in expected
 
 
 # One ``main`` call per way out of it: its arguments, where ``{model}`` is

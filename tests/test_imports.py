@@ -27,7 +27,7 @@ NOQA = "# noqa: F401"
 
 # What the modules keep for the tracer alone.
 KEPT_FOR_TRACER = {
-    "cli.py": {"RuleMatcher"},
+    "cli.py": {"RuleMatcher", "lts_to_json_obj", "tree_to_json_obj"},
     "regulation.py": {"build_mrs", "explore", "unroll"},
 }
 

@@ -31,7 +31,7 @@ from bcsl import (
     tree_to_json_obj,
     unroll,
 )
-from bcsl import terms
+from bcsl import cli, terms
 from bcsl.cli import _tree_text
 from bcsl.lts import _backtrack, _PreparedRule
 from bcsl.patterns import assign_features, expand_agent
@@ -39,7 +39,13 @@ from bcsl.syntax import BcslModel, BcslRule, parse_agent
 from bcsl.terms import Pattern, Structure, agent_id, agent_of
 from conftest import TWO_SITE_MODEL, UNREGULATED_SEQUENCES, bench_module
 from corpus import random_model_text
-from oracles import dot_by_definition, enumerated_matches, map_states, resolved_effects
+from oracles import (
+    dot_by_definition,
+    enumerated_matches,
+    map_states,
+    resolved_effects,
+    text_by_definition,
+)
 from test_generated_models import model_texts
 
 M0 = parse_multiset("1 P(S{i},T{i})::cell")
@@ -838,7 +844,95 @@ def test_dot_matches_its_definition(args, max_states, max_depth):
     assert lts_to_dot(graph, *args) == dot_by_definition(graph, *args)
 
 
-@pytest.mark.parametrize("export", [lts_to_dot, lts_to_json_obj])
+# What ``bcsl lts --format json`` writes for a graph and for a run tree.
+def _cli_json(graph, label_fn=str):
+    return cli._dump(cli._lts_json(graph, label_fn))
+
+
+def _cli_tree_json(tree, label_fn=str):
+    return cli._dump(cli._tree_json(tree, label_fn))
+
+
+# State texts that a writer could mistake for structure: quotes,
+# backslashes, control characters, non-ASCII, the empty set and ε.
+_STATE_TEXT = st.sampled_from(
+    ['"', "\\", "\n", "\x00\x1f", "é 𝔸", "∅", "ε", "1 A::c | q0", "", "x"]
+) | st.text(max_size=4)
+# Arbitrary hashable states; ``str`` gives 1 and "1" the same text.
+_STATE = (
+    st.integers(-2, 12)
+    | st.text(max_size=2)
+    | st.tuples(st.integers(0, 2), st.text(max_size=1))
+    | st.none()
+)
+
+
+@st.composite
+def _walks(draw):
+    """A hand-built graph and run tree over the same states, and a node text
+    that is ``str`` or drawn per state, so that distinct states may share
+    a text."""
+    states = draw(st.lists(_STATE, min_size=1, max_size=8, unique=True))
+    # Few labels and texts, so that states of one text differ in their labels.
+    tied = st.sampled_from(["a", "b", "x"])
+    state, label = st.sampled_from(states), tied | _STATE_TEXT
+    transitions = draw(st.lists(st.tuples(state, label, state), max_size=16))
+    graph = Lts(
+        states[0],
+        frozenset(states),
+        frozenset(transitions),
+        frozenset(states[:1] if draw(st.booleans()) else ()),
+    )
+    nodes = draw(st.lists(state, min_size=1, max_size=10))
+    node = st.integers(0, len(nodes) - 1)
+    edges = draw(st.lists(st.tuples(node, label, node), max_size=12))
+    tree = RunTree(tuple(nodes), tuple(edges), draw(st.booleans()))
+    n = len(states)
+    texts = draw(
+        st.none()
+        | st.lists(tied, min_size=n, max_size=n)
+        | st.lists(_STATE_TEXT, min_size=n, max_size=n)
+    )
+    label_fn = str if texts is None else dict(zip(states, texts)).__getitem__
+    return graph, tree, label_fn
+
+
+@settings(deadline=None)
+@given(_walks(), st.booleans())
+def test_cli_rows_match_the_library_exports(walks, fallback):
+    # The CLI writes JSON and text rows from integer edge codes over texts
+    # ranked with ties; the library's JSON objects are the reference, also
+    # when the stock encoder writes the rows.
+    graph, tree, label_fn = walks
+    encoder = cli.c_make_encoder
+    cli.c_make_encoder = None if fallback else encoder
+    try:
+        for write, reference, walk in (
+            (_cli_json, lts_to_json_obj, graph),
+            (_cli_tree_json, tree_to_json_obj, tree),
+        ):
+            expected = json.dumps(
+                reference(walk, label_fn), indent=2, sort_keys=True, ensure_ascii=False
+            )
+            assert write(walk, label_fn) == expected
+    finally:
+        cli.c_make_encoder = encoder
+    assert cli._lts_text(graph, label_fn) == text_by_definition(graph, label_fn)
+    assert _tree_text(tree, label_fn) == text_by_definition(tree, label_fn)
+
+
+def test_tied_texts_sort_as_text_rows():
+    # Two states of one text: their rows sort by label between them, as
+    # ``[source text, label, target text]`` rows do, not by state.
+    graph = Lts(0, frozenset({0, 1, 2}), frozenset({(0, "b", 2), (1, "a", 2)}))
+    texts = {0: "x", 1: "x", 2: "y"}.__getitem__
+    assert cli._lts_text(graph, texts).splitlines()[4:] == ["  x --a--> y", "  x --b--> y"]
+    assert _cli_json(graph, texts) == json.dumps(
+        lts_to_json_obj(graph, texts), indent=2, sort_keys=True, ensure_ascii=False
+    )
+
+
+@pytest.mark.parametrize("export", [lts_to_dot, lts_to_json_obj, _cli_json, cli._lts_text])
 def test_graph_exports_read_each_state_text_once(two_site_model, export):
     graph = build_lts(two_site_model)
     calls = []
