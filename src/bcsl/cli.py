@@ -38,12 +38,13 @@ a configuration error; and a negative bound or step count is a usage
 error.  All outputs are canonically sorted, so repeated invocations are
 byte-identical.  JSON output is
 exactly ``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)``,
-rendered by the C encoder (``_Indented``).  ``lts`` hands the dump its
-long arrays (a graph's transitions, a tree's nodes and edges) as row
-blocks (``_Rows``), written while the dump runs: a graph's rows are
-integer edge codes over the states ranked by text, and each distinct
-state text and label is encoded once.  ``--format text`` writes a
-graph's rows from the same codes.
+written without a reference cycle (``_indented``).  ``lts`` writes its
+whole document as text in that layout (``_lts_json``, ``_tree_json``),
+while the dump runs: a graph's rows come from integer edge codes over
+the states ranked by text, and each distinct state text and label is
+encoded once.  ``--format text`` writes a graph's rows from the same
+codes.  When the reader of stdout goes away (``| head``), ``main`` exits
+2 without a message.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ import argparse
 import functools
 import gc
 import json
+import os
 import sys
 import warnings
-from json.encoder import c_make_encoder, encode_basestring, encode_basestring_ascii
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import lts
@@ -167,131 +169,46 @@ def _emit(text: str, output: str | None) -> None:
             handle.write(end)
 
 
-_SCALARS = frozenset((str, int, float, bool, type(None)))
+# ``json.dumps`` with an ``indent`` writes through closures that refer to
+# one another: a reference cycle on every call, left to the collector that
+# ``main`` has turned off.  ``_indented`` writes strings and integers
+# itself, and other scalars and empty containers through an encoder
+# without ``indent``, which builds none.
+_flat = json.JSONEncoder().encode
 
 
-def _rows_are_flat(rows: list) -> bool:
-    """Whether the lists or the dicts in ``rows`` hold only scalars."""
-    if type(rows[0]) is dict:
-        return {type(value) for row in rows for value in row.values()} <= _SCALARS
-    return {type(item) for row in rows for item in row} <= _SCALARS
+def _indented(o, outer: str) -> str:
+    """``json.dumps(o, indent=2, sort_keys=True, ensure_ascii=False)``, for
+    dicts with ``str`` keys, lists and scalars; ``outer`` is the newline
+    and padding before ``o``'s closing bracket."""
+    kind = type(o)
+    if kind is str:
+        return encode_basestring(o)
+    if kind is int:
+        return repr(o)
+    if not o or (kind is not dict and kind is not list):
+        return _flat(o)
+    inner = outer + "  "
+    if kind is dict:
+        items = [encode_basestring(key) + ": " + _indented(o[key], inner) for key in sorted(o)]
+    else:
+        items = [_indented(item, inner) for item in o]
+    opening, closing = "{}" if kind is dict else "[]"
+    return opening + inner + ("," + inner).join(items) + outer + closing
 
 
-class _Rows:
-    """A JSON array of rows that ``_Indented`` writes while the dump runs.
+class _Json(json.JSONEncoder):
+    """The layout of ``_indented``; a callable is a writer whose text is the dump."""
 
-    ``write(string, inner, item)`` gives the text of each row: its items
-    encoded by ``string``, each after ``item`` (a newline and the items'
-    padding), and its closing bracket after ``inner`` (the rows' own)."""
-
-    __slots__ = ("write",)
-
-    def __init__(self, write):
-        self.write = write
-
-
-def _unserializable(o):
-    """``JSONEncoder.default`` without an instance.
-
-    Handed to ``_Indented``'s C encoders in place of the bound
-    ``self.default``, which would make the encoder hold itself in a cycle
-    that only the cyclic collector frees."""
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-class _Indented(json.JSONEncoder):
-    """Output of an integer ``indent``, rendered by the C encoder, byte for byte.
-
-    ``json`` runs its C encoder only without ``indent``.  Here a container
-    of scalars is one C call whose item separator carries the newline and
-    the padding.  A list of non-empty flat rows (all lists or all dicts)
-    is one C call at the rows' inner padding, and one ``str.replace``
-    turns the row separators into outer ones: an encoded string holds no
-    raw newline and a scalar never ends in ``]`` or ``}``, so only a row
-    boundary reads ``],\\n<pad>[``.  A row block (``_Rows``) is written
-    verbatim at its indent: the rows that its writer gives, joined as the
-    rows of a list.  Other containers recurse here.  It renders what the
-    CLI dumps: dicts with ``str`` keys, lists, row blocks, and ``str``,
-    ``int``, ``float``, ``bool`` or ``None`` values.  Either way the text
-    is exactly what ``json.dumps(obj, indent=2, sort_keys=True,
-    ensure_ascii=False)`` writes for the same data.  Without the C
-    encoder, the stock encoder does it all, with each row block's rows
-    in its place, read back from the text they write without padding.
-    """
-
-    def default(self, o):
-        if type(o) is _Rows:  # only the stock encoder asks: the rows read back
-            return json.loads("[" + ",".join(o.write(self._string, "", "")) + "]")
-        return super().default(o)
-
-    def iterencode(self, o, _one_shot=False):
-        self._string = encode_basestring_ascii if self.ensure_ascii else encode_basestring
-        if c_make_encoder is None:
-            return super().iterencode(o, _one_shot)
-        self._pad = " " * self.indent
-        self._encoders: dict[int, object] = {}
-        self._scalar = self._encoder(0)
-        return [self._render(o, 0)]
-
-    def _encoder(self, level: int):
-        """The C encoder whose items sit at indent ``level``."""
-        encoder = self._encoders.get(level)
-        if encoder is None:
-            encoder = self._encoders[level] = c_make_encoder(
-                None,
-                _unserializable,
-                self._string,
-                None,
-                self.key_separator,
-                self.item_separator + "\n" + self._pad * level,
-                self.sort_keys,
-                self.skipkeys,
-                self.allow_nan,
-            )
-        return encoder
-
-    def _render(self, o, level: int) -> str:
-        kind = type(o)
-        if kind in _SCALARS:
-            return self._scalar(o, 0)[0]
-        inner = "\n" + self._pad * (level + 1)
-        outer = "\n" + self._pad * level
-        if kind is _Rows:
-            rows = o.write(self._string, inner, inner + self._pad)
-            if not rows:
-                return "[]"
-            # The brackets go on the end rows: one copy of the whole, in the join.
-            rows[0] = "[" + inner + rows[0]
-            rows[-1] += outer + "]"
-            return (self.item_separator + inner).join(rows)
-        kinds = set(map(type, o.values() if kind is dict else o))
-        if not o:
-            return "{}" if kind is dict else "[]"
-        if kinds <= _SCALARS:
-            text = "".join(self._encoder(level + 1)(o, 0))
-            return text[0] + inner + text[1:-1] + outer + text[-1]
-        if kind is list and kinds in ({list}, {dict}) and all(o) and _rows_are_flat(o):
-            row_inner = inner + self._pad
-            text = "".join(self._encoder(level + 2)(o, 0))
-            start, end = text[1], text[-2]
-            body = text[2:-2].replace(
-                end + self.item_separator + row_inner + start,
-                inner + end + self.item_separator + inner + start + row_inner,
-            )
-            return "[" + inner + start + row_inner + body + inner + end + outer + "]"
-        separator = self.item_separator + inner
-        if kind is list:
-            items = [self._render(value, level + 1) for value in o]
-            return "[" + inner + separator.join(items) + outer + "]"
-        items = [
-            self._string(key) + self.key_separator + self._render(o[key], level + 1)
-            for key in (sorted(o) if self.sort_keys else o)
-        ]
-        return "{" + inner + separator.join(items) + outer + "}"
+    def encode(self, o):
+        return o() if callable(o) else _indented(o, "\n")
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, cls=_Indented, indent=2, sort_keys=True, ensure_ascii=False)
+    # Every JSON output leaves through this one ``json.dumps`` call, which
+    # ``bench/tracer.py`` times as the export: an ``lts`` writer runs inside
+    # it.  Without the tracer, ``_indented`` alone would do.
+    return json.dumps(obj, cls=_Json, indent=2, sort_keys=True, ensure_ascii=False)
 
 
 def _load_model(path: str) -> BcslModel:
@@ -372,18 +289,13 @@ def _cmd_lts(model: BcslModel, args) -> tuple[str, int]:
     root, successor_fn, label_fn = direct_walk(model, _load_regulation(args.regulation, model))
     if args.unroll:
         walk = unroll(root, functools.cache(successor_fn), args.max_depth, args.max_states)
-        to_dot, to_json, to_text = tree_to_dot, _tree_json, _tree_text
+        writers = {"dot": tree_to_dot, "json": _tree_json, "text": _tree_text}
     else:
         # Through the module: a tracer that times the walk rebinds ``lts.explore``.
         walk = lts.explore(root, successor_fn, args.max_states, args.max_depth)
-        to_dot, to_json, to_text = lts_to_dot, _lts_json, _lts_text
-    if args.format == "dot":
-        text = to_dot(walk, label_fn)
-    elif args.format == "json":
-        text = _dump(to_json(walk, label_fn))
-    else:
-        text = to_text(walk, label_fn)
-    return text, EXIT_OK
+        writers = {"dot": lts_to_dot, "json": _lts_json, "text": _lts_text}
+    write = functools.partial(writers[args.format], walk, label_fn)
+    return (_dump(write) if args.format == "json" else write()), EXIT_OK
 
 
 def _text_ranks(graph, label_fn) -> tuple[list[str], dict]:
@@ -410,31 +322,31 @@ def _edge_rows(graph, rank: dict, heads: list[str], mid, tails: list[str]) -> li
     return [f"{heads[c // width]}{mids[c % width // n]}{tails[c % n]}" for c in codes]
 
 
-def _lts_json(graph, label_fn) -> dict:
-    """``lts_to_json_obj``'s object, its states and transitions row blocks
-    that encode each distinct text once."""
+def _array(items: list[str]) -> str:
+    """The ``indent=2`` JSON array of ``items``, each written at the indent
+    of a row of a top-level value.  Writers keep only this text, so that
+    the items are freed before the document is built."""
+    if not items:
+        return "[]"
+    # The brackets go on the end items: one copy of the whole, in the join.
+    items[0] = "[\n    " + items[0]
+    items[-1] += "\n  ]"
+    return ",\n    ".join(items)
+
+
+def _lts_json(graph, label_fn) -> str:
+    """The dump of ``lts_to_json_obj``'s object, its rows from edge codes
+    and each distinct text encoded once."""
     texts, rank = _text_ranks(graph, label_fn)
-    # The JSON string of each text, made for the first block written.
-    encoded = functools.cache(lambda string: [string(text) for text in texts])
-
-    def states(string, inner, item):
-        return list(map(encoded(string).__getitem__, sorted(rank.values())))
-
-    def transitions(string, inner, item):
-        return _edge_rows(
-            graph,
-            rank,
-            [f"[{item}{text}," for text in encoded(string)],
-            lambda label: f"{item}{string(label)},{item}",
-            [f"{text}{inner}]" for text in encoded(string)],
-        )
-
-    return {
-        "initial": texts[rank[graph.initial]],
-        "states": _Rows(states),
-        "transitions": _Rows(transitions),
-        "truncated": graph.truncated,
-    }
+    encoded = list(map(encode_basestring, texts))
+    states = list(map(encoded.__getitem__, sorted(rank.values())))
+    heads = [f"[\n      {text},\n      " for text in encoded]
+    tails = [f",\n      {text}\n    ]" for text in encoded]
+    rows = _array(_edge_rows(graph, rank, heads, encode_basestring, tails))
+    return (
+        f'{{\n  "initial": {encoded[rank[graph.initial]]},\n  "states": {_array(states)},\n'
+        f'  "transitions": {rows},\n  "truncated": {str(graph.truncated).lower()}\n}}'
+    )
 
 
 def _lts_text(graph, label_fn) -> str:
@@ -451,23 +363,20 @@ def _lts_text(graph, label_fn) -> str:
     return "\n".join(lines)
 
 
-def _tree_json(tree, label_fn) -> dict:
-    """``tree_to_json_obj``'s object, its nodes and edges row blocks in tree order."""
-
-    def nodes(string, inner, item):
-        texts = tree.node_texts(label_fn)
-        encoded = {text: string(text) for text in dict.fromkeys(texts)}
-        return [
-            f'{{{item}"id": {i},{item}"state": {encoded[text]}{inner}}}'
-            for i, text in enumerate(texts)
-        ]
-
-    def edges(string, inner, item):
-        labels = {label for _, label, _ in tree.edges}
-        mids = {label: f",{item}{string(label)},{item}" for label in labels}
-        return [f"[{item}{i}{mids[label]}{j}{inner}]" for i, label, j in tree.edges]
-
-    return {"nodes": _Rows(nodes), "edges": _Rows(edges), "truncated": tree.truncated}
+def _tree_json(tree, label_fn) -> str:
+    """The dump of ``tree_to_json_obj``'s object, nodes and edges in tree order."""
+    texts = tree.node_texts(label_fn)
+    encoded = {text: encode_basestring(text) for text in dict.fromkeys(texts)}
+    nodes = _array([
+        f'{{\n      "id": {i},\n      "state": {encoded[t]}\n    }}' for i, t in enumerate(texts)
+    ])
+    labels = {label for _, label, _ in tree.edges}
+    mids = {label: f",\n      {encode_basestring(label)},\n      " for label in labels}
+    edges = _array([f"[\n      {i}{mids[label]}{j}\n    ]" for i, label, j in tree.edges])
+    return (
+        f'{{\n  "edges": {edges},\n  "nodes": {nodes},\n'
+        f'  "truncated": {str(tree.truncated).lower()}\n}}'
+    )
 
 
 def _tree_text(tree, label_fn) -> str:
@@ -572,7 +481,16 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()  # see the module docstring
     try:
         text, code = _COMMANDS[args.command][0](_load_model(args.model), args)
-        _emit(text, args.output)
+        try:
+            _emit(text, args.output)
+        except BrokenPipeError:
+            if args.output is not None:
+                raise
+            # The reader of stdout has gone (``| head``).  As the ``signal``
+            # docs advise, stdout goes to the null device, so that its flush
+            # at exit does not fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_USAGE
         return code
     except tuple(_ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from json.encoder import py_encode_basestring
 from pathlib import Path
 
 import pytest
@@ -1088,6 +1089,25 @@ def test_stdout_writes_the_bytes_of_output_whatever_its_encoding(tmp_path, encod
         assert (proc.returncode, proc.stdout) == (0, expected), proc.stderr.decode()
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_reader_that_leaves_early_gets_exit_2_and_no_message(tmp_path, fmt):
+    # About 1 MB, more than a pipe holds: the write is still under way when
+    # the reader closes its end after one line (``bcsl ... | head -1``).
+    model = tmp_path / "sites.bcsl"
+    model.write_text(_models.site_model(3, 2, 2), encoding="utf-8")
+    argv = ["lts", str(model), "--unroll", "--max-depth", "5", "--format", fmt]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bcsl", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    with proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (2, b"")
+
+
 # ---------------------------------------------------------------------------
 # Guard: mutated inputs end in a documented exit code
 # ---------------------------------------------------------------------------
@@ -1497,11 +1517,11 @@ def _output(model_path, tmp_path, call) -> bytes:
 
 @pytest.mark.parametrize("call", _JSON_CALLS, ids=" ".join)
 def test_json_keeps_its_bytes_without_the_c_encoder(model_path, tmp_path, monkeypatch, call):
-    # Without ``json``'s C encoder the stock encoder writes it all, the
-    # ``lts`` row blocks included.
+    # Without ``json``'s C string encoder, the pure-Python one writes every
+    # string and key, the ``lts`` rows included.
     assert len(_JSON_CALLS) == 11
     expected = _output(model_path, tmp_path, call)
-    monkeypatch.setattr(cli, "c_make_encoder", None)
+    monkeypatch.setattr(cli, "encode_basestring", py_encode_basestring)
     assert _output(model_path, tmp_path, call) == expected
 
 

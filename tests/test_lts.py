@@ -1,6 +1,7 @@
 import hashlib
 import json
 from functools import partial
+from json.encoder import py_encode_basestring
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -846,11 +847,11 @@ def test_dot_matches_its_definition(args, max_states, max_depth):
 
 # What ``bcsl lts --format json`` writes for a graph and for a run tree.
 def _cli_json(graph, label_fn=str):
-    return cli._dump(cli._lts_json(graph, label_fn))
+    return cli._dump(partial(cli._lts_json, graph, label_fn))
 
 
 def _cli_tree_json(tree, label_fn=str):
-    return cli._dump(cli._tree_json(tree, label_fn))
+    return cli._dump(partial(cli._tree_json, tree, label_fn))
 
 
 # State texts that a writer could mistake for structure: quotes,
@@ -902,10 +903,10 @@ def _walks(draw):
 def test_cli_rows_match_the_library_exports(walks, fallback):
     # The CLI writes JSON and text rows from integer edge codes over texts
     # ranked with ties; the library's JSON objects are the reference, also
-    # when the stock encoder writes the rows.
+    # when ``json``'s pure-Python string encoder writes the texts.
     graph, tree, label_fn = walks
-    encoder = cli.c_make_encoder
-    cli.c_make_encoder = None if fallback else encoder
+    encoder = cli.encode_basestring
+    cli.encode_basestring = py_encode_basestring if fallback else encoder
     try:
         for write, reference, walk in (
             (_cli_json, lts_to_json_obj, graph),
@@ -916,7 +917,7 @@ def test_cli_rows_match_the_library_exports(walks, fallback):
             )
             assert write(walk, label_fn) == expected
     finally:
-        cli.c_make_encoder = encoder
+        cli.encode_basestring = encoder
     assert cli._lts_text(graph, label_fn) == text_by_definition(graph, label_fn)
     assert _tree_text(tree, label_fn) == text_by_definition(tree, label_fn)
 

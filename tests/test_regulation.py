@@ -468,6 +468,15 @@ def test_advance_memoryless_and_epsilon(two_site_model):
     assert programmed.advance(memory, EPSILON_LABEL) == memory
 
 
+def test_advance_rejects_a_label_that_the_memory_does_not_permit(two_site_model):
+    programmed = compile_regulation(REGULATION_CONFIGS["programmed"], two_site_model.labels)
+    after_t = programmed.advance(programmed.initial_memory(), "r1_T")
+    assert type(programmed).__name__ == "AutomatonRegulation"
+    assert not programmed.permits(after_t, None, "r2", ENABLED_ALL, None)
+    with pytest.raises(ValueError, match="^label 'r2' was not permitted from this memory$"):
+        programmed.advance(after_t, "r2")
+
+
 # ---------------------------------------------------------------------------
 # Concurrency relation
 # ---------------------------------------------------------------------------

@@ -195,6 +195,13 @@ def test_a_multiset_counts_only_agents(value):
         assert m.count(agent) == 0 and agent not in m
 
 
+@pytest.mark.parametrize("count", [-1, 1.5], ids=repr)
+def test_a_multiplicity_must_be_a_natural_number(count):
+    message = f"multiplicity must be a natural number, got {count!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Multiset({AGENT_POOL[0]: count})
+
+
 def test_zero_multiplicities_are_dropped():
     m = Multiset({AGENT_POOL[0]: 0, AGENT_POOL[1]: 2})
     assert m.count(AGENT_POOL[0]) == 0
