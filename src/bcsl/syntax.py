@@ -30,9 +30,12 @@ names form mutually exclusive classes across the whole model; an
 identifier reused in a different syntactic role is an error.  An empty
 rule side is written as nothing, e.g. ``make ~ => A{u}::cell``.
 
-Each line is read by one lexer pass, into ``(kind, value, column)``
-tokens, and one recursive-descent ``_LineParser``; the role of every name
-seen so far is shared across the lines of a model.
+Each line is cut into tokens by one ``findall`` of a regular expression,
+and a token's kind is read off a fixed table by its text or its first
+character; no column is kept.  One ``_LineParser`` reads the tokens, an
+agent in one flat loop; the role of every name seen so far is shared
+across the lines of a model.  An error scans its line again for the
+column of the token it names.
 
 Signatures are never written explicitly: ``infer_signatures`` collects,
 for every atomic name, the set of concrete features it carries anywhere
@@ -104,11 +107,14 @@ class BcslModel(_Record):
 # Lexer and recursive-descent parser over one line
 # ---------------------------------------------------------------------------
 
-# A token is ``(kind, value, column)``: the kind is "ident", "int" or the
-# operator itself (both arrows read as "=>"); a stray character is an error.
-_TOKEN_RE = re.compile(
-    rf"\s*(?:(?P<ident>{IDENTIFIER})|(?P<int>[0-9]+)|(?P<op>::|[=-]>|[{{}}(),.+~])|(?P<stray>\S))"
-)
+# One ``findall`` cuts a line into token texts.  A token's kind is an
+# operator's own text (both arrows read as "=>"), else "ident" or "int" by
+# its first character; any other token is a stray character, an error.
+_TOKEN_RE = re.compile(rf"{IDENTIFIER}|[0-9]+|::|[=-]>|\S")
+_KINDS = {op: op for op in ("::", "=>", *"{}(),.+~")}
+_KINDS["->"] = "=>"
+_KINDS.update(dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "ident"))
+_KINDS.update(dict.fromkeys("0123456789", "int"))
 # Only these end a model line; every other whitespace character, such as
 # a form feed, separates tokens within it.
 _LINE_BREAK = re.compile(r"\r\n?|\n")
@@ -118,61 +124,67 @@ class _LineParser:
     """Reads one line of text, with the roles of the names seen so far.
 
     ``roles`` maps each name to its role and the line of its first use;
-    ``parse_model`` shares one dict across the lines of a model.
+    ``parse_model`` shares one dict across the lines of a model.  Tokens
+    are two lists, kinds and values, ended by an "end" token; no column is
+    kept, and an error finds its token's column by scanning the line again.
     """
 
     def __init__(self, text: str, line: int = 1, roles: dict[str, tuple[str, int]] | None = None):
+        self.text = text
         self.line = line
         self._roles = {} if roles is None else roles
         self._pos = 0
-        self._tokens = tokens = []
-        for match in _TOKEN_RE.finditer(text):
-            kind = match.lastgroup
-            value = match[kind]
-            col = match.start(kind) + 1
-            if kind == "stray":
-                raise ParseError(f"unexpected character {value!r}", line, col)
-            if kind == "op":
-                kind = value = "=>" if value == "->" else value
-            tokens.append((kind, value, col))
-        tokens.append(("end", "", len(text) + 1))
+        self._values = values = _TOKEN_RE.findall(text)
+        self._kinds = kinds = [_KINDS.get(v) or _KINDS.get(v[0], "stray") for v in values]
+        if "stray" in kinds:
+            at = kinds.index("stray")
+            raise self.error(f"unexpected character {values[at]!r}", at)
+        if "->" in values:
+            self._values = values = [v if v != "->" else "=>" for v in values]
+        kinds.append("end")
+        values.append("")
 
-    def peek(self) -> str:
-        return self._tokens[self._pos][0]
+    def error(self, message: str, at: int) -> ParseError:
+        """A ``ParseError`` at token ``at``, whose column a second scan finds."""
+        col = len(self.text) + 1
+        if self._kinds[at] != "end":
+            for i, match in enumerate(_TOKEN_RE.finditer(self.text)):
+                if i == at:
+                    col = match.start() + 1
+                    break
+        return ParseError(message, self.line, col)
+
+    def expected(self, what: str, at: int) -> ParseError:
+        found = repr(self._values[at]) if self._kinds[at] != "end" else "end of line"
+        return self.error(f"expected {what}, found {found}", at)
+
+    def clash(self, role: str, at: int) -> ParseError:
+        """The error for the name at token ``at``, claimed in ``role`` but used in another."""
+        name = self._values[at]
+        first_role, first_line = self._roles[name]
+        message = f"name {name!r} used as {role} here but as {first_role} on line {first_line}"
+        return self.error(message, at)
 
     def accept(self, kind: str) -> bool:
-        if self._tokens[self._pos][0] != kind:
+        if self._kinds[self._pos] != kind:
             return False
         self._pos += 1
         return True
 
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        tok = self._tokens[self._pos]
-        if tok[0] != kind:
-            found = repr(tok[1]) if tok[0] != "end" else "end of line"
-            raise ParseError(f"expected {what}, found {found}", self.line, tok[2])
-        self._pos += 1
-        return tok
+    def expect(self, kind: str, what: str) -> str:
+        """The value of the next token, which must be of ``kind``."""
+        at = self._pos
+        if self._kinds[at] != kind:
+            raise self.expected(what, at)
+        self._pos = at + 1
+        return self._values[at]
 
     def expect_end(self) -> None:
-        kind, value, col = self._tokens[self._pos]
-        if kind != "end":
-            raise ParseError(f"unexpected trailing {value!r}", self.line, col)
-
-    def claim(self, token: tuple[str, str, int], role: str) -> str:
-        """Record ``token``'s name in ``role``; a name keeps one role per model."""
-        name = token[1]
-        first_role, first_line = self._roles.setdefault(name, (role, self.line))
-        if first_role != role:
-            raise ParseError(
-                f"name {name!r} used as {role} here but as {first_role} on line {first_line}",
-                self.line,
-                token[2],
-            )
-        return name
+        if self._kinds[self._pos] != "end":
+            raise self.error(f"unexpected trailing {self._values[self._pos]!r}", self._pos)
 
     def parse_rule(self) -> BcslRule:
-        label = self.expect("ident", "rule label")[1]
+        label = self.expect("ident", "rule label")
         self.expect("~", "'~' after the rule label")
         lhs = self.parse_pattern(stop="=>")
         self.expect("=>", "'=>' between rule sides")
@@ -185,28 +197,29 @@ class _LineParser:
 
         Congruent agents share one entry.  A count, or a sum of counts, that
         ``str`` could not write (more than ``sys.get_int_max_str_digits()``
-        digits) fails at its count; a sum is compared with a power of ten,
-        never written.
+        digits) fails at its count.  A sum is never written: only one of
+        more than ``3 * limit`` bits, past ``8**limit``, is compared with
+        ``10**limit``, so a sum of small counts computes no large power.
         """
-        count, col = 1, self._tokens[self._pos][2]
-        if not bare or self.peek() == "int":
-            value = self.expect("int", "an agent count")[1]
+        count, at = 1, self._pos
+        if not bare or self._kinds[at] == "int":
+            value = self.expect("int", "an agent count")
             try:
                 count = int(value)
             except ValueError:  # longer than ``sys.get_int_max_str_digits()``
-                raise ParseError("agent count has too many digits", self.line, col) from None
+                raise self.error("agent count has too many digits", at) from None
             if count < 1:
-                raise ParseError("agent count must be positive", self.line, col)
+                raise self.error("agent count must be positive", at)
         agent = canonicalize(self.parse_agent())
         if agent in counts:
             count += counts[agent]
             limit = sys.get_int_max_str_digits()
-            if limit and count >= 10**limit:
-                raise ParseError("agent counts sum to too many digits", self.line, col)
+            if limit and count.bit_length() > 3 * limit and count >= 10**limit:
+                raise self.error("agent counts sum to too many digits", at)
         counts[agent] = count
 
     def parse_pattern(self, stop: str) -> Pattern:
-        if self.peek() == stop:
+        if self._kinds[self._pos] == stop:
             return Pattern(())
         agents = [self.parse_agent()]
         while self.accept("+"):
@@ -214,55 +227,81 @@ class _LineParser:
         return Pattern(tuple(agents))
 
     def parse_agent(self) -> Agent:
-        chain = [self.parse_component()]
-        while self.accept("."):
-            chain.append(self.parse_component())
-        self.expect("::", "'::' before the compartment")
-        compartment = self.claim(self.expect("ident", "a compartment name"), "compartment")
+        """Read ``chain "::" COMPARTMENT`` in one loop over the tokens.
+
+        Names are claimed in reading order: an atomic, then its feature; a
+        structure, then its atomics; the compartment last.
+        """
+        kinds, values, roles, line = self._kinds, self._values, self._roles, self.line
+        as_atomic, as_feature = ("atomic", line), ("feature", line)
+        at = self._pos
+        chain: list[Atomic | Structure] = []
+        composition: list[Atomic] | None = None  # inside a structure's parentheses
+        while True:
+            if kinds[at] != "ident":
+                what = "a component name" if composition is None else "an atomic name"
+                raise self.expected(what, at)
+            name, follow = values[at], kinds[at + 1]
+            if composition is None and follow == "(":
+                if roles.setdefault(name, ("structure", line))[0] != "structure":
+                    raise self.clash("structure", at)
+                structure, start, composition = name, at, []
+                at += 2
+                if kinds[at] != ")":
+                    continue
+            else:
+                if composition is None and follow != "{":
+                    raise self.error(f"expected '{{' or '(' after component name {name!r}", at + 1)
+                if roles.setdefault(name, as_atomic)[0] != "atomic":
+                    raise self.clash("atomic", at)
+                if follow != "{":
+                    raise self.expected("'{'", at + 1)
+                if kinds[at + 2] != "ident":
+                    raise self.expected("a feature name", at + 2)
+                feature = values[at + 2]
+                if roles.setdefault(feature, as_feature)[0] != "feature":
+                    raise self.clash("feature", at + 2)
+                if kinds[at + 3] != "}":
+                    raise self.expected("'}'", at + 3)
+                at += 4
+                if composition is None:
+                    chain.append(Atomic(name, feature))
+                else:
+                    composition.append(Atomic(name, feature))
+                    if kinds[at] == ",":
+                        at += 1
+                        continue
+            if composition is not None:
+                if kinds[at] != ")":
+                    raise self.expected("')' closing the composition", at)
+                at += 1
+                names = [a.name for a in composition]
+                if len(set(names)) != len(names):
+                    seen: set[str] = set()
+                    for i, atom in enumerate(names):  # member i is token ``start + 2 + 5 * i``
+                        if atom in seen:
+                            raise self.error(
+                                f"duplicate atomic {atom!r} in composition of {structure!r}",
+                                start + 2 + 5 * i,
+                            )
+                        seen.add(atom)
+                if names != sorted(names):
+                    message = f"composition of {structure!r} is not alphanumerically sorted"
+                    raise self.error(message, start)
+                chain.append(Structure(structure, tuple(composition)))
+                composition = None
+            if kinds[at] != ".":
+                break
+            at += 1
+        if kinds[at] != "::":
+            raise self.expected("'::' before the compartment", at)
+        if kinds[at + 1] != "ident":
+            raise self.expected("a compartment name", at + 1)
+        compartment = values[at + 1]
+        if roles.setdefault(compartment, ("compartment", line))[0] != "compartment":
+            raise self.clash("compartment", at + 1)
+        self._pos = at + 2
         return Agent(tuple(chain), compartment)
-
-    def parse_component(self) -> Atomic | Structure:
-        name = self.expect("ident", "a component name")
-        kind, _, col = self._tokens[self._pos]
-        if kind == "{":
-            return self._finish_atomic(name)
-        if kind == "(":
-            return self._finish_structure(name)
-        raise ParseError(f"expected '{{' or '(' after component name {name[1]!r}", self.line, col)
-
-    def _finish_atomic(self, name: tuple[str, str, int]) -> Atomic:
-        atomic = self.claim(name, "atomic")
-        self.expect("{", "'{'")
-        feature = self.claim(self.expect("ident", "a feature name"), "feature")
-        self.expect("}", "'}'")
-        return Atomic(atomic, feature)
-
-    def _finish_structure(self, name: tuple[str, str, int]) -> Structure:
-        structure = self.claim(name, "structure")
-        self.expect("(", "'('")
-        composition: list[Atomic] = []
-        columns: list[int] = []
-        if self.peek() != ")":
-            while True:
-                atom_name = self.expect("ident", "an atomic name")
-                composition.append(self._finish_atomic(atom_name))
-                columns.append(atom_name[2])
-                if not self.accept(","):
-                    break
-        self.expect(")", "')' closing the composition")
-        names = [a.name for a in composition]
-        for i, (atom, col) in enumerate(zip(names, columns)):
-            if atom in names[:i]:
-                raise ParseError(
-                    f"duplicate atomic {atom!r} in composition of {structure!r}", self.line, col
-                )
-        if names != sorted(names):
-            raise ParseError(
-                f"composition of {structure!r} is not alphanumerically sorted",
-                self.line,
-                name[2],
-            )
-        return Structure(structure, tuple(composition))
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,18 @@ makes another way, as directly as it can:
   index)`` tuples, the oracle of ``lts_to_dot``'s integer edge codes;
 * ``text_by_definition`` — the ``--format text`` lines of a graph or a run
   tree, read off ``lts_to_json_obj`` or ``tree_to_json_obj``, the oracle of
-  the CLI's text rows from integer edge codes.
+  the CLI's text rows from integer edge codes;
+* ``StepwiseLineParser`` and ``parse_model_stepwise`` — the model reader
+  that built a ``(kind, value, column)`` tuple per token and read each
+  atomic with a method call per token, the oracle of ``syntax``'s token
+  scan, its flat agent loop and its columns found on demand.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping
@@ -55,8 +61,18 @@ from bcsl.patterns import (
     enumerate_instantiations,
     expand_pattern,
 )
-from bcsl.syntax import BcslModel, BcslRule
-from bcsl.terms import EPSILON, Agent, Multiset, Pattern, agent_id
+from bcsl.syntax import BcslModel, BcslRule, ParseError, infer_signatures
+from bcsl.terms import (
+    EPSILON,
+    IDENTIFIER,
+    Agent,
+    Atomic,
+    Multiset,
+    Pattern,
+    Structure,
+    agent_id,
+    canonicalize,
+)
 
 
 @dataclass(frozen=True)
@@ -277,3 +293,237 @@ def text_by_definition(walk: Lts | RunTree, label_fn: Callable[[Hashable], str] 
         rows = [(text[parent], label, text[child]) for parent, label, child in obj["edges"]]
     lines.extend(f"  {src} --{label}--> {tgt}" for src, label, tgt in rows)
     return "\n".join(lines)
+
+
+# A token is ``(kind, value, column)``: the kind is "ident", "int" or the
+# operator itself (both arrows read as "=>"); a stray character is an error.
+STEPWISE_TOKEN_RE = re.compile(
+    rf"\s*(?:(?P<ident>{IDENTIFIER})|(?P<int>[0-9]+)|(?P<op>::|[=-]>|[{{}}(),.+~])|(?P<stray>\S))"
+)
+
+_STEPWISE_LINE_BREAK = re.compile(r"\r\n?|\n")
+
+
+class StepwiseLineParser:
+    """Reads one line of text, with the roles of the names seen so far.
+
+    ``roles`` maps each name to its role and the line of its first use;
+    ``parse_model_stepwise`` shares one dict across the lines of a model.
+    """
+
+    def __init__(self, text: str, line: int = 1, roles: dict[str, tuple[str, int]] | None = None):
+        self.line = line
+        self._roles = {} if roles is None else roles
+        self._pos = 0
+        self._tokens = tokens = []
+        for match in STEPWISE_TOKEN_RE.finditer(text):
+            kind = match.lastgroup
+            value = match[kind]
+            col = match.start(kind) + 1
+            if kind == "stray":
+                raise ParseError(f"unexpected character {value!r}", line, col)
+            if kind == "op":
+                kind = value = "=>" if value == "->" else value
+            tokens.append((kind, value, col))
+        tokens.append(("end", "", len(text) + 1))
+
+    def peek(self) -> str:
+        return self._tokens[self._pos][0]
+
+    def accept(self, kind: str) -> bool:
+        if self._tokens[self._pos][0] != kind:
+            return False
+        self._pos += 1
+        return True
+
+    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
+        tok = self._tokens[self._pos]
+        if tok[0] != kind:
+            found = repr(tok[1]) if tok[0] != "end" else "end of line"
+            raise ParseError(f"expected {what}, found {found}", self.line, tok[2])
+        self._pos += 1
+        return tok
+
+    def expect_end(self) -> None:
+        kind, value, col = self._tokens[self._pos]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing {value!r}", self.line, col)
+
+    def claim(self, token: tuple[str, str, int], role: str) -> str:
+        """Record ``token``'s name in ``role``; a name keeps one role per model."""
+        name = token[1]
+        first_role, first_line = self._roles.setdefault(name, (role, self.line))
+        if first_role != role:
+            raise ParseError(
+                f"name {name!r} used as {role} here but as {first_role} on line {first_line}",
+                self.line,
+                token[2],
+            )
+        return name
+
+    def parse_rule(self) -> BcslRule:
+        label = self.expect("ident", "rule label")[1]
+        self.expect("~", "'~' after the rule label")
+        lhs = self.parse_pattern(stop="=>")
+        self.expect("=>", "'=>' between rule sides")
+        rhs = self.parse_pattern(stop="end")
+        self.expect_end()
+        return BcslRule(label, lhs, rhs)
+
+    def add_counted(self, counts: dict[Agent, int], bare: bool) -> None:
+        """Add ``COUNT agent`` to ``counts``; with ``bare``, a missing count reads as 1."""
+        count, col = 1, self._tokens[self._pos][2]
+        if not bare or self.peek() == "int":
+            value = self.expect("int", "an agent count")[1]
+            try:
+                count = int(value)
+            except ValueError:  # longer than ``sys.get_int_max_str_digits()``
+                raise ParseError("agent count has too many digits", self.line, col) from None
+            if count < 1:
+                raise ParseError("agent count must be positive", self.line, col)
+        agent = canonicalize(self.parse_agent())
+        if agent in counts:
+            count += counts[agent]
+            limit = sys.get_int_max_str_digits()
+            if limit and count >= 10**limit:
+                raise ParseError("agent counts sum to too many digits", self.line, col)
+        counts[agent] = count
+
+    def parse_pattern(self, stop: str) -> Pattern:
+        if self.peek() == stop:
+            return Pattern(())
+        agents = [self.parse_agent()]
+        while self.accept("+"):
+            agents.append(self.parse_agent())
+        return Pattern(tuple(agents))
+
+    def parse_agent(self) -> Agent:
+        chain = [self.parse_component()]
+        while self.accept("."):
+            chain.append(self.parse_component())
+        self.expect("::", "'::' before the compartment")
+        compartment = self.claim(self.expect("ident", "a compartment name"), "compartment")
+        return Agent(tuple(chain), compartment)
+
+    def parse_component(self) -> Atomic | Structure:
+        name = self.expect("ident", "a component name")
+        kind, _, col = self._tokens[self._pos]
+        if kind == "{":
+            return self._finish_atomic(name)
+        if kind == "(":
+            return self._finish_structure(name)
+        raise ParseError(f"expected '{{' or '(' after component name {name[1]!r}", self.line, col)
+
+    def _finish_atomic(self, name: tuple[str, str, int]) -> Atomic:
+        atomic = self.claim(name, "atomic")
+        self.expect("{", "'{'")
+        feature = self.claim(self.expect("ident", "a feature name"), "feature")
+        self.expect("}", "'}'")
+        return Atomic(atomic, feature)
+
+    def _finish_structure(self, name: tuple[str, str, int]) -> Structure:
+        structure = self.claim(name, "structure")
+        self.expect("(", "'('")
+        composition: list[Atomic] = []
+        columns: list[int] = []
+        if self.peek() != ")":
+            while True:
+                atom_name = self.expect("ident", "an atomic name")
+                composition.append(self._finish_atomic(atom_name))
+                columns.append(atom_name[2])
+                if not self.accept(","):
+                    break
+        self.expect(")", "')' closing the composition")
+        names = [a.name for a in composition]
+        for i, (atom, col) in enumerate(zip(names, columns)):
+            if atom in names[:i]:
+                raise ParseError(
+                    f"duplicate atomic {atom!r} in composition of {structure!r}", self.line, col
+                )
+        if names != sorted(names):
+            raise ParseError(
+                f"composition of {structure!r} is not alphanumerically sorted",
+                self.line,
+                name[2],
+            )
+        return Structure(structure, tuple(composition))
+
+
+def parse_model_stepwise(text: str, roles: dict[str, tuple[str, int]] | None = None) -> BcslModel:
+    """``parse_model`` over ``StepwiseLineParser``; ``roles`` is the dict its lines share."""
+    rules: list[BcslRule] = []
+    label_lines: dict[str, int] = {}
+    init_counts: dict[Agent, int] = {}
+    roles = {} if roles is None else roles
+    section: str | None = None
+
+    for line_no, raw in enumerate(_STEPWISE_LINE_BREAK.split(text), start=1):
+        line = raw.split("//", 1)[0]
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#!"):
+            header = stripped[2:].strip()
+            if header not in ("rules", "inits"):
+                raise ParseError(f"unknown section header {header!r}", line_no, 1)
+            section = header
+            continue
+        if section is None:
+            raise ParseError("content before any '#!' section header", line_no, 1)
+        parser = StepwiseLineParser(line, line_no, roles)
+        if section == "rules":
+            rule = parser.parse_rule()
+            if rule.label in label_lines:
+                raise ParseError(
+                    f"duplicate rule label {rule.label!r} (first on line {label_lines[rule.label]})",
+                    line_no,
+                    1,
+                )
+            label_lines[rule.label] = line_no
+            rules.append(rule)
+        else:
+            parser.add_counted(init_counts, bare=False)
+            parser.expect_end()
+
+    init = Multiset(init_counts)
+    atomic_signature, structure_signature = infer_signatures(rules, init)
+    return BcslModel(tuple(rules), atomic_signature, structure_signature, init)
+
+
+def _stepwise_agent(text: str) -> Agent:
+    parser = StepwiseLineParser(text)
+    agent = parser.parse_agent()
+    parser.expect_end()
+    return agent
+
+
+def _stepwise_pattern(text: str) -> Pattern:
+    parser = StepwiseLineParser(text)
+    pattern = parser.parse_pattern(stop="end")
+    parser.expect_end()
+    return pattern
+
+
+def _stepwise_multiset(text: str) -> Multiset:
+    stripped = text.strip()
+    if stripped in ("", "∅"):
+        return Multiset()
+    parser = StepwiseLineParser(stripped)
+    counts: dict[Agent, int] = {}
+    while True:
+        parser.add_counted(counts, bare=True)
+        if not parser.accept("+"):
+            break
+    parser.expect_end()
+    return Multiset(counts)
+
+
+#: The stepwise reader of each entry point of ``syntax``, by the names of
+#: ``tests/test_syntax.py``'s ``_ENTRY_POINTS``.
+STEPWISE_ENTRY_POINTS = {
+    "model": parse_model_stepwise,
+    "rule": lambda text: StepwiseLineParser(text).parse_rule(),
+    "agent": _stepwise_agent,
+    "pattern": _stepwise_pattern,
+    "multiset": _stepwise_multiset,
+}

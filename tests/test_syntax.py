@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,7 +20,10 @@ from bcsl import (
     parse_multiset,
     parse_pattern,
     parse_rule,
+    syntax,
 )
+from oracles import STEPWISE_ENTRY_POINTS, STEPWISE_TOKEN_RE, StepwiseLineParser
+from test_cli import _FUZZ_SETTINGS, _model_texts
 
 # ---------------------------------------------------------------------------
 # Model parsing
@@ -259,6 +264,41 @@ PINNED_ERRORS = [
     pytest.param("multiset", "9" * 4_300 + " A{x}::c + B{y}::c + A{x}::c",
                  1, 4_322, "line 1, column 4322: agent counts sum to too many digits",
                  id="multiset-counts-sum-past-4300-digits"),
+    # columns found by scanning the line again: after in-line separators
+    # that are not line breaks, after an arrow, at the end inside a structure
+    ("model", "#! rules\nr\u3000~\u3000A{x}::c =>\u3000A{y}:c\n",
+     2, 20, "line 2, column 20: unexpected character ':'"),
+    ("model", "#! rules\n#! inits\n1\x85A{x}::c\x85+\x85B{x}\x85::\x85c\n",
+     3, 11, "line 3, column 11: unexpected trailing '+'"),
+    ("rule", "r ~\u2028P(S{i})::c\u2028=>\u2028P(S{i}\u2028S{a})::c",
+     1, 26, "line 1, column 26: expected ')' closing the composition, found 'S'"),
+    ("rule", "r ~ A{x}::c -> A{y}::c -> B",
+     1, 24, "line 1, column 24: unexpected trailing '=>'"),
+    ("rule", "r ~ A{x}::c -> A{y}.P(S{i}", 1, 27,
+     "line 1, column 27: expected ')' closing the composition, found end of line"),
+    ("agent", "P(S{i},", 1, 8, "line 1, column 8: expected an atomic name, found end of line"),
+    ("agent", "P(S{i", 1, 6, "line 1, column 6: expected '}', found end of line"),
+    ("agent", "P(S{", 1, 5, "line 1, column 5: expected a feature name, found end of line"),
+    ("agent", "P(S", 1, 4, "line 1, column 4: expected '{', found end of line"),
+    ("agent", "P(", 1, 3, "line 1, column 3: expected an atomic name, found end of line"),
+    ("agent", "P", 1, 2, "line 1, column 2: expected '{' or '(' after component name 'P'"),
+    ("agent", "", 1, 1, "line 1, column 1: expected a component name, found end of line"),
+    ("agent", "P(S{i}).", 1, 9, "line 1, column 9: expected a component name, found end of line"),
+    ("agent", "P(S{i}, ).Q()::c", 1, 9, "line 1, column 9: expected an atomic name, found ')'"),
+    ("agent", "P(S{i}).A{x}::P",
+     1, 15, "line 1, column 15: name 'P' used as compartment here but as structure on line 1"),
+    ("agent", "P(S{i},T{S})::c",
+     1, 10, "line 1, column 10: name 'S' used as feature here but as atomic on line 1"),
+    ("agent", "A{x}.x(S{i})::c",
+     1, 6, "line 1, column 6: name 'x' used as structure here but as feature on line 1"),
+    ("agent", "P(P{x})::c",
+     1, 3, "line 1, column 3: name 'P' used as atomic here but as structure on line 1"),
+    ("agent", "P(T{i}, S{i}, T{a})::c",
+     1, 15, "line 1, column 15: duplicate atomic 'T' in composition of 'P'"),
+    ("agent", "A{x}.P(T{i},S{i}).B{x}::c",
+     1, 6, "line 1, column 6: composition of 'P' is not alphanumerically sorted"),
+    ("rule", "", 1, 1, "line 1, column 1: expected rule label, found end of line"),
+    ("multiset", "A{x}::c + 0 B{x}::c", 1, 11, "line 1, column 11: agent count must be positive"),
 ]
 
 
@@ -267,6 +307,91 @@ def test_parse_errors_keep_their_bytes(entry, text, line, col, message):
     with pytest.raises(ParseError) as err:
         _ENTRY_POINTS[entry](text)
     assert (str(err.value), err.value.line, err.value.col) == (message, line, col)
+
+
+# Characters that no token starts with, inserted by ``_mutated``.
+_STRAYS = ["?", ":", "=", "-", "$", "é", "²", "ε", "∅", "\x85", "\u2028", "\u3000"]
+
+
+@st.composite
+def _mutated(draw, line: str) -> str:
+    """``line`` with one token dropped, duplicated or swapped with another, or a stray inserted."""
+    spans = [(m.start(m.lastgroup), m.end()) for m in STEPWISE_TOKEN_RE.finditer(line)]
+    how = draw(st.sampled_from(["drop", "duplicate", "swap", "insert"]))
+    if how == "insert" or not spans:
+        at = draw(st.integers(0, len(line)))
+        return line[:at] + draw(st.sampled_from(_STRAYS)) + line[at:]
+    i, j = sorted(draw(st.integers(0, len(spans) - 1)) for _ in range(2))
+    (start, end), (other_start, other_end) = spans[i], spans[j]
+    if how == "drop":
+        return line[:start] + line[end:]
+    if how == "duplicate":
+        return line[:end] + line[start:end] + line[end:]
+    if i == j:
+        return line
+    return (line[:start] + line[other_start:other_end] + line[end:other_start]
+            + line[start:end] + line[other_end:])
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ParseError as err:
+        return (str(err), err.line, err.col)
+
+
+def _read_lines(parser_class, text: str):
+    """Each model line read by ``parser_class`` with one roles dict, past errors."""
+    roles, counts, outcomes, section = {}, {}, [], None
+    for line_no, raw in enumerate(syntax._LINE_BREAK.split(text), start=1):
+        line = raw.split("//", 1)[0]
+        if line.strip().startswith("#!"):
+            section = line.strip()[2:].strip()
+            continue
+        if not line.strip() or section not in ("rules", "inits"):
+            continue
+
+        def read(line):
+            parser = parser_class(line, line_no, roles)
+            if section == "rules":
+                return parser.parse_rule()
+            parser.add_counted(counts, bare=False)
+            parser.expect_end()
+
+        outcomes.append(_outcome(read, line))
+    return outcomes, roles, counts
+
+
+@_FUZZ_SETTINGS
+@given(data=st.data())
+def test_the_token_scan_reads_as_the_stepwise_parser(data):
+    text = data.draw(_model_texts())
+    if data.draw(st.booleans()):
+        text = text.replace("=>", "->")
+    lines = text.split("\n")
+    at = data.draw(st.integers(0, len(lines) - 1))
+    for _ in range(data.draw(st.integers(0, 3))):
+        lines[at] = data.draw(_mutated(lines[at]))
+    text = "\n".join(lines)
+    assert _outcome(parse_model, text) == _outcome(STEPWISE_ENTRY_POINTS["model"], text)
+    assert _read_lines(syntax._LineParser, text) == _read_lines(StepwiseLineParser, text)
+    # a run of whole tokens of the line, each with the space before it
+    starts = [m.start() for m in STEPWISE_TOKEN_RE.finditer(lines[at])] + [len(lines[at])]
+    first, last = sorted(data.draw(st.integers(0, len(starts) - 1)) for _ in range(2))
+    piece = lines[at][starts[first] : starts[last]]
+    for entry, read in _ENTRY_POINTS.items():
+        if entry != "model":
+            for line in (lines[at], piece):
+                assert _outcome(read, line) == _outcome(STEPWISE_ENTRY_POINTS[entry], line), entry
+
+
+def test_a_long_composition_parses_in_linear_time():
+    names = sorted(f"a{i}" for i in range(40_000))
+    text = "#! rules\n#! inits\n1 P(" + ",".join(n + "{x}" for n in names) + ")::c\n"
+    start = time.perf_counter()
+    model = parse_model(text)
+    assert time.perf_counter() - start < 2.0
+    assert model.structure_signature == {"P": frozenset(names)}
 
 
 # Whitespace that ``str.splitlines`` would break a line at.
