@@ -40,11 +40,11 @@ byte-identical.  JSON output is
 exactly ``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)``,
 written without a reference cycle (``_indented``).  ``lts`` writes its
 whole document as text in that layout (``_lts_json``, ``_tree_json``),
-while the dump runs: a graph's rows come from integer edge codes over
-the states ranked by text, and each distinct state text and label is
-encoded once.  ``--format text`` writes a graph's rows from the same
-codes.  When the reader of stdout goes away (``| head``), ``main`` exits
-2 without a message.
+while the dump runs: the graph's state indices are ranked by text once,
+its rows come from integer edge codes over those ranks, and each
+distinct state text and label is encoded once.  ``--format text`` writes
+a graph's rows from the same codes.  When the reader of stdout goes
+away (``| head``), ``main`` exits 2 without a message.
 """
 
 from __future__ import annotations
@@ -298,16 +298,16 @@ def _cmd_lts(model: BcslModel, args) -> tuple[str, int]:
     return (_dump(write) if args.format == "json" else write()), EXIT_OK
 
 
-def _text_ranks(graph, label_fn) -> tuple[list[str], dict]:
-    """The distinct ``label_fn`` texts of the states, sorted, and each
-    state's rank among them; equal texts share a rank."""
-    text = {state: label_fn(state) for state in graph.states}
-    texts = sorted(set(text.values()))
+def _text_ranks(graph, label_fn) -> tuple[list[str], list[int]]:
+    """The distinct ``label_fn`` texts of the states, sorted, and the rank
+    of each state index among them; equal texts share a rank."""
+    text = list(map(label_fn, graph.states))
+    texts = sorted(set(text))
     rank = {t: r for r, t in enumerate(texts)}
-    return texts, {state: rank[t] for state, t in text.items()}
+    return texts, list(map(rank.__getitem__, text))
 
 
-def _edge_rows(graph, rank: dict, heads: list[str], mid, tails: list[str]) -> list[str]:
+def _edge_rows(graph, rank: list[int], heads: list[str], mid, tails: list[str]) -> list[str]:
     """One row per transition, ``heads[source rank] + mid(label) + tails[target
     rank]``, in the order of the sorted ``[source text, label, target text]``.
 
@@ -316,9 +316,9 @@ def _edge_rows(graph, rank: dict, heads: list[str], mid, tails: list[str]) -> li
     do; states of equal text share a rank, so their rows tie as their
     texts do."""
     n = len(tails)
-    labels, offset, width = _edge_ranks(graph.transitions, n)
+    labels, offset, width = _edge_ranks(graph.edges, n)
     mids = [mid(label) for label in labels]
-    codes = sorted([rank[s] * width + offset[label] + rank[t] for s, label, t in graph.transitions])
+    codes = sorted([rank[i] * width + offset[label] + rank[j] for i, label, j in graph.edges])
     return [f"{heads[c // width]}{mids[c % width // n]}{tails[c % n]}" for c in codes]
 
 
@@ -339,12 +339,12 @@ def _lts_json(graph, label_fn) -> str:
     and each distinct text encoded once."""
     texts, rank = _text_ranks(graph, label_fn)
     encoded = list(map(encode_basestring, texts))
-    states = list(map(encoded.__getitem__, sorted(rank.values())))
+    states = list(map(encoded.__getitem__, sorted(rank)))
     heads = [f"[\n      {text},\n      " for text in encoded]
     tails = [f",\n      {text}\n    ]" for text in encoded]
     rows = _array(_edge_rows(graph, rank, heads, encode_basestring, tails))
     return (
-        f'{{\n  "initial": {encoded[rank[graph.initial]]},\n  "states": {_array(states)},\n'
+        f'{{\n  "initial": {encoded[rank[0]]},\n  "states": {_array(states)},\n'
         f'  "transitions": {rows},\n  "truncated": {str(graph.truncated).lower()}\n}}'
     )
 
@@ -356,7 +356,7 @@ def _lts_text(graph, label_fn) -> str:
         f"states: {graph.n_states}",
         f"transitions: {graph.n_transitions}",
         f"truncated: {str(graph.truncated).lower()}",
-        f"initial: {texts[rank[graph.initial]]}",
+        f"initial: {texts[rank[0]]}",
     ]
     heads = [f"  {text} --" for text in texts]
     lines += _edge_rows(graph, rank, heads, lambda label: f"{label}--> ", texts)

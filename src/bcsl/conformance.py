@@ -104,16 +104,18 @@ def check_equivalence(
         label, target = min(direct_only or grounded_only, key=_move_key)
         detail = detail.format(target, label)
         counterexample = Counterexample("transition", direction, str(state), label, detail)
+    states_checked = direct.n_states
     if counterexample:
         grounded = explore(
             grounded_system.init, lambda m: successors(grounded_system, m), max_states, max_depth
         )
+        states_checked = len(set(direct.states).union(grounded.states))
     return ConformanceReport(
-        states_checked=len(direct.states | grounded.states),
+        states_checked=states_checked,
         truncated=direct.truncated or grounded.truncated,
-        direct_states=len(direct.states),
-        grounded_states=len(grounded.states),
-        direct_transitions=len(direct.transitions),
-        grounded_transitions=len(grounded.transitions),
+        direct_states=direct.n_states,
+        grounded_states=grounded.n_states,
+        direct_transitions=direct.n_transitions,
+        grounded_transitions=grounded.n_transitions,
         counterexample=counterexample,
     )

@@ -16,9 +16,11 @@ semantics are equal exactly when their pairs are.
 ``explore`` computes the bounded breadth-first closure of any successor
 function; ``unroll`` produces the depth-bounded tree used for run-set
 pictures; ``sample_run`` draws one seeded run.  All three order states
-by ``str`` and moves by ``_move_key``.  Exports (DOT through one writer,
-``_dot``, and JSON) are canonically sorted so repeated runs are
-byte-identical.
+by ``str`` and moves by ``_move_key``.  A graph (``Lts``) and a run tree
+(``RunTree``) are indexed alike: a tuple of states and ``(i, label, j)``
+edges between their indices.  Exports (DOT through one writer, ``_dot``,
+and JSON) rank the indices by text once and sort the edges as integer
+codes, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -40,26 +42,39 @@ from .patterns import (
     expand_pattern,
 )
 from .syntax import BcslModel
-from .terms import _IDS, EPSILON, Multiset, _Record, agent_id, agent_of
+from .terms import _IDS, EPSILON, Multiset, _new, _Record, agent_id, agent_of
 
 Transition = tuple[Hashable, str, Hashable]
 # What one match of a rule does: its label, the agent ids it consumes and
-# those it produces, for ``Multiset.rewrite``.
+# those it produces.
 Effect = tuple[str, dict[int, int], dict[int, int]]
 SuccessorFn = Callable[[Hashable], Collection[tuple[str, Hashable]]]
 
 
 class Lts(_Record):
-    """Reachable labelled transition graph.
+    """Reachable labelled transition graph, indexed as a ``RunTree`` is.
 
-    ``unsettled`` holds states whose outgoing transitions are not fully
+    ``states`` holds each state once, in the order ``explore`` discovered
+    them, so ``states[0]`` is the ``initial`` one; ``edges`` holds distinct
+    ``(i, label, j)`` triples of indices into ``states``.  ``unsettled``
+    holds the indices of states whose outgoing transitions are not fully
     represented because a bound was hit (never expanded, or successors
     dropped by the state cap); ``truncated`` says whether there are any.
+    ``transitions`` is the set of ``(state, label, state)`` triples.
     """
 
-    __slots__ = _fields = ("initial", "states", "transitions", "unsettled")
+    __slots__ = _fields = ("states", "edges", "unsettled")
     _defaults = {"unsettled": frozenset()}
     __eq__, __hash__ = _Record._same_fields, _Record._hash_fields
+
+    @property
+    def initial(self) -> Hashable:
+        return self.states[0]
+
+    @property
+    def transitions(self) -> frozenset[Transition]:
+        states = self.states
+        return frozenset((states[i], label, states[j]) for i, label, j in self.edges)
 
     @property
     def truncated(self) -> bool:
@@ -71,7 +86,7 @@ class Lts(_Record):
 
     @property
     def n_transitions(self) -> int:
-        return len(self.transitions)
+        return len(self.edges)
 
 
 class RunTree(_Record):
@@ -345,7 +360,8 @@ class RuleMatcher:
         table = self._table
         # The multiplicities by agent id, read off the pairs once.  Joins
         # change a count and restore it (the keys never change), and every
-        # effect is applied to it, restored, at the end.
+        # effect is applied to a copy of it, restored, at the end: a match
+        # consumes only what the state holds.
         counts = dict(state.pairs())
         for agent, n in counts.items():
             entry = table.get(agent)
@@ -360,19 +376,24 @@ class RuleMatcher:
                 for match in _backtrack(rule.candidates, len(rule.lhs.agents), counts, (first,)):
                     effects.extend(rule.effects(match))
             counts[agent] = n
-        return frozenset(
-            (label, state.rewrite(consumed, produced, counts))
-            for label, consumed, produced in effects
-        )
+        out = []
+        for label, consumed, produced in effects:
+            target = counts.copy()
+            for agent, n in consumed.items():
+                left = target[agent] - n
+                if left:
+                    target[agent] = left
+                else:
+                    del target[agent]
+            for agent, n in produced.items():
+                target[agent] = target.get(agent, 0) + n
+            out.append((label, _new(Multiset, target.items())))
+        return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
 # Bounded exploration
 # ---------------------------------------------------------------------------
-
-# A miss in ``explore``'s state store (any hashable, even None, may be a state).
-_UNSEEN = object()
-
 
 def _move_key(move: tuple[str, Hashable]) -> tuple[str, str]:
     """The order of moves: by label, then by target text."""
@@ -387,47 +408,46 @@ def explore(
 ) -> Lts:
     """Breadth-first closure of ``successor_fn`` from ``initial``.
 
-    Deterministic for any hash seed: frontiers are processed in text
-    order, and successor sets in ``_move_key`` order.  Edges leading to
-    states beyond the state cap are dropped (endpoints of kept edges are
-    always explored states).
+    ``successor_fn`` gives each move of a state once, as a set does.
+    Frontiers are processed in text order, and a state's successors are
+    sorted in ``_move_key`` order only when the state cap falls inside
+    them, the only case where their order decides which targets are
+    stored; so the reached states and edges are the same for any hash
+    seed.  Edges leading to states beyond the state cap are dropped.
 
     Each reached state is stored once, as the first object that reached
-    it, and every transition refers to the stored objects.  The frontier
-    of each depth is sorted; a state's successors are sorted only when
-    the state cap falls inside them, the only case where their order
-    decides which targets are stored.
+    it, and numbered in the order it was reached, which follows the order
+    ``successor_fn`` lists moves in.  One ``state -> index`` dict is the
+    only store that hashes states; an edge is the ``(i, label, j)`` of
+    its ends' indices, appended to a list and never hashed.
     """
-    # state -> the one object stored for it.
-    states: dict[Hashable, Hashable] = {initial: initial}
-    transitions: set[Transition] = set()
-    cut: set[Hashable] = set()
+    index: dict[Hashable, int] = {initial: 0}
+    states = [initial]
+    edges: list[tuple[int, str, int]] = []
+    cut: list[int] = []
     frontier = [initial]
     depth = 0
     while frontier and depth < max_depth:
         frontier.sort(key=str)
         next_frontier = []
         for state in frontier:
+            i = index[state]
             successors = successor_fn(state)
             if 0 < max_states - len(states) < len(successors):
                 successors = sorted(successors, key=_move_key)
             for label, target in successors:
-                stored = states.get(target, _UNSEEN)
-                if stored is _UNSEEN:
+                j = index.get(target)
+                if j is None:
                     if len(states) >= max_states:
-                        cut.add(state)
+                        cut.append(i)
                         continue
-                    stored = states[target] = target
+                    j = index[target] = len(states)
+                    states.append(target)
                     next_frontier.append(target)
-                transitions.add((state, label, stored))
+                edges.append((i, label, j))
         frontier = next_frontier
         depth += 1
-    return Lts(
-        initial,
-        frozenset(states),
-        frozenset(transitions),
-        frozenset(frontier) | frozenset(cut),
-    )
+    return Lts(tuple(states), tuple(edges), frozenset(map(index.__getitem__, frontier)).union(cut))
 
 
 def build_lts(model: BcslModel, max_states: int = 100_000, max_depth: int = 1_000) -> Lts:
@@ -445,19 +465,19 @@ def maximal_label_sequences(lts: Lts, depth: int) -> LabelSequences:
     are still followed.  Library API (README § Library): no command
     prints run sets, but the tests' regulation oracles read them.
     """
-    adjacency: dict[Hashable, list[tuple[str, Hashable]]] = {}
-    for src, label, tgt in lts.transitions:
+    adjacency: list[list[tuple[str, int]]] = [[] for _ in lts.states]
+    for i, label, j in lts.edges:
         if label != EPSILON_LABEL:
-            adjacency.setdefault(src, []).append((label, tgt))
+            adjacency[i].append((label, j))
 
     complete: set[tuple[str, ...]] = set()
     incomplete: set[tuple[str, ...]] = set()
-    # Depth-first over (state, labels so far, steps left); an explicit
+    # Depth-first over (state index, labels so far, steps left); an explicit
     # stack, so the depth bound is not limited by the recursion limit.
-    stack: list[tuple[Hashable, tuple[str, ...], int]] = [(lts.initial, (), depth)]
+    stack: list[tuple[int, tuple[str, ...], int]] = [(0, (), depth)]
     while stack:
         state, prefix, budget = stack.pop()
-        out = adjacency.get(state)
+        out = adjacency[state]
         if state in lts.unsettled or (out and budget == 0):
             incomplete.add(prefix)
         elif not out:
@@ -599,18 +619,19 @@ def lts_to_dot(lts: Lts, label_fn: Callable[[Hashable], str] = str) -> str:
     """DOT digraph: one node per state, edges labelled with rule labels.
 
     The initial state is drawn with a doubled periphery.  Output is
-    sorted, hence byte-stable: nodes by ``(label_fn text, str text)``, edges by
-    ``(source index, label, target index)``, each edge sorted as one
-    integer code.  ``_dot`` writes it.
+    sorted, hence byte-stable: nodes by ``(label_fn text, str text)``,
+    ties in discovery order, edges by ``(source node, label, target
+    node)``.  The state indices are ranked once, and each edge is sorted
+    as one integer code over the ranks.  ``_dot`` writes it.
     """
-    text = {state: label_fn(state) for state in lts.states}
+    texts = list(map(label_fn, lts.states))
     # Two stable sorts: the order of the ``(label_fn text, str text)`` key.
-    ordered = sorted(lts.states, key=str)
-    ordered.sort(key=text.__getitem__)
-    index = {state: i for i, state in enumerate(ordered)}
-    labels, rank, width = _edge_ranks(lts.transitions, len(ordered))
-    codes = sorted([index[s] * width + rank[label] + index[t] for s, label, t in lts.transitions])
-    return _dot("lts", "s", [text[s] for s in ordered], index[lts.initial], labels, codes)
+    order = sorted(range(len(texts)), key=list(map(str, lts.states)).__getitem__)
+    order.sort(key=texts.__getitem__)
+    node = sorted(range(len(order)), key=order.__getitem__)  # the inverse: index -> DOT node
+    labels, rank, width = _edge_ranks(lts.edges, len(order))
+    codes = sorted([node[i] * width + rank[label] + node[j] for i, label, j in lts.edges])
+    return _dot("lts", "s", [texts[i] for i in order], node[0], labels, codes)
 
 
 def tree_to_dot(tree: RunTree, label_fn: Callable[[Hashable], str] = str) -> str:
@@ -621,12 +642,12 @@ def tree_to_dot(tree: RunTree, label_fn: Callable[[Hashable], str] = str) -> str
 
 
 def lts_to_json_obj(lts: Lts, label_fn: Callable[[Hashable], str] = str) -> dict:
-    """JSON-ready mirror of the LTS fields with sorted arrays."""
-    text = {state: label_fn(state) for state in lts.states}
+    """JSON-ready mirror of the LTS as texts, with sorted arrays."""
+    text = list(map(label_fn, lts.states))
     return {
-        "initial": text[lts.initial],
-        "states": sorted(text.values()),
-        "transitions": sorted([text[src], label, text[tgt]] for src, label, tgt in lts.transitions),
+        "initial": text[0],
+        "states": sorted(text),
+        "transitions": sorted([text[i], label, text[j]] for i, label, j in lts.edges),
         "truncated": lts.truncated,
     }
 

@@ -12,8 +12,7 @@ alphanumerically sorted.  ``canonicalize`` picks a deterministic
 representative of each congruence class so grounded agents can be hashed
 and compared directly.  ``Multiset`` is the shared state type: an
 immutable multiset of canonical grounded agents with pointwise union,
-difference (clamped at zero), intersection and inclusion, and a fused
-``rewrite`` (remove, then add) for successor states.
+difference (clamped at zero), intersection and inclusion.
 
 The term classes are plain records (``_Record``), immutable by
 convention: nothing assigns a field after construction.  ``_Record``
@@ -378,31 +377,6 @@ class Multiset(frozenset):
                 counts[agent] = left
             elif agent in counts:
                 del counts[agent]
-        return _new(Multiset, counts.items())
-
-    def rewrite(
-        self,
-        consumed: Mapping[int, int],
-        produced: Mapping[int, int],
-        counts: dict[int, int] | None = None,
-    ) -> Multiset:
-        """``self − consumed + produced`` in one step, without intermediate multisets.
-
-        Both mappings hold agent ids and positive counts, and ``consumed``
-        must be contained in ``self``.  ``counts``, when given, is
-        ``dict(self.pairs())`` already built; it is copied, not changed.
-        """
-        counts = dict(_pairs(self)) if counts is None else counts.copy()
-        for agent, n in consumed.items():
-            left = counts.get(agent, 0) - n
-            if left > 0:
-                counts[agent] = left
-            elif left == 0:
-                del counts[agent]
-            else:
-                raise ValueError(f"cannot consume {n} {_AGENTS[agent]} from {self}")
-        for agent, n in produced.items():
-            counts[agent] = counts.get(agent, 0) + n
         return _new(Multiset, counts.items())
 
     def intersection(self, other: Multiset) -> Multiset:

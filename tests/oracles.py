@@ -21,6 +21,8 @@ makes another way, as directly as it can:
 * ``grounded_concurrency`` — the concurrency relation read off the
   grounded rules, the oracle of ``regulation.concurrency_relation``;
 * ``map_states`` — the quotient of an LTS by a projection of its states;
+* ``graph_view`` — an LTS as sets, for comparing graphs whose states were
+  reached in different orders;
 * ``transitive_closure`` — the fix-point closure of a label relation, the
   oracle of the reachability walks of an ``ordered`` regulation;
 * ``dot_by_definition`` — the DOT text of an LTS with its nodes sorted by
@@ -233,13 +235,23 @@ def grounded_concurrency(mrs: Mrs) -> frozenset[tuple[str, str]]:
 
 
 def map_states(lts: Lts, project: Callable[[Hashable], Hashable]) -> Lts:
-    """Quotient an LTS by projecting its states (e.g. dropping memory)."""
+    """Quotient an LTS by projecting its states (e.g. dropping memory): each
+    image numbered where its first preimage was, each edge kept once."""
+    index: dict[Hashable, int] = {}
+    node = [index.setdefault(project(s), len(index)) for s in lts.states]
     return Lts(
-        project(lts.initial),
-        frozenset(project(s) for s in lts.states),
-        frozenset((project(a), label, project(b)) for a, label, b in lts.transitions),
-        frozenset(project(s) for s in lts.unsettled),
+        tuple(index),
+        tuple(dict.fromkeys((node[i], label, node[j]) for i, label, j in lts.edges)),
+        frozenset(node[i] for i in lts.unsettled),
     )
+
+
+def graph_view(lts: Lts) -> tuple:
+    """What an LTS says of its states, whatever order they were reached in:
+    the initial state, the sets of states and of transitions, and the
+    unsettled states."""
+    unsettled = frozenset(lts.states[i] for i in lts.unsettled)
+    return lts.initial, frozenset(lts.states), lts.transitions, unsettled
 
 
 def transitive_closure(pairs: frozenset[tuple[str, str]]) -> frozenset[tuple[str, str]]:

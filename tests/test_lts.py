@@ -11,6 +11,7 @@ from bcsl import (
     EPSILON_LABEL,
     Agent,
     Atomic,
+    LabelSequences,
     Lts,
     Multiset,
     RuleMatcher,
@@ -472,41 +473,59 @@ def _key(state) -> str:
     return str(state) if isinstance(state, Multiset) else repr(state)
 
 
-def _reference_explore(initial, successor_fn, max_states, max_depth) -> Lts:
-    """Bounded BFS that sorts and processes every successor in turn."""
-    states = {initial}
+def _reference_explore(initial, successor_fn, max_states, max_depth):
+    """Bounded BFS that sorts and processes every successor in turn.
+
+    Returns the reached states in the order it reached them, each mapped
+    to the number of the expanded state that reached it first (the
+    initial state to -1), the set of transitions and the unsettled states.
+    """
+    first_source = {initial: -1}
     transitions = set()
     truncated = False
     cut = set()
     frontier = [initial]
-    depth = 0
+    depth = expanded = 0
     while frontier and depth < max_depth:
         frontier.sort(key=_key)
         next_frontier = []
         for state in frontier:
             for label, target in sorted(successor_fn(state), key=lambda lt: (lt[0], _key(lt[1]))):
-                if target not in states:
-                    if len(states) >= max_states:
+                if target not in first_source:
+                    if len(first_source) >= max_states:
                         truncated = True
                         cut.add(state)
                         continue
-                    states.add(target)
+                    first_source[target] = expanded
                     next_frontier.append(target)
                 transitions.add((state, label, target))
+            expanded += 1
         frontier = next_frontier
         depth += 1
     truncated = truncated or bool(frontier)
     unsettled = frozenset(frontier) | frozenset(cut)
     assert truncated == bool(unsettled)
-    return Lts(initial, frozenset(states), frozenset(transitions), unsettled)
+    return first_source, frozenset(transitions), unsettled
 
 
 def _assert_explore_matches_reference(initial, successor_fn, max_states, max_depth):
     graph = explore(initial, successor_fn, max_states, max_depth)
-    expected = _reference_explore(initial, successor_fn, max_states, max_depth)
-    assert graph == expected
+    first_source, transitions, unsettled = _reference_explore(
+        initial, successor_fn, max_states, max_depth
+    )
+    # ``Lts`` equality includes the order, so the graphs compare through
+    # their set views.
+    assert len(set(graph.states)) == graph.n_states == len(first_source)
+    assert graph.states[0] is initial
+    assert set(graph.states) == set(first_source)
+    assert len(set(graph.edges)) == graph.n_transitions == len(transitions)
+    assert graph.transitions == transitions
+    assert {graph.states[i] for i in graph.unsettled} == unsettled
+    # In the order the reference reaches them: its order up to that of the
+    # targets one state reaches first, which ``successor_fn`` lists.
+    order = [first_source[state] for state in graph.states]
+    assert order == sorted(order)
     stored = {state: state for state in graph.states}
-    assert graph.initial is initial
     for src, _, tgt in graph.transitions:
         assert stored[src] is src and stored[tgt] is tgt
     return graph
@@ -526,6 +545,7 @@ _graphs = st.integers(min_value=1, max_value=9).flatmap(
         st.lists(
             st.tuples(st.sampled_from("ab"), st.integers(min_value=0, max_value=n - 1)),
             max_size=5,
+            unique=True,  # ``explore`` takes each move of a state once
         ),
     )
 )
@@ -556,6 +576,46 @@ def test_explore_sorts_where_the_state_cap_cuts():
     for max_states in range(1, full.n_states + 1):
         graph_at_cap = _assert_explore_matches_reference(_node(0), successor_fn, max_states, 1_000)
         assert graph_at_cap.truncated == (max_states < full.n_states)
+
+
+# Falsy states, and edges back to the initial state, whose index is 0:
+# ``False`` is the state ``0``, which is stored as the first object, the int.
+_FALSY_MOVES = {None: [("a", 0), ("b", "")], 0: [("a", None), ("b", False)], "": [("c", None)]}
+
+
+def test_explore_numbers_falsy_states_and_edges_back_to_the_initial_one():
+    graph = explore(None, _FALSY_MOVES.__getitem__)
+    edges = ((0, "a", 1), (0, "b", 2), (2, "c", 0), (1, "a", 0), (1, "b", 1))
+    assert graph == Lts((None, 0, ""), edges)
+    assert type(graph.states[1]) is int
+    assert graph.transitions == {
+        (None, "a", 0), (None, "b", ""), ("", "c", None), (0, "a", None), (0, "b", 0)
+    }
+    assert maximal_label_sequences(graph, 2) == LabelSequences(
+        frozenset(), frozenset({("a", "a"), ("a", "b"), ("b", "c")})
+    )
+    assert lts_to_dot(graph) == dot_by_definition(graph) == (
+        "digraph lts {\n"
+        '  s0 [label=""];\n'
+        '  s1 [label="0"];\n'
+        '  s2 [label="None", peripheries=2];\n'
+        '  s0 -> s2 [label="c"];\n'
+        '  s1 -> s2 [label="a"];\n'
+        '  s1 -> s1 [label="b"];\n'
+        '  s2 -> s1 [label="a"];\n'
+        '  s2 -> s0 [label="b"];\n'
+        "}\n"
+    )
+    # Bounds leave states unsettled by index, the initial one's 0 included.
+    shallow = explore(None, _FALSY_MOVES.__getitem__, max_depth=1)
+    assert shallow == Lts((None, 0, ""), edges[:2], frozenset({1, 2}))
+    assert maximal_label_sequences(shallow, 5) == LabelSequences(
+        frozenset(), frozenset({("a",), ("b",)})
+    )
+    capped = explore(None, _FALSY_MOVES.__getitem__, max_states=1)
+    assert capped == Lts((None,), (), frozenset({0}))
+    assert maximal_label_sequences(capped, 5) == LabelSequences(frozenset(), frozenset({()}))
+    assert lts_to_dot(capped) == 'digraph lts {\n  s0 [label="None", peripheries=2];\n}\n'
 
 
 def _site_model(n_sites: int, copies: int) -> str:
@@ -681,7 +741,7 @@ def test_maximal_sequences_unsettled_states_are_incomplete(two_site_model, bound
 
 
 def test_maximal_sequences_deeper_than_recursion_limit():
-    cycle = Lts("a", frozenset({"a", "b"}), frozenset({("a", "x", "b"), ("b", "y", "a")}))
+    cycle = Lts(("a", "b"), ((0, "x", 1), (1, "y", 0)))
     seqs = maximal_label_sequences(cycle, 5000)
     assert seqs.complete == frozenset()
     assert seqs.incomplete == frozenset({("x", "y") * 2500})
@@ -877,12 +937,11 @@ def _walks(draw):
     # Few labels and texts, so that states of one text differ in their labels.
     tied = st.sampled_from(["a", "b", "x"])
     state, label = st.sampled_from(states), tied | _STATE_TEXT
-    transitions = draw(st.lists(st.tuples(state, label, state), max_size=16))
+    index = st.integers(0, len(states) - 1)
     graph = Lts(
-        states[0],
-        frozenset(states),
-        frozenset(transitions),
-        frozenset(states[:1] if draw(st.booleans()) else ()),
+        tuple(states),
+        tuple(draw(st.lists(st.tuples(index, label, index), max_size=16, unique=True))),
+        frozenset({0} if draw(st.booleans()) else ()),
     )
     nodes = draw(st.lists(state, min_size=1, max_size=10))
     node = st.integers(0, len(nodes) - 1)
@@ -925,7 +984,7 @@ def test_cli_rows_match_the_library_exports(walks, fallback):
 def test_tied_texts_sort_as_text_rows():
     # Two states of one text: their rows sort by label between them, as
     # ``[source text, label, target text]`` rows do, not by state.
-    graph = Lts(0, frozenset({0, 1, 2}), frozenset({(0, "b", 2), (1, "a", 2)}))
+    graph = Lts((0, 1, 2), ((0, "b", 2), (1, "a", 2)))
     texts = {0: "x", 1: "x", 2: "y"}.__getitem__
     assert cli._lts_text(graph, texts).splitlines()[4:] == ["  x --a--> y", "  x --b--> y"]
     assert _cli_json(graph, texts) == json.dumps(

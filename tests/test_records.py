@@ -74,8 +74,8 @@ RECORDS = [
     (Mrs, dict(rules=(), init=STATE), dict(init=OTHER_STATE), False),
     (
         Lts,
-        dict(initial=STATE, states=frozenset({STATE}), transitions=frozenset()),
-        dict(initial=OTHER_STATE),
+        dict(states=(STATE, OTHER_STATE), edges=((0, "r", 1),)),
+        dict(states=(OTHER_STATE, STATE)),
         True,
     ),
     (RunTree, dict(states=(STATE,), edges=()), dict(truncated=True), True),
@@ -151,8 +151,8 @@ def test_a_record_refuses_fields_it_does_not_take(cls, fields, changed, compared
 def test_defaults():
     assert Structure("X").composition == ()
     assert Pattern().agents == ()
-    assert Lts(STATE, frozenset({STATE}), frozenset()).unsettled == frozenset()
-    assert not Lts(STATE, frozenset({STATE}), frozenset()).truncated
+    assert Lts((STATE,), ()).unsettled == frozenset()
+    assert not Lts((STATE,), ()).truncated
     assert RunTree((STATE,), ()).truncated is False
 
 
@@ -202,13 +202,12 @@ def test_model_repr_keeps_its_bytes():
 def test_records_pickle():
     agent = Agent((P,), "c")
     text = agent.text
-    graph = Lts(STATE, frozenset({STATE, OTHER_STATE}), frozenset({(STATE, "r", OTHER_STATE)}))
+    graph = Lts((STATE, OTHER_STATE), ((0, "r", 1),))
     for record in (agent, Agent((P,), "d"), RULE, graph):
         copy = pickle.loads(pickle.dumps(record))
         assert copy == record and hash(copy) == hash(record)
-    # A rebuilt frozenset of states may list them in another order, so
-    # only the records without one keep their ``repr``.
-    for record in (agent, RULE):
+    # The graph keeps its ``repr`` too: its states are a tuple, in order.
+    for record in (agent, RULE, graph):
         assert repr(pickle.loads(pickle.dumps(record))) == repr(record)
     assert pickle.loads(pickle.dumps(agent))._text == text
     assert isinstance(pickle.loads(pickle.dumps(graph)).initial, Multiset)
