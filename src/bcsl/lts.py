@@ -4,7 +4,9 @@
 patterns (expand, unify left-hand agents with the state's agents up to
 congruence, resolve the right-hand side consistently by filling in text
 templates) without grounding anything: no left-hand pattern is
-enumerated, so the cost follows the state, not the signature.  It finds
+enumerated, so the cost follows the state, not the signature.  As in an
+MRS rewrite, only the net change per agent (post − pre) decides the
+target, so each match is applied as one precomputed delta.  It finds
 its rules by agent: a table, filled the first time a state holds an
 agent, gives the effects of the one-agent rules that agent matches and
 the starts of the longer rules, whose other left-hand agents are matched
@@ -45,9 +47,9 @@ from .syntax import BcslModel
 from .terms import _IDS, EPSILON, Multiset, _new, _Record, agent_id, agent_of
 
 Transition = tuple[Hashable, str, Hashable]
-# What one match of a rule does: its label, the agent ids it consumes and
-# those it produces.
-Effect = tuple[str, dict[int, int], dict[int, int]]
+# What one match of a rule does: its label and its delta, the ``(agent id,
+# produced - consumed)`` pairs whose net is not zero.
+Effect = tuple[str, tuple[tuple[int, int], ...]]
 SuccessorFn = Callable[[Hashable], Collection[tuple[str, Hashable]]]
 
 
@@ -157,10 +159,12 @@ class _PreparedRule:
     options) or free over the signature.  Free slots with more
     resolutions than the grounding cap raise ``GroundingCapError``.
 
-    What a match consumes and produces depends only on the agents it
-    picks and their assignments, so ``effects`` computes both on first
-    use and memoises them in ``_effects``, keyed by the ``(agent id,
-    assignment index)`` picked at each left-hand position.  A produced
+    What a match does depends only on the agents it picks and their
+    assignments, so ``effects`` computes it on first use and memoises it
+    in ``_effects``, keyed by the ``(agent id, assignment index)`` picked
+    at each left-hand position.  An effect is the net change per agent,
+    produced minus consumed, without the agents whose net is zero (a
+    catalyst, or every agent of an identity rule).  A produced
     agent is found by its text: each right-hand agent has a template,
     its expanded text with every ``{ε}`` a ``%s`` field, built on the
     first ``effects`` call (so construction costs nothing for it).  The
@@ -238,7 +242,8 @@ class _PreparedRule:
 
     def effects(self, match: tuple[tuple[int, int], ...]) -> tuple[Effect, ...]:
         """What ``match`` (``(agent id, assignment index)`` per position) does, memoised:
-        one ``(label, consumed, produced)`` per resolution of the free rhs slots."""
+        one ``(label, delta)`` per resolution of the free rhs slots, ``delta``
+        the ``(agent id, produced - consumed)`` pairs with a net other than 0."""
         effects = self._effects.get(match)
         if effects is None:
             if self._templates is None:
@@ -250,14 +255,14 @@ class _PreparedRule:
             for combo in itertools.product(
                 *(options or [assignment[j]] for j, options in self.rhs_slots)
             ):
-                produced: dict[int, int] = {}
+                net = {agent: -n for agent, n in consumed.items()}
                 for k, (template, start, stop) in enumerate(self._templates):
                     ident = _IDS.get(template % combo[start:stop])
                     if ident is None:  # a spelling not met before: resolve and intern it
                         positions = {j: f for (j, _), f in zip(self.rhs_slots, combo)}
                         ident = agent_id(assign_features(self.rhs, positions).agents[k])
-                    produced[ident] = produced.get(ident, 0) + 1
-                out.append((self.label, consumed, produced))
+                    net[ident] = net.get(ident, 0) + 1
+                out.append((self.label, tuple([(a, d) for a, d in net.items() if d])))
             effects = self._effects[match] = tuple(out)
         return effects
 
@@ -354,14 +359,15 @@ class RuleMatcher:
 
         Empty when no rule applies: ε is the caller's, as in
         ``successors(state) or {(EPSILON_LABEL, state)}`` (``check``'s
-        direct side) or ``guarded``.
+        direct side) or ``guarded``.  A move whose delta is empty (an
+        identity rule, or one of catalysts only) leads to ``state`` itself.
         """
         effects = [effect for rule in self._unconditional for effect in rule.effects(())]
         table = self._table
         # The multiplicities by agent id, read off the pairs once.  Joins
         # change a count and restore it (the keys never change), and every
-        # effect is applied to a copy of it, restored, at the end: a match
-        # consumes only what the state holds.
+        # delta is added to a copy of it, restored, at the end: a match
+        # consumes only what the state holds, so no count goes below 0.
         counts = dict(state.pairs())
         for agent, n in counts.items():
             entry = table.get(agent)
@@ -377,16 +383,17 @@ class RuleMatcher:
                     effects.extend(rule.effects(match))
             counts[agent] = n
         out = []
-        for label, consumed, produced in effects:
+        for label, delta in effects:
+            if not delta:
+                out.append((label, state))
+                continue
             target = counts.copy()
-            for agent, n in consumed.items():
-                left = target[agent] - n
-                if left:
-                    target[agent] = left
+            for agent, d in delta:
+                n = target.get(agent, 0) + d
+                if n:
+                    target[agent] = n
                 else:
                     del target[agent]
-            for agent, n in produced.items():
-                target[agent] = target.get(agent, 0) + n
             out.append((label, _new(Multiset, target.items())))
         return frozenset(out)
 
@@ -625,10 +632,15 @@ def lts_to_dot(lts: Lts, label_fn: Callable[[Hashable], str] = str) -> str:
     as one integer code over the ranks.  ``_dot`` writes it.
     """
     texts = list(map(label_fn, lts.states))
-    # Two stable sorts: the order of the ``(label_fn text, str text)`` key.
-    order = sorted(range(len(texts)), key=list(map(str, lts.states)).__getitem__)
+    order = list(range(len(texts)))
+    # Stable sorts by the key's second part, then its first; under ``str``
+    # both parts are one text, so the first sort is left out.
+    if label_fn is not str:
+        order.sort(key=list(map(str, lts.states)).__getitem__)
     order.sort(key=texts.__getitem__)
-    node = sorted(range(len(order)), key=order.__getitem__)  # the inverse: index -> DOT node
+    node = [0] * len(order)  # the inverse: index -> DOT node
+    for r, i in enumerate(order):
+        node[i] = r
     labels, rank, width = _edge_ranks(lts.edges, len(order))
     codes = sorted([node[i] * width + rank[label] + node[j] for i, label, j in lts.edges])
     return _dot("lts", "s", [texts[i] for i in order], node[0], labels, codes)

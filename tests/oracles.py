@@ -17,7 +17,11 @@ makes another way, as directly as it can:
   unification;
 * ``resolved_effects`` — what one match of a prepared rule consumes and
   produces, each right-hand side rebuilt by ``assign_features``, the
-  oracle of the matcher's text templates;
+  oracle of the matcher's text templates and, netted, of its deltas;
+* ``rule_matches`` and ``apply_by_definition`` — every match of a
+  prepared rule, and the direct successors with every match's
+  consumed agents taken away and its produced agents added, the oracle of
+  the matcher's net deltas, also over the grounding cap;
 * ``grounded_concurrency`` — the concurrency relation read off the
   grounded rules, the oracle of ``regulation.concurrency_relation``;
 * ``map_states`` — the quotient of an LTS by a projection of its states;
@@ -50,6 +54,7 @@ from bcsl.lts import (
     Lts,
     RuleMatcher,
     RunTree,
+    _backtrack,
     _dot_quote,
     _PreparedRule,
     lts_to_json_obj,
@@ -73,6 +78,7 @@ from bcsl.terms import (
     Pattern,
     Structure,
     agent_id,
+    agent_of,
     canonicalize,
 )
 
@@ -219,6 +225,42 @@ def resolved_effects(
         )
         for combo in itertools.product(*options)
     )
+
+
+def rule_matches(rule: _PreparedRule, state: Multiset) -> list[tuple[tuple[int, int], ...]]:
+    """Every match of ``rule`` at ``state``, by ``_backtrack`` from the first
+    left-hand position (no table); ``()`` once for an empty left-hand side."""
+    n = len(rule.lhs.agents)
+    return _backtrack(rule.candidates, n, dict(state.pairs())) if n else [()]
+
+
+def apply_by_definition(model: BcslModel) -> Callable[[Multiset], frozenset]:
+    """The direct successor function of ``model``, each move applied as an
+    MRS rewrite reads: for every ``rule_matches`` match of every rule and
+    each of its ``resolved_effects``, a copy of the state's counts with
+    the consumed agents taken away, then the produced agents added.
+    Nothing is grounded, so it runs over the grounding cap too."""
+    rules = [
+        _PreparedRule(rule, model.structure_signature, model.atomic_signature)
+        for rule in model.rules
+    ]
+
+    def successors(state: Multiset) -> frozenset[tuple[str, Multiset]]:
+        out = set()
+        for rule in rules:
+            for match in rule_matches(rule, state):
+                for label, consumed, produced in resolved_effects(
+                    rule, match, model.atomic_signature
+                ):
+                    counts = dict(state.pairs())
+                    for agent, k in consumed.items():
+                        counts[agent] -= k
+                    for agent, k in produced.items():
+                        counts[agent] = counts.get(agent, 0) + k
+                    out.add((label, Multiset({agent_of(a): k for a, k in counts.items()})))
+        return frozenset(out)
+
+    return successors
 
 
 def grounded_concurrency(mrs: Mrs) -> frozenset[tuple[str, str]]:

@@ -4,7 +4,7 @@ from functools import partial
 from json.encoder import py_encode_basestring
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from bcsl import (
     EPSILON,
@@ -35,17 +35,19 @@ from bcsl import (
 )
 from bcsl import cli, terms
 from bcsl.cli import _tree_text
-from bcsl.lts import _backtrack, _PreparedRule
-from bcsl.patterns import assign_features, expand_agent
+from bcsl.lts import _PreparedRule
+from bcsl.patterns import GroundingCapError, assign_features, expand_agent
 from bcsl.syntax import BcslModel, BcslRule, parse_agent
 from bcsl.terms import Pattern, Structure, agent_id, agent_of
 from conftest import TWO_SITE_MODEL, UNREGULATED_SEQUENCES, bench_module
 from corpus import random_model_text
 from oracles import (
+    apply_by_definition,
     dot_by_definition,
     enumerated_matches,
     map_states,
     resolved_effects,
+    rule_matches,
     text_by_definition,
 )
 from test_generated_models import model_texts
@@ -345,16 +347,31 @@ def count_rebuilds(monkeypatch) -> list:
     return rebuilt
 
 
+def net_changes(effects):
+    """Each ``(label, consumed, produced)`` as its label and the dict of its
+    nets, produced minus consumed, without the zero ones."""
+    out = []
+    for label, consumed, produced in effects:
+        net = {a: produced.get(a, 0) - consumed.get(a, 0) for a in {*consumed, *produced}}
+        out.append((label, {a: d for a, d in net.items() if d}))
+    return out
+
+
 def assert_effects_resolve(model, states):
-    """Every match of every rule at ``states`` does what ``resolved_effects`` says."""
+    """Every match of every rule at ``states`` changes each agent by the net
+    of what ``resolved_effects`` says it consumes and produces, each agent
+    once."""
     for rule in model.rules:
         prepared = _PreparedRule(rule, model.structure_signature, model.atomic_signature)
-        n = len(prepared.lhs.agents)
         for state in states:
-            found = _backtrack(prepared.candidates, n, dict(state.pairs())) if n else [()]
-            for match in found:
-                expected = resolved_effects(prepared, match, model.atomic_signature)
-                assert prepared.effects(match) == expected, (str(rule), str(state))
+            for match in rule_matches(prepared, state):
+                expected = net_changes(resolved_effects(prepared, match, model.atomic_signature))
+                effects = prepared.effects(match)
+                assert [(label, dict(delta)) for label, delta in effects] == expected, (
+                    str(rule),
+                    str(state),
+                )
+                assert all(len(dict(delta)) == len(delta) for _, delta in effects)
 
 
 def assert_templates_resolve(model, monkeypatch):
@@ -428,6 +445,108 @@ def test_templates_of_a_non_canonical_right_hand_side(monkeypatch):
     assert_effects_resolve(model, [model.init])
     monkeypatch.undo()
     assert_templates_resolve(model, monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# Moves applied as net deltas
+# ---------------------------------------------------------------------------
+
+# ``same`` (an identity rule) and ``touch`` (a join of catalysts only)
+# change nothing; ``cat`` keeps its catalyst ``A{p}``; ``use`` takes two
+# copies of ``A{p}``, at some states the last two; ``merge`` consumes and
+# produces ``A{q}``, a net of -1.
+CATALYST_MODEL = (
+    "#! rules\n"
+    "same ~ C{x}::c => C{x}::c\n"
+    "touch ~ A{p}::c + C{x}::c => C{x}::c + A{p}::c\n"
+    "cat ~ A{p}::c + B{q}::c => A{p}::c + B{p}::c\n"
+    "use ~ A{p}::c + A{p}::c => A{q}::c\n"
+    "merge ~ A{q}::c + A{q}::c => A{q}::c\n"
+    "#! inits\n4 A{p}::c\n1 B{q}::c\n1 C{x}::c\n"
+)
+
+
+def test_deltas_leave_out_catalysts():
+    model = parse_model(CATALYST_MODEL)
+    deltas = {}
+    for rule in model.rules:
+        prepared = _PreparedRule(rule, model.structure_signature, model.atomic_signature)
+        for state in (model.init, parse_multiset("2 A{q}::c")):
+            for match in rule_matches(prepared, state):
+                for label, delta in prepared.effects(match):
+                    deltas[label] = {str(agent_of(a)): d for a, d in delta}
+    assert deltas == {
+        "same": {},
+        "touch": {},
+        "cat": {"B{q}::c": -1, "B{p}::c": 1},
+        "use": {"A{p}::c": -2, "A{q}::c": 1},
+        "merge": {"A{q}::c": -1},
+    }
+
+
+def test_moves_that_change_nothing_lead_to_the_state_itself():
+    model = parse_model(CATALYST_MODEL)
+    matcher = RuleMatcher(model)
+    graph = build_lts(model)
+    assert graph.n_states == 8
+    for i, state in enumerate(graph.states):
+        for label, target in matcher.successors(state):
+            assert (target is state) == (label in ("same", "touch")), (label, str(state))
+            assert all(n > 0 for _, n in target.pairs()), (label, str(state))
+        # ``C{x}`` is never consumed, so ``same`` loops on every state.
+        assert (i, "same", i) in graph.edges
+    assert_matcher_agrees(model, graph.states, "catalysts")
+
+
+# Agents of the drawn models below: grounded ones, which the inits hold, and
+# patterns over them.  ``W`` has ten sites of two features, so a rule with
+# ``W()`` on both sides has 2^20 candidate pairs, over the grounding cap:
+# only the direct matcher and ``apply_by_definition`` walk such a model.
+_WIDE = ["W(" + ",".join(f"w{k}{{{f}}}" for k in range(10)) + ")::c" for f in "xy"]
+_GROUNDED_AGENTS = ["A{x}::c", "A{y}::c", "P(s{x},t{y})::c", "P(s{y},t{y})::d", *_WIDE]
+_DRAWN_PATTERNS = [*_GROUNDED_AGENTS[:4], "P()::c", "P(s{x})::c", "P(t{y})::d"]
+WIDE_MODEL = (
+    "#! rules\n"
+    "wide ~ W()::c + A{x}::c => W()::c + A{y}::c\n"
+    "move ~ W()::c => W()::d\n"
+    f"#! inits\n2 {_WIDE[0]}\n1 {_WIDE[1]}\n2 A{{x}}::c\n"
+)
+
+
+@st.composite
+def delta_model_texts(draw):
+    """Model text whose rules repeat agents, keep some left-hand agents on
+    the right (catalysts) and often leave a side empty; some models also
+    carry a rule on ``W()`` that is over the grounding cap."""
+    agent = st.sampled_from(_DRAWN_PATTERNS)
+    lines = ["#! rules"]
+    for k in range(draw(st.integers(1, 4))):
+        lhs = draw(st.lists(agent, max_size=3))
+        kept = [a for a in lhs if draw(st.booleans())]
+        rhs = draw(st.permutations(kept + draw(st.lists(agent, max_size=2))))
+        lines.append(f"r{k} ~ {' + '.join(lhs)} => {' + '.join(rhs)}".replace("  ", " "))
+    if draw(st.booleans()):
+        lines.append(f"wide ~ W()::c + A{{x}}::c => W()::{draw(st.sampled_from('cd'))} + A{{y}}::c")
+    lines.append("#! inits")
+    inits = st.lists(st.sampled_from(_GROUNDED_AGENTS), min_size=1, max_size=3, unique=True)
+    lines += [f"{draw(st.integers(1, 3))} {text}" for text in draw(inits)]
+    return "\n".join(lines) + "\n"
+
+
+def test_the_wide_model_is_over_the_grounding_cap():
+    with pytest.raises(GroundingCapError):
+        build_mrs(parse_model(WIDE_MODEL))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(delta_model_texts())
+@example(WIDE_MODEL)
+@example(CATALYST_MODEL)
+def test_moves_apply_as_their_definition_on_drawn_models(text):
+    model = parse_model(text)
+    matcher, by_definition = RuleMatcher(model), apply_by_definition(model)
+    for state in explore(model.init, matcher.successors, max_states=40, max_depth=5).states:
+        assert matcher.successors(state) == by_definition(state), (text, str(state))
 
 
 # ---------------------------------------------------------------------------
@@ -903,6 +1022,17 @@ def test_dot_matches_its_definition(args, max_states, max_depth):
     else:
         assert (graph.n_states, graph.n_transitions) == (1, 0)
     assert lts_to_dot(graph, *args) == dot_by_definition(graph, *args)
+
+
+def test_dot_calls_str_once_per_state(monkeypatch):
+    graph = build_lts(parse_model(_FEATURE_CYCLE))
+    calls = []
+    text = Multiset.__str__
+    monkeypatch.setattr(Multiset, "__str__", lambda state: calls.append(state) or text(state))
+    dot = lts_to_dot(graph)
+    monkeypatch.undo()
+    assert len(calls) == graph.n_states
+    assert dot == dot_by_definition(graph)
 
 
 # What ``bcsl lts --format json`` writes for a graph and for a run tree.
